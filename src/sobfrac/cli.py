@@ -278,6 +278,11 @@ def _measured_constants(config: RunConfig) -> dict:
     return {"C1": b.C1, "C2": b.C2, "M0": b.M0, "Mq": b.Mq, "q": b.q}
 
 
+def _operator_cache(config: RunConfig) -> SolutionOperatorCache:
+    return SolutionOperatorCache(config.problem.order, config.problem.mode_count,
+                                 node_count=config.quad_nodes)
+
+
 def run(config: RunConfig) -> int:
     """Execute one pipeline; returns the process exit status."""
     out = Path(config.out_dir)
@@ -300,11 +305,8 @@ def run(config: RunConfig) -> int:
             }
             status = 0 if all(r.passed for r in rows) else 1
         elif config.mode == "solve":
-            cache = SolutionOperatorCache(config.problem.order,
-                                          config.problem.mode_count,
-                                          node_count=config.quad_nodes)
             traj, solve_report = picard_solve(
-                config.problem, cache=cache, tol=config.solver_tol,
+                config.problem, cache=_operator_cache(config), tol=config.solver_tol,
                 max_iter=config.solver_max_iter)
             _trajectory_artifacts(out, traj, config.problem.mode_count)
             report["solve"] = {
@@ -332,7 +334,7 @@ def run(config: RunConfig) -> int:
             bundle, traj, log = optimize_controls(
                 config.problem, config.cost, init, budget=config.budget,
                 grad_tol=config.grad_tol, fd_step=config.fd_step,
-                solve_tol=config.solver_tol)
+                solve_tol=config.solver_tol, cache=_operator_cache(config))
             _write_csv(out / "descent.csv", "iteration,J",
                        [(i, float(j)) for i, j in enumerate(log.cost_values)])
             rows = []
@@ -348,6 +350,8 @@ def run(config: RunConfig) -> int:
                 "converged": log.converged,
                 "budget_exhausted": log.budget_exhausted,
                 "inner_solves": log.inner_solves,
+                "adjoint_solves": log.adjoint_solves,
+                "gradient_check": log.gradient_check,
                 "final_cost": float(log.cost_values[-1]),
                 "admissibility_value": admissibility_value(bundle),
             }
@@ -360,19 +364,24 @@ def run(config: RunConfig) -> int:
             report["error"]["residual_history"] = list(extra)
         status = 1
     (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n",
+        json.dumps(_strict_json(report), indent=2, sort_keys=True,
+                   allow_nan=False, default=str) + "\n",
         encoding="utf-8")
     return status
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and math.isnan(obj):
+def _strict_json(obj):
+    """Plain containers and numbers, with every non-finite float as None:
+    json.dumps writes NaN and Infinity as tokens strict parsers reject."""
+    if isinstance(obj, dict):
+        return {key: _strict_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_strict_json(value) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    return str(obj)
+    return obj
 
 
 def main(argv=None) -> int:

@@ -8,7 +8,10 @@ One application of the solution map evaluates, on every grid node,
 with the weakly singular kernel integrated exactly per cell against the
 left-endpoint piecewise-constant integrand, and h(u) the weighted sum of
 trajectory values at the fixed nonlocal times.  Picard iteration runs
-that map to a fixed point in the sup q-norm.
+that map to a fixed point in the sup q-norm.  The adjoint solve runs the
+transposed linearised map through the same loop; it gives the exact
+gradient of a linear functional of the solution with respect to the
+controls at the cost of one extra solve.
 """
 
 from __future__ import annotations
@@ -18,14 +21,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import (DomainError, EvaluationError, NonConvergenceError,
                      RejectedInstanceError)
 from .fracops import TimeGrid
 from .solution_ops import SolutionOperatorCache
 from .specfun import FracOrder
-from .spectral import SpectralField, apply_Bi, grid_to_field
+from .spectral import (SpectralField, apply_Bi, default_collocation_size,
+                       derivative_matrix, grid_to_field, projection_matrix)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -178,19 +181,30 @@ def snap_nonlocal_indices(spec: ProblemSpec) -> list:
     return out
 
 
+def _f_on_grid(nl: Nonlinearity, ts, grids: list) -> np.ndarray:
+    """Nonlinearity values at the collocation nodes, one row per time in ts.
+
+    grids holds one (len(ts), n_x) array per derivative order in b_orders.
+    """
+    if nl.kind == "sin_gradient":
+        values = nl.gain * np.sin(grids[0])
+    else:
+        values = np.array([nl.fn(t, [g[j] for g in grids]) for j, t in enumerate(ts)],
+                          dtype=float)
+    bad = ~np.all(np.isfinite(values), axis=1)
+    if np.any(bad):
+        raise EvaluationError(
+            f"nonlinearity returned non-finite values at t={ts[int(np.argmax(bad))]}")
+    return values
+
+
 def eval_f(spec: ProblemSpec, t: float, u_field: SpectralField) -> SpectralField:
     """Evaluate the nonlinearity on the collocation grid, project back."""
     nl = spec.nonlinearity
     if nl.kind == "zero":
         return SpectralField.zero(spec.mode_count)
-    grids = [apply_Bi(i, u_field, r_max=spec.r_max) for i in nl.b_orders]
-    if nl.kind == "sin_gradient":
-        values = nl.gain * np.sin(grids[0])
-    else:
-        values = np.asarray(nl.fn(t, grids), dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise EvaluationError(f"nonlinearity returned non-finite values at t={t}")
-    return grid_to_field(values, spec.mode_count)
+    grids = [apply_Bi(i, u_field, r_max=spec.r_max)[None, :] for i in nl.b_orders]
+    return grid_to_field(_f_on_grid(nl, [t], grids)[0], spec.mode_count)
 
 
 def nonlocal_bracket(spec: ProblemSpec, u_traj: Trajectory, t_node: int) -> SpectralField:
@@ -231,8 +245,38 @@ def _control_forcing(spec: ProblemSpec, controls) -> np.ndarray:
     return out
 
 
+def _control_forcing_adjoint(spec: ProblemSpec, grad_forcing: np.ndarray) -> np.ndarray:
+    """Transpose of _control_forcing: gradient with respect to the summed
+    control node values, given the gradient with respect to its output."""
+    half_dt = 0.5 * spec.grid.dt
+    # out[m] sums the trapezoid cells l < m, so cell l collects rows m > l
+    cells = np.cumsum(grad_forcing[:0:-1], axis=0)[::-1]
+    out = np.zeros_like(grad_forcing)
+    out[:-1] += half_dt * cells
+    out[1:] += half_dt * cells
+    return out
+
+
+def fftconvolve(kernel_spectrum: np.ndarray, signal: np.ndarray, n: int) -> np.ndarray:
+    """First len(signal) rows of the causal convolution of a kernel with
+    signal along axis 0, per column.
+
+    kernel_spectrum is the kernel's length-n rFFT along axis 0; n is at
+    least the kernel length plus len(signal) - 1, so the circular product
+    does not wrap around.
+    """
+    rows = signal.shape[0]
+    return np.fft.irfft(kernel_spectrum * np.fft.rfft(signal, n, axis=0),
+                        n, axis=0)[:rows]
+
+
 class _SweepWorkspace:
-    """Grid-static arrays shared by every sweep of one solve context."""
+    """Grid-static arrays shared by every sweep of one solve context.
+
+    D[i] maps coefficients to the i-th derivative on the collocation grid
+    (n_x x N), P maps collocation values back to coefficients (N x n_x);
+    the forward sweep and its adjoint both go through them.
+    """
 
     def __init__(self, spec: ProblemSpec, cache: SolutionOperatorCache):
         n_modes = spec.mode_count
@@ -249,6 +293,12 @@ class _SweepWorkspace:
         t_rows = np.stack([cache.multiplier_rows(d * dt)[1][:n_modes]
                            for d in range(1, spec.step_count + 1)])
         self.kernel = _kernel_weights(alpha, spec.step_count, dt)[:, None] * t_rows
+        self.nfft = 2 * spec.step_count
+        self.kernel_spectrum = np.fft.rfft(self.kernel, self.nfft, axis=0)
+        n_x = default_collocation_size(n_modes)
+        self.D = {i: derivative_matrix(i, n_modes, n_x)
+                  for i in spec.nonlinearity.b_orders}
+        self.P = projection_matrix(n_modes, n_x)
         nq = np.arange(1, n_modes + 1, dtype=float)
         lam = nq * nq / (1.0 + nq * nq)
         self.q_scale = lam ** spec.order.q
@@ -260,19 +310,45 @@ class _SweepWorkspace:
             h += c * coeffs[idx]
         bracket = spec.v0.coeffs[None, :] + self.kappa[:, None] * (spec.u0.coeffs + h)[None, :]
         out = self.s_lm * bracket
-        if spec.nonlinearity.kind != "zero":
-            forcing = ctrl_forcing.copy()
-            for j in range(spec.step_count + 1):
-                forcing[j] += eval_f(spec, self.ts[j], SpectralField(coeffs[j])).coeffs
-        else:
-            forcing = ctrl_forcing
+        # the last node's forcing never enters the convolution
+        forcing = ctrl_forcing[:-1]
+        nl = spec.nonlinearity
+        if nl.kind != "zero":
+            states = coeffs[:-1]
+            grids = [states @ self.D[i].T for i in nl.b_orders]
+            forcing = forcing + _f_on_grid(nl, self.ts[:-1], grids) @ self.P.T
         if np.any(forcing):
-            conv = fftconvolve(self.kernel, forcing[:-1], axes=0)[: spec.step_count]
-            out[1:] = out[1:] + conv
-        if not np.all(np.isfinite(out)):
-            bad = int(np.argwhere(~np.all(np.isfinite(out), axis=1))[0])
-            raise EvaluationError(f"non-finite trajectory value at node {bad}")
-        return out
+            out[1:] += fftconvolve(self.kernel_spectrum, forcing, self.nfft)
+        return _finite(out)
+
+    def slope(self, coeffs: np.ndarray) -> np.ndarray | None:
+        """f' on the collocation grid at nodes 0..M-1 (None when f = 0)."""
+        nl = self.spec.nonlinearity
+        if nl.kind == "zero":
+            return None
+        if nl.kind != "sin_gradient":
+            raise DomainError(
+                f"{nl.kind} nonlinearity declares no derivative; the adjoint "
+                "solve needs one")
+        return nl.gain * np.cos(coeffs[:-1] @ self.D[nl.b_orders[0]].T)
+
+    def adjoint_sweep(self, lam: np.ndarray, source: np.ndarray,
+                      slope: np.ndarray | None) -> np.ndarray:
+        """source plus the transposed linearised sweep applied to lam."""
+        out = source.copy()
+        if self.snaps:
+            feedback = np.sum(self.s_lm * self.kappa[:, None] * lam, axis=0)
+            for c, idx, _ in self.snaps:
+                out[idx] += c * feedback
+        if slope is not None:
+            d = self.D[self.spec.nonlinearity.b_orders[0]]
+            out[:-1] += ((self.correlate(lam) @ self.P) * slope) @ d
+        return _finite(out)
+
+    def correlate(self, lam: np.ndarray) -> np.ndarray:
+        """Transpose of the sweep's convolution: forcing rows 0..M-1 from
+        trajectory rows 0..M (anti-causal, through the same spectrum)."""
+        return fftconvolve(self.kernel_spectrum, lam[:0:-1], self.nfft)[::-1]
 
     def initial(self) -> np.ndarray:
         return self.s_lm * self.spec.v0.coeffs[None, :]
@@ -280,6 +356,13 @@ class _SweepWorkspace:
     def residual(self, new: np.ndarray, old: np.ndarray) -> float:
         return float(np.max(np.linalg.norm((new - old) * self.q_scale[None, :],
                                            axis=1)))
+
+
+def _finite(out: np.ndarray) -> np.ndarray:
+    bad = ~np.all(np.isfinite(out), axis=1)
+    if np.any(bad):
+        raise EvaluationError(f"non-finite trajectory value at node {int(np.argmax(bad))}")
+    return out
 
 
 def apply_P(spec: ProblemSpec, cache: SolutionOperatorCache, u_traj: Trajectory,
@@ -320,21 +403,55 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
             f"bundle supplies {len(controls.controls)} controls, "
             f"spec declares {spec.control_count}")
 
-    if workspace is None:
-        if cache is None:
-            cache = SolutionOperatorCache(spec.order, spec.mode_count)
-        if cache.mode_count < spec.mode_count:
-            raise DomainError("cache has fewer modes than the problem")
-        workspace = _SweepWorkspace(spec, cache)
-
+    workspace = _workspace(spec, cache, workspace)
     report = SolveReport()
     report.snapped_nonlocal_times = list(workspace.snaps)
-    current = initial.coeffs if initial is not None else workspace.initial()
     ctrl_forcing = _control_forcing(spec, controls)
+    current = _fixed_point(
+        lambda c: workspace.sweep(c, ctrl_forcing),
+        initial.coeffs if initial is not None else workspace.initial(),
+        workspace.residual, report, "Picard iteration", tol, max_iter)
+    return Trajectory(spec.grid, current), report
 
+
+def adjoint_solve(spec: ProblemSpec, traj: Trajectory, weight: np.ndarray,
+                  cache: SolutionOperatorCache | None = None, tol: float = 1e-8,
+                  max_iter: int = 80,
+                  workspace: "_SweepWorkspace | None" = None) -> np.ndarray:
+    """Gradient of <weight, u> at the solution traj with respect to the
+    summed control node values (the per-node sum of the bundle's control
+    coefficients, zero-padded to N modes); shape (M+1, N).
+
+    The adjoint state solves lam = weight + (linearised sweep)^T lam with
+    the fixed-point loop and tolerance of picard_solve; it contracts at
+    the same rate.  Raises DomainError for a nonlinearity without a
+    declared derivative and NonConvergenceError like picard_solve.
+    """
+    workspace = _workspace(spec, cache, workspace)
+    slope = workspace.slope(traj.coeffs)
+    lam = _fixed_point(lambda lam: workspace.adjoint_sweep(lam, weight, slope),
+                       weight, workspace.residual, SolveReport(), "adjoint iteration",
+                       tol, max_iter)
+    grad_forcing = np.zeros_like(lam)
+    grad_forcing[:-1] = workspace.correlate(lam)
+    return _control_forcing_adjoint(spec, grad_forcing)
+
+
+def _workspace(spec, cache, workspace) -> _SweepWorkspace:
+    if workspace is not None:
+        return workspace
+    if cache is None:
+        cache = SolutionOperatorCache(spec.order, spec.mode_count)
+    if cache.mode_count < spec.mode_count:
+        raise DomainError("cache has fewer modes than the problem")
+    return _SweepWorkspace(spec, cache)
+
+
+def _fixed_point(sweep, current, distance, report, what, tol, max_iter):
+    """Iterate sweep until the step's distance is <= tol; fills report."""
     for it in range(1, max_iter + 1):
-        new = workspace.sweep(current, ctrl_forcing)
-        residual = workspace.residual(new, current)
+        new = sweep(current)
+        residual = distance(new, current)
         report.residual_history.append(residual)
         report.iterations = it
         current = new
@@ -344,7 +461,7 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
 
     if not report.converged:
         raise NonConvergenceError(
-            f"Picard iteration did not reach tol={tol} in {max_iter} sweeps "
+            f"{what} did not reach tol={tol} in {max_iter} sweeps "
             f"(last residual {report.residual_history[-1]:.3e})",
             residual_history=report.residual_history)
 
@@ -353,4 +470,4 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
         report.contraction_ratio = hist[-1] / hist[-2]
     else:
         report.contraction_ratio = 0.0
-    return Trajectory(spec.grid, current), report
+    return current

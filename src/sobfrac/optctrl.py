@@ -2,9 +2,9 @@
 
 Controls are piecewise constant in time on the solver grid with a small
 number of spatial modes.  The optimizer is projected gradient descent
-with central finite-difference gradients (each component costs two inner
-solves) and Armijo backtracking; admissibility is restored after every
-step by uniform rescaling, which is exact for the homogeneous
+with exact adjoint-state gradients of the discrete cost (one adjoint
+solve each) and Armijo backtracking; admissibility is restored after
+every step by uniform rescaling, which is exact for the homogeneous
 integral-norm constraint.
 """
 
@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, OptimizationError
 from .fracops import TimeGrid
-from .mild_solver import (ProblemSpec, Trajectory, _SweepWorkspace, eval_f,
-                          picard_solve)
+from .mild_solver import (ProblemSpec, Trajectory, _SweepWorkspace, _workspace,
+                          adjoint_solve, eval_f, picard_solve)
 from .solution_ops import SolutionOperatorCache
 from .spectral import SpectralField, norm_q
 
@@ -123,9 +123,41 @@ def cost_J(traj: Trajectory, controls: ControlBundle, spec: CostSpec) -> float:
     return float(np.trapezoid(integrand, dx=dt))
 
 
+def adjoint_gradient(problem: ProblemSpec, cost: CostSpec, x: np.ndarray,
+                     traj: Trajectory, cache: SolutionOperatorCache | None = None,
+                     solve_tol: float = 1e-9,
+                     workspace: _SweepWorkspace | None = None) -> np.ndarray:
+    """Exact gradient of x -> J(u*(x), x) over cell values x of shape
+    (k, M, modes), given the solved state traj = u*(x).
+
+    One adjoint solve gives the state term; every control sees the same
+    state term because the controls enter only through their sum.  The
+    control term is explicit: cell l is counted by the outer trapezoid at
+    the M - 1 - l interior nodes after it and half the final node.
+    """
+    dt = problem.grid.dt
+    m = problem.step_count
+    trapezoid = np.full(m + 1, dt)
+    trapezoid[[0, -1]] *= 0.5
+    weight = 2.0 * cost.state_weight * trapezoid[:, None] * traj.coeffs
+    grad_total = adjoint_solve(problem, traj, weight, cache=cache, tol=solve_tol,
+                               workspace=workspace)
+    nc = x.shape[2]
+    # bundle_from_array repeats the last cell at the final node
+    state = grad_total[:-1, :nc].copy()
+    state[-1] += grad_total[-1, :nc]
+    later = (m - 0.5 - np.arange(m))[:, None]
+    return state[None] + 2.0 * cost.control_weight * dt * dt * later * x
+
+
 @dataclass
 class DescentLog:
-    """Per-accepted-iteration record of the projected-gradient run."""
+    """Per-accepted-iteration record of the projected-gradient run.
+
+    inner_solves counts forward solves, adjoint_solves the gradients.
+    gradient_check compares the final adjoint gradient's directional
+    derivative with a central difference of step fd_step along it.
+    """
 
     cost_values: list = field(default_factory=list)
     gradient_norms: list = field(default_factory=list)
@@ -134,37 +166,41 @@ class DescentLog:
     converged: bool = False
     budget_exhausted: bool = False
     inner_solves: int = 0
+    adjoint_solves: int = 0
+    gradient_check: dict = field(default_factory=dict)
 
 
 def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
                       budget: int = 60, grad_tol: float = 1e-4,
                       fd_step: float = 1e-4, solve_tol: float = 1e-9,
-                      armijo_sigma: float = 1e-4):
+                      armijo_sigma: float = 1e-4,
+                      cache: SolutionOperatorCache | None = None):
     """Projected-gradient descent on the control coefficients.
 
-    Gradients are central finite differences with the given step per
-    coefficient (two inner solves each).  Each iteration takes a
-    Barzilai-Borwein trial step, halves it under the Armijo test, and
-    projects back onto the admissible ball, so accepted cost values
-    never increase.  Returns (bundle, trajectory, DescentLog); the log's
-    budget_exhausted flag marks a best-so-far return.
+    Gradients come from adjoint_gradient (one adjoint solve each).  Each
+    iteration takes a Barzilai-Borwein trial step, halves it under the
+    Armijo test, and projects back onto the admissible ball, so accepted
+    cost values never increase.  After the descent, one central
+    difference of step fd_step along the last gradient (two solves)
+    checks it.  Returns (bundle, trajectory, DescentLog); the log's
+    budget_exhausted flag marks a best-so-far return.  A custom
+    nonlinearity declares no derivative and raises DomainError.
     """
     ok_aq, ok_paq = problem.exponents_ok()
     if not (ok_aq and ok_paq):
         raise DomainError(
             "optimize_controls requires alpha*q < 1 and p*alpha*(1-q) > 1")
-    cache = SolutionOperatorCache(problem.order, problem.mode_count)
-    workspace = _SweepWorkspace(problem, cache)
+    workspace = _workspace(problem, cache, None)
     grid = problem.grid
 
     x = bundle_to_array(project_admissible(init))
     radius = init.radius
     log = DescentLog()
 
-    def objective(arr, warm=None):
+    def objective(arr, warm=None, tol=solve_tol):
         bundle = bundle_from_array(arr, grid, radius)
         try:
-            traj, _ = picard_solve(problem, controls=bundle, tol=solve_tol,
+            traj, _ = picard_solve(problem, controls=bundle, tol=tol,
                                    initial=warm, workspace=workspace)
         except NonConvergenceError as exc:
             raise OptimizationError(
@@ -172,32 +208,28 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
         log.inner_solves += 1
         return cost_J(traj, bundle, cost), traj
 
+    def gradient(arr, traj):
+        try:
+            grad = adjoint_gradient(problem, cost, arr, traj, solve_tol=solve_tol,
+                                    workspace=workspace)
+        except NonConvergenceError as exc:
+            raise OptimizationError(
+                f"adjoint solve diverged for a candidate bundle: {exc}") from exc
+        log.adjoint_solves += 1
+        return grad
+
     def project_array(arr):
         return bundle_to_array(project_admissible(
             bundle_from_array(arr, grid, radius)))
 
-    def fd_gradient(base, warm):
-        grad = np.empty_like(base)
-        flat = grad.reshape(-1)
-        base_flat = base.reshape(-1)
-        work = base.copy()
-        work_flat = work.reshape(-1)
-        for i in range(base_flat.size):
-            work_flat[i] = base_flat[i] + fd_step
-            jp, _ = objective(work, warm=warm)
-            work_flat[i] = base_flat[i] - fd_step
-            jm, _ = objective(work, warm=warm)
-            work_flat[i] = base_flat[i]
-            flat[i] = (jp - jm) / (2.0 * fd_step)
-        return grad
-
     j_cur, traj_cur = objective(x)
     log.cost_values.append(j_cur)
-    prev_x = prev_grad = None
+    prev_x = prev_grad = checked = None
     step = 1.0
 
     for _ in range(budget):
-        grad = fd_gradient(x, traj_cur)
+        grad = gradient(x, traj_cur)
+        checked = x, traj_cur, grad
         mapped = x - project_array(x - grad)
         stationarity = float(np.linalg.norm(mapped))
         log.gradient_norms.append(stationarity)
@@ -234,8 +266,38 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
     else:
         log.budget_exhausted = True
 
+    if checked is not None:
+        log.gradient_check = _gradient_check(objective, *checked, fd_step, solve_tol)
     bundle = bundle_from_array(x, grid, radius)
     return bundle, traj_cur, log
+
+
+# Forward-solve tolerance of the gradient check.  Near a stationary point
+# J moves by about |grad| * fd_step over the step, which a solve at the
+# descent's own tolerance blurs; the check's reference has to be sharper
+# than the gradient it checks.
+_CHECK_TOL = 1e-12
+
+
+def _gradient_check(objective, x, traj, grad, fd_step, solve_tol) -> dict:
+    """Central difference of J along the normalised gradient against the
+    adjoint directional derivative |grad|.  NaN where undefined: at
+    grad = 0, or when a check solve does not converge."""
+    adjoint = float(np.linalg.norm(grad))
+    finite_difference = residual = math.nan
+    if adjoint > 0.0:
+        direction = grad / adjoint
+        tol = min(solve_tol, _CHECK_TOL)
+        try:
+            j_plus, _ = objective(x + fd_step * direction, warm=traj, tol=tol)
+            j_minus, _ = objective(x - fd_step * direction, warm=traj, tol=tol)
+        except OptimizationError:
+            pass
+        else:
+            finite_difference = (j_plus - j_minus) / (2.0 * fd_step)
+            residual = abs(finite_difference - adjoint) / adjoint
+    return {"fd_step": fd_step, "adjoint": adjoint,
+            "finite_difference": finite_difference, "relative_residual": residual}
 
 
 def random_admissible_bundle(grid: TimeGrid, k: int, control_modes: int,

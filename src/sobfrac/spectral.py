@@ -152,53 +152,52 @@ def default_collocation_size(mode_count: int) -> int:
     return 4 * mode_count
 
 
-def field_to_grid(u: SpectralField, n_x: int | None = None) -> np.ndarray:
-    """Evaluate the field at the collocation nodes."""
-    n_x = n_x if n_x is not None else default_collocation_size(u.mode_count)
-    x = collocation_grid(n_x)
-    n = np.arange(1, u.mode_count + 1)
-    return (_BASIS_NORM * np.sin(np.outer(x, n))) @ u.coeffs
-
-
-def grid_to_field(values: np.ndarray, mode_count: int) -> SpectralField:
-    """Project collocation values back to N modes.
-
-    Uses the exact discrete orthogonality of sin(n x_j) on the interior
-    grid, so fields with at most n_x modes round-trip to rounding error.
-    """
-    values = np.asarray(values, dtype=float)
-    n_x = values.size
-    if mode_count > n_x:
-        raise DomainError("mode_count exceeds collocation resolution")
-    x = collocation_grid(n_x)
-    n = np.arange(1, mode_count + 1)
-    weights = math.pi / (n_x + 1)
-    return SpectralField(weights * (_BASIS_NORM * np.sin(np.outer(n, x))) @ values)
-
-
-def apply_Bi(i: int, u: SpectralField, n_x: int | None = None,
-             r_max: int = 2) -> np.ndarray:
-    """i-th spatial derivative of the field on the collocation grid.
+def derivative_matrix(i: int, mode_count: int, n_x: int) -> np.ndarray:
+    """(n_x, mode_count) map from sine coefficients to the i-th spatial
+    derivative at the collocation nodes; i = 0 evaluates the field.
 
     Spectral differentiation is exact: sine modes map to cosine modes for
     odd i with multiplier n^i and alternating sign per parity.
     """
+    x = collocation_grid(n_x)
+    n = np.arange(1, mode_count + 1)
+    phase = i % 4
+    basis = np.sin(np.outer(x, n)) if phase % 2 == 0 else np.cos(np.outer(x, n))
+    sign = -1.0 if phase >= 2 else 1.0
+    return (sign * _BASIS_NORM) * basis * n.astype(float) ** i
+
+
+def projection_matrix(mode_count: int, n_x: int) -> np.ndarray:
+    """(mode_count, n_x) map from collocation values to sine coefficients.
+
+    Uses the exact discrete orthogonality of sin(n x_j) on the interior
+    grid, so fields with at most n_x modes round-trip to rounding error.
+    """
+    if mode_count > n_x:
+        raise DomainError("mode_count exceeds collocation resolution")
+    weights = math.pi / (n_x + 1)
+    return weights * derivative_matrix(0, mode_count, n_x).T
+
+
+def field_to_grid(u: SpectralField, n_x: int | None = None) -> np.ndarray:
+    """Evaluate the field at the collocation nodes."""
+    n_x = n_x if n_x is not None else default_collocation_size(u.mode_count)
+    return derivative_matrix(0, u.mode_count, n_x) @ u.coeffs
+
+
+def grid_to_field(values: np.ndarray, mode_count: int) -> SpectralField:
+    """Project collocation values back to N modes (see projection_matrix)."""
+    values = np.asarray(values, dtype=float)
+    return SpectralField(projection_matrix(mode_count, values.size) @ values)
+
+
+def apply_Bi(i: int, u: SpectralField, n_x: int | None = None,
+             r_max: int = 2) -> np.ndarray:
+    """i-th spatial derivative of the field on the collocation grid."""
     if i < 1 or i > r_max:
         raise DomainError(f"derivative order {i} outside 1..{r_max}")
     n_x = n_x if n_x is not None else default_collocation_size(u.mode_count)
-    x = collocation_grid(n_x)
-    n = np.arange(1, u.mode_count + 1)
-    scaled = u.coeffs * n.astype(float) ** i
-    phase = i % 4
-    if phase == 0:
-        basis = np.sin(np.outer(x, n))
-    elif phase == 1:
-        basis = np.cos(np.outer(x, n))
-    elif phase == 2:
-        basis = -np.sin(np.outer(x, n))
-    else:
-        basis = -np.cos(np.outer(x, n))
-    return (_BASIS_NORM * basis) @ scaled
+    return derivative_matrix(i, u.mode_count, n_x) @ u.coeffs
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sobfrac import solution_ops
 from sobfrac.cli import main, parse_config, run
 from sobfrac.errors import ConfigError
 from sobfrac.specfun import mittag_leffler
@@ -41,6 +42,13 @@ init = zero
 [output]
 seed = 7
 """
+
+
+def strict_json(path):
+    """json.loads that rejects the NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestParseConfig:
@@ -139,9 +147,36 @@ class TestOptimizeMode:
         costs = [float(r["J"]) for r in rows]
         assert all(b <= a + 1e-14 for a, b in zip(costs, costs[1:]))
         assert (tmp_path / "controls.csv").exists()
-        report = json.loads((tmp_path / "report.json").read_text())
+        report = strict_json(tmp_path / "report.json")
         assert report["optimize"]["converged"]
         assert report["optimize"]["admissibility_value"] <= 1.0 + 1e-10
+        assert report["optimize"]["adjoint_solves"] >= 1
+        assert report["optimize"]["gradient_check"]["relative_residual"] <= 1e-3
+
+    def test_quad_nodes_reach_the_optimizer(self, tmp_path, monkeypatch):
+        built = []
+        original = solution_ops.theta_quadrature
+
+        def spy(alpha, node_count=200):
+            built.append(node_count)
+            return original(alpha, node_count)
+
+        monkeypatch.setattr(solution_ops, "theta_quadrature", spy)
+        text = (REFERENCE_CFG.replace("budget = 40", "budget = 2")
+                + f"directory = {tmp_path}\n\n[solver]\nquad_nodes = 120\n")
+        run(parse_config(text, mode="optimize"))
+        assert built and set(built) == {120}
+
+    def test_nan_report_is_strict_json(self, tmp_path):
+        # with no state cost the zero bundle is optimal: the gradient is
+        # zero and the gradient check's relative residual is undefined
+        text = (REFERENCE_CFG + f"directory = {tmp_path}\n"
+                + "\n[cost]\nstate_weight = 0.0\n")
+        assert run(parse_config(text, mode="optimize")) == 0
+        report = strict_json(tmp_path / "report.json")
+        check = report["optimize"]["gradient_check"]
+        assert check["adjoint"] == 0.0
+        assert check["relative_residual"] is None
 
     def test_seed_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

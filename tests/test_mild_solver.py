@@ -8,9 +8,9 @@ import pytest
 from sobfrac.errors import (DomainError, NonConvergenceError,
                             RejectedInstanceError)
 from sobfrac.mild_solver import (Nonlinearity, ProblemSpec, Trajectory,
-                                 ZERO_NONLINEARITY, apply_P, eval_f,
-                                 initial_guess, nonlocal_bracket, picard_solve,
-                                 sin_gradient)
+                                 ZERO_NONLINEARITY, _SweepWorkspace, apply_P,
+                                 eval_f, initial_guess, nonlocal_bracket,
+                                 picard_solve, sin_gradient)
 from sobfrac.solution_ops import SolutionOperatorCache, s_multiplier
 from sobfrac.specfun import FracOrder, gamma, mittag_leffler
 from sobfrac.spectral import SpectralField, norm_q
@@ -129,6 +129,33 @@ class TestApplyP:
             norm_q(SpectralField(again.coeffs[m] - traj.coeffs[m]), 0.25)
             for m in range(spec.step_count + 1))
         assert defect <= 2e-8
+
+
+def reference_sweep(spec, ws, coeffs, ctrl_forcing):
+    """The sweep with per-node eval_f and a direct causal convolution: the
+    slow reference for the batched collocation transforms and the FFT."""
+    h = sum(c * coeffs[idx] for c, idx, _ in ws.snaps)
+    out = ws.s_lm * (spec.v0.coeffs + ws.kappa[:, None] * (spec.u0.coeffs + h))
+    forcing = ctrl_forcing + np.array(
+        [eval_f(spec, t, SpectralField(row)).coeffs for t, row in zip(ws.ts, coeffs)])
+    for n in range(spec.mode_count):
+        out[1:, n] += np.convolve(ws.kernel[:, n], forcing[:-1, n])[:spec.step_count]
+    return out
+
+
+class TestBatchedSweep:
+    def test_matches_per_node_reference(self, cache16):
+        # README solve config
+        spec = make_spec(nonlocal_terms=((0.3, 0.5),),
+                         nonlinearity=sin_gradient(0.1))
+        ws = _SweepWorkspace(spec, cache16)
+        traj, _ = picard_solve(spec, workspace=ws, tol=1e-8)
+        rng = np.random.default_rng(6)
+        ctrl_forcing = 0.1 * rng.standard_normal(traj.coeffs.shape)
+        for coeffs in (traj.coeffs, rng.standard_normal(traj.coeffs.shape)):
+            got = ws.sweep(coeffs, ctrl_forcing)
+            want = reference_sweep(spec, ws, coeffs, ctrl_forcing)
+            assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestPicardSolve:

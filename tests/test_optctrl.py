@@ -1,16 +1,20 @@
 """Admissible set, cost functional, and projected-gradient optimizer."""
 
+import math
+
 import numpy as np
 import pytest
 
 from sobfrac.errors import DomainError
 from sobfrac.fracops import TimeGrid
-from sobfrac.mild_solver import ProblemSpec, Trajectory, sin_gradient
-from sobfrac.optctrl import (ControlBundle, CostSpec, admissibility_value,
-                             bundle_from_array, bundle_to_array, cost_J,
-                             hypothesis_check, optimize_controls,
-                             project_admissible, random_admissible_bundle,
-                             zero_bundle)
+from sobfrac.mild_solver import (Nonlinearity, ProblemSpec, Trajectory,
+                                 picard_solve, sin_gradient)
+from sobfrac.optctrl import (ControlBundle, CostSpec, adjoint_gradient,
+                             admissibility_value, bundle_from_array,
+                             bundle_to_array, cost_J, hypothesis_check,
+                             optimize_controls, project_admissible,
+                             random_admissible_bundle, zero_bundle)
+from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import FracOrder
 from sobfrac.spectral import SpectralField
 
@@ -20,11 +24,33 @@ def grid():
     return TimeGrid(1.0, 64)
 
 
-def reference_problem(n=8, m=64, controls=2):
+def reference_problem(n=8, m=64, controls=2, **kw):
     u0 = SpectralField(np.array([0.5, 0.2] + [0.0] * (n - 2)))
     v0 = SpectralField.unit(n, 1)
     return ProblemSpec(FracOrder(0.8, q=0.25, p=2.0), 1.0, n, m, u0, v0,
-                       nonlocal_terms=((0.3, 0.5),), control_count=controls)
+                       nonlocal_terms=((0.3, 0.5),), control_count=controls, **kw)
+
+
+def fd_gradient(problem, cost, x, cache, fd_step=1e-4, solve_tol=1e-12):
+    """Central finite-difference gradient of x -> J(u*(x), x): the slow
+    reference the adjoint gradient replaced (two solves per coefficient)."""
+    grid = problem.grid
+
+    def objective(arr):
+        bundle = bundle_from_array(arr, grid)
+        traj, _ = picard_solve(problem, cache=cache, controls=bundle, tol=solve_tol)
+        return cost_J(traj, bundle, cost)
+
+    grad = np.empty_like(x)
+    work = x.copy()
+    for i in range(x.size):
+        work.flat[i] = x.flat[i] + fd_step
+        jp = objective(work)
+        work.flat[i] = x.flat[i] - fd_step
+        jm = objective(work)
+        work.flat[i] = x.flat[i]
+        grad.flat[i] = (jp - jm) / (2.0 * fd_step)
+    return grad
 
 
 class TestCost:
@@ -174,6 +200,52 @@ class TestOptimizer:
                           control_count=1)
         with pytest.raises(DomainError):
             optimize_controls(bad, CostSpec(), zero_bundle(TimeGrid(1.0, 8), 1, 2))
+
+
+# acceptance optimize config (f = 0) and a small sin_grad instance
+GRADIENT_CASES = {
+    "linear": (dict(n=8, m=64), 4),
+    "sin_grad": (dict(n=8, m=32, nonlinearity=sin_gradient(0.1)), 2),
+}
+
+
+class TestAdjointGradient:
+    @pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    def test_matches_finite_differences(self, case, start):
+        kw, control_modes = GRADIENT_CASES[case]
+        problem = reference_problem(controls=2, **kw)
+        grid = problem.grid
+        cache = SolutionOperatorCache(problem.order, problem.mode_count)
+        if start == "zero":
+            bundle = zero_bundle(grid, 2, control_modes)
+        else:
+            bundle = random_admissible_bundle(grid, 2, control_modes,
+                                              np.random.default_rng(11))
+        x = bundle_to_array(bundle)
+        traj, _ = picard_solve(problem, cache=cache, controls=bundle, tol=1e-12)
+        got = adjoint_gradient(problem, CostSpec(), x, traj, cache=cache,
+                               solve_tol=1e-12)
+        want = fd_gradient(problem, CostSpec(), x, cache)
+        assert np.linalg.norm(want) > 0.0
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_custom_nonlinearity_rejected(self):
+        custom = Nonlinearity("custom", b_orders=(1,),
+                              fn=lambda t, grids: 0.0 * grids[0] + 1.0,
+                              growth_gain=math.sqrt(math.pi))
+        prob = reference_problem(m=16, controls=1, nonlinearity=custom)
+        with pytest.raises(DomainError, match="derivative"):
+            optimize_controls(prob, CostSpec(), zero_bundle(TimeGrid(1.0, 16), 1, 2))
+
+    def test_gradient_check_reported(self):
+        prob = reference_problem(m=32, controls=1)
+        init = zero_bundle(TimeGrid(1.0, 32), 1, 2)
+        _, _, log = optimize_controls(prob, CostSpec(), init, budget=3)
+        check = log.gradient_check
+        assert check["fd_step"] == 1e-4
+        assert check["relative_residual"] <= 1e-3
+        assert log.adjoint_solves == len(log.gradient_norms)
 
 
 class TestRandomBundles:
