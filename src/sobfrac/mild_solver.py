@@ -32,6 +32,9 @@ from .spectral import (SpectralField, apply_Bi, default_collocation_size,
 
 _SQRT_PI = math.sqrt(math.pi)
 
+# sweep budget of a forward or adjoint fixed-point solve
+MAX_ITER = 80
+
 
 @dataclass(frozen=True)
 class Nonlinearity:
@@ -102,8 +105,9 @@ class ProblemSpec:
                     f"nonlocal times must be increasing in (0, horizon), got {t_eta}")
             prev = t_eta
         for i in self.nonlinearity.b_orders:
-            if i > self.r_max:
-                raise DomainError(f"derivative order {i} exceeds r_max={self.r_max}")
+            if not 1 <= i <= self.r_max:
+                raise DomainError(
+                    f"derivative order {i} outside 1..r_max={self.r_max}")
 
     @property
     def grid(self) -> TimeGrid:
@@ -380,7 +384,7 @@ def initial_guess(spec: ProblemSpec, cache: SolutionOperatorCache) -> Trajectory
 
 
 def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
-                 controls=None, tol: float = 1e-8, max_iter: int = 80,
+                 controls=None, tol: float = 1e-8, max_iter: int = MAX_ITER,
                  initial: Trajectory | None = None,
                  workspace: "_SweepWorkspace | None" = None) -> tuple[Trajectory, SolveReport]:
     """Iterate the solution map to a fixed point in the sup q-norm.
@@ -415,23 +419,21 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
 
 
 def adjoint_solve(spec: ProblemSpec, traj: Trajectory, weight: np.ndarray,
-                  cache: SolutionOperatorCache | None = None, tol: float = 1e-8,
-                  max_iter: int = 80,
-                  workspace: "_SweepWorkspace | None" = None) -> np.ndarray:
+                  workspace: _SweepWorkspace, tol: float = 1e-8) -> np.ndarray:
     """Gradient of <weight, u> at the solution traj with respect to the
     summed control node values (the per-node sum of the bundle's control
     coefficients, zero-padded to N modes); shape (M+1, N).
 
     The adjoint state solves lam = weight + (linearised sweep)^T lam with
-    the fixed-point loop and tolerance of picard_solve; it contracts at
-    the same rate.  Raises DomainError for a nonlinearity without a
-    declared derivative and NonConvergenceError like picard_solve.
+    the fixed-point loop, tolerance and sweep budget of picard_solve; it
+    contracts at the same rate.  Raises DomainError for a nonlinearity
+    without a declared derivative and NonConvergenceError like
+    picard_solve.
     """
-    workspace = _workspace(spec, cache, workspace)
     slope = workspace.slope(traj.coeffs)
     lam = _fixed_point(lambda lam: workspace.adjoint_sweep(lam, weight, slope),
                        weight, workspace.residual, SolveReport(), "adjoint iteration",
-                       tol, max_iter)
+                       tol, MAX_ITER)
     grad_forcing = np.zeros_like(lam)
     grad_forcing[:-1] = workspace.correlate(lam)
     return _control_forcing_adjoint(spec, grad_forcing)

@@ -124,9 +124,8 @@ def cost_J(traj: Trajectory, controls: ControlBundle, spec: CostSpec) -> float:
 
 
 def adjoint_gradient(problem: ProblemSpec, cost: CostSpec, x: np.ndarray,
-                     traj: Trajectory, cache: SolutionOperatorCache | None = None,
-                     solve_tol: float = 1e-9,
-                     workspace: _SweepWorkspace | None = None) -> np.ndarray:
+                     traj: Trajectory, workspace: _SweepWorkspace,
+                     solve_tol: float = 1e-9) -> np.ndarray:
     """Exact gradient of x -> J(u*(x), x) over cell values x of shape
     (k, M, modes), given the solved state traj = u*(x).
 
@@ -140,8 +139,7 @@ def adjoint_gradient(problem: ProblemSpec, cost: CostSpec, x: np.ndarray,
     trapezoid = np.full(m + 1, dt)
     trapezoid[[0, -1]] *= 0.5
     weight = 2.0 * cost.state_weight * trapezoid[:, None] * traj.coeffs
-    grad_total = adjoint_solve(problem, traj, weight, cache=cache, tol=solve_tol,
-                               workspace=workspace)
+    grad_total = adjoint_solve(problem, traj, weight, workspace, tol=solve_tol)
     nc = x.shape[2]
     # bundle_from_array repeats the last cell at the final node
     state = grad_total[:-1, :nc].copy()
@@ -190,6 +188,10 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
     if not (ok_aq and ok_paq):
         raise DomainError(
             "optimize_controls requires alpha*q < 1 and p*alpha*(1-q) > 1")
+    if problem.nonlinearity.kind not in ("zero", "sin_gradient"):
+        raise DomainError(
+            f"{problem.nonlinearity.kind} nonlinearity declares no derivative; "
+            "the adjoint gradient needs one")
     workspace = _workspace(problem, cache, None)
     grid = problem.grid
 
@@ -210,8 +212,8 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
 
     def gradient(arr, traj):
         try:
-            grad = adjoint_gradient(problem, cost, arr, traj, solve_tol=solve_tol,
-                                    workspace=workspace)
+            grad = adjoint_gradient(problem, cost, arr, traj, workspace,
+                                    solve_tol=solve_tol)
         except NonConvergenceError as exc:
             raise OptimizationError(
                 f"adjoint solve diverged for a candidate bundle: {exc}") from exc

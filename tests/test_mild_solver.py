@@ -278,3 +278,11 @@ class TestProblemSpecValidation:
         bad = Nonlinearity("custom", b_orders=(3,), fn=lambda t, g: g[0])
         with pytest.raises(DomainError):
             make_spec(nonlinearity=bad)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_derivative_order_below_one(self, order, cache16):
+        # the batched sweep reads derivative_matrix(i) directly, so the
+        # spec is where an order below 1 has to be refused
+        bad = Nonlinearity("custom", b_orders=(order,), fn=lambda t, g: g[0])
+        with pytest.raises(DomainError, match="outside"):
+            picard_solve(make_spec(nonlinearity=bad), cache=cache16)

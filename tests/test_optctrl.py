@@ -7,8 +7,9 @@ import pytest
 
 from sobfrac.errors import DomainError
 from sobfrac.fracops import TimeGrid
+from sobfrac import optctrl
 from sobfrac.mild_solver import (Nonlinearity, ProblemSpec, Trajectory,
-                                 picard_solve, sin_gradient)
+                                 _SweepWorkspace, picard_solve, sin_gradient)
 from sobfrac.optctrl import (ControlBundle, CostSpec, adjoint_gradient,
                              admissibility_value, bundle_from_array,
                              bundle_to_array, cost_J, hypothesis_check,
@@ -224,13 +225,18 @@ class TestAdjointGradient:
                                               np.random.default_rng(11))
         x = bundle_to_array(bundle)
         traj, _ = picard_solve(problem, cache=cache, controls=bundle, tol=1e-12)
-        got = adjoint_gradient(problem, CostSpec(), x, traj, cache=cache,
-                               solve_tol=1e-12)
+        got = adjoint_gradient(problem, CostSpec(), x, traj,
+                               _SweepWorkspace(problem, cache), solve_tol=1e-12)
         want = fd_gradient(problem, CostSpec(), x, cache)
         assert np.linalg.norm(want) > 0.0
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
-    def test_custom_nonlinearity_rejected(self):
+    def test_custom_nonlinearity_rejected(self, monkeypatch):
+        # rejected as input, before any forward solve is paid for
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran before the input check")
+
+        monkeypatch.setattr(optctrl, "picard_solve", no_solve)
         custom = Nonlinearity("custom", b_orders=(1,),
                               fn=lambda t, grids: 0.0 * grids[0] + 1.0,
                               growth_gain=math.sqrt(math.pi))
