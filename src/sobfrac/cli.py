@@ -334,7 +334,8 @@ def run(config: RunConfig) -> int:
             bundle, traj, log = optimize_controls(
                 config.problem, config.cost, init, budget=config.budget,
                 grad_tol=config.grad_tol, fd_step=config.fd_step,
-                solve_tol=config.solver_tol, cache=_operator_cache(config))
+                solve_tol=config.solver_tol, cache=_operator_cache(config),
+                max_iter=config.solver_max_iter)
             _write_csv(out / "descent.csv", "iteration,J",
                        [(i, float(j)) for i, j in enumerate(log.cost_values)])
             rows = []

@@ -419,7 +419,8 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
 
 
 def adjoint_solve(spec: ProblemSpec, traj: Trajectory, weight: np.ndarray,
-                  workspace: _SweepWorkspace, tol: float = 1e-8) -> np.ndarray:
+                  workspace: _SweepWorkspace, tol: float = 1e-8,
+                  max_iter: int = MAX_ITER) -> np.ndarray:
     """Gradient of <weight, u> at the solution traj with respect to the
     summed control node values (the per-node sum of the bundle's control
     coefficients, zero-padded to N modes); shape (M+1, N).
@@ -433,7 +434,7 @@ def adjoint_solve(spec: ProblemSpec, traj: Trajectory, weight: np.ndarray,
     slope = workspace.slope(traj.coeffs)
     lam = _fixed_point(lambda lam: workspace.adjoint_sweep(lam, weight, slope),
                        weight, workspace.residual, SolveReport(), "adjoint iteration",
-                       tol, MAX_ITER)
+                       tol, max_iter)
     grad_forcing = np.zeros_like(lam)
     grad_forcing[:-1] = workspace.correlate(lam)
     return _control_forcing_adjoint(spec, grad_forcing)

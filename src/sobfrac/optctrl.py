@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, OptimizationError
 from .fracops import TimeGrid
-from .mild_solver import (ProblemSpec, Trajectory, _SweepWorkspace, _workspace,
-                          adjoint_solve, eval_f, picard_solve)
+from .mild_solver import (MAX_ITER, ProblemSpec, Trajectory, _SweepWorkspace,
+                          _workspace, adjoint_solve, eval_f, picard_solve)
 from .solution_ops import SolutionOperatorCache
 from .spectral import SpectralField, norm_q
 
@@ -125,7 +125,7 @@ def cost_J(traj: Trajectory, controls: ControlBundle, spec: CostSpec) -> float:
 
 def adjoint_gradient(problem: ProblemSpec, cost: CostSpec, x: np.ndarray,
                      traj: Trajectory, workspace: _SweepWorkspace,
-                     solve_tol: float = 1e-9) -> np.ndarray:
+                     solve_tol: float = 1e-9, max_iter: int = MAX_ITER) -> np.ndarray:
     """Exact gradient of x -> J(u*(x), x) over cell values x of shape
     (k, M, modes), given the solved state traj = u*(x).
 
@@ -139,7 +139,8 @@ def adjoint_gradient(problem: ProblemSpec, cost: CostSpec, x: np.ndarray,
     trapezoid = np.full(m + 1, dt)
     trapezoid[[0, -1]] *= 0.5
     weight = 2.0 * cost.state_weight * trapezoid[:, None] * traj.coeffs
-    grad_total = adjoint_solve(problem, traj, weight, workspace, tol=solve_tol)
+    grad_total = adjoint_solve(problem, traj, weight, workspace, tol=solve_tol,
+                               max_iter=max_iter)
     nc = x.shape[2]
     # bundle_from_array repeats the last cell at the final node
     state = grad_total[:-1, :nc].copy()
@@ -172,7 +173,8 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
                       budget: int = 60, grad_tol: float = 1e-4,
                       fd_step: float = 1e-4, solve_tol: float = 1e-9,
                       armijo_sigma: float = 1e-4,
-                      cache: SolutionOperatorCache | None = None):
+                      cache: SolutionOperatorCache | None = None,
+                      max_iter: int = MAX_ITER):
     """Projected-gradient descent on the control coefficients.
 
     Gradients come from adjoint_gradient (one adjoint solve each).  Each
@@ -180,7 +182,8 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
     Armijo test, and projects back onto the admissible ball, so accepted
     cost values never increase.  After the descent, one central
     difference of step fd_step along the last gradient (two solves)
-    checks it.  Returns (bundle, trajectory, DescentLog); the log's
+    checks it.  Every forward and adjoint solve stops after max_iter
+    sweeps.  Returns (bundle, trajectory, DescentLog); the log's
     budget_exhausted flag marks a best-so-far return.  A custom
     nonlinearity declares no derivative and raises DomainError.
     """
@@ -203,7 +206,8 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
         bundle = bundle_from_array(arr, grid, radius)
         try:
             traj, _ = picard_solve(problem, controls=bundle, tol=tol,
-                                   initial=warm, workspace=workspace)
+                                   max_iter=max_iter, initial=warm,
+                                   workspace=workspace)
         except NonConvergenceError as exc:
             raise OptimizationError(
                 f"inner solve diverged for a candidate bundle: {exc}") from exc
@@ -213,7 +217,7 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
     def gradient(arr, traj):
         try:
             grad = adjoint_gradient(problem, cost, arr, traj, workspace,
-                                    solve_tol=solve_tol)
+                                    solve_tol=solve_tol, max_iter=max_iter)
         except NonConvergenceError as exc:
             raise OptimizationError(
                 f"adjoint solve diverged for a candidate bundle: {exc}") from exc

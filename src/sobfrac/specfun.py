@@ -5,11 +5,12 @@ probability density on (0, inf), its fractional moments, and the
 Mittag-Leffler function used as an independent per-mode oracle, plus a
 quadrature rule for integrals against the density.
 
-The density has no single globally usable representation: the tail
-series converges quickly only for small argument, the power series is
-entire but suffers catastrophic cancellation in the superexponential
-tail, and a positive-integrand stable-law integral covers the far tail.
-The public entry point switches between them and hides the bookkeeping.
+The density has two representations, one per range of theta: the
+Wright tail series converges quickly for small argument, and a
+positive-integrand stable-law integral, which never cancels, covers
+the rest.  The public entry point switches between them at theta = 0.5.
+mpmath serves only the Mittag-Leffler oracle, which stays independent
+of the density.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ _MAX_TERMS = 500
 # the series passes its hump only after ~|z|^(1/alpha) terms.
 _ML_MAX_TERMS = 2500
 _CONSECUTIVE_SMALL = 3
-_THETA_SWITCH = 0.5  # below: tail series; above: power series / integral
+_THETA_SWITCH = 0.5  # below: tail series; above: stable-law integral
 
 
 @dataclass(frozen=True)
@@ -108,119 +109,58 @@ def _density_tail_series(alpha: float, theta: float, tol: float) -> float:
     return s * theta ** (-1.0 - 1.0 / alpha) / alpha
 
 
-def _power_series_double(alpha: float, theta: float, tol: float):
-    """One double-precision pass of the entire power series.
-
-    Returns (value, max_abs_term, converged).  Terms use the reflection
-    1/Gamma(1-z) = Gamma(z) sin(pi z)/pi to stay pole-free.
-    """
-    log_theta = math.log(theta)
-    s = 1.0 / math.gamma(1.0 - alpha)  # k = 0 term
-    mx = abs(s)
-    small = 0
-    for k in range(1, _MAX_TERMS + 1):
-        z = alpha * (k + 1.0)
-        mag = math.exp(k * log_theta - math.lgamma(k + 1.0) + math.lgamma(z))
-        term = mag * _sinpi(z) / math.pi
-        if k % 2:
-            term = -term
-        s += term
-        mx = max(mx, abs(term))
-        if abs(term) < tol / 10.0:
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                return s, mx, True
-        else:
-            small = 0
-    return s, mx, False
-
-
-def _power_series_mp(alpha: float, theta: float, tol: float, max_term: float) -> float:
-    """Re-sum the power series in mpmath when cancellation ruins doubles.
-
-    Precision is sized from the maximum term magnitude, not from the
-    (noise-corrupted) double-precision sum.
-    """
-    dps = 40 + max(0, int(math.log10(max(max_term, 1.0))))
-    with mpmath.workdps(dps):
-        a = mpmath.mpf(alpha)
-        th = mpmath.mpf(theta)
-        s = mpmath.mpf(0)
-        small = 0
-        for k in range(_MAX_TERMS + 1):
-            term = (-th) ** k / mpmath.factorial(k) * mpmath.rgamma(1 - a * (k + 1))
-            s += term
-            if abs(term) < tol / 10.0:
-                small += 1
-                if small >= _CONSECUTIVE_SMALL:
-                    break
-            else:
-                small = 0
-        else:
-            raise EvaluationError(
-                f"density power series did not converge in {_MAX_TERMS} terms "
-                f"(alpha={alpha}, theta={theta})",
-                partial=float(s), terms_used=_MAX_TERMS)
-        return float(s)
-
-
-def _density_power_series(alpha: float, theta: float, tol: float) -> float:
-    """Power-series evaluation with a cancellation guard.
-
-    The running maximum term bounds the rounding noise of the double
-    pass; if that noise threatens the requested tolerance the sum is
-    redone at elevated precision.
-    """
-    s, mx, converged = _power_series_double(alpha, theta, tol)
-    if not converged:
-        raise EvaluationError(
-            f"density power series did not converge in {_MAX_TERMS} terms "
-            f"(alpha={alpha}, theta={theta})",
-            partial=s, terms_used=_MAX_TERMS)
-    noise = mx * 5.0e-16
-    if noise > tol / 2.0:
-        return _power_series_mp(alpha, theta, tol, mx)
-    return s
-
-
 def _density_stable_integral(alpha: float, theta: float) -> float:
-    """Far-tail evaluation via the positive stable-law integral.
+    """Density via the positive stable-law integral (Zolotarev's form).
 
-    zeta_a(theta) = theta^(a/(1-a)) / (pi (1-a)) *
-                    int_0^pi A(phi) exp(-theta^(1/(1-a)) A(phi)) dphi,
-    A(phi) = sin(a phi)^(a/(1-a)) sin((1-a) phi) / sin(phi)^(1/(1-a)).
-    The integrand is nonnegative, so no cancellation at any theta.
+    zeta_a(theta) = 1/(pi (1-a) theta) int_0^pi g exp(-g) dphi with
+    g(phi) = theta^r A(phi), r = 1/(1-a), and, since a r + 1 = r,
+    A(phi) = (sin(a phi)/sin(phi))^(r-1) sin((1-a) phi)/sin(phi).
+    The integrand is nonnegative, so nothing cancels at any theta.  It is
+    formed from log(g), so r -> inf as alpha -> 1 neither overflows nor
+    underflows.  g rises from 0 to inf, so g exp(-g) peaks where g = 1,
+    in a window about 1/log(g)' wide that shrinks as alpha nears 1;
+    breakpoints at the peak and at geometrically growing distances from
+    it keep the adaptive rule from stepping over it.
     """
     r = 1.0 / (1.0 - alpha)
-    c = theta ** r
+    log_c = r * math.log(theta)
+
+    def log_g(phi):
+        s = math.sin(phi)
+        return (log_c + (r - 1.0) * math.log(math.sin(alpha * phi) / s)
+                + math.log(math.sin((1.0 - alpha) * phi) / s))
 
     def integrand(phi):
-        if phi <= 0.0 or phi >= math.pi:
+        lg = log_g(phi)
+        if not -745.0 < lg < 6.6:   # g exp(-g) underflows
             return 0.0
-        A = (math.sin(alpha * phi) ** (alpha * r) * math.sin((1.0 - alpha) * phi)
-             / math.sin(phi) ** r)
-        x = c * A
-        return A * math.exp(-x) if x < 700.0 else 0.0
+        g = math.exp(lg)
+        return g * math.exp(-g)
 
-    v, _ = _scipy_quad(integrand, 0.0, math.pi, limit=200,
+    lo, hi = 0.0, math.pi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if log_g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    peak = 0.5 * (lo + hi)
+    slope = ((r - 1.0) * (alpha / math.tan(alpha * peak) - 1.0 / math.tan(peak))
+             + (1.0 - alpha) / math.tan((1.0 - alpha) * peak) - 1.0 / math.tan(peak))
+    points = [peak]
+    step = 1.0 / slope if slope > 0.0 else math.pi
+    while step < math.pi:
+        points += [p for p in (peak - step, peak + step) if 0.0 < p < math.pi]
+        step *= 4.0
+    v, _ = _scipy_quad(integrand, 0.0, math.pi, points=points, limit=200,
                        epsabs=1e-14, epsrel=1e-11)
-    return theta ** (alpha * r) / (math.pi * (1.0 - alpha)) * v
-
-
-def _power_series_in_budget(alpha: float, theta: float) -> bool:
-    # Cheap a-priori check that the entire series is past its hump and
-    # decayed by the term cap; log of term magnitude at k = 460.
-    k = 460.0
-    lt = k * math.log(theta) - math.lgamma(k + 1.0) + math.lgamma(alpha * (k + 1.0))
-    return lt < -40.0
+    return v / (math.pi * (1.0 - alpha) * theta)
 
 
 @functools.lru_cache(maxsize=200_000)
 def _density_cached(alpha: float, theta: float, tol: float) -> float:
     if theta <= _THETA_SWITCH:
         value = _density_tail_series(alpha, theta, tol)
-    elif _power_series_in_budget(alpha, theta):
-        value = _density_power_series(alpha, theta, tol)
     else:
         value = _density_stable_integral(alpha, theta)
     if value < 0.0:

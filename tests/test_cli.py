@@ -127,6 +127,14 @@ class TestSolveMode:
         assert report["error"]["type"] == "NonConvergenceError"
         assert len(report["error"]["residual_history"]) == 20
 
+    def test_alpha_near_one_reports_typed_error(self, tmp_path):
+        # the 200-node theta rule cannot reach its 1e-8 normalization here
+        text = (MINIMAL.replace("alpha = 0.8", "alpha = 0.99")
+                + f"\n[output]\ndirectory = {tmp_path}\n")
+        assert run(parse_config(text, mode="solve")) == 1
+        report = strict_json(tmp_path / "report.json")
+        assert report["error"]["type"]
+
 
 class TestVerifyMode:
     def test_all_rows_pass(self, tmp_path):
@@ -166,6 +174,13 @@ class TestOptimizeMode:
                 + f"directory = {tmp_path}\n\n[solver]\nquad_nodes = 120\n")
         run(parse_config(text, mode="optimize"))
         assert built and set(built) == {120}
+
+    def test_max_iter_reaches_the_optimizer(self, tmp_path):
+        text = (REFERENCE_CFG + f"directory = {tmp_path}\n"
+                + "\n[solver]\nmax_iter = 1\n")
+        assert run(parse_config(text, mode="optimize")) == 1
+        report = strict_json(tmp_path / "report.json")
+        assert report["error"]["type"] == "OptimizationError"
 
     def test_nan_report_is_strict_json(self, tmp_path):
         # with no state cost the zero bundle is optimal: the gradient is

@@ -2,16 +2,42 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sobfrac.errors import ConstructionError, DomainError, EvaluationError
+from sobfrac import specfun
+from sobfrac.errors import (ConstructionError, DomainError, EvaluationError,
+                            SobfracError)
 from sobfrac.specfun import (FracOrder, gamma, mainardi_density, mainardi_moment,
-                             mittag_leffler, theta_quadrature,
-                             _density_power_series, _density_tail_series)
+                             mittag_leffler, theta_quadrature, theta_support_cut,
+                             _density_stable_integral, _density_tail_series)
 
 ALPHAS = (0.3, 0.5, 0.6, 0.8, 0.9)
+NEAR_ONE = (0.99, 0.995, 0.999, 0.9999)
+
+
+def power_series_oracle(alpha, theta):
+    """The density's entire power series,
+    sum_k (-theta)^k / (k! Gamma(1 - alpha (k + 1))), summed in mpmath.
+
+    Its alternating terms cancel down to the density's exp(-c theta^r)
+    scale, so the working precision is sized from the largest term."""
+    log_theta = math.log(theta)
+
+    def log_mag(k):   # log of a bound on |term k|: 1/|Gamma(1-z)| <= Gamma(z)/pi
+        return k * log_theta - math.lgamma(k + 1.0) + math.lgamma(alpha * (k + 1.0))
+
+    k_max = 1
+    while k_max < theta or log_mag(k_max) > -80.0:
+        k_max += 1
+    top = max(log_mag(k) for k in range(1, k_max))
+    with mpmath.workdps(30 + max(0, int(top / math.log(10.0)))):
+        a, th = mpmath.mpf(alpha), mpmath.mpf(theta)
+        return float(mpmath.fsum(
+            (-th) ** k / mpmath.factorial(k) * mpmath.rgamma(1 - a * (k + 1))
+            for k in range(k_max + 1)))
 
 
 class TestGamma:
@@ -54,11 +80,36 @@ class TestMainardiDensity:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_dual_representations_agree(self, alpha):
-        # overlap window where both the tail series and the power series converge
+        # overlap window where both the tail series and the stable integral converge
         for theta in np.linspace(0.5, 1.0, 11):
             a = _density_tail_series(alpha, theta, 1e-10)
-            b = _density_power_series(alpha, theta, 1e-10)
+            b = _density_stable_integral(alpha, theta)
             assert abs(a - b) < 1e-7
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_matches_power_series_oracle(self, alpha):
+        for theta in np.linspace(0.5, theta_support_cut(alpha), 4):
+            oracle = power_series_oracle(alpha, theta)
+            assert abs(mainardi_density(alpha, theta, tol=1e-12) - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", NEAR_ONE)
+    def test_finite_near_one(self, alpha):
+        # the stable integral's g = theta^r A(phi) with r = 1/(1-alpha) runs
+        # past the double range here; its log-space form must not
+        for theta in np.concatenate([np.geomspace(0.01, 0.5, 5),
+                                     np.linspace(0.5, 2.0, 31)[1:]]):
+            value = mainardi_density(alpha, theta)
+            assert math.isfinite(value) and value >= 0.0
+
+    def test_mass_near_one(self):
+        # alpha = 0.999: the density is a spike of width ~0.03 near theta = 1
+        # that the stable integral resolves pointwise
+        alpha = 0.999
+        tail, _ = quad(lambda t: mainardi_density(alpha, t), 0.0, 0.5, limit=200)
+        edges = np.linspace(0.5, 1.5, 41)
+        body = sum(quad(lambda t: mainardi_density(alpha, t), lo, hi)[0]
+                   for lo, hi in zip(edges[:-1], edges[1:]))
+        assert abs(tail + body - 1.0) < 1e-8
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -163,6 +214,29 @@ class TestThetaQuadrature:
     def test_below_minimum_node_count(self):
         with pytest.raises(DomainError):
             theta_quadrature(0.8, 8)
+
+    @pytest.mark.parametrize("alpha", NEAR_ONE)
+    def test_near_one_returns_rule_or_typed_error(self, alpha):
+        try:
+            rule = theta_quadrature(alpha, 200)
+        except SobfracError:
+            return
+        assert rule.normalization_defect() <= 1e-8
+
+    def test_cold_build_never_uses_mpmath(self, monkeypatch):
+        class NoMpmath:
+            def __getattr__(self, name):
+                raise AssertionError(f"mpmath.{name} used on the solver path")
+
+        monkeypatch.setattr(specfun, "mpmath", NoMpmath())
+        theta_quadrature.cache_clear()
+        specfun._density_cached.cache_clear()
+        try:
+            for alpha in ALPHAS:
+                assert theta_quadrature(alpha, 200).normalization_defect() <= 1e-8
+        finally:
+            theta_quadrature.cache_clear()
+            specfun._density_cached.cache_clear()
 
     def test_unreachable_tolerance_reports_defect(self):
         with pytest.raises(ConstructionError) as err:
