@@ -7,8 +7,8 @@ from .errors import (ConfigError, ConstructionError, DomainError,
                      SobfracError)
 from .fracops import SampledFn, TimeGrid, caputo_deriv, frac_integral, gl_deriv, rl_deriv
 from .mild_solver import (Nonlinearity, ProblemSpec, SolveReport, Trajectory,
-                          ZERO_NONLINEARITY, apply_P, eval_f, nonlocal_bracket,
-                          picard_solve, sin_gradient)
+                          ZERO_NONLINEARITY, apply_P, eval_f, picard_solve,
+                          sin_gradient)
 from .optctrl import (ControlBundle, CostSpec, admissibility_value,
                       bundle_from_array, cost_J, hypothesis_check,
                       optimize_controls, project_admissible,

@@ -29,7 +29,8 @@ from .optctrl import (ControlBundle, CostSpec, admissibility_value,
                       optimize_controls, project_admissible, zero_bundle)
 from .solution_ops import SolutionOperatorCache
 from .specfun import FracOrder
-from .spectral import SpectralField, field_to_grid, collocation_grid, measure_bounds
+from .spectral import (SpectralField, collocation_grid, default_collocation_size,
+                       derivative_matrix, measure_bounds)
 from .verification import run_battery
 
 _SCHEMA = {
@@ -90,6 +91,14 @@ class RunConfig:
     echo: dict = field(default_factory=dict)
 
 
+def _finite_float(text: str) -> float:
+    """float(text), with a ValueError for inf and nan too."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _parse_modes_list(text: str, mode_count: int, line: int) -> SpectralField:
     coeffs = np.zeros(mode_count)
     if text.strip():
@@ -98,7 +107,7 @@ def _parse_modes_list(text: str, mode_count: int, line: int) -> SpectralField:
                 raise ConfigError(f"expected mode:coefficient, got {chunk!r}", line)
             n_str, v_str = chunk.split(":", 1)
             try:
-                n, v = int(n_str), float(v_str)
+                n, v = int(n_str), _finite_float(v_str)
             except ValueError:
                 raise ConfigError(f"bad mode entry {chunk!r}", line) from None
             if not 1 <= n <= mode_count:
@@ -115,7 +124,7 @@ def _parse_nonlocal(text: str, line: int) -> tuple:
                 raise ConfigError(f"expected weight@time, got {chunk!r}", line)
             c_str, t_str = chunk.split("@", 1)
             try:
-                terms.append((float(c_str), float(t_str)))
+                terms.append((_finite_float(c_str), _finite_float(t_str)))
             except ValueError:
                 raise ConfigError(f"bad nonlocal entry {chunk!r}", line) from None
     return tuple(terms)
@@ -129,7 +138,7 @@ def _parse_nonlinearity(text: str, line: int) -> Nonlinearity:
         gain = 1.0
         if ":" in text:
             try:
-                gain = float(text.split(":", 1)[1])
+                gain = _finite_float(text.split(":", 1)[1])
             except ValueError:
                 raise ConfigError(f"bad sin_grad gain in {text!r}", line) from None
         return sin_gradient(gain)
@@ -176,6 +185,8 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
             raise
         except ValueError:
             raise ConfigError(f"cannot parse {key}={value!r}", line) from None
+        if isinstance(out, float) and not math.isfinite(out):
+            raise ConfigError(f"{key}={value} is not finite", line)
         if check is not None and not check(out):
             raise ConfigError(f"{key}={value} out of {describe}", line)
         return out, line
@@ -248,27 +259,37 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-                 for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: str, lines) -> None:
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+
+
+def _table_lines(ts, labels, values, prefix: str = "") -> list:
+    """Lines "prefix t,label,value" of a (time x label) table, time-major.
+
+    Each time and label is formatted once; only the values per cell.
+    """
+    lines = []
+    for t, row in zip(ts.tolist(), values.tolist()):
+        head = f"{prefix}{_fmt(t)},"
+        lines.extend([f"{head}{label},{_fmt(v)}" for label, v in zip(labels, row)])
+    return lines
+
+
+def _mode_labels(mode_count: int) -> list:
+    return [str(n) for n in range(1, mode_count + 1)]
 
 
 def _trajectory_artifacts(out: Path, traj, mode_count: int) -> None:
     ts = traj.grid.nodes()
-    n_x = 4 * mode_count
-    xs = collocation_grid(n_x)
-    rows = []
-    for m, t in enumerate(ts):
-        vals = field_to_grid(traj.field(m), n_x)
-        rows.extend((float(t), float(x), float(v)) for x, v in zip(xs, vals))
-    _write_csv(out / "trajectory.csv", "t,x,u", rows)
-    rows = []
-    for m, t in enumerate(ts):
-        rows.extend((float(t), n + 1, float(c))
-                    for n, c in enumerate(traj.coeffs[m]))
-    _write_csv(out / "modes.csv", "t,n,coefficient", rows)
+    n_x = default_collocation_size(mode_count)
+    xs = [_fmt(x) for x in collocation_grid(n_x).tolist()]
+    # stacked per-node products keep field_to_grid's rounding; a single
+    # coeffs @ D.T product changes the last digit of many values
+    values = np.matmul(derivative_matrix(0, mode_count, n_x),
+                       traj.coeffs[:, :, None])[:, :, 0]
+    _write_csv(out / "trajectory.csv", "t,x,u", _table_lines(ts, xs, values))
+    _write_csv(out / "modes.csv", "t,n,coefficient",
+               _table_lines(ts, _mode_labels(mode_count), traj.coeffs))
 
 
 def _measured_constants(config: RunConfig) -> dict:
@@ -287,18 +308,15 @@ def run(config: RunConfig) -> int:
     """Execute one pipeline; returns the process exit status."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = {
-        "mode": config.mode,
-        "config": config.echo,
-        "hypothesis_check": hypothesis_check(config.problem),
-    }
+    report = {"mode": config.mode, "config": config.echo}
     status = 0
     try:
+        report["hypothesis_check"] = hypothesis_check(config.problem)
         if config.mode == "verify":
             rows = run_battery()
             _write_csv(out / "verify.csv", "check,detail,value,threshold,status",
-                       [(r.name, r.detail, r.value, r.threshold,
-                         "pass" if r.passed else "fail") for r in rows])
+                       [f"{r.name},{r.detail},{_fmt(r.value)},{_fmt(r.threshold)},"
+                        f"{'pass' if r.passed else 'fail'}" for r in rows])
             report["verify"] = {
                 "total": len(rows),
                 "failed": [r.name for r in rows if not r.passed],
@@ -337,13 +355,12 @@ def run(config: RunConfig) -> int:
                 solve_tol=config.solver_tol, cache=_operator_cache(config),
                 max_iter=config.solver_max_iter)
             _write_csv(out / "descent.csv", "iteration,J",
-                       [(i, float(j)) for i, j in enumerate(log.cost_values)])
-            rows = []
+                       [f"{i},{_fmt(j)}" for i, j in enumerate(log.cost_values)])
+            lines = []
             for j, ctrl in enumerate(bundle.controls):
-                for m, t in enumerate(grid.nodes()):
-                    rows.extend((j + 1, float(t), n + 1, float(c))
-                                for n, c in enumerate(ctrl.coeffs[m]))
-            _write_csv(out / "controls.csv", "control,t,n,coefficient", rows)
+                lines.extend(_table_lines(grid.nodes(), _mode_labels(ctrl.mode_count),
+                                          ctrl.coeffs, prefix=f"{j + 1},"))
+            _write_csv(out / "controls.csv", "control,t,n,coefficient", lines)
             _trajectory_artifacts(out, traj, config.problem.mode_count)
             report["optimize"] = {
                 "cost_values": [float(j) for j in log.cost_values],

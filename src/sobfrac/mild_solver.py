@@ -141,9 +141,6 @@ class Trajectory:
     def mode_count(self) -> int:
         return self.coeffs.shape[1]
 
-    def field(self, m: int) -> SpectralField:
-        return SpectralField(self.coeffs[m])
-
     @staticmethod
     def zero(grid: TimeGrid, mode_count: int) -> "Trajectory":
         return Trajectory(grid, np.zeros((grid.step_count + 1, mode_count)))
@@ -211,22 +208,6 @@ def eval_f(spec: ProblemSpec, t: float, u_field: SpectralField) -> SpectralField
     return grid_to_field(_f_on_grid(nl, [t], grids)[0], spec.mode_count)
 
 
-def nonlocal_bracket(spec: ProblemSpec, u_traj: Trajectory, t_node: int) -> SpectralField:
-    """Bracketed data term at grid node t_node for the current iterate.
-
-    The integrand u0 + h(u) does not depend on the integration variable,
-    so the exact per-cell kernel integrals telescope to the closed form
-    t^(1-a)/Gamma(2-a).
-    """
-    t = t_node * spec.grid.dt
-    alpha = spec.order.alpha
-    kappa = t ** (1.0 - alpha) / math.gamma(2.0 - alpha)
-    h = np.zeros(spec.mode_count)
-    for c, idx, _ in snap_nonlocal_indices(spec):
-        h += c * u_traj.coeffs[idx]
-    return SpectralField(spec.v0.coeffs + kappa * (spec.u0.coeffs + h))
-
-
 def _kernel_weights(alpha: float, step_count: int, dt: float) -> np.ndarray:
     d = np.arange(1, step_count + 1, dtype=float)
     return dt ** alpha * (d ** alpha - (d - 1.0) ** alpha) / alpha
@@ -292,11 +273,11 @@ class _SweepWorkspace:
         self.lm = data_smoothing_symbol(n_modes)
         self.kappa = ts ** (1.0 - alpha) / math.gamma(2.0 - alpha)
         self.snaps = snap_nonlocal_indices(spec)
-        self.s_rows = np.stack([cache.multiplier_rows(t)[0][:n_modes] for t in ts])
-        self.s_lm = self.s_rows * self.lm[None, :]
-        t_rows = np.stack([cache.multiplier_rows(d * dt)[1][:n_modes]
-                           for d in range(1, spec.step_count + 1)])
-        self.kernel = _kernel_weights(alpha, spec.step_count, dt)[:, None] * t_rows
+        # S rows at every node; the kernel's T rows at the lags d*dt, nodes 1..M
+        s_table, t_table = cache.multiplier_table(ts)
+        self.s_lm = s_table[:, :n_modes] * self.lm[None, :]
+        self.kernel = (_kernel_weights(alpha, spec.step_count, dt)[:, None]
+                       * t_table[1:, :n_modes])
         self.nfft = 2 * spec.step_count
         self.kernel_spectrum = np.fft.rfft(self.kernel, self.nfft, axis=0)
         n_x = default_collocation_size(n_modes)
@@ -375,12 +356,6 @@ def apply_P(spec: ProblemSpec, cache: SolutionOperatorCache, u_traj: Trajectory,
     ws = _SweepWorkspace(spec, cache)
     return Trajectory(spec.grid, ws.sweep(u_traj.coeffs,
                                           _control_forcing(spec, controls)))
-
-
-def initial_guess(spec: ProblemSpec, cache: SolutionOperatorCache) -> Trajectory:
-    """Nodewise S(t) applied to the smoothed v0; exact when u0 = h = f = 0."""
-    ws = _SweepWorkspace(spec, cache)
-    return Trajectory(spec.grid, ws.initial())
 
 
 def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,

@@ -13,7 +13,6 @@ to a Dirac delta and the multipliers come straight from the semigroup.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,16 +22,16 @@ from .spectral import BoundConstants, SpectralField, measure_bounds
 from .specfun import FracOrder, QuadratureRule, gamma, theta_quadrature
 
 _DEFAULT_NODES = 200
+# times per exp block of multiplier_table; larger blocks raise peak memory
+_TABLE_BLOCK = 4
 
 
 @dataclass
 class SolutionOperatorCache:
     """Per-(time, mode) multipliers for the two solution operators.
 
-    Multiplier rows are memoized by time value; the solver reuses one
-    cache across every Picard sweep on its fixed grid.  After
-    construction the cache is only appended to (memoization), never
-    mutated, so concurrent readers are safe.
+    Holds the theta rule and the per-mode symbols; multiplier_table
+    evaluates the rows at any set of times from them.
     """
 
     order: FracOrder
@@ -43,7 +42,6 @@ class SolutionOperatorCache:
     _linv: np.ndarray = field(init=False, repr=False)
     _wz: np.ndarray = field(init=False, repr=False)
     _wzt: np.ndarray = field(init=False, repr=False)
-    _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.mode_count < 1:
@@ -63,27 +61,32 @@ class SolutionOperatorCache:
             self._wz = np.empty(0)
             self._wzt = np.empty(0)
 
-    def multiplier_rows(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(s_row, t_row) over all modes at time t."""
-        if t < 0.0:
-            raise DomainError(f"t must be nonnegative, got {t}")
-        key = float(t)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+    def multiplier_table(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """(s_table, t_table), one row over all modes per time in ts."""
+        ts = [float(t) for t in ts]
+        if any(t < 0.0 for t in ts):
+            raise DomainError(f"t must be nonnegative, got {min(ts)}")
         alpha = self.order.alpha
         if alpha >= 1.0:
-            decay = np.exp(-self._lam * key)
-            s_row = self._linv * decay
-            t_row = self._linv * decay
-        else:
-            expo = np.exp(-np.outer(self._lam * key ** alpha, self.rule.nodes))
-            s_row = self._linv * (expo @ self._wz)
-            t_row = alpha * self._linv * (expo @ self._wzt)
-        s_row.setflags(write=False)
-        t_row.setflags(write=False)
-        self._memo[key] = (s_row, t_row)
-        return s_row, t_row
+            decay = np.exp(-self._lam[None, :] * np.array(ts)[:, None])
+            return self._linv * decay, self._linv * decay
+        s_table = np.empty((len(ts), self.mode_count))
+        t_table = np.empty((len(ts), self.mode_count))
+        nodes = self.rule.nodes
+        for start in range(0, len(ts), _TABLE_BLOCK):
+            block = slice(start, start + _TABLE_BLOCK)
+            # t ** alpha as a Python float: numpy's array power can differ
+            # from it in the last bit
+            scaled = self._lam[None, :] * np.array([t ** alpha for t in ts[block]])[:, None]
+            expo = np.exp(-scaled[:, :, None] * nodes)
+            s_table[block] = self._linv * (expo @ self._wz)
+            t_table[block] = alpha * self._linv * (expo @ self._wzt)
+        return s_table, t_table
+
+    def multiplier_rows(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(s_row, t_row) over all modes at time t."""
+        s_table, t_table = self.multiplier_table([t])
+        return s_table[0], t_table[0]
 
 
 def s_multiplier(cache: SolutionOperatorCache, t: float, n: int) -> float:

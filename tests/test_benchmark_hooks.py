@@ -1,0 +1,72 @@
+"""The names the benchmark harness in perfbench/ looks up in sobfrac.
+
+perfbench traces sobfrac by rebinding functions and methods by name, and
+its correctness gates call sobfrac directly.  These tests fail when a
+traced name disappears or changes its call shape, rather than only the
+traced benchmark run.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from sobfrac import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+TINY_SOLVE = """
+[problem]
+alpha = 0.8
+horizon = 1.0
+modes = 8
+steps = 16
+u0 = 1:0.5
+v0 = 1:1.0
+nonlocal = 0.3@0.5
+nonlinearity = sin_grad:0.1
+
+[output]
+directory = {out}
+"""
+
+
+@pytest.fixture()
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("tracing"), importlib.import_module("workloads")
+    for name in ("tracing", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def test_traced_names_exist(perfbench):
+    tracing, _ = perfbench
+    for home, attr, _ in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(home), attr)), (home, attr)
+    for home, cls_name, attr, _ in tracing.METHODS:
+        cls = getattr(importlib.import_module(home), cls_name)
+        assert callable(cls.__dict__[attr]), (home, cls_name, attr)
+
+
+def test_traced_solve_and_gates(perfbench, tmp_path):
+    tracing, workloads = perfbench
+    config = cli.parse_config(TINY_SOLVE.format(out=tmp_path), mode="solve")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        status = cli.run(config)
+        # the alpha_sweep gate reads scalar-time, one-dimensional rows of
+        # modes up to 8
+        sweep_failures = workloads.check_sweep(config, tmp_path, status, 0)
+    finally:
+        tracer.uninstall()
+    assert status == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.run", "mild_solver.picard_solve", "mild_solver.workspace",
+            "mild_solver.sweep", "solution_ops.multiplier_rows"} <= names
+    assert tracer.counts["mild_solver.sweeps"] >= 1
+    assert {t for t, _ in workloads.ORACLE_POINTS} <= tracer.distinct_t
+    assert sweep_failures == []
+    # the solve gate imports apply_P and Trajectory and runs one more sweep
+    assert workloads.check_solve(config, tmp_path, status, 0) == []

@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from sobfrac import solution_ops
-from sobfrac.cli import main, parse_config, run
-from sobfrac.errors import ConfigError
+from sobfrac import cli, solution_ops
+from sobfrac.cli import _fmt, main, parse_config, run
+from sobfrac.errors import ConfigError, EvaluationError
 from sobfrac.specfun import mittag_leffler
+from sobfrac.verification import CheckRow
+from sobfrac.spectral import SpectralField, collocation_grid, field_to_grid
 
 MINIMAL = """
 [problem]
@@ -49,6 +51,89 @@ def strict_json(path):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
     return json.loads(path.read_text(), parse_constant=reject)
+
+
+def reference_csv(header, rows):
+    """The per-value CSV writer the table writer replaced: floats with
+    _fmt, everything else with str."""
+    lines = [header]
+    lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+                 for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def reference_trajectory_csvs(traj, mode_count):
+    """trajectory.csv and modes.csv, one field_to_grid call per node."""
+    ts = traj.grid.nodes()
+    n_x = 4 * mode_count
+    xs = collocation_grid(n_x)
+    rows = []
+    for m, t in enumerate(ts):
+        vals = field_to_grid(SpectralField(traj.coeffs[m]), n_x)
+        rows.extend((float(t), float(x), float(v)) for x, v in zip(xs, vals))
+    trajectory = reference_csv("t,x,u", rows)
+    rows = []
+    for m, t in enumerate(ts):
+        rows.extend((float(t), n + 1, float(c)) for n, c in enumerate(traj.coeffs[m]))
+    return trajectory, reference_csv("t,n,coefficient", rows)
+
+
+def reference_controls_csv(bundle):
+    rows = []
+    for j, ctrl in enumerate(bundle.controls):
+        for m, t in enumerate(ctrl.grid.nodes()):
+            rows.extend((j + 1, float(t), n + 1, float(c))
+                        for n, c in enumerate(ctrl.coeffs[m]))
+    return reference_csv("control,t,n,coefficient", rows)
+
+
+def spy(monkeypatch, name):
+    """Record the results of cli.<name> while the run calls it."""
+    results = []
+    original = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return results
+
+
+class TestTableWriter:
+    def test_solve_csvs_match_per_node_writer(self, tmp_path, monkeypatch):
+        solved = spy(monkeypatch, "picard_solve")
+        text = (MINIMAL + "v0 = 1:1.0\nnonlocal = 0.3@0.5\n"
+                "nonlinearity = sin_grad:0.1\n"
+                f"\n[output]\ndirectory = {tmp_path}\n")
+        assert run(parse_config(text, mode="solve")) == 0
+        trajectory, modes = reference_trajectory_csvs(solved[0][0], 8)
+        assert (tmp_path / "trajectory.csv").read_text() == trajectory
+        assert (tmp_path / "modes.csv").read_text() == modes
+
+    def test_optimize_csvs_match_per_node_writer(self, tmp_path, monkeypatch):
+        optimized = spy(monkeypatch, "optimize_controls")
+        text = REFERENCE_CFG + f"directory = {tmp_path}\n"
+        assert run(parse_config(text, mode="optimize")) == 0
+        bundle, traj, log = optimized[0]
+        trajectory, modes = reference_trajectory_csvs(traj, 8)
+        assert (tmp_path / "trajectory.csv").read_text() == trajectory
+        assert (tmp_path / "modes.csv").read_text() == modes
+        assert (tmp_path / "controls.csv").read_text() == reference_controls_csv(bundle)
+        assert (tmp_path / "descent.csv").read_text() == reference_csv(
+            "iteration,J", [(i, float(j)) for i, j in enumerate(log.cost_values)])
+
+    def test_verify_csv_matches_per_value_writer(self, tmp_path, monkeypatch):
+        rows = [CheckRow("density_normalization", "alpha=0.3", 2.687e-14, 1e-8, True),
+                CheckRow("frac_integral_refinement", "M 500 -> 1000", 1.0 / 3.0,
+                         1.7, False)]
+        monkeypatch.setattr(cli, "run_battery", lambda: rows)
+        text = MINIMAL + f"\n[output]\ndirectory = {tmp_path}\n"
+        assert run(parse_config(text, mode="verify")) == 1
+        assert (tmp_path / "verify.csv").read_text() == reference_csv(
+            "check,detail,value,threshold,status",
+            [(r.name, r.detail, r.value, r.threshold, "pass" if r.passed else "fail")
+             for r in rows])
 
 
 class TestParseConfig:
@@ -99,6 +184,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "alpha = 0.5\n")
 
+    @pytest.mark.parametrize("old, new, line", (
+        ("horizon = 1.0", "horizon = inf", 4),
+        ("alpha = 0.8", "alpha = nan", 3),
+        ("u0 = 1:0.5", "u0 = 1:inf", 7),
+        ("u0 = 1:0.5", "u0 = 1:0.5\nnonlocal = inf@0.5", 8),
+        ("u0 = 1:0.5", "u0 = 1:0.5\nnonlocal = 0.3@nan", 8),
+        ("u0 = 1:0.5", "u0 = 1:0.5\nnonlinearity = sin_grad:inf", 8),
+        ("u0 = 1:0.5", "u0 = 1:0.5\nnonlinearity = sin_grad:nan", 8),
+        ("u0 = 1:0.5", "u0 = 1:0.5\np = inf", 8),
+        ("u0 = 1:0.5", "u0 = 1:0.5\n[solver]\ntol = inf", 9),
+        ("u0 = 1:0.5", "u0 = 1:0.5\n[cost]\ncontrol_weight = -inf", 9),
+        ("u0 = 1:0.5", "u0 = 1:0.5\n[optimize]\nradius = inf", 9),
+    ), ids=("horizon", "alpha", "u0", "nonlocal_weight", "nonlocal_time",
+            "gain_inf", "gain_nan", "p", "tol", "control_weight", "radius"))
+    def test_non_finite_number_rejected(self, old, new, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL.replace(old, new))
+        assert err.value.line == line
+
+    def test_non_finite_gain_exits_2(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL + "nonlinearity = sin_grad:inf\n")
+        assert main(["solve", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestSolveMode:
     def test_artifacts_and_oracle(self, tmp_path):
@@ -134,6 +245,18 @@ class TestSolveMode:
         assert run(parse_config(text, mode="solve")) == 1
         report = strict_json(tmp_path / "report.json")
         assert report["error"]["type"]
+
+
+    def test_hypothesis_check_error_reported(self, tmp_path, monkeypatch):
+        def broken(problem):
+            raise EvaluationError("nonlinearity returned non-finite values")
+
+        monkeypatch.setattr(cli, "hypothesis_check", broken)
+        text = MINIMAL + f"\n[output]\ndirectory = {tmp_path}\n"
+        assert run(parse_config(text, mode="solve")) == 1
+        report = strict_json(tmp_path / "report.json")
+        assert report["error"]["type"] == "EvaluationError"
+        assert "hypothesis_check" not in report
 
 
 class TestVerifyMode:

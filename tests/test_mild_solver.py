@@ -9,8 +9,7 @@ from sobfrac.errors import (DomainError, NonConvergenceError,
                             RejectedInstanceError)
 from sobfrac.mild_solver import (Nonlinearity, ProblemSpec, Trajectory,
                                  ZERO_NONLINEARITY, _SweepWorkspace, apply_P,
-                                 eval_f, initial_guess, nonlocal_bracket,
-                                 picard_solve, sin_gradient)
+                                 eval_f, picard_solve, sin_gradient)
 from sobfrac.solution_ops import SolutionOperatorCache, s_multiplier
 from sobfrac.specfun import FracOrder, gamma, mittag_leffler
 from sobfrac.spectral import SpectralField, norm_q
@@ -66,26 +65,36 @@ class TestEvalF:
         assert abs(out.coeffs[1]) <= 1e-12
 
 
+def sweep_bracket(spec, cache, traj):
+    """Bracketed data term v0 + kappa(t) (u0 + h(u)) at every node, read off
+    one sweep: with f = 0 and no controls the sweep is S(t) [smoothing]
+    times the bracket, node by node."""
+    ws = _SweepWorkspace(spec, cache)
+    out = ws.sweep(traj.coeffs, np.zeros_like(traj.coeffs))
+    return out / ws.s_lm
+
+
 class TestNonlocalBracket:
-    def test_reduces_to_v0(self):
+    def test_reduces_to_v0(self, cache16):
         spec = make_spec(u0=SpectralField.zero(16))
         traj = Trajectory.zero(spec.grid, 16)
+        bracket = sweep_bracket(spec, cache16, traj)
         for node in (0, 17, 512):
-            out = nonlocal_bracket(spec, traj, node)
+            out = SpectralField(bracket[node])
             assert (out - spec.v0).norm() <= 1e-14
 
-    def test_kernel_closed_form(self):
+    def test_kernel_closed_form(self, cache16):
         spec = make_spec(u0=SpectralField.unit(16, 1),
                          v0=SpectralField.zero(16))
         traj = Trajectory.zero(spec.grid, 16)
         alpha = 0.8
+        bracket = sweep_bracket(spec, cache16, traj)
         for node in (1, 100, 512):
             t = node * spec.grid.dt
-            out = nonlocal_bracket(spec, traj, node)
             expect = t ** (1 - alpha) / gamma(2 - alpha)
-            assert abs(out.coeffs[0] - expect) <= 1e-10
+            assert abs(bracket[node, 0] - expect) <= 1e-10
 
-    def test_single_term_adds_by_linearity(self):
+    def test_single_term_adds_by_linearity(self, cache16):
         spec = make_spec(u0=SpectralField.zero(16),
                          v0=SpectralField.zero(16),
                          nonlocal_terms=((1.0, 0.5),))
@@ -94,14 +103,14 @@ class TestNonlocalBracket:
         traj = Trajectory(spec.grid, coeffs)
         alpha = 0.8
         t = 300 * spec.grid.dt
-        out = nonlocal_bracket(spec, traj, 300)
-        assert abs(out.coeffs[1] - t ** (1 - alpha) / gamma(2 - alpha)) <= 1e-10
+        bracket = sweep_bracket(spec, cache16, traj)
+        assert abs(bracket[300, 1] - t ** (1 - alpha) / gamma(2 - alpha)) <= 1e-10
 
-    def test_off_grid_time_warns(self):
+    def test_off_grid_time_warns(self, cache16):
         spec = make_spec(m=7, nonlocal_terms=((0.5, 0.33),))
         traj = Trajectory.zero(spec.grid, 16)
         with pytest.warns(UserWarning):
-            nonlocal_bracket(spec, traj, 3)
+            apply_P(spec, cache16, traj)
 
 
 class TestApplyP:

@@ -87,6 +87,43 @@ class TestMultipliers:
         assert abs(t_multiplier(c, 1.0, 1) - math.exp(-0.5) / 2.0) <= 1e-14
 
 
+def per_time_rows(cache, t):
+    """The multiplier rows at one time, one exp(outer) block each: the
+    per-time evaluation that multiplier_table replaced."""
+    alpha = cache.order.alpha
+    if alpha >= 1.0:
+        decay = np.exp(-cache._lam * t)
+        return cache._linv * decay, cache._linv * decay
+    expo = np.exp(-np.outer(cache._lam * t ** alpha, cache.rule.nodes))
+    return (cache._linv * (expo @ cache._wz),
+            alpha * cache._linv * (expo @ cache._wzt))
+
+
+class TestMultiplierTable:
+    @pytest.mark.parametrize("alpha", (0.5, 0.8, 1.0))
+    def test_matches_per_time_rows_bitwise(self, alpha):
+        c = SolutionOperatorCache(FracOrder(alpha, q=0.25), 16)
+        # the README grid and a short grid out to t = 50; neither fills
+        # its last block
+        for ts in (np.linspace(0.0, 1.0, 513), np.linspace(0.0, 50.0, 7)):
+            s_table, t_table = c.multiplier_table(ts)
+            assert s_table.shape == t_table.shape == (ts.size, 16)
+            for m, t in enumerate(ts):
+                s_ref, t_ref = per_time_rows(c, float(t))
+                assert np.array_equal(s_table[m], s_ref)
+                assert np.array_equal(t_table[m], t_ref)
+                s_row, t_row = c.multiplier_rows(float(t))
+                assert s_row.shape == t_row.shape == (16,)
+                assert np.array_equal(s_row, s_table[m])
+                assert np.array_equal(t_row, t_table[m])
+
+    def test_negative_time_rejected(self, cache):
+        with pytest.raises(DomainError):
+            cache.multiplier_table([0.0, -1e-3])
+        with pytest.raises(DomainError):
+            cache.multiplier_rows(-1.0)
+
+
 class TestOperatorApplication:
     def test_time_zero_is_l_inverse(self, cache):
         u = SpectralField(np.random.default_rng(1).standard_normal(16))
