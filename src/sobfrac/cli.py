@@ -35,7 +35,7 @@ from .verification import run_battery
 
 _SCHEMA = {
     "problem": {"alpha", "q", "p", "horizon", "modes", "steps", "u0", "v0",
-                "nonlocal", "nonlinearity", "controls", "r_max"},
+                "nonlocal", "nonlinearity", "controls"},
     "solver": {"tol", "max_iter", "quad_nodes"},
     "cost": {"state_weight", "control_weight"},
     "optimize": {"budget", "grad_tol", "fd_step", "control_modes", "radius", "init"},
@@ -53,7 +53,6 @@ _DEFAULTS = {
     ("problem", "nonlocal"): "",
     ("problem", "nonlinearity"): "zero",
     ("problem", "controls"): "0",
-    ("problem", "r_max"): "2",
     ("solver", "tol"): "1e-8",
     ("solver", "max_iter"): "80",
     ("solver", "quad_nodes"): "200",
@@ -204,7 +203,6 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
     modes, _ = get("problem", "modes", int, lambda v: v >= 1, "[1,inf)")
     steps, _ = get("problem", "steps", int, lambda v: v >= 2, "[2,inf)")
     controls, _ = get("problem", "controls", int, lambda v: v >= 0, "[0,inf)")
-    r_max, _ = get("problem", "r_max", int, lambda v: v >= 1, "[1,inf)")
 
     u0_text, u0_line = entries[("problem", "u0")]
     v0_text, v0_line = entries[("problem", "v0")]
@@ -219,7 +217,7 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
             v0=_parse_modes_list(v0_text, modes, v0_line),
             nonlocal_terms=_parse_nonlocal(nl_text, nl_line),
             nonlinearity=_parse_nonlinearity(f_text, f_line),
-            control_count=controls, r_max=r_max)
+            control_count=controls)
     except SobfracError as exc:
         if isinstance(exc, ConfigError):
             raise

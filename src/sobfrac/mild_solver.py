@@ -27,8 +27,9 @@ from .errors import (DomainError, EvaluationError, NonConvergenceError,
 from .fracops import TimeGrid
 from .solution_ops import SolutionOperatorCache
 from .specfun import FracOrder
-from .spectral import (SpectralField, apply_Bi, default_collocation_size,
-                       derivative_matrix, grid_to_field, projection_matrix)
+from .spectral import (MAX_DERIVATIVE_ORDER, SpectralField,
+                       default_collocation_size, derivative_matrix,
+                       projection_matrix, q_weights)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -42,15 +43,14 @@ class Nonlinearity:
 
     Built-ins: "zero" and the bounded-Lipschitz family gain*sin(d_x u).
     A custom callable receives (t, [grids of the requested derivatives])
-    and returns collocation values; its growth and Lipschitz budgets are
-    declared here and spot-checked, not proven.
+    and returns collocation values; its growth budget is declared here
+    and spot-checked, not proven.
     """
 
     kind: str = "zero"
     gain: float = 0.0
     b_orders: tuple = (1,)
     growth_gain: float | None = None
-    lipschitz_budget: float | None = None
     fn: object = None
 
     def __post_init__(self):
@@ -87,7 +87,6 @@ class ProblemSpec:
     nonlocal_terms: tuple = ()           # (c_eta, t_eta) pairs
     nonlinearity: Nonlinearity = ZERO_NONLINEARITY
     control_count: int = 0
-    r_max: int = 2
 
     def __post_init__(self):
         if self.mode_count < 1:
@@ -105,9 +104,9 @@ class ProblemSpec:
                     f"nonlocal times must be increasing in (0, horizon), got {t_eta}")
             prev = t_eta
         for i in self.nonlinearity.b_orders:
-            if not 1 <= i <= self.r_max:
+            if not 1 <= i <= MAX_DERIVATIVE_ORDER:
                 raise DomainError(
-                    f"derivative order {i} outside 1..r_max={self.r_max}")
+                    f"derivative order {i} outside 1..{MAX_DERIVATIVE_ORDER}")
 
     @property
     def grid(self) -> TimeGrid:
@@ -199,13 +198,25 @@ def _f_on_grid(nl: Nonlinearity, ts, grids: list) -> np.ndarray:
     return values
 
 
-def eval_f(spec: ProblemSpec, t: float, u_field: SpectralField) -> SpectralField:
-    """Evaluate the nonlinearity on the collocation grid, project back."""
+def f_modes(spec: ProblemSpec, ts, coeffs: np.ndarray) -> np.ndarray:
+    """Mode coefficients of f at each row of coeffs (the field at the
+    matching time in ts), through the collocation grid; (len(ts), N).
+    Each row gets its own matrix-vector products (a stacked matmul), so
+    its bits do not depend on the rows that share the call."""
     nl = spec.nonlinearity
+    n_modes = spec.mode_count
     if nl.kind == "zero":
-        return SpectralField.zero(spec.mode_count)
-    grids = [apply_Bi(i, u_field, r_max=spec.r_max)[None, :] for i in nl.b_orders]
-    return grid_to_field(_f_on_grid(nl, [t], grids)[0], spec.mode_count)
+        return np.zeros((len(ts), n_modes))
+    n_x = default_collocation_size(n_modes)
+    grids = [np.matmul(derivative_matrix(i, n_modes, n_x), coeffs[:, :, None])[:, :, 0]
+             for i in nl.b_orders]
+    values = _f_on_grid(nl, ts, grids)
+    return np.matmul(projection_matrix(n_modes, n_x), values[:, :, None])[:, :, 0]
+
+
+def eval_f(spec: ProblemSpec, t: float, u_field: SpectralField) -> SpectralField:
+    """f's mode coefficients at one field: the one-row case of f_modes."""
+    return SpectralField(f_modes(spec, [t], u_field.coeffs[None, :])[0])
 
 
 def _kernel_weights(alpha: float, step_count: int, dt: float) -> np.ndarray:
@@ -284,9 +295,7 @@ class _SweepWorkspace:
         self.D = {i: derivative_matrix(i, n_modes, n_x)
                   for i in spec.nonlinearity.b_orders}
         self.P = projection_matrix(n_modes, n_x)
-        nq = np.arange(1, n_modes + 1, dtype=float)
-        lam = nq * nq / (1.0 + nq * nq)
-        self.q_scale = lam ** spec.order.q
+        self.q_scale = q_weights(n_modes, spec.order.q)
 
     def sweep(self, coeffs: np.ndarray, ctrl_forcing: np.ndarray) -> np.ndarray:
         spec = self.spec
@@ -300,6 +309,8 @@ class _SweepWorkspace:
         nl = spec.nonlinearity
         if nl.kind != "zero":
             states = coeffs[:-1]
+            # plain products, not f_modes' stacked ones: the trajectory
+            # bytes depend on their rounding
             grids = [states @ self.D[i].T for i in nl.b_orders]
             forcing = forcing + _f_on_grid(nl, self.ts[:-1], grids) @ self.P.T
         if np.any(forcing):

@@ -30,14 +30,15 @@ _TABLE_BLOCK = 4
 class SolutionOperatorCache:
     """Per-(time, mode) multipliers for the two solution operators.
 
-    Holds the theta rule and the per-mode symbols; multiplier_table
-    evaluates the rows at any set of times from them.
+    Holds the theta rule (theta_quadrature(alpha, node_count); None at
+    alpha = 1) and the per-mode symbols; multiplier_table evaluates the
+    rows at any set of times from them.
     """
 
     order: FracOrder
     mode_count: int
-    rule: QuadratureRule | None = None
     node_count: int = _DEFAULT_NODES
+    rule: QuadratureRule | None = field(init=False)
     _lam: np.ndarray = field(init=False, repr=False)
     _linv: np.ndarray = field(init=False, repr=False)
     _wz: np.ndarray = field(init=False, repr=False)
@@ -51,13 +52,13 @@ class SolutionOperatorCache:
         self._lam = n * n / (1.0 + n * n)
         self._linv = 1.0 / (1.0 + n * n)
         if alpha < 1.0:
-            if self.rule is None:
-                self.rule = theta_quadrature(alpha, self.node_count)
+            self.rule = theta_quadrature(alpha, self.node_count)
             wz = self.rule.weights * self.rule.density_values
             self._wz = wz
             self._wzt = wz * self.rule.nodes
         else:
             # delta limit: theta integration is bypassed entirely
+            self.rule = None
             self._wz = np.empty(0)
             self._wzt = np.empty(0)
 
@@ -87,21 +88,6 @@ class SolutionOperatorCache:
         """(s_row, t_row) over all modes at time t."""
         s_table, t_table = self.multiplier_table([t])
         return s_table[0], t_table[0]
-
-
-def s_multiplier(cache: SolutionOperatorCache, t: float, n: int) -> float:
-    _check_mode(cache, n)
-    return float(cache.multiplier_rows(t)[0][n - 1])
-
-
-def t_multiplier(cache: SolutionOperatorCache, t: float, n: int) -> float:
-    _check_mode(cache, n)
-    return float(cache.multiplier_rows(t)[1][n - 1])
-
-
-def _check_mode(cache, n):
-    if not 1 <= n <= cache.mode_count:
-        raise DomainError(f"mode {n} outside 1..{cache.mode_count}")
 
 
 def apply_S(cache: SolutionOperatorCache, t: float, u: SpectralField) -> SpectralField:

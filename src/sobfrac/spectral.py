@@ -12,11 +12,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DomainError, PropertyFailure
 
 _BASIS_NORM = math.sqrt(2.0 / math.pi)
+
+# highest spatial derivative order the nonlinearity may read
+MAX_DERIVATIVE_ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -118,28 +120,14 @@ def apply_operator(kind: OperatorKind, u: SpectralField) -> SpectralField:
     return SpectralField(operator_symbol(kind, n) * u.coeffs)
 
 
+def q_weights(mode_count: int, q: float) -> np.ndarray:
+    """Per-mode symbol (n^2/(1+n^2))^q of (-A)^q, the weights of the q-norm."""
+    return operator_symbol(OperatorKind("A_pow", q=q), np.arange(1, mode_count + 1))
+
+
 def norm_q(u: SpectralField, q: float) -> float:
     """Interpolation norm ||u||_q = ||(-A)^q u||."""
-    return apply_operator(OperatorKind("A_pow", q=q), u).norm()
-
-
-def project(f, mode_count: int, n_points: int | None = None) -> SpectralField:
-    """First N sine coefficients of a callable f on [0, pi].
-
-    Composite Simpson quadrature; the grid has at least 8N intervals
-    (more for small N so that low-mode projections stay at 1e-8).
-    """
-    if mode_count < 1:
-        raise DomainError(f"mode_count must be >= 1, got {mode_count}")
-    n_int = n_points if n_points is not None else max(8 * mode_count, 1024)
-    if n_int % 2:
-        n_int += 1
-    x = np.linspace(0.0, math.pi, n_int + 1)
-    fx = np.asarray([f(xi) for xi in x], dtype=float)
-    n = np.arange(1, mode_count + 1)
-    integrand = fx[None, :] * _BASIS_NORM * np.sin(np.outer(n, x))
-    coeffs = simpson(integrand, x=x, axis=1)
-    return SpectralField(coeffs)
+    return float(np.linalg.norm(q_weights(u.mode_count, q) * u.coeffs))
 
 
 def collocation_grid(n_x: int) -> np.ndarray:
@@ -179,9 +167,9 @@ def projection_matrix(mode_count: int, n_x: int) -> np.ndarray:
     return weights * derivative_matrix(0, mode_count, n_x).T
 
 
-def field_to_grid(u: SpectralField, n_x: int | None = None) -> np.ndarray:
+def field_to_grid(u: SpectralField) -> np.ndarray:
     """Evaluate the field at the collocation nodes."""
-    n_x = n_x if n_x is not None else default_collocation_size(u.mode_count)
+    n_x = default_collocation_size(u.mode_count)
     return derivative_matrix(0, u.mode_count, n_x) @ u.coeffs
 
 
@@ -191,12 +179,11 @@ def grid_to_field(values: np.ndarray, mode_count: int) -> SpectralField:
     return SpectralField(projection_matrix(mode_count, values.size) @ values)
 
 
-def apply_Bi(i: int, u: SpectralField, n_x: int | None = None,
-             r_max: int = 2) -> np.ndarray:
+def apply_Bi(i: int, u: SpectralField) -> np.ndarray:
     """i-th spatial derivative of the field on the collocation grid."""
-    if i < 1 or i > r_max:
-        raise DomainError(f"derivative order {i} outside 1..{r_max}")
-    n_x = n_x if n_x is not None else default_collocation_size(u.mode_count)
+    if not 1 <= i <= MAX_DERIVATIVE_ORDER:
+        raise DomainError(f"derivative order {i} outside 1..{MAX_DERIVATIVE_ORDER}")
+    n_x = default_collocation_size(u.mode_count)
     return derivative_matrix(i, u.mode_count, n_x) @ u.coeffs
 
 

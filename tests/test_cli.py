@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ modes = 8
 steps = 64
 u0 = 1:0.5
 """
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 REFERENCE_CFG = """
 [problem]
@@ -69,7 +73,7 @@ def reference_trajectory_csvs(traj, mode_count):
     xs = collocation_grid(n_x)
     rows = []
     for m, t in enumerate(ts):
-        vals = field_to_grid(SpectralField(traj.coeffs[m]), n_x)
+        vals = field_to_grid(SpectralField(traj.coeffs[m]))
         rows.extend((float(t), float(x), float(v)) for x, v in zip(xs, vals))
     trajectory = reference_csv("t,x,u", rows)
     rows = []
@@ -211,6 +215,38 @@ class TestParseConfig:
         assert not (tmp_path / "out").exists()
 
 
+class TestReadmeConfig:
+    def test_block_keys_and_defaults_match_the_parser(self):
+        # a key's stated default is the value shown, unless its comment
+        # says required or names a default ("empty" is the empty string)
+        block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"),
+                          re.S).group(1)
+        stated = {}
+        section = None
+        for line in block.splitlines():
+            entry, _, comment = line.partition("#")
+            entry = entry.strip()
+            if entry.startswith("["):
+                section = entry[1:-1]
+            elif entry:
+                key, _, shown = (part.strip() for part in entry.partition("="))
+                if "required" in comment:
+                    default = None
+                elif "default:" in comment:
+                    default = comment.split("default:", 1)[1].strip()
+                    default = "" if default == "empty" else default
+                else:
+                    default = shown
+                stated[(section, key)] = default
+        assert set(stated) == {(sec, key) for sec, keys in cli._SCHEMA.items()
+                               for key in keys}
+        for sk, default in stated.items():
+            if default is None:
+                assert sk in cli._REQUIRED and sk not in cli._DEFAULTS, sk
+            else:
+                assert cli._DEFAULTS[sk] == default, sk
+
+
 class TestSolveMode:
     def test_artifacts_and_oracle(self, tmp_path):
         text = MINIMAL + f"\nv0 = 1:1.0\n\n[output]\ndirectory = {tmp_path}\n"
@@ -338,6 +374,13 @@ class TestMainEntry:
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(MINIMAL.replace("0.8", "7.0"))
         assert main(["solve", "--config", str(cfg_path)]) == 2
+
+    def test_main_refuses_r_max(self, tmp_path, capsys):
+        # derivative orders are bounded by a constant, not by a config key
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL + "r_max = 2\n")
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+        assert "line 8: unknown key 'r_max'" in capsys.readouterr().err
 
     def test_main_missing_file(self):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == 2

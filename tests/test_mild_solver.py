@@ -8,11 +8,12 @@ import pytest
 from sobfrac.errors import (DomainError, NonConvergenceError,
                             RejectedInstanceError)
 from sobfrac.mild_solver import (Nonlinearity, ProblemSpec, Trajectory,
-                                 ZERO_NONLINEARITY, _SweepWorkspace, apply_P,
-                                 eval_f, picard_solve, sin_gradient)
-from sobfrac.solution_ops import SolutionOperatorCache, s_multiplier
+                                 ZERO_NONLINEARITY, _SweepWorkspace, _f_on_grid,
+                                 apply_P, eval_f, f_modes, picard_solve,
+                                 sin_gradient)
+from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import FracOrder, gamma, mittag_leffler
-from sobfrac.spectral import SpectralField, norm_q
+from sobfrac.spectral import SpectralField, apply_Bi, grid_to_field, norm_q
 
 
 def make_spec(alpha=0.8, n=16, m=512, u0=None, v0=None, **kw):
@@ -63,6 +64,34 @@ class TestEvalF:
         # discrete sine projection of the constant function: odd modes only
         assert out.coeffs[0] > 0.5
         assert abs(out.coeffs[1]) <= 1e-12
+
+
+def per_field_eval_f(spec, t, u):
+    """eval_f as one apply_Bi per derivative order and one grid_to_field:
+    the per-field path that f_modes replaced."""
+    nl = spec.nonlinearity
+    grids = [apply_Bi(i, u)[None, :] for i in nl.b_orders]
+    return grid_to_field(_f_on_grid(nl, [t], grids)[0], spec.mode_count)
+
+
+TWO_ORDER = Nonlinearity("custom", b_orders=(1, 2),
+                         fn=lambda t, grids: np.tanh(grids[0]) * grids[1] + t)
+
+
+class TestBatchedEvalF:
+    @pytest.mark.parametrize("n", [5, 16])
+    @pytest.mark.parametrize("nonlinearity", [sin_gradient(0.1), TWO_ORDER],
+                             ids=["sin_grad", "two_order"])
+    def test_matches_per_field_path_bitwise(self, n, nonlinearity):
+        spec = make_spec(n=n, m=8, nonlinearity=nonlinearity)
+        rng = np.random.default_rng(n)
+        ts = rng.uniform(0.0, 1.0, 40)
+        fields = rng.standard_normal((40, n))
+        batched = f_modes(spec, ts, fields)
+        for t, row, got in zip(ts, fields, batched):
+            want = per_field_eval_f(spec, t, SpectralField(row)).coeffs
+            assert np.array_equal(eval_f(spec, t, SpectralField(row)).coeffs, want)
+            assert np.array_equal(got, want)
 
 
 def sweep_bracket(spec, cache, traj):
@@ -126,7 +155,7 @@ class TestApplyP:
         out = apply_P(spec, cache16, Trajectory.zero(spec.grid, 16))
         for node in (0, 64, 512):
             t = node * spec.grid.dt
-            expect = -2.0 * s_multiplier(cache16, t, 1)
+            expect = -2.0 * cache16.multiplier_rows(t)[0][0]
             assert abs(out.coeffs[node, 0] - expect) <= 1e-12
 
     def test_fixed_point_residual(self, cache16):

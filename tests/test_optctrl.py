@@ -9,7 +9,8 @@ from sobfrac.errors import DomainError
 from sobfrac.fracops import TimeGrid
 from sobfrac import optctrl
 from sobfrac.mild_solver import (Nonlinearity, ProblemSpec, Trajectory,
-                                 _SweepWorkspace, picard_solve, sin_gradient)
+                                 _SweepWorkspace, eval_f, picard_solve,
+                                 sin_gradient)
 from sobfrac.optctrl import (ControlBundle, CostSpec, adjoint_gradient,
                              admissibility_value, bundle_from_array,
                              bundle_to_array, cost_J, hypothesis_check,
@@ -17,7 +18,7 @@ from sobfrac.optctrl import (ControlBundle, CostSpec, adjoint_gradient,
                              random_admissible_bundle, zero_bundle)
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import FracOrder
-from sobfrac.spectral import SpectralField
+from sobfrac.spectral import SpectralField, norm_q
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,56 @@ def fd_gradient(problem, cost, x, cache, fd_step=1e-4, solve_tol=1e-12):
         work.flat[i] = x.flat[i]
         grad.flat[i] = (jp - jm) / (2.0 * fd_step)
     return grad
+
+
+def hypothesis_check_oracle(problem, trials=50, seed=0):
+    """The per-sample hypothesis check that the batched one replaced: one
+    eval_f call per field, and one more for the previous field of each
+    Lipschitz quotient."""
+    o = problem.order
+    aq = o.alpha * o.q
+    paq = o.p * o.alpha * (1.0 - o.q)
+    report = {
+        "alpha_q": {"value": aq, "passed": aq < 1.0},
+        "p_alpha_one_minus_q": {"value": paq, "passed": paq > 1.0},
+    }
+    rng = np.random.default_rng(seed)
+    n = problem.mode_count
+    r = len(problem.nonlinearity.b_orders)
+    growth = 0.0
+    lipschitz = 0.0
+    if problem.nonlinearity.kind != "zero":
+        prev = None
+        for _ in range(trials):
+            u = SpectralField(rng.standard_normal(n))
+            fu = eval_f(problem, 0.0, u)
+            growth = max(growth, fu.norm() / (1.0 + r * norm_q(u, o.q)))
+            if prev is not None:
+                fv = eval_f(problem, 0.0, prev)
+                du = norm_q(u - prev, o.q)
+                if du > 0:
+                    lipschitz = max(lipschitz, (fu - fv).norm() / du)
+            prev = u
+    report["nonlinearity"] = {
+        "kind": problem.nonlinearity.kind,
+        "declared_a_f": problem.nonlinearity.a_f,
+        "measured_growth": growth,
+        "measured_lipschitz": lipschitz,
+    }
+    k1 = float(sum(c for c, _ in problem.nonlocal_terms))
+    sup_norm = 0.0
+    for _ in range(trials):
+        u = SpectralField(rng.standard_normal(n))
+        sup_norm = max(sup_norm, norm_q(u, o.q))
+    report["nonlocal"] = {
+        "k1": k1,
+        "k2": k1 * sup_norm,
+        "term_count": len(problem.nonlocal_terms),
+    }
+    report["cost_structure"] = {"psi": 0.0, "d": 0.0, "form": "quadratic"}
+    report["passed"] = report["alpha_q"]["passed"] and (
+        problem.control_count == 0 or report["p_alpha_one_minus_q"]["passed"])
+    return report
 
 
 class TestCost:
@@ -153,6 +204,18 @@ class TestHypothesisCheck:
         report = hypothesis_check(prob)
         assert report["nonlocal"]["k1"] == 0.3
         assert report["nonlocal"]["k2"] > 0.0
+
+    @pytest.mark.parametrize("nonlinearity", [
+        sin_gradient(0.1),
+        Nonlinearity("custom", b_orders=(1,), fn=lambda t, grids: 0.0 * grids[0] + 1.0,
+                     growth_gain=math.sqrt(math.pi)),
+        None,
+    ], ids=["sin_grad", "constant_forcing", "zero"])
+    def test_matches_per_sample_oracle_bitwise(self, nonlinearity):
+        # the README problem (N = 16, M = 512), with its f swapped
+        kw = {} if nonlinearity is None else {"nonlinearity": nonlinearity}
+        problem = reference_problem(n=16, m=512, **kw)
+        assert hypothesis_check(problem) == hypothesis_check_oracle(problem)
 
     def test_nonlinearity_budgets_sampled(self):
         n = 8

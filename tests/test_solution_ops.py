@@ -7,7 +7,7 @@ import pytest
 
 from sobfrac.errors import DomainError
 from sobfrac.solution_ops import (SolutionOperatorCache, apply_S, apply_T,
-                                  s_multiplier, t_multiplier, verify_operator_bounds)
+                                  verify_operator_bounds)
 from sobfrac.specfun import FracOrder, gamma, mittag_leffler
 from sobfrac.spectral import OperatorKind, SpectralField, apply_operator
 
@@ -23,9 +23,10 @@ def lam(n):
 
 class TestMultipliers:
     def test_time_zero_values(self, cache):
-        assert abs(s_multiplier(cache, 0.0, 2) - 0.2) <= 1e-8
+        s_row, t_row = cache.multiplier_rows(0.0)
+        assert abs(s_row[1] - 0.2) <= 1e-8
         expect = 0.8 / 2.0 * gamma(2.0) / gamma(1.8)
-        assert abs(t_multiplier(cache, 0.0, 1) - expect) <= 1e-6
+        assert abs(t_row[0] - expect) <= 1e-6
 
     @pytest.mark.parametrize("alpha", (0.5, 0.8))
     def test_mittag_leffler_oracle(self, alpha):
@@ -41,25 +42,26 @@ class TestMultipliers:
 
     def test_one_parameter_value(self, cache):
         expect = 0.5 * mittag_leffler(0.8, 1.0, -0.5)
-        assert abs(s_multiplier(cache, 1.0, 1) - expect) <= 1e-6
+        assert abs(cache.multiplier_rows(1.0)[0][0] - expect) <= 1e-6
 
     def test_two_parameter_value(self, cache):
         expect = 0.5 * mittag_leffler(0.8, 0.8, -0.5)
-        assert abs(t_multiplier(cache, 1.0, 1) - expect) <= 1e-6
+        assert abs(cache.multiplier_rows(1.0)[1][0] - expect) <= 1e-6
 
     def test_long_time_decay_matches_oracle(self, cache):
         # algebraic decay at t = 50: frozen oracle value E_0.8(-0.5*50^0.8)/2
-        got = s_multiplier(cache, 50.0, 1)
+        s_row = cache.multiplier_rows(50.0)[0]
+        got = s_row[0]
         oracle = mittag_leffler(0.8, 1.0, -lam(1) * 50.0 ** 0.8) / 2.0
         assert abs(got - oracle) <= 1e-6
         assert got <= 0.011  # computed decay level of the slowest mode
         for n in range(2, 17):
-            assert s_multiplier(cache, 50.0, n) < got
+            assert s_row[n - 1] < got
 
     def test_mode_tail_bound(self, cache):
         cap = 0.8 / (1.0 + 16 * 16) / gamma(1.8)
         for t in np.linspace(0.0, 1.0, 9):
-            assert t_multiplier(cache, float(t), 16) <= cap * (1 + 1e-8)
+            assert cache.multiplier_rows(float(t))[1][15] <= cap * (1 + 1e-8)
 
     def test_monotone_in_time(self, cache):
         rows = np.stack([cache.multiplier_rows(float(t))[0]
@@ -75,16 +77,11 @@ class TestMultipliers:
             r2 = cache.multiplier_rows(t1 + 1e-6)[0]
             assert np.max(np.abs(r2 - r1)) <= 1e-4
 
-    def test_mode_range_checked(self, cache):
-        with pytest.raises(DomainError):
-            s_multiplier(cache, 0.0, 0)
-        with pytest.raises(DomainError):
-            t_multiplier(cache, 0.0, 17)
-
     def test_degenerate_order_uses_semigroup(self):
         c = SolutionOperatorCache(FracOrder(1.0, q=0.25), 8)
-        assert abs(s_multiplier(c, 1.0, 1) - math.exp(-0.5) / 2.0) <= 1e-14
-        assert abs(t_multiplier(c, 1.0, 1) - math.exp(-0.5) / 2.0) <= 1e-14
+        s_row, t_row = c.multiplier_rows(1.0)
+        assert abs(s_row[0] - math.exp(-0.5) / 2.0) <= 1e-14
+        assert abs(t_row[0] - math.exp(-0.5) / 2.0) <= 1e-14
 
 
 def per_time_rows(cache, t):

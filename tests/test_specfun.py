@@ -111,6 +111,13 @@ class TestMainardiDensity:
                    for lo, hi in zip(edges[:-1], edges[1:]))
         assert abs(tail + body - 1.0) < 1e-8
 
+    def test_refused_within_gap_of_one(self):
+        # at 1 - 1e-10 the evaluation misses the density's mass by more
+        # than 1e-8; refused, where it used to return wrong values (the
+        # NEAR_ONE orders still evaluate: test_finite_near_one)
+        with pytest.raises(DomainError, match="1 - 1e-08"):
+            mainardi_density(1.0 - 1e-10, 1.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             mainardi_density(0.5, 0.0)

@@ -4,47 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from sobfrac.errors import DomainError
 from sobfrac.spectral import (OperatorKind, SpectralField, apply_Bi, apply_operator,
                               collocation_grid, field_to_grid, grid_to_field,
-                              measure_bounds, norm_q, project)
+                              measure_bounds, norm_q)
 
 BASIS = math.sqrt(2.0 / math.pi)
 
 
 def random_field(n=16, seed=0):
     return SpectralField(np.random.default_rng(seed).standard_normal(n))
-
-
-class TestProjection:
-    def test_basis_function_round_trip(self):
-        got = project(lambda x: BASIS * math.sin(3 * x), 8)
-        expect = np.zeros(8)
-        expect[2] = 1.0
-        assert np.max(np.abs(got.coeffs - expect)) <= 1e-8
-
-    def test_zero(self):
-        got = project(lambda x: 0.0, 6)
-        assert np.all(got.coeffs == 0.0)
-
-    def test_parabola_against_quadrature_oracle(self):
-        f = lambda x: x * (math.pi - x)
-        oracle = np.array([
-            quad(lambda x: f(x) * BASIS * math.sin(n * x), 0.0, math.pi,
-                 limit=200)[0]
-            for n in range(1, 9)])
-        got = project(f, 8)
-        assert np.max(np.abs(got.coeffs - oracle)) <= 1e-6
-        # oracle agrees with the odd-mode closed form 4 sqrt(2/pi) / n^3
-        closed = np.array([4.0 * BASIS / n ** 3 if n % 2 else 0.0
-                           for n in range(1, 9)])
-        assert np.max(np.abs(oracle - closed)) <= 1e-10
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            project(lambda x: x, 0)
 
 
 class TestOperators:
