@@ -239,7 +239,7 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
     if init_kind not in ("zero", "random"):
         raise ConfigError(f"init must be zero or random, got {init_kind!r}", init_line)
     out_dir, _ = entries[("output", "directory")]
-    seed, _ = get("output", "seed", int)
+    seed, _ = get("output", "seed", int, lambda v: v >= 0, "[0,inf)")
 
     echo = {f"{section}.{key}": entries[(section, key)][0]
             for section, key in sorted(entries)}
@@ -418,6 +418,8 @@ def main(argv=None) -> int:
         return 2
     try:
         config = parse_config(text, mode=args.mode)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed={args.seed} out of [0,inf)")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PropertyFailure
-from .spectral import BoundConstants, SpectralField, measure_bounds
+from .spectral import SpectralField, measure_bounds, norm_q
 from .specfun import FracOrder, QuadratureRule, gamma, theta_quadrature
 
 _DEFAULT_NODES = 200
@@ -145,7 +145,6 @@ def verify_operator_bounds(cache: SolutionOperatorCache, t_samples, trials: int 
     # (e) same bounds in the q-norm: multipliers are diagonal, so the
     # scaled coefficients obey the identical per-mode inequality
     worst_e = 0.0
-    from .spectral import norm_q
     for t in t_samples[:: max(1, len(t_samples) // 4)]:
         u = SpectralField(rng.standard_normal(n_modes))
         nq = norm_q(u, q)
@@ -158,14 +157,14 @@ def verify_operator_bounds(cache: SolutionOperatorCache, t_samples, trials: int 
     worst_b = 0.0
     lam = cache._lam
     linv = cache._linv
-    for t1, t2 in zip(t_samples[:-1], t_samples[1:]):
-        s1, tt1 = cache.multiplier_rows(t1)
-        s2, tt2 = cache.multiplier_rows(t2)
+    s_table, t_table = cache.multiplier_table(t_samples)
+    for i in range(1, len(t_samples)):
+        t1, t2 = t_samples[i - 1], t_samples[i]
         envelope = lam * abs(t2 ** alpha - t1 ** alpha) / gamma(1.0 + alpha) * linv
-        gap = np.abs(s2 - s1)
+        gap = np.abs(s_table[i] - s_table[i - 1])
         ratio = float(np.max(gap / (envelope * 1.05 + 1e-8)))
         worst_b = max(worst_b, ratio)
-        if not np.all(np.abs(tt2 - tt1) < 1.0):
+        if not np.all(np.abs(t_table[i] - t_table[i - 1]) < 1.0):
             raise PropertyFailure("T multiplier jump", clause="b", t=t2)
     report["clauses"]["b_continuity"] = {"worst_ratio": worst_b, "passed": worst_b <= 1.0}
 
@@ -173,8 +172,8 @@ def verify_operator_bounds(cache: SolutionOperatorCache, t_samples, trials: int 
     cap_d = (alpha * bounds.C1 * bounds.Mq * gamma(2.0 - q)
              / gamma(1.0 + alpha * (1.0 - q)))
     worst_d = 0.0
-    for t in np.geomspace(1e-3, max(t_samples) if max(t_samples) > 0 else 1.0, 40):
-        t_row = cache.multiplier_rows(float(t))[1]
+    ts = np.geomspace(1e-3, max(t_samples) if max(t_samples) > 0 else 1.0, 40)
+    for t, t_row in zip(ts, cache.multiplier_table(ts)[1]):
         measured = float(np.max(lam ** q * t_row)) * t ** (q * alpha)
         worst_d = max(worst_d, measured / cap_d)
     report["clauses"]["d_envelope"] = {"worst_ratio": worst_d, "passed": worst_d <= slack}

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
-from scipy.special import roots_legendre
 
 from .errors import ConstructionError, DomainError, EvaluationError
 
@@ -36,7 +34,14 @@ _THETA_SWITCH = 0.5  # below: tail series; above: stable-law integral
 # multiplies the ~1e-16 error of log(sin(a phi)/sin(phi)) in the stable
 # integral.  The measured mass defect is <= 2e-9 at 1 - alpha = 1e-8, up to
 # 3.5e-9 at 1e-9, and 1.2e-8 or more at 1e-10 (theta_quadrature allows 1e-8).
+# From about 1 - 1e-7 the integral's error check already refuses theta in
+# (0.5, 1) at tol 1e-10: its peak there is a few ulps wide next to pi.
 _ALPHA_GAP = 1e-8
+# The stable integral splits each interval between its breakpoints into
+# _PANEL_SPLIT equal sub-panels and sums them with Gauss-Legendre rules of
+# both orders; the gap between the two estimates its error.
+_PANEL_SPLIT = 8
+_PANEL_ORDERS = (20, 16)
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,16 @@ def _density_tail_series(alpha: float, theta: float, tol: float) -> float:
     return s * theta ** (-1.0 - 1.0 / alpha) / alpha
 
 
-def _density_stable_integral(alpha: float, theta: float) -> float:
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _density_stable_integral(alpha: float, theta: float) -> tuple[float, float]:
     """Density via the positive stable-law integral (Zolotarev's form).
 
     zeta_a(theta) = 1/(pi (1-a) theta) int_0^pi g exp(-g) dphi with
@@ -125,22 +139,23 @@ def _density_stable_integral(alpha: float, theta: float) -> float:
     underflows.  g rises from 0 to inf, so g exp(-g) peaks where g = 1,
     in a window about 1/log(g)' wide that shrinks as alpha nears 1;
     breakpoints at the peak and at geometrically growing distances from
-    it keep the adaptive rule from stepping over it.
+    it bound the fixed Gauss-Legendre panels, so none steps over it.
+    Returns (value, error estimate): the estimate is the gap between the
+    two panel orders in _PANEL_ORDERS plus a bound on node rounding.
     """
     r = 1.0 / (1.0 - alpha)
     log_c = r * math.log(theta)
 
-    def log_g(phi):
-        s = math.sin(phi)
-        return (log_c + (r - 1.0) * math.log(math.sin(alpha * phi) / s)
-                + math.log(math.sin((1.0 - alpha) * phi) / s))
+    def log_g(phi, xp=math):
+        s = xp.sin(phi)
+        return (log_c + (r - 1.0) * xp.log(xp.sin(alpha * phi) / s)
+                + xp.log(xp.sin((1.0 - alpha) * phi) / s))
 
     def integrand(phi):
-        lg = log_g(phi)
-        if not -745.0 < lg < 6.6:   # g exp(-g) underflows
-            return 0.0
-        g = math.exp(lg)
-        return g * math.exp(-g)
+        lg = log_g(phi, np)
+        live = (lg > -745.0) & (lg < 6.6)   # elsewhere g exp(-g) underflows
+        g = np.exp(np.where(live, lg, 0.0))
+        return np.where(live, g * np.exp(-g), 0.0)
 
     lo, hi = 0.0, math.pi
     for _ in range(60):
@@ -152,14 +167,25 @@ def _density_stable_integral(alpha: float, theta: float) -> float:
     peak = 0.5 * (lo + hi)
     slope = ((r - 1.0) * (alpha / math.tan(alpha * peak) - 1.0 / math.tan(peak))
              + (1.0 - alpha) / math.tan((1.0 - alpha) * peak) - 1.0 / math.tan(peak))
-    points = [peak]
+    points = [0.0, peak, math.pi]
     step = 1.0 / slope if slope > 0.0 else math.pi
     while step < math.pi:
         points += [p for p in (peak - step, peak + step) if 0.0 < p < math.pi]
         step *= 4.0
-    v, _ = _scipy_quad(integrand, 0.0, math.pi, points=points, limit=200,
-                       epsabs=1e-14, epsrel=1e-11)
-    return v / (math.pi * (1.0 - alpha) * theta)
+    cuts = np.sort(points)
+    split = np.arange(_PANEL_SPLIT) / _PANEL_SPLIT
+    edges = np.append(cuts[:-1, None] + np.diff(cuts)[:, None] * split, math.pi)
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    rules = [_gauss_legendre(order) for order in _PANEL_ORDERS]
+    values = [integrand(mid[:, None] + half[:, None] * x) for x, _ in rules]
+    fine, coarse = (float(half @ (f @ w)) for f, (_, w) in zip(values, rules))
+    # Nodes round to floats ulp(peak) apart, which moves the sum by up to
+    # ulp(peak)/2 times the integrand's total variation, 2 max g exp(-g).
+    # Near alpha = 1 the peak narrows to a few ulps and this term dominates.
+    rounding = math.ulp(peak) * float(values[0].max())
+    scale = math.pi * (1.0 - alpha) * theta
+    return fine / scale, (abs(fine - coarse) + rounding) / scale
 
 
 @functools.lru_cache(maxsize=200_000)
@@ -167,7 +193,11 @@ def _density_cached(alpha: float, theta: float, tol: float) -> float:
     if theta <= _THETA_SWITCH:
         value = _density_tail_series(alpha, theta, tol)
     else:
-        value = _density_stable_integral(alpha, theta)
+        value, error = _density_stable_integral(alpha, theta)
+        if error > tol:
+            raise EvaluationError(
+                f"stable-integral error estimate {error:.3e} exceeds tol {tol:g} "
+                f"(alpha={alpha}, theta={theta})", partial=value)
     if value < 0.0:
         if value < -tol:
             raise EvaluationError(
@@ -340,7 +370,7 @@ def theta_quadrature(order_alpha, node_count: int = 200) -> QuadratureRule:
     nodes = []
     weights = []
     for i, g in enumerate(orders):
-        x, w = roots_legendre(g)
+        x, w = _gauss_legendre(g)
         lo, hi = cuts[i], cuts[i + 1]
         half = 0.5 * (hi - lo)
         nodes.append(half * (x + 1.0) + lo)

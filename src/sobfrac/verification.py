@@ -46,7 +46,7 @@ def density_checks() -> list:
         rows.append(_row("density_nonnegative", f"alpha={a}",
                          -min(vals), 0.0))
         worst = max(abs(specfun._density_tail_series(a, t, 1e-10)
-                        - specfun._density_stable_integral(a, t))
+                        - specfun._density_stable_integral(a, t)[0])
                     for t in np.linspace(0.5, 1.0, 11))
         rows.append(_row("density_dual_representation", f"alpha={a}", worst, 1e-7))
     for a in (0.4, 0.8):
@@ -120,8 +120,8 @@ def solution_op_checks() -> list:
     for a in (0.5, 0.8):
         cache = solution_ops.SolutionOperatorCache(FracOrder(a, q=0.25), 16)
         worst_s = worst_t = 0.0
-        for t in np.linspace(0.0, 1.0, 32):
-            s_row, t_row = cache.multiplier_rows(float(t))
+        ts = np.linspace(0.0, 1.0, 32)
+        for t, s_row, t_row in zip(ts, *cache.multiplier_table(ts)):
             for n in range(1, 17):
                 lam = n * n / (1.0 + n * n)
                 z = -lam * t ** a
@@ -137,8 +137,7 @@ def solution_op_checks() -> list:
         worst = max(c["worst_ratio"] for c in report["clauses"].values())
         rows.append(_row("operator_bound_clauses", f"alpha={a}", worst, 1.0))
 
-        grid_rows = np.stack([cache.multiplier_rows(float(t))[0]
-                              for t in np.linspace(0.0, 2.0, 64)])
+        grid_rows = cache.multiplier_table(np.linspace(0.0, 2.0, 64))[0]
         rows.append(_row("multiplier_monotone", f"alpha={a}",
                          float(np.max(np.diff(grid_rows, axis=0))), 1e-12))
     return rows

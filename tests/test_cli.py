@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +210,12 @@ class TestParseConfig:
             parse_config(MINIMAL.replace(old, new))
         assert err.value.line == line
 
+    def test_negative_seed_rejected_with_line(self):
+        # default_rng refuses it only after the solve, with a bare traceback
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "[output]\nseed = -5\n", mode="optimize")
+        assert err.value.line == 9
+
     def test_non_finite_gain_exits_2(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(MINIMAL + "nonlinearity = sin_grad:inf\n")
@@ -384,3 +393,27 @@ class TestMainEntry:
 
     def test_main_missing_file(self):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == 2
+
+    def test_main_refuses_negative_seed(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(REFERENCE_CFG)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg_path), "--seed", "-5",
+                     "--out", str(out)]) == 2
+        assert "--seed=-5 out of [0,inf)" in capsys.readouterr().err
+        cfg_path.write_text(REFERENCE_CFG.replace("seed = 7", "seed = -5"))
+        assert main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "line 20: seed=-5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is a test-only dependency: a fresh interpreter that
+        # imports the CLI must not load any of it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        probe = ("import sys, sobfrac.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"

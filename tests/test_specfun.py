@@ -1,6 +1,7 @@
 """Special-function tests: density, moments, Mittag-Leffler, quadrature."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -38,6 +39,53 @@ def power_series_oracle(alpha, theta):
         return float(mpmath.fsum(
             (-th) ** k / mpmath.factorial(k) * mpmath.rgamma(1 - a * (k + 1))
             for k in range(k_max + 1)))
+
+
+def stable_integral_quad_oracle(alpha, theta):
+    """The stable-law integral by scipy's adaptive quad, on the same peak
+    breakpoints and with the tolerances the density evaluator used before
+    its fixed panels."""
+    r = 1.0 / (1.0 - alpha)
+    log_c = r * math.log(theta)
+
+    def log_g(phi):
+        s = math.sin(phi)
+        return (log_c + (r - 1.0) * math.log(math.sin(alpha * phi) / s)
+                + math.log(math.sin((1.0 - alpha) * phi) / s))
+
+    def integrand(phi):
+        lg = log_g(phi)
+        if not -745.0 < lg < 6.6:
+            return 0.0
+        g = math.exp(lg)
+        return g * math.exp(-g)
+
+    lo, hi = 0.0, math.pi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if log_g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    peak = 0.5 * (lo + hi)
+    slope = ((r - 1.0) * (alpha / math.tan(alpha * peak) - 1.0 / math.tan(peak))
+             + (1.0 - alpha) / math.tan((1.0 - alpha) * peak) - 1.0 / math.tan(peak))
+    points = [peak]
+    step = 1.0 / slope if slope > 0.0 else math.pi
+    while step < math.pi:
+        points += [p for p in (peak - step, peak + step) if 0.0 < p < math.pi]
+        step *= 4.0
+    v, _ = quad(integrand, 0.0, math.pi, points=points, limit=200,
+                epsabs=1e-14, epsrel=1e-11)
+    return v / (math.pi * (1.0 - alpha) * theta)
+
+
+def fine_panel_reference(monkeypatch, alpha, theta):
+    """The stable integral on four times the sub-panels at twice the order."""
+    with monkeypatch.context() as m:
+        m.setattr(specfun, "_PANEL_SPLIT", 32)
+        m.setattr(specfun, "_PANEL_ORDERS", (40, 20))
+        return _density_stable_integral(alpha, theta)[0]
 
 
 class TestGamma:
@@ -83,8 +131,37 @@ class TestMainardiDensity:
         # overlap window where both the tail series and the stable integral converge
         for theta in np.linspace(0.5, 1.0, 11):
             a = _density_tail_series(alpha, theta, 1e-10)
-            b = _density_stable_integral(alpha, theta)
+            b, _ = _density_stable_integral(alpha, theta)
             assert abs(a - b) < 1e-7
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999))
+    def test_stable_integral_matches_quad_oracle(self, alpha):
+        for theta in np.linspace(0.5, 6.0, 61)[1:]:
+            value, _ = _density_stable_integral(alpha, theta)
+            assert abs(value - stable_integral_quad_oracle(alpha, theta)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", np.linspace(0.3, 0.93, 22))
+    def test_error_estimate_small_at_rule_nodes(self, alpha):
+        # every density value the theta rules use, with room below their
+        # tol = 1e-12
+        nodes = theta_quadrature(alpha, 200).nodes
+        worst = max(_density_stable_integral(alpha, t)[1] for t in nodes[nodes > 0.5])
+        assert worst <= 1e-13
+
+    def test_near_one_meets_tol_or_refuses(self, monkeypatch):
+        # at 1 - 1e-8 the peak is too narrow for the panels at some theta:
+        # those calls must refuse, never return a value off by more than
+        # tol or warn
+        alpha, tol = 1.0 - 1e-8, 1e-10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for theta in np.linspace(0.5, 2.0, 31)[1:]:
+                try:
+                    value = mainardi_density(alpha, theta, tol=tol)
+                except EvaluationError as err:
+                    assert "exceeds tol" in str(err)
+                    continue
+                assert abs(value - fine_panel_reference(monkeypatch, alpha, theta)) <= tol
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_matches_power_series_oracle(self, alpha):
