@@ -13,13 +13,11 @@ from .optctrl import (ControlBundle, CostSpec, admissibility_value,
                       bundle_from_array, cost_J, hypothesis_check,
                       optimize_controls, project_admissible,
                       random_admissible_bundle, zero_bundle)
-from .solution_ops import (SolutionOperatorCache, apply_S, apply_T,
-                           verify_operator_bounds)
+from .solution_ops import SolutionOperatorCache, verify_operator_bounds
 from .specfun import (FracOrder, QuadratureRule, gamma, mainardi_density,
                       mainardi_moment, mittag_leffler, theta_quadrature)
-from .spectral import (BoundConstants, OperatorKind, SpectralField, apply_Bi,
-                       apply_operator, collocation_grid, field_to_grid,
-                       grid_to_field, measure_bounds, norm_q)
+from .spectral import (BoundConstants, SpectralField, apply_Bi, collocation_grid,
+                       field_to_grid, grid_to_field, measure_bounds, norm_q)
 
 __version__ = "0.1.0"
 

@@ -28,8 +28,8 @@ from .fracops import TimeGrid
 from .solution_ops import SolutionOperatorCache
 from .specfun import FracOrder
 from .spectral import (MAX_DERIVATIVE_ORDER, SpectralField,
-                       default_collocation_size, derivative_matrix,
-                       projection_matrix, q_weights)
+                       data_smoothing_symbol, default_collocation_size,
+                       derivative_matrix, projection_matrix, q_weights)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -154,17 +154,6 @@ class SolveReport:
     snapped_nonlocal_times: list = field(default_factory=list)
 
 
-def data_smoothing_symbol(mode_count: int) -> np.ndarray:
-    """Per-mode symbol of the L-after-M composition applied to the data.
-
-    The inverse in the initial-data map must be the bounded compact
-    smoothing operator (symbol -1/n^2); composing it with L gives
-    -(1+n^2)/n^2, which keeps the nonlocal feedback a contraction.
-    """
-    n = np.arange(1, mode_count + 1, dtype=float)
-    return -(1.0 + n * n) / (n * n)
-
-
 def snap_nonlocal_indices(spec: ProblemSpec) -> list:
     """Grid indices of the nonlocal times, snapped to the nearest node."""
     dt = spec.grid.dt
@@ -234,8 +223,11 @@ def _control_forcing(spec: ProblemSpec, controls) -> np.ndarray:
     total = np.zeros((m1, spec.mode_count))
     for traj in controls.controls:
         nc = traj.mode_count
-        if traj.grid.step_count != spec.step_count:
+        if traj.grid != spec.grid:
             raise DomainError("control grid does not match the problem grid")
+        if nc > spec.mode_count:
+            raise DomainError(
+                f"control has {nc} modes, the problem {spec.mode_count}")
         total[:, :nc] += traj.coeffs
     out[1:] = np.cumsum(0.5 * dt * (total[:-1] + total[1:]), axis=0)
     return out
@@ -364,7 +356,7 @@ def _finite(out: np.ndarray) -> np.ndarray:
 def apply_P(spec: ProblemSpec, cache: SolutionOperatorCache, u_traj: Trajectory,
             controls=None) -> Trajectory:
     """One application of the solution map to a trajectory iterate."""
-    ws = _SweepWorkspace(spec, cache)
+    ws = _workspace(spec, cache, None)
     return Trajectory(spec.grid, ws.sweep(u_traj.coeffs,
                                           _control_forcing(spec, controls)))
 

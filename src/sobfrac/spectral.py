@@ -1,4 +1,4 @@
-"""Sine eigenbasis on [0, pi] and the diagonal operator family.
+"""Sine eigenbasis on [0, pi] and the per-mode operator symbols.
 
 All fields live in the orthonormal basis w_n(x) = sqrt(2/pi) sin(nx).
 The operators of the explicit example instance are diagonal in that
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PropertyFailure
+from .errors import DomainError
 
 _BASIS_NORM = math.sqrt(2.0 / math.pi)
 
@@ -68,61 +68,36 @@ class SpectralField:
         return SpectralField(c)
 
 
-@dataclass(frozen=True)
-class OperatorKind:
-    """Tagged diagonal operator: one of L, E, M, L_inv, M_inv, Q(t), A, A_pow(q)."""
+def generator_symbol(mode_count: int) -> np.ndarray:
+    """Per-mode symbol lambda_n = n^2/(1+n^2) of -A, the negated generator.
 
-    tag: str
-    t: float | None = None
-    q: float | None = None
-
-    _TAGS = ("L", "E", "M", "L_inv", "M_inv", "Q", "A", "A_pow")
-
-    def __post_init__(self):
-        if self.tag not in self._TAGS:
-            raise DomainError(f"unknown operator tag {self.tag!r}")
-        if self.tag == "Q":
-            if self.t is None or self.t < 0.0:
-                raise DomainError("Q requires t >= 0")
-        elif self.tag == "A_pow":
-            if self.q is None or not 0.0 < self.q < 1.0:
-                raise DomainError("A_pow requires 0 < q < 1")
+    A = L^-1 E has symbol -n^2/(1+n^2); the semigroup Q(t) = exp(tA) has
+    symbol exp(-lambda_n t).
+    """
+    n = np.arange(1, mode_count + 1, dtype=float)
+    return n * n / (1.0 + n * n)
 
 
-def operator_symbol(kind: OperatorKind, n: np.ndarray) -> np.ndarray:
-    """Per-mode multiplier of the diagonal operator on modes n."""
-    n = np.asarray(n, dtype=float)
-    nsq = n * n
-    tag = kind.tag
-    if tag == "L":
-        return 1.0 + nsq
-    if tag == "E":
-        return -nsq
-    if tag == "L_inv":
-        return 1.0 / (1.0 + nsq)
-    if tag == "M_inv":
-        return -nsq
-    if tag == "M":
-        return -1.0 / nsq
-    if tag == "Q":
-        return np.exp(-nsq * kind.t / (1.0 + nsq))
-    if tag == "A":
-        return -nsq / (1.0 + nsq)
-    if tag == "A_pow":
-        # fractional power of the negated generator -A, whose symbol
-        # n^2/(1+n^2) is positive
-        return (nsq / (1.0 + nsq)) ** kind.q
-    raise DomainError(f"unknown operator tag {tag!r}")
+def l_inverse_symbol(mode_count: int) -> np.ndarray:
+    """Per-mode symbol 1/(1+n^2) of L^-1, the inverse of L = 1 - d^2/dx^2."""
+    n = np.arange(1, mode_count + 1, dtype=float)
+    return 1.0 / (1.0 + n * n)
 
 
-def apply_operator(kind: OperatorKind, u: SpectralField) -> SpectralField:
-    n = np.arange(1, u.mode_count + 1)
-    return SpectralField(operator_symbol(kind, n) * u.coeffs)
+def data_smoothing_symbol(mode_count: int) -> np.ndarray:
+    """Per-mode symbol of the L-after-M composition applied to the data.
+
+    The inverse in the initial-data map must be the bounded compact
+    smoothing operator (symbol -1/n^2); composing it with L gives
+    -(1+n^2)/n^2, which keeps the nonlocal feedback a contraction.
+    """
+    n = np.arange(1, mode_count + 1, dtype=float)
+    return -(1.0 + n * n) / (n * n)
 
 
 def q_weights(mode_count: int, q: float) -> np.ndarray:
-    """Per-mode symbol (n^2/(1+n^2))^q of (-A)^q, the weights of the q-norm."""
-    return operator_symbol(OperatorKind("A_pow", q=q), np.arange(1, mode_count + 1))
+    """Per-mode symbol lambda_n^q of (-A)^q, the weights of the q-norm."""
+    return generator_symbol(mode_count) ** q
 
 
 def norm_q(u: SpectralField, q: float) -> float:
@@ -207,34 +182,27 @@ class BoundConstants:
 def measure_bounds(mode_count: int, t_samples, q: float = 0.25) -> BoundConstants:
     """Measure C1, C2, M0 and fit the A^q Q(t) envelope constant.
 
-    Asserts the semigroup contraction ||Q(t)|| <= 1 at every sampled t.
-    The envelope sample grid includes the per-mode maximizers t = q/lambda_n,
-    where t^q ||A^q Q(t)|| attains its supremum, so the fitted Mq is the
-    tight constant for the retained modes.
+    M0 = sup_t ||Q(t)|| is 1: every symbol exp(-lambda_n t) lies in (0, 1]
+    for t >= 0 and equals 1 at t = 0.  The envelope sample grid includes
+    the per-mode maximizers t = q/lambda_n, where t^q ||A^q Q(t)|| attains
+    its supremum, so the fitted Mq is the tight constant for the retained
+    modes.
     """
     if mode_count < 4:
         raise DomainError(f"mode_count must be >= 4, got {mode_count}")
     t_samples = np.asarray(list(t_samples), dtype=float)
     if t_samples.size == 0:
         raise DomainError("t_samples must be nonempty")
+    if np.any(t_samples < 0.0):
+        raise DomainError(f"t_samples must be nonnegative, got {np.min(t_samples)}")
 
-    n = np.arange(1, mode_count + 1)
-    lam = n * n / (1.0 + n * n)
-    c1 = float(np.max(1.0 / (1.0 + n * n)))
-    c2 = float(np.max(n * n))
-
-    m0 = 1.0  # attained at t = 0
-    for t in t_samples:
-        qsym = np.exp(-lam * t)
-        if np.max(qsym) > 1.0 + 1e-14:
-            bad = int(n[np.argmax(qsym)])
-            raise PropertyFailure(
-                f"||Q({t})|| = {np.max(qsym)} exceeds 1", clause="Q-contraction",
-                t=float(t), mode=bad)
-        m0 = max(m0, float(np.max(qsym)))
+    lam = generator_symbol(mode_count)
+    weights = q_weights(mode_count, q)
+    c1 = float(np.max(l_inverse_symbol(mode_count)))
+    c2 = float(mode_count * mode_count)
 
     fit_ts = np.concatenate([t_samples[t_samples > 0.0], q / lam])
     mq = 0.0
     for t in fit_ts:
-        mq = max(mq, float(np.max(lam ** q * np.exp(-lam * t))) * t ** q)
-    return BoundConstants(C1=c1, C2=c2, M0=m0, Mq=mq, q=q)
+        mq = max(mq, float(np.max(weights * np.exp(-lam * t))) * t ** q)
+    return BoundConstants(C1=c1, C2=c2, M0=1.0, Mq=mq, q=q)

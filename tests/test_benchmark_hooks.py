@@ -49,6 +49,17 @@ def test_traced_names_exist(perfbench):
         assert callable(cls.__dict__[attr]), (home, cls_name, attr)
 
 
+def test_untraced_names_exist():
+    # perfbench calls these directly, outside its tracer: run.py's set-up
+    # probe and density-evaluation counter, and the optimize gate
+    from sobfrac import mild_solver, optctrl, specfun
+    cli.SolutionOperatorCache(cli.FracOrder(1.0), 1)
+    assert isinstance(specfun._density_cached.cache_info().misses, int)
+    for home, name in ((optctrl, "random_admissible_bundle"), (optctrl, "cost_J"),
+                       (mild_solver, "picard_solve")):
+        assert callable(getattr(home, name)), name
+
+
 def test_traced_solve_and_gates(perfbench, tmp_path):
     tracing, workloads = perfbench
     config = cli.parse_config(TINY_SOLVE.format(out=tmp_path), mode="solve")

@@ -7,10 +7,12 @@ import pytest
 
 from sobfrac.errors import (DomainError, NonConvergenceError,
                             RejectedInstanceError)
+from sobfrac.fracops import TimeGrid
 from sobfrac.mild_solver import (Nonlinearity, ProblemSpec, Trajectory,
                                  ZERO_NONLINEARITY, _SweepWorkspace, _f_on_grid,
                                  apply_P, eval_f, f_modes, picard_solve,
                                  sin_gradient)
+from sobfrac.optctrl import bundle_from_array
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import FracOrder, gamma, mittag_leffler
 from sobfrac.spectral import SpectralField, apply_Bi, grid_to_field, norm_q
@@ -167,6 +169,31 @@ class TestApplyP:
             norm_q(SpectralField(again.coeffs[m] - traj.coeffs[m]), 0.25)
             for m in range(spec.step_count + 1))
         assert defect <= 2e-8
+
+    def test_small_cache_rejected(self):
+        spec = make_spec(n=8, m=32)
+        small_cache = SolutionOperatorCache(spec.order, 4)
+        with pytest.raises(DomainError, match="fewer modes"):
+            apply_P(spec, small_cache, Trajectory.zero(spec.grid, 8))
+
+
+class TestControlForcing:
+    @pytest.fixture()
+    def spec(self):
+        return make_spec(n=8, m=32, control_count=1)
+
+    def test_horizon_mismatch_rejected(self, spec):
+        # same step count, horizon 5 instead of 1
+        bundle = bundle_from_array(np.full((1, 32, 4), 0.1), TimeGrid(5.0, 32))
+        with pytest.raises(DomainError, match="grid"):
+            picard_solve(spec, cache=SolutionOperatorCache(spec.order, 8),
+                         controls=bundle)
+
+    def test_extra_control_modes_rejected(self, spec):
+        bundle = bundle_from_array(np.full((1, 32, 12), 0.1), spec.grid)
+        with pytest.raises(DomainError, match="modes"):
+            picard_solve(spec, cache=SolutionOperatorCache(spec.order, 8),
+                         controls=bundle)
 
 
 def reference_sweep(spec, ws, coeffs, ctrl_forcing):

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from sobfrac.errors import DomainError
-from sobfrac.solution_ops import (SolutionOperatorCache, apply_S, apply_T,
-                                  verify_operator_bounds)
+from sobfrac.solution_ops import SolutionOperatorCache, verify_operator_bounds
 from sobfrac.specfun import FracOrder, gamma, mittag_leffler
-from sobfrac.spectral import OperatorKind, SpectralField, apply_operator
+from sobfrac.spectral import SpectralField, l_inverse_symbol, measure_bounds, norm_q
 
 
 @pytest.fixture(scope="module")
@@ -123,35 +122,88 @@ class TestMultiplierTable:
 
 class TestOperatorApplication:
     def test_time_zero_is_l_inverse(self, cache):
-        u = SpectralField(np.random.default_rng(1).standard_normal(16))
-        got = apply_S(cache, 0.0, u)
-        expect = apply_operator(OperatorKind("L_inv"), u)
-        assert (got - expect).norm() <= 1e-10
-
-    def test_linearity(self, cache):
-        rng = np.random.default_rng(2)
-        u = SpectralField(rng.standard_normal(16))
-        v = SpectralField(rng.standard_normal(16))
-        lhs = apply_S(cache, 0.7, 2.0 * u - 0.5 * v)
-        rhs = 2.0 * apply_S(cache, 0.7, u) - 0.5 * apply_S(cache, 0.7, v)
-        assert (lhs - rhs).norm() <= 1e-12
-        lhs_t = apply_T(cache, 0.7, 2.0 * u - 0.5 * v)
-        rhs_t = 2.0 * apply_T(cache, 0.7, u) - 0.5 * apply_T(cache, 0.7, v)
-        assert (lhs_t - rhs_t).norm() <= 1e-12
+        u = np.random.default_rng(1).standard_normal(16)
+        got = cache.multiplier_rows(0.0)[0] * u
+        expect = l_inverse_symbol(16) * u
+        assert np.linalg.norm(got - expect) <= 1e-10
 
     def test_norm_bounds_on_random_fields(self, cache):
         rng = np.random.default_rng(3)
         c1m0 = 0.5
-        for t in np.linspace(0.0, 1.0, 8):
+        for s_row, t_row in zip(*cache.multiplier_table(np.linspace(0.0, 1.0, 8))):
             for _ in range(25):
-                u = SpectralField(rng.standard_normal(16))
-                assert apply_S(cache, float(t), u).norm() <= c1m0 * u.norm() * (1 + 1e-12)
-                cap = c1m0 / gamma(0.8) * u.norm()
-                assert apply_T(cache, float(t), u).norm() <= cap * (1 + 1e-12)
+                u = rng.standard_normal(16)
+                nu = np.linalg.norm(u)
+                assert np.linalg.norm(s_row * u) <= c1m0 * nu * (1 + 1e-12)
+                cap = c1m0 / gamma(0.8) * nu
+                assert np.linalg.norm(t_row * u) <= cap * (1 + 1e-12)
 
-    def test_mode_mismatch(self, cache):
-        with pytest.raises(DomainError):
-            apply_S(cache, 0.0, SpectralField(np.ones(32)))
+
+def apply_S(cache, t, u):
+    """S(t) u with one multiplier row per call."""
+    return SpectralField(cache.multiplier_rows(t)[0][: u.mode_count] * u.coeffs)
+
+
+def apply_T(cache, t, u):
+    """T(t) u with one multiplier row per call."""
+    return SpectralField(cache.multiplier_rows(t)[1][: u.mode_count] * u.coeffs)
+
+
+def reference_operator_bounds(cache, t_samples, trials, seed=0):
+    """verify_operator_bounds with clauses (a) and (e) applying S and T to
+    one random field at a time, each call building its own multiplier row:
+    the evaluation that the one shared multiplier table replaced."""
+    t_samples = sorted(float(t) for t in t_samples)
+    alpha = cache.order.alpha
+    q = cache.order.q
+    n_modes = cache.mode_count
+    bounds = measure_bounds(max(n_modes, 4), [t for t in t_samples if t > 0] or [1.0], q=q)
+    rng = np.random.default_rng(seed)
+    slack = 1.0 + 1e-9
+    clauses = {}
+
+    s_cap = bounds.C1 * bounds.M0
+    t_cap = bounds.C1 * bounds.M0 / gamma(alpha)
+    worst_a = 0.0
+    for t in t_samples:
+        for _ in range(max(1, trials // max(1, len(t_samples)))):
+            u = SpectralField(rng.standard_normal(n_modes))
+            nu = u.norm()
+            worst_a = max(worst_a, apply_S(cache, t, u).norm() / (s_cap * nu),
+                          apply_T(cache, t, u).norm() / (t_cap * nu))
+    clauses["a_bounded"] = {"worst_ratio": worst_a, "passed": worst_a <= slack}
+
+    worst_e = 0.0
+    for t in t_samples[:: max(1, len(t_samples) // 4)]:
+        u = SpectralField(rng.standard_normal(n_modes))
+        nq = norm_q(u, q)
+        worst_e = max(worst_e,
+                      norm_q(apply_S(cache, t, u), q) / (s_cap * nq),
+                      norm_q(apply_T(cache, t, u), q) / (t_cap * nq))
+    clauses["e_bounded_q"] = {"worst_ratio": worst_e, "passed": worst_e <= slack}
+
+    worst_b = 0.0
+    s_table = cache.multiplier_table(t_samples)[0]
+    for i in range(1, len(t_samples)):
+        t1, t2 = t_samples[i - 1], t_samples[i]
+        envelope = (cache._lam * abs(t2 ** alpha - t1 ** alpha) / gamma(1.0 + alpha)
+                    * cache._linv)
+        gap = np.abs(s_table[i] - s_table[i - 1])
+        worst_b = max(worst_b, float(np.max(gap / (envelope * 1.05 + 1e-8))))
+    clauses["b_continuity"] = {"worst_ratio": worst_b, "passed": worst_b <= 1.0}
+
+    cap_d = (alpha * bounds.C1 * bounds.Mq * gamma(2.0 - q)
+             / gamma(1.0 + alpha * (1.0 - q)))
+    worst_d = 0.0
+    ts = np.geomspace(1e-3, max(t_samples) if max(t_samples) > 0 else 1.0, 40)
+    for t, t_row in zip(ts, cache.multiplier_table(ts)[1]):
+        measured = float(np.max(cache._lam ** q * t_row)) * t ** (q * alpha)
+        worst_d = max(worst_d, measured / cap_d)
+    clauses["d_envelope"] = {"worst_ratio": worst_d, "passed": worst_d <= slack}
+
+    return {"C1": bounds.C1, "M0": bounds.M0, "Mq": bounds.Mq, "q": q,
+            "clauses": clauses,
+            "passed": all(c["passed"] for c in clauses.values())}
 
 
 class TestBoundClauses:
@@ -160,6 +212,25 @@ class TestBoundClauses:
         assert report["passed"]
         assert set(report["clauses"]) == {"a_bounded", "e_bounded_q",
                                           "b_continuity", "d_envelope"}
+
+    @pytest.mark.parametrize("alpha", (0.5, 0.8, 1.0))
+    @pytest.mark.parametrize("samples,trials", ((33, 300), (33, 400), (7, 50)))
+    def test_report_matches_per_field_reference(self, alpha, samples, trials):
+        c = SolutionOperatorCache(FracOrder(alpha, q=0.25, p=2.0), 16)
+        ts = np.linspace(0.0, 1.0, samples)
+        report = verify_operator_bounds(c, ts, trials=trials, raise_on_failure=False)
+        assert report == reference_operator_bounds(c, ts, trials)
+        for clause in report["clauses"].values():
+            assert type(clause["worst_ratio"]) is float
+            assert type(clause["passed"]) is bool
+
+    def test_one_table_per_grid(self, cache, monkeypatch):
+        calls = []
+        table = SolutionOperatorCache.multiplier_table
+        monkeypatch.setattr(SolutionOperatorCache, "multiplier_table",
+                            lambda self, ts: calls.append(len(ts)) or table(self, ts))
+        verify_operator_bounds(cache, np.linspace(0.0, 1.0, 33), trials=300)
+        assert calls == [33, 40]
 
     def test_envelope_bounded_on_unit_interval(self, cache):
         # measured ||A^q T(t)|| t^(q a) stays bounded over [1e-3, 1]

@@ -1,4 +1,4 @@
-"""Sine-basis fields, diagonal operators, collocation, measured bounds."""
+"""Sine-basis fields, per-mode operator symbols, collocation, measured bounds."""
 
 import math
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from sobfrac.errors import DomainError
-from sobfrac.spectral import (OperatorKind, SpectralField, apply_Bi, apply_operator,
-                              collocation_grid, field_to_grid, grid_to_field,
-                              measure_bounds, norm_q)
+from sobfrac.spectral import (SpectralField, apply_Bi, collocation_grid, field_to_grid,
+                              generator_symbol, grid_to_field, l_inverse_symbol,
+                              measure_bounds, norm_q, q_weights)
 
 BASIS = math.sqrt(2.0 / math.pi)
 
@@ -17,54 +17,56 @@ def random_field(n=16, seed=0):
     return SpectralField(np.random.default_rng(seed).standard_normal(n))
 
 
+def l_symbol(mode_count):
+    """Symbol 1 + n^2 of L = 1 - d^2/dx^2."""
+    n = np.arange(1, mode_count + 1, dtype=float)
+    return 1.0 + n * n
+
+
+def semigroup(t, mode_count=16):
+    """Symbol exp(-lambda_n t) of Q(t)."""
+    return np.exp(-generator_symbol(mode_count) * t)
+
+
 class TestOperators:
     def test_l_inverse_pair(self):
         u = random_field()
-        round_trip = apply_operator(OperatorKind("L"),
-                                    apply_operator(OperatorKind("L_inv"), u))
-        assert np.max(np.abs(round_trip.coeffs - u.coeffs)) <= 1e-12
+        round_trip = l_symbol(16) * (l_inverse_symbol(16) * u.coeffs)
+        assert np.max(np.abs(round_trip - u.coeffs)) <= 1e-12
 
     def test_l_inv_on_mode_two(self):
-        got = apply_operator(OperatorKind("L_inv"), SpectralField.unit(4, 2))
-        assert abs(got.coeffs[1] - 0.2) <= 1e-15
+        got = l_inverse_symbol(4) * SpectralField.unit(4, 2).coeffs
+        assert abs(got[1] - 0.2) <= 1e-15
 
     def test_semigroup_value(self):
-        got = apply_operator(OperatorKind("Q", t=1.0), SpectralField.unit(4, 1))
-        assert abs(got.coeffs[0] - math.exp(-0.5)) <= 1e-15
+        got = semigroup(1.0, 4) * SpectralField.unit(4, 1).coeffs
+        assert abs(got[0] - math.exp(-0.5)) <= 1e-15
 
     def test_generator_consistency(self):
+        # E = L A, with symbols -n^2 for E and -lambda_n for A
         u = random_field(seed=3)
-        lhs = apply_operator(OperatorKind("E"), u)
-        rhs = apply_operator(OperatorKind("L"), apply_operator(OperatorKind("A"), u))
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-12
+        n = np.arange(1, 17, dtype=float)
+        lhs = -(n * n) * u.coeffs
+        rhs = l_symbol(16) * (-generator_symbol(16) * u.coeffs)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_semigroup_law(self):
         u = random_field(seed=4)
-        lhs = apply_operator(OperatorKind("Q", t=0.3),
-                             apply_operator(OperatorKind("Q", t=0.9), u))
-        rhs = apply_operator(OperatorKind("Q", t=1.2), u)
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-12
+        lhs = semigroup(0.3) * (semigroup(0.9) * u.coeffs)
+        rhs = semigroup(1.2) * u.coeffs
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_fractional_power_composition(self):
         u = random_field(seed=5)
-        lhs = apply_operator(OperatorKind("A_pow", q=0.3),
-                             apply_operator(OperatorKind("A_pow", q=0.45), u))
-        rhs = apply_operator(OperatorKind("A_pow", q=0.75), u)
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-12
+        lhs = q_weights(16, 0.3) * (q_weights(16, 0.45) * u.coeffs)
+        rhs = q_weights(16, 0.75) * u.coeffs
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_semigroup_contraction_rate(self):
         u = random_field(seed=6)
         for t in (0.1, 0.5, 2.0):
-            decayed = apply_operator(OperatorKind("Q", t=t), u)
-            assert decayed.norm() <= math.exp(-t / 2.0) * u.norm() * (1 + 1e-12)
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            OperatorKind("bogus")
-        with pytest.raises(DomainError):
-            OperatorKind("Q", t=-1.0)
-        with pytest.raises(DomainError):
-            OperatorKind("A_pow", q=1.0)
+            decayed = np.linalg.norm(semigroup(t) * u.coeffs)
+            assert decayed <= math.exp(-t / 2.0) * u.norm() * (1 + 1e-12)
 
 
 class TestCollocation:
@@ -104,9 +106,13 @@ class TestBounds:
         u = SpectralField.unit(4, 2)
         assert abs(norm_q(u, 0.25) - (4.0 / 5.0) ** 0.25) <= 1e-15
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(DomainError):
+            measure_bounds(16, [0.5, -1.0])
+
     def test_identity_at_zero(self):
-        sym = apply_operator(OperatorKind("Q", t=0.0), SpectralField.unit(16, 7))
-        assert sym.coeffs[6] == 1.0
+        sym = semigroup(0.0) * SpectralField.unit(16, 7).coeffs
+        assert sym[6] == 1.0
 
     def test_norm_at_one(self):
         # mode 1 dominates: ||Q(1)|| = exp(-1/2)
