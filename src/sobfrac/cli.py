@@ -330,6 +330,7 @@ def run(config: RunConfig) -> int:
                 "residual_history": solve_report.residual_history,
                 "converged": solve_report.converged,
                 "contraction_ratio": solve_report.contraction_ratio,
+                "nonlocal_denominator_min": solve_report.nonlocal_denominator_min,
                 "snapped_nonlocal_times": [
                     list(s) for s in solve_report.snapped_nonlocal_times],
             }

@@ -1,17 +1,24 @@
-"""Fixed-point assembly and Picard solve of the mild-solution equation.
+"""Fixed-point assembly and solve of the mild-solution equation.
 
-One application of the solution map evaluates, on every grid node,
+The paper's solution map P evaluates, on every grid node,
 
     (Pu)(t) = S(t) [data smoothing] [v0 + t^(1-a)/Gamma(2-a) (u0 + h(u))]
               + int_0^t (t-s)^(a-1) T(t-s) [f(s, W(s)) + int_0^s controls] ds
 
 with the weakly singular kernel integrated exactly per cell against the
 left-endpoint piecewise-constant integrand, and h(u) the weighted sum of
-trajectory values at the fixed nonlocal times.  Picard iteration runs
-that map to a fixed point in the sup q-norm.  The adjoint solve runs the
-transposed linearised map through the same loop; it gives the exact
-gradient of a linear functional of the solution with respect to the
-controls at the cost of one extra solve.
+trajectory values at the fixed nonlocal times.  Every operator is
+diagonal per mode, so the trajectory depends on h only through the term
+S(t) [smoothing] t^(1-a)/Gamma(2-a) h, and h solves one scalar equation
+per mode.  The solver's sweep eliminates it in closed form: it builds
+the response r without h, sets h_n = sum c r_n(t_eta) / d_n with
+d_n = 1 - sum c (S [smoothing] kappa)_n(t_eta) >= 1, and adds the h term.
+Fixed-point iteration of that sweep runs over f only, so a linear solve
+is exact after one sweep; apply_P stays the plain map, with h read from
+the iterate, as the oracle.  The adjoint solve runs the transposed
+linearised sweep, with the transposed elimination, through the same
+loop; it gives the exact gradient of a linear functional of the solution
+with respect to the controls at the cost of one extra solve.
 """
 
 from __future__ import annotations
@@ -152,6 +159,7 @@ class SolveReport:
     converged: bool = False
     contraction_ratio: float = math.nan
     snapped_nonlocal_times: list = field(default_factory=list)
+    nonlocal_denominator_min: float = 1.0
 
 
 def snap_nonlocal_indices(spec: ProblemSpec) -> list:
@@ -279,6 +287,15 @@ class _SweepWorkspace:
         # S rows at every node; the kernel's T rows at the lags d*dt, nodes 1..M
         s_table, t_table = cache.multiplier_table(ts)
         self.s_lm = s_table[:, :n_modes] * self.lm[None, :]
+        # the data term without h, and the trajectory's response to h
+        self.data = self.s_lm * (spec.v0.coeffs[None, :]
+                                 + self.kappa[:, None] * spec.u0.coeffs[None, :])
+        self.feedback = self.s_lm * self.kappa[:, None]
+        # d_n = 1 - sum c (s_lm kappa)_n(t_eta).  ProblemSpec keeps c > 0,
+        # the data-smoothing symbol is < 0, S >= 0 and kappa >= 0, so
+        # d_n = 1 + sum c |s_lm kappa|_n(t_eta) >= 1: the division by it
+        # needs no guard.
+        self.denominator = 1.0 - self.nonlocal_sum(self.feedback)
         self.kernel = (_kernel_weights(alpha, spec.step_count, dt)[:, None]
                        * t_table[1:, :n_modes])
         self.nfft = 2 * spec.step_count
@@ -289,13 +306,19 @@ class _SweepWorkspace:
         self.P = projection_matrix(n_modes, n_x)
         self.q_scale = q_weights(n_modes, spec.order.q)
 
-    def sweep(self, coeffs: np.ndarray, ctrl_forcing: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        h = np.zeros(spec.mode_count)
+    def nonlocal_sum(self, coeffs: np.ndarray) -> np.ndarray:
+        """h = sum c_eta coeffs(t_eta), per mode."""
+        h = np.zeros(coeffs.shape[1])
         for c, idx, _ in self.snaps:
             h += c * coeffs[idx]
-        bracket = spec.v0.coeffs[None, :] + self.kappa[:, None] * (spec.u0.coeffs + h)[None, :]
-        out = self.s_lm * bracket
+        return h
+
+    def response(self, coeffs: np.ndarray, ctrl_forcing: np.ndarray) -> np.ndarray:
+        """The solution map at coeffs without its h term: the data term
+        S(t) [smoothing] (v0 + kappa u0) plus the kernel convolution of
+        the forcing."""
+        spec = self.spec
+        out = self.data.copy()
         # the last node's forcing never enters the convolution
         forcing = ctrl_forcing[:-1]
         nl = spec.nonlinearity
@@ -307,6 +330,15 @@ class _SweepWorkspace:
             forcing = forcing + _f_on_grid(nl, self.ts[:-1], grids) @ self.P.T
         if np.any(forcing):
             out[1:] += fftconvolve(self.kernel_spectrum, forcing, self.nfft)
+        return out
+
+    def sweep(self, coeffs: np.ndarray, ctrl_forcing: np.ndarray) -> np.ndarray:
+        """The solution map at coeffs with h eliminated: the response r
+        plus s_lm kappa h, where h = sum c r(t_eta) / d solves
+        h = sum c (r + s_lm kappa h)(t_eta) mode by mode."""
+        out = self.response(coeffs, ctrl_forcing)
+        if self.snaps:
+            out += self.feedback * (self.nonlocal_sum(out) / self.denominator)
         return _finite(out)
 
     def slope(self, coeffs: np.ndarray) -> np.ndarray | None:
@@ -322,15 +354,17 @@ class _SweepWorkspace:
 
     def adjoint_sweep(self, lam: np.ndarray, source: np.ndarray,
                       slope: np.ndarray | None) -> np.ndarray:
-        """source plus the transposed linearised sweep applied to lam."""
+        """source plus the transposed linearised response applied to lam,
+        then the h elimination transposed: g = sum_t s_lm kappa out / d,
+        added at each nonlocal node with its weight c."""
         out = source.copy()
-        if self.snaps:
-            feedback = np.sum(self.s_lm * self.kappa[:, None] * lam, axis=0)
-            for c, idx, _ in self.snaps:
-                out[idx] += c * feedback
         if slope is not None:
             d = self.D[self.spec.nonlinearity.b_orders[0]]
             out[:-1] += ((self.correlate(lam) @ self.P) * slope) @ d
+        if self.snaps:
+            g = np.sum(self.feedback * out, axis=0) / self.denominator
+            for c, idx, _ in self.snaps:
+                out[idx] += c * g
         return _finite(out)
 
     def correlate(self, lam: np.ndarray) -> np.ndarray:
@@ -355,17 +389,26 @@ def _finite(out: np.ndarray) -> np.ndarray:
 
 def apply_P(spec: ProblemSpec, cache: SolutionOperatorCache, u_traj: Trajectory,
             controls=None) -> Trajectory:
-    """One application of the solution map to a trajectory iterate."""
+    """One application of the paper's solution map to a trajectory
+    iterate, with h read from the iterate (the solver's sweep eliminates
+    it instead)."""
     ws = _workspace(spec, cache, None)
-    return Trajectory(spec.grid, ws.sweep(u_traj.coeffs,
-                                          _control_forcing(spec, controls)))
+    coeffs = u_traj.coeffs
+    out = ws.response(coeffs, _control_forcing(spec, controls))
+    out += ws.feedback * ws.nonlocal_sum(coeffs)
+    return Trajectory(spec.grid, _finite(out))
 
 
 def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
                  controls=None, tol: float = 1e-8, max_iter: int = MAX_ITER,
                  initial: Trajectory | None = None,
                  workspace: "_SweepWorkspace | None" = None) -> tuple[Trajectory, SolveReport]:
-    """Iterate the solution map to a fixed point in the sup q-norm.
+    """Iterate the sweep (the solution map with h eliminated) to a fixed
+    point in the sup q-norm.  Only f feeds back, so an instance with
+    f = 0 is exact after one sweep and stops on the confirming second;
+    the report's contraction_ratio measures the f-loop alone, and
+    nonlocal_denominator_min is the smallest d_n (1.0 without nonlocal
+    terms).
 
     Raises RejectedInstanceError when the exponent preconditions fail and
     NonConvergenceError (with the residual history) when the budget runs
@@ -388,6 +431,7 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
     workspace = _workspace(spec, cache, workspace)
     report = SolveReport()
     report.snapped_nonlocal_times = list(workspace.snaps)
+    report.nonlocal_denominator_min = float(np.min(workspace.denominator))
     ctrl_forcing = _control_forcing(spec, controls)
     current = _fixed_point(
         lambda c: workspace.sweep(c, ctrl_forcing),
@@ -403,11 +447,13 @@ def adjoint_solve(spec: ProblemSpec, traj: Trajectory, weight: np.ndarray,
     summed control node values (the per-node sum of the bundle's control
     coefficients, zero-padded to N modes); shape (M+1, N).
 
-    The adjoint state solves lam = weight + (linearised sweep)^T lam with
-    the fixed-point loop, tolerance and sweep budget of picard_solve; it
-    contracts at the same rate.  Raises DomainError for a nonlinearity
-    without a declared derivative and NonConvergenceError like
-    picard_solve.
+    The adjoint state solves lam = E^T (weight + J^T lam), where J is the
+    linearised response and E the h elimination, with the fixed-point
+    loop, tolerance and sweep budget of picard_solve; like it, the loop
+    runs over f only (f = 0 takes one sweep plus the confirming one) and
+    contracts at the rate of the forward f-loop.  Raises DomainError for
+    a nonlinearity without a declared derivative and NonConvergenceError
+    like picard_solve.
     """
     slope = workspace.slope(traj.coeffs)
     lam = _fixed_point(lambda lam: workspace.adjoint_sweep(lam, weight, slope),

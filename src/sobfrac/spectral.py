@@ -89,7 +89,9 @@ def data_smoothing_symbol(mode_count: int) -> np.ndarray:
 
     The inverse in the initial-data map must be the bounded compact
     smoothing operator (symbol -1/n^2); composing it with L gives
-    -(1+n^2)/n^2, which keeps the nonlocal feedback a contraction.
+    -(1+n^2)/n^2.  Its sign keeps every nonlocal denominator
+    d_n = 1 - sum c (S [smoothing] kappa)_n(t_eta) at or above 1, so the
+    solver's closed-form elimination of h never divides by zero.
     """
     n = np.arange(1, mode_count + 1, dtype=float)
     return -(1.0 + n * n) / (n * n)

@@ -263,6 +263,7 @@ class TestSolveMode:
         assert run(cfg) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["solve"]["converged"]
+        assert report["solve"]["nonlocal_denominator_min"] == 1.0
         assert "hypothesis_check" in report
         assert report["config"]["problem.alpha"] == "0.8"
 
@@ -276,12 +277,21 @@ class TestSolveMode:
         assert (tmp_path / "trajectory.csv").exists()
 
     def test_nonconvergent_instance_fails_with_diagnostic(self, tmp_path):
-        text = MINIMAL + f"\nnonlocal = 50.0@0.5\n\n[solver]\nmax_iter = 20\n\n[output]\ndirectory = {tmp_path}\n"
+        text = MINIMAL + ("\nnonlocal = 0.3@0.5\nnonlinearity = sin_grad:40\n"
+                          f"\n[solver]\nmax_iter = 20\n\n[output]\ndirectory = {tmp_path}\n")
         cfg = parse_config(text, mode="solve")
         assert run(cfg) == 1
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["error"]["type"] == "NonConvergenceError"
         assert len(report["error"]["residual_history"]) == 20
+
+    def test_large_nonlocal_weight_solves(self, tmp_path):
+        # plain Picard iteration diverges at this weight
+        text = MINIMAL + f"\nnonlocal = 3.0@0.5\n\n[output]\ndirectory = {tmp_path}\n"
+        assert run(parse_config(text, mode="solve")) == 0
+        solve = strict_json(tmp_path / "report.json")["solve"]
+        assert solve["converged"]
+        assert solve["nonlocal_denominator_min"] > 1.0
 
     def test_alpha_near_one_reports_typed_error(self, tmp_path):
         # the 200-node theta rule cannot reach its 1e-8 normalization here

@@ -8,14 +8,16 @@ import pytest
 from sobfrac.errors import (DomainError, NonConvergenceError,
                             RejectedInstanceError)
 from sobfrac.fracops import TimeGrid
-from sobfrac.mild_solver import (Nonlinearity, ProblemSpec, Trajectory,
-                                 ZERO_NONLINEARITY, _SweepWorkspace, _f_on_grid,
-                                 apply_P, eval_f, f_modes, picard_solve,
-                                 sin_gradient)
+from sobfrac.mild_solver import (MAX_ITER, Nonlinearity, ProblemSpec,
+                                 SolveReport, Trajectory, ZERO_NONLINEARITY,
+                                 _SweepWorkspace, _control_forcing, _f_on_grid,
+                                 _fixed_point, apply_P, eval_f, f_modes,
+                                 picard_solve, sin_gradient)
 from sobfrac.optctrl import bundle_from_array
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import FracOrder, gamma, mittag_leffler
 from sobfrac.spectral import SpectralField, apply_Bi, grid_to_field, norm_q
+from test_specfun import ALPHAS
 
 
 def make_spec(alpha=0.8, n=16, m=512, u0=None, v0=None, **kw):
@@ -98,11 +100,10 @@ class TestBatchedEvalF:
 
 def sweep_bracket(spec, cache, traj):
     """Bracketed data term v0 + kappa(t) (u0 + h(u)) at every node, read off
-    one sweep: with f = 0 and no controls the sweep is S(t) [smoothing]
-    times the bracket, node by node."""
+    one application of P: with f = 0 and no controls it is S(t)
+    [smoothing] times the bracket, node by node."""
     ws = _SweepWorkspace(spec, cache)
-    out = ws.sweep(traj.coeffs, np.zeros_like(traj.coeffs))
-    return out / ws.s_lm
+    return apply_P(spec, cache, traj).coeffs / ws.s_lm
 
 
 class TestNonlocalBracket:
@@ -216,11 +217,13 @@ class TestBatchedSweep:
         ws = _SweepWorkspace(spec, cache16)
         traj, _ = picard_solve(spec, workspace=ws, tol=1e-8)
         rng = np.random.default_rng(6)
-        ctrl_forcing = 0.1 * rng.standard_normal(traj.coeffs.shape)
+        controls = bundle_from_array(0.1 * rng.standard_normal((1, 512, 16)),
+                                     spec.grid)
+        ctrl_forcing = _control_forcing(spec, controls)
         for coeffs in (traj.coeffs, rng.standard_normal(traj.coeffs.shape)):
-            got = ws.sweep(coeffs, ctrl_forcing)
+            got = apply_P(spec, cache16, Trajectory(spec.grid, coeffs), controls)
             want = reference_sweep(spec, ws, coeffs, ctrl_forcing)
-            assert np.max(np.abs(got - want)) <= 1e-14
+            assert np.max(np.abs(got.coeffs - want)) <= 1e-14
 
 
 class TestPicardSolve:
@@ -282,7 +285,10 @@ class TestPicardSolve:
         assert diff <= 2e-10
 
     def test_non_contractive_instance_raises(self, cache16):
-        spec = make_spec(nonlocal_terms=((50.0, 0.5),))
+        # the nonlocal condition is eliminated in each sweep, so only a
+        # strong nonlinearity keeps the iteration from contracting
+        spec = make_spec(nonlocal_terms=((0.3, 0.5),),
+                         nonlinearity=sin_gradient(40.0))
         with pytest.raises(NonConvergenceError) as err:
             picard_solve(spec, cache=cache16, tol=1e-8, max_iter=25)
         assert len(err.value.residual_history) == 25
@@ -323,6 +329,67 @@ class TestPicardSolve:
         small_cache = SolutionOperatorCache(spec.order, 4)
         with pytest.raises(DomainError):
             picard_solve(spec, cache=small_cache)
+
+
+def plain_picard(spec, cache, tol):
+    """Picard iteration of apply_P, the paper's map with h read from the
+    iterate: the slow reference for the eliminated sweep."""
+    ws = _SweepWorkspace(spec, cache)
+    return _fixed_point(
+        lambda c: apply_P(spec, cache, Trajectory(spec.grid, c)).coeffs,
+        ws.initial(), ws.residual, SolveReport(), "plain Picard", tol, MAX_ITER)
+
+
+def p_residual(spec, cache, traj):
+    """Sup q-norm distance between traj and P(traj)."""
+    ws = _SweepWorkspace(spec, cache)
+    return ws.residual(apply_P(spec, cache, traj).coeffs, traj.coeffs)
+
+
+class TestNonlocalElimination:
+    @pytest.mark.parametrize("kw", [
+        dict(nonlinearity=sin_gradient(0.1)),          # README grid
+        dict(n=8, m=64),                               # acceptance grid, f = 0
+        dict(nonlinearity=sin_gradient(6.0)),
+    ], ids=["readme", "acceptance", "sin_grad_6"])
+    def test_agrees_with_plain_picard(self, kw):
+        spec = make_spec(nonlocal_terms=((0.3, 0.5),), **kw)
+        cache = SolutionOperatorCache(spec.order, spec.mode_count)
+        traj, _ = picard_solve(spec, cache=cache, tol=1e-13)
+        want = plain_picard(spec, cache, 1e-13)
+        assert np.max(np.linalg.norm(traj.coeffs - want, axis=1)) <= 1e-11
+
+    @pytest.mark.parametrize("c", [3.0, 50.0])
+    @pytest.mark.parametrize("nonlinearity", [ZERO_NONLINEARITY, sin_gradient(0.1)],
+                             ids=["zero", "sin_grad"])
+    def test_large_weights_solve(self, c, nonlinearity, cache16):
+        # plain Picard iteration diverges at these weights
+        spec = make_spec(nonlocal_terms=((c, 0.5),), nonlinearity=nonlinearity)
+        traj, rep = picard_solve(spec, cache=cache16, tol=1e-12)
+        assert rep.converged
+        assert p_residual(spec, cache16, traj) <= 1e-12
+
+    def test_linear_solve_is_one_sweep(self, cache16):
+        spec = make_spec(nonlocal_terms=((0.3, 0.5),))
+        _, rep = picard_solve(spec, cache=cache16, tol=1e-12)
+        # the first sweep is exact; the second confirms it
+        assert rep.iterations == 2
+        assert rep.residual_history[-1] <= 1e-15
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_denominator_at_least_one(self, alpha):
+        spec = make_spec(alpha=alpha, n=8, m=64,
+                         nonlocal_terms=((0.3, 0.25), (50.0, 0.5), (3.0, 0.75)))
+        cache = SolutionOperatorCache(spec.order, 8)
+        ws = _SweepWorkspace(spec, cache)
+        assert np.all(ws.denominator >= 1.0)
+        assert np.min(ws.denominator) > 1.0
+        _, rep = picard_solve(spec, workspace=ws)
+        assert rep.nonlocal_denominator_min == np.min(ws.denominator)
+
+    def test_denominator_without_nonlocal_terms(self, cache16):
+        _, rep = picard_solve(make_spec(), cache=cache16)
+        assert rep.nonlocal_denominator_min == 1.0
 
 
 class TestProblemSpecValidation:

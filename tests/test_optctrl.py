@@ -26,11 +26,11 @@ def grid():
     return TimeGrid(1.0, 64)
 
 
-def reference_problem(n=8, m=64, controls=2, **kw):
+def reference_problem(n=8, m=64, controls=2, nonlocal_terms=((0.3, 0.5),), **kw):
     u0 = SpectralField(np.array([0.5, 0.2] + [0.0] * (n - 2)))
     v0 = SpectralField.unit(n, 1)
     return ProblemSpec(FracOrder(0.8, q=0.25, p=2.0), 1.0, n, m, u0, v0,
-                       nonlocal_terms=((0.3, 0.5),), control_count=controls, **kw)
+                       nonlocal_terms=nonlocal_terms, control_count=controls, **kw)
 
 
 def fd_gradient(problem, cost, x, cache, fd_step=1e-4, solve_tol=1e-12):
@@ -266,10 +266,14 @@ class TestOptimizer:
             optimize_controls(bad, CostSpec(), zero_bundle(TimeGrid(1.0, 8), 1, 2))
 
 
-# acceptance optimize config (f = 0) and a small sin_grad instance
+# acceptance optimize config (f = 0) and a small sin_grad instance, each
+# also at a nonlocal weight plain Picard iteration cannot solve
 GRADIENT_CASES = {
     "linear": (dict(n=8, m=64), 4),
     "sin_grad": (dict(n=8, m=32, nonlinearity=sin_gradient(0.1)), 2),
+    "linear_c3": (dict(n=8, m=64, nonlocal_terms=((3.0, 0.5),)), 4),
+    "sin_grad_c3": (dict(n=8, m=32, nonlinearity=sin_gradient(0.1),
+                         nonlocal_terms=((3.0, 0.5),)), 2),
 }
 
 
