@@ -14,10 +14,10 @@ per mode.  The solver's sweep eliminates it in closed form: it builds
 the response r without h, sets h_n = sum c r_n(t_eta) / d_n with
 d_n = 1 - sum c (S [smoothing] kappa)_n(t_eta) >= 1, and adds the h term.
 Fixed-point iteration of that sweep runs over f only, so a linear solve
-is exact after one sweep; apply_P stays the plain map, with h read from
-the iterate, as the oracle.  The adjoint solve runs the transposed
-linearised sweep, with the transposed elimination, through the same
-loop; it gives the exact gradient of a linear functional of the solution
+is exact after one sweep and stops there; apply_P stays the plain map,
+with h read from the iterate, as the oracle.  The adjoint solve runs the
+transposed linearised sweep, with the transposed elimination, through
+the same loop; it gives the exact gradient of a linear functional of the solution
 with respect to the controls at the cost of one extra solve.
 """
 
@@ -405,10 +405,10 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
                  workspace: "_SweepWorkspace | None" = None) -> tuple[Trajectory, SolveReport]:
     """Iterate the sweep (the solution map with h eliminated) to a fixed
     point in the sup q-norm.  Only f feeds back, so an instance with
-    f = 0 is exact after one sweep and stops on the confirming second;
-    the report's contraction_ratio measures the f-loop alone, and
-    nonlocal_denominator_min is the smallest d_n (1.0 without nonlocal
-    terms).
+    f = 0 is exact after one sweep and stops there, with a recorded step
+    of exactly 0; the report's contraction_ratio measures the f-loop
+    alone, and nonlocal_denominator_min is the smallest d_n (1.0 without
+    nonlocal terms).
 
     Raises RejectedInstanceError when the exponent preconditions fail and
     NonConvergenceError (with the residual history) when the budget runs
@@ -436,7 +436,8 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
     current = _fixed_point(
         lambda c: workspace.sweep(c, ctrl_forcing),
         initial.coeffs if initial is not None else workspace.initial(),
-        workspace.residual, report, "Picard iteration", tol, max_iter)
+        workspace.residual, report, "Picard iteration", tol, max_iter,
+        constant=spec.nonlinearity.kind == "zero")
     return Trajectory(spec.grid, current), report
 
 
@@ -450,15 +451,14 @@ def adjoint_solve(spec: ProblemSpec, traj: Trajectory, weight: np.ndarray,
     The adjoint state solves lam = E^T (weight + J^T lam), where J is the
     linearised response and E the h elimination, with the fixed-point
     loop, tolerance and sweep budget of picard_solve; like it, the loop
-    runs over f only (f = 0 takes one sweep plus the confirming one) and
-    contracts at the rate of the forward f-loop.  Raises DomainError for
-    a nonlinearity without a declared derivative and NonConvergenceError
-    like picard_solve.
+    runs over f only (f = 0 takes one sweep) and contracts at the rate of
+    the forward f-loop.  Raises DomainError for a nonlinearity without a
+    declared derivative and NonConvergenceError like picard_solve.
     """
     slope = workspace.slope(traj.coeffs)
     lam = _fixed_point(lambda lam: workspace.adjoint_sweep(lam, weight, slope),
                        weight, workspace.residual, SolveReport(), "adjoint iteration",
-                       tol, max_iter)
+                       tol, max_iter, constant=slope is None)
     grad_forcing = np.zeros_like(lam)
     grad_forcing[:-1] = workspace.correlate(lam)
     return _control_forcing_adjoint(spec, grad_forcing)
@@ -474,11 +474,15 @@ def _workspace(spec, cache, workspace) -> _SweepWorkspace:
     return _SweepWorkspace(spec, cache)
 
 
-def _fixed_point(sweep, current, distance, report, what, tol, max_iter):
-    """Iterate sweep until the step's distance is <= tol; fills report."""
+def _fixed_point(sweep, current, distance, report, what, tol, max_iter,
+                 constant=False):
+    """Iterate sweep until the step's distance is <= tol; fills report.
+    A constant sweep (one that ignores its input, as with f = 0) is at its
+    fixed point after one call: the next step would be exactly 0, so that
+    step is recorded without running it."""
     for it in range(1, max_iter + 1):
         new = sweep(current)
-        residual = distance(new, current)
+        residual = 0.0 if constant else distance(new, current)
         report.residual_history.append(residual)
         report.iterations = it
         current = new

@@ -42,6 +42,10 @@ _ALPHA_GAP = 1e-8
 # both orders; the gap between the two estimates its error.
 _PANEL_SPLIT = 8
 _PANEL_ORDERS = (20, 16)
+# Sub-panels per block of thetas in the stable integral: bounds its
+# temporaries at about _PANEL_CHUNK * max(_PANEL_ORDERS) points, whatever
+# the theta count.
+_PANEL_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -86,37 +90,55 @@ def _sinpi(z: float) -> float:
     return -s if round(z) % 2 else s
 
 
-def _density_tail_series(alpha: float, theta: float, tol: float) -> float:
-    """Density via the Wright-type sine series of the stable law.
+def _density_tail_series(alpha: float, thetas: np.ndarray, tol: float) -> np.ndarray:
+    """Density via the Wright-type sine series of the stable law, at every
+    theta of a 1-D array at once.
 
     zeta_a(theta) = (1/a) theta^(-1-1/a) * w_a(theta^(-1/a)) with
     w_a(phi) = (1/pi) sum (-1)^(n-1) phi^(-a*n-1) Gamma(n*a+1)/n! sin(n*pi*a).
     Convergent without cancellation when phi = theta^(-1/a) is not small,
-    i.e. for small theta.
+    i.e. for small theta.  Each row sums its terms in order and stops after
+    _CONSECUTIVE_SMALL consecutive terms below tol/10.  The terms come in
+    blocks that double until every row has stopped, their lgamma and sinpi
+    coefficients computed once for all rows; a row-wise cumsum reproduces
+    the sequential sum up to each row's stopping term.
     """
-    phi = theta ** (-1.0 / alpha)
-    log_phi = math.log(phi)
-    s = 0.0
-    small = 0
-    for n in range(1, _MAX_TERMS + 1):
-        mag = math.exp(math.lgamma(n * alpha + 1.0) - math.lgamma(n + 1.0)
-                       - (alpha * n + 1.0) * log_phi)
-        term = mag * _sinpi(n * alpha) / math.pi
-        if n % 2 == 0:
-            term = -term
-        s += term
-        if abs(term) < tol / 10.0:
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                break
-        else:
-            small = 0
-    else:
+    with np.errstate(over="ignore"):
+        log_phi = np.log(thetas ** (-1.0 / alpha))
+    terms = np.empty((thetas.size, 0))
+    while True:
+        ks = range(terms.shape[1] + 1, min(max(2 * terms.shape[1], 32), _MAX_TERMS) + 1)
+        n = np.array(ks)
+        log_coeff = np.array([math.lgamma(k * alpha + 1.0) - math.lgamma(k + 1.0)
+                              for k in ks])
+        sines = np.array([_sinpi(k * alpha) for k in ks])
+        block = np.exp(log_coeff - (alpha * n + 1.0) * log_phi[:, None]) * sines / math.pi
+        terms = np.concatenate([terms, np.where(n % 2 == 0, -block, block)], axis=1)
+        count = terms.shape[1]
+        small = np.abs(terms) < tol / 10.0
+        run = small[:, :count - _CONSECUTIVE_SMALL + 1]
+        for lag in range(1, _CONSECUTIVE_SMALL):
+            run = run & small[:, lag:count - _CONSECUTIVE_SMALL + 1 + lag]
+        stopped = run.any(axis=1)
+        if stopped.all():
+            break
+        if count == _MAX_TERMS:
+            i = int(np.argmin(stopped))
+            raise EvaluationError(
+                f"Wright tail series did not converge in {_MAX_TERMS} terms "
+                f"(alpha={alpha}, theta={thetas[i]})",
+                partial=float(np.sum(terms[i])), terms_used=_MAX_TERMS)
+    last = np.argmax(run, axis=1) + _CONSECUTIVE_SMALL - 1
+    s = np.cumsum(terms, axis=1)[np.arange(thetas.size), last]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = s * thetas ** (-1.0 - 1.0 / alpha) / alpha
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
         raise EvaluationError(
-            f"Wright tail series did not converge in {_MAX_TERMS} terms "
-            f"(alpha={alpha}, theta={theta})",
-            partial=s, terms_used=_MAX_TERMS)
-    return s * theta ** (-1.0 - 1.0 / alpha) / alpha
+            f"Wright tail series left the double range (alpha={alpha}, "
+            f"theta={thetas[i]})", partial=float(values[i]))
+    return values
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,8 +150,10 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _density_stable_integral(alpha: float, theta: float) -> tuple[float, float]:
-    """Density via the positive stable-law integral (Zolotarev's form).
+def _density_stable_integral(alpha: float,
+                             thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Density via the positive stable-law integral (Zolotarev's form), at
+    every theta of a 1-D array at once.
 
     zeta_a(theta) = 1/(pi (1-a) theta) int_0^pi g exp(-g) dphi with
     g(phi) = theta^r A(phi), r = 1/(1-a), and, since a r + 1 = r,
@@ -140,76 +164,117 @@ def _density_stable_integral(alpha: float, theta: float) -> tuple[float, float]:
     in a window about 1/log(g)' wide that shrinks as alpha nears 1;
     breakpoints at the peak and at geometrically growing distances from
     it bound the fixed Gauss-Legendre panels, so none steps over it.
-    Returns (value, error estimate): the estimate is the gap between the
+    The bisection for the peaks runs on all thetas in step; the sub-panels
+    of blocks of thetas are stacked and evaluated together, about
+    _PANEL_CHUNK at a time, so no temporary array grows with the number
+    of thetas.
+    Returns (values, error estimates): an estimate is the gap between the
     two panel orders in _PANEL_ORDERS plus a bound on node rounding.
     """
     r = 1.0 / (1.0 - alpha)
-    log_c = r * math.log(theta)
+    log_c = r * np.log(thetas)
 
-    def log_g(phi, xp=math):
-        s = xp.sin(phi)
-        return (log_c + (r - 1.0) * xp.log(xp.sin(alpha * phi) / s)
-                + xp.log(xp.sin((1.0 - alpha) * phi) / s))
+    def log_g(phi, log_c):
+        s = np.sin(phi)
+        return (log_c + (r - 1.0) * np.log(np.sin(alpha * phi) / s)
+                + np.log(np.sin((1.0 - alpha) * phi) / s))
 
-    def integrand(phi):
-        lg = log_g(phi, np)
+    def integrand(phi, log_c):
+        lg = log_g(phi, log_c)
         live = (lg > -745.0) & (lg < 6.6)   # elsewhere g exp(-g) underflows
         g = np.exp(np.where(live, lg, 0.0))
         return np.where(live, g * np.exp(-g), 0.0)
 
-    lo, hi = 0.0, math.pi
+    lo, hi = np.zeros_like(thetas), np.full_like(thetas, math.pi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if log_g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        below = log_g(mid, log_c) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     peak = 0.5 * (lo + hi)
-    slope = ((r - 1.0) * (alpha / math.tan(alpha * peak) - 1.0 / math.tan(peak))
-             + (1.0 - alpha) / math.tan((1.0 - alpha) * peak) - 1.0 / math.tan(peak))
-    points = [0.0, peak, math.pi]
-    step = 1.0 / slope if slope > 0.0 else math.pi
-    while step < math.pi:
-        points += [p for p in (peak - step, peak + step) if 0.0 < p < math.pi]
-        step *= 4.0
-    cuts = np.sort(points)
+    slope = ((r - 1.0) * (alpha / np.tan(alpha * peak) - 1.0 / np.tan(peak))
+             + (1.0 - alpha) / np.tan((1.0 - alpha) * peak) - 1.0 / np.tan(peak))
+    step = np.divide(1.0, slope, out=np.full_like(slope, math.pi), where=slope > 0.0)
+    # breakpoints 0, peak, pi and peak -+ step * 4^k inside (0, pi); the
+    # others (all of the last rung, which is >= pi) become NaN and sort to
+    # the end of their row
+    ladder = [step]
+    while np.any(ladder[-1] < math.pi):
+        ladder.append(ladder[-1] * 4.0)
+    ladder = np.stack(ladder, axis=1)
+    points = np.concatenate([peak[:, None] - ladder, peak[:, None] + ladder], axis=1)
+    points = np.where((points > 0.0) & (points < math.pi), points, np.nan)
+    cuts = np.sort(np.concatenate([np.zeros((thetas.size, 1)), peak[:, None],
+                                   np.full((thetas.size, 1), math.pi), points],
+                                  axis=1), axis=1)
+    # every interval between consecutive cuts in _PANEL_SPLIT equal
+    # sub-panels, evaluated for blocks of whole thetas that start within
+    # the same _PANEL_CHUNK sub-panels
+    live = ~np.isnan(cuts[:, 1:])
+    counts = _PANEL_SPLIT * live.sum(axis=1)
+    block = (np.cumsum(counts) - counts) // _PANEL_CHUNK
+    firsts = np.flatnonzero(np.diff(block, prepend=-1))
     split = np.arange(_PANEL_SPLIT) / _PANEL_SPLIT
-    edges = np.append(cuts[:-1, None] + np.diff(cuts)[:, None] * split, math.pi)
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
     rules = [_gauss_legendre(order) for order in _PANEL_ORDERS]
-    values = [integrand(mid[:, None] + half[:, None] * x) for x, _ in rules]
-    fine, coarse = (float(half @ (f @ w)) for f, (_, w) in zip(values, rules))
+    sums = np.empty((len(rules), thetas.size))
+    top = np.empty(thetas.size)
+    for first, end in zip(firsts, [*firsts[1:], thetas.size]):
+        rows = slice(first, end)
+        lo, hi = cuts[rows, :-1][live[rows]], cuts[rows, 1:][live[rows]]
+        left = lo[:, None] + (hi - lo)[:, None] * split
+        right = np.concatenate([left[:, 1:], hi[:, None]], axis=1)
+        half = (0.5 * (right - left)).ravel()
+        mid = left.ravel() + half
+        panel_log_c = np.repeat(log_c[rows], counts[rows])[:, None]
+        starts = np.cumsum(counts[rows]) - counts[rows]
+        for k, (x, w) in enumerate(rules):
+            f = integrand(mid[:, None] + half[:, None] * x, panel_log_c)
+            sums[k, rows] = np.add.reduceat(half * (f @ w), starts)
+            if k == 0:
+                top[rows] = np.maximum.reduceat(f.max(axis=1), starts)
+    fine, coarse = sums
     # Nodes round to floats ulp(peak) apart, which moves the sum by up to
     # ulp(peak)/2 times the integrand's total variation, 2 max g exp(-g).
     # Near alpha = 1 the peak narrows to a few ulps and this term dominates.
-    rounding = math.ulp(peak) * float(values[0].max())
-    scale = math.pi * (1.0 - alpha) * theta
-    return fine / scale, (abs(fine - coarse) + rounding) / scale
+    rounding = (np.nextafter(peak, math.inf) - peak) * top   # ulp(peak) * top
+    scale = math.pi * (1.0 - alpha) * thetas
+    return fine / scale, (np.abs(fine - coarse) + rounding) / scale
+
+
+def _density_values(alpha: float, thetas: np.ndarray, tol: float) -> np.ndarray:
+    """The density at every theta of a 1-D array, each representation on
+    its own side of _THETA_SWITCH.  Refuses at the first theta whose error
+    estimate exceeds tol or whose value lies below -tol; values in
+    [-tol, 0) become 0."""
+    values = np.empty_like(thetas)
+    errors = np.zeros_like(thetas)
+    low = thetas <= _THETA_SWITCH
+    if np.any(low):
+        values[low] = _density_tail_series(alpha, thetas[low], tol)
+    if not np.all(low):
+        values[~low], errors[~low] = _density_stable_integral(alpha, thetas[~low])
+    bad = ~(errors <= tol) | (values < -tol)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if not errors[i] <= tol:
+            message = f"stable-integral error estimate {errors[i]:.3e} exceeds tol {tol:g}"
+        else:
+            message = f"density evaluation returned {values[i]} < -tol"
+        raise EvaluationError(f"{message} (alpha={alpha}, theta={thetas[i]})",
+                              partial=float(values[i]))
+    return np.where(values < 0.0, 0.0, values)
 
 
 @functools.lru_cache(maxsize=200_000)
 def _density_cached(alpha: float, theta: float, tol: float) -> float:
-    if theta <= _THETA_SWITCH:
-        value = _density_tail_series(alpha, theta, tol)
-    else:
-        value, error = _density_stable_integral(alpha, theta)
-        if error > tol:
-            raise EvaluationError(
-                f"stable-integral error estimate {error:.3e} exceeds tol {tol:g} "
-                f"(alpha={alpha}, theta={theta})", partial=value)
-    if value < 0.0:
-        if value < -tol:
-            raise EvaluationError(
-                f"density evaluation returned {value} < -tol (alpha={alpha}, "
-                f"theta={theta})", partial=value)
-        value = 0.0
-    return value
+    return float(_density_values(alpha, np.array([theta]), tol)[0])
 
 
-def mainardi_density(order, theta: float, tol: float = 1e-10) -> float:
+def mainardi_density(order, theta, tol: float = 1e-10):
     """Mainardi density zeta_alpha at theta > 0, absolute error <= tol.
 
+    theta is a float, answered through a cache of single values, or a 1-D
+    array, evaluated in one batched pass and answered with an array.
     alpha = 1 is rejected: the density degenerates to a Dirac delta at 1
     and callers that support alpha = 1 bypass the theta integration.
     So is alpha within _ALPHA_GAP of 1, where the evaluation loses accuracy.
@@ -218,11 +283,20 @@ def mainardi_density(order, theta: float, tol: float = 1e-10) -> float:
     if not 0.0 < alpha <= 1.0 - _ALPHA_GAP:
         raise DomainError(
             f"mainardi_density requires 0 < alpha <= 1 - {_ALPHA_GAP:g}, got {alpha}")
-    if not theta > 0.0:
-        raise DomainError(f"theta must be positive, got {theta}")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    return _density_cached(alpha, float(theta), float(tol))
+    if np.ndim(theta) == 0:
+        if not theta > 0.0:
+            raise DomainError(f"theta must be positive, got {theta}")
+        return _density_cached(alpha, float(theta), float(tol))
+    thetas = np.asarray(theta, dtype=float)
+    if thetas.ndim != 1:
+        raise DomainError(f"theta must be a float or a 1-D array, got shape {thetas.shape}")
+    bad = ~(thetas > 0.0)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise DomainError(f"theta must be positive, got {thetas[i]} at index {i}")
+    return _density_values(alpha, thetas, float(tol))
 
 
 def mainardi_moment(order, v: float) -> float:
@@ -377,7 +451,7 @@ def theta_quadrature(order_alpha, node_count: int = 200) -> QuadratureRule:
         weights.append(half * w)
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
-    dens = np.array([mainardi_density(alpha, t, tol=1e-12) for t in nodes])
+    dens = mainardi_density(alpha, nodes, tol=1e-12)
 
     rule = QuadratureRule(nodes=nodes, weights=weights, alpha=alpha,
                           density_values=dens)

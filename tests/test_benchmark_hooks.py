@@ -81,3 +81,20 @@ def test_traced_solve_and_gates(perfbench, tmp_path):
     assert sweep_failures == []
     # the solve gate imports apply_P and Trajectory and runs one more sweep
     assert workloads.check_solve(config, tmp_path, status, 0) == []
+
+
+def test_traced_cold_build_is_one_density_call(perfbench):
+    # alpha_sweep's specfun metrics: a cold theta rule counts as cold and
+    # evaluates the density at all of its nodes in one call
+    tracing, _ = perfbench
+    from sobfrac import specfun
+    alpha = 0.6180339887   # used nowhere else, so the rule is not cached
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.wrap(tracing.ROOT, lambda: specfun.theta_quadrature(alpha, 200))()
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["specfun.theta_quadrature.cold"] == 1
+    assert metrics["specfun.mainardi_density.calls"] == 1

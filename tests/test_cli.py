@@ -354,8 +354,10 @@ class TestOptimizeMode:
         assert built and set(built) == {120}
 
     def test_max_iter_reaches_the_optimizer(self, tmp_path):
-        text = (REFERENCE_CFG + f"directory = {tmp_path}\n"
-                + "\n[solver]\nmax_iter = 1\n")
+        # a linear solve is exact after one sweep, so only a nonlinear one
+        # can run out of a one-sweep budget
+        text = (REFERENCE_CFG.replace("controls = 2", "controls = 2\nnonlinearity = sin_grad:0.1")
+                + f"directory = {tmp_path}\n" + "\n[solver]\nmax_iter = 1\n")
         assert run(parse_config(text, mode="optimize")) == 1
         report = strict_json(tmp_path / "report.json")
         assert report["error"]["type"] == "OptimizationError"

@@ -231,8 +231,8 @@ class TestPicardSolve:
         spec = make_spec()
         traj, rep = picard_solve(spec, cache=cache16, tol=1e-10)
         assert rep.converged
-        # constant map: one sweep plus the confirming sweep
-        assert rep.iterations == 2
+        # constant map: exact after one sweep, which is where it stops
+        assert rep.iterations == 1
         assert rep.residual_history[-1] <= 1e-14
         ts = spec.grid.nodes()
         for n in (1, 2, 7, 16):
@@ -372,8 +372,8 @@ class TestNonlocalElimination:
     def test_linear_solve_is_one_sweep(self, cache16):
         spec = make_spec(nonlocal_terms=((0.3, 0.5),))
         _, rep = picard_solve(spec, cache=cache16, tol=1e-12)
-        # the first sweep is exact; the second confirms it
-        assert rep.iterations == 2
+        # the first sweep is exact, and f = 0 means no second is needed
+        assert rep.iterations == 1
         assert rep.residual_history[-1] <= 1e-15
 
     @pytest.mark.parametrize("alpha", ALPHAS)

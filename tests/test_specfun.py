@@ -85,7 +85,82 @@ def fine_panel_reference(monkeypatch, alpha, theta):
     with monkeypatch.context() as m:
         m.setattr(specfun, "_PANEL_SPLIT", 32)
         m.setattr(specfun, "_PANEL_ORDERS", (40, 20))
-        return _density_stable_integral(alpha, theta)[0]
+        return _density_stable_integral(alpha, np.array([theta]))[0][0]
+
+
+def scalar_density_oracle(alpha, theta, tol):
+    """The density at one theta, node by node as it was evaluated before
+    the batched kernel: the Wright tail series summed term by term for
+    theta <= 0.5, and above it the stable integral on the same panels, its
+    peak found by a scalar bisection.  Returns (value, error estimate); the
+    tail series carries no estimate (0.0)."""
+    theta = float(theta)
+    if theta <= specfun._THETA_SWITCH:
+        log_phi = math.log(theta ** (-1.0 / alpha))
+        s = 0.0
+        small = 0
+        for n in range(1, specfun._MAX_TERMS + 1):
+            mag = math.exp(math.lgamma(n * alpha + 1.0) - math.lgamma(n + 1.0)
+                           - (alpha * n + 1.0) * log_phi)
+            term = mag * specfun._sinpi(n * alpha) / math.pi
+            s += -term if n % 2 == 0 else term
+            small = small + 1 if abs(term) < tol / 10.0 else 0
+            if small >= specfun._CONSECUTIVE_SMALL:
+                return s * theta ** (-1.0 - 1.0 / alpha) / alpha, 0.0
+        raise EvaluationError("tail series did not converge")
+
+    r = 1.0 / (1.0 - alpha)
+    log_c = r * math.log(theta)
+
+    def log_g(phi, xp=math):
+        s = xp.sin(phi)
+        return (log_c + (r - 1.0) * xp.log(xp.sin(alpha * phi) / s)
+                + xp.log(xp.sin((1.0 - alpha) * phi) / s))
+
+    def integrand(phi):
+        lg = log_g(phi, np)
+        live = (lg > -745.0) & (lg < 6.6)
+        g = np.exp(np.where(live, lg, 0.0))
+        return np.where(live, g * np.exp(-g), 0.0)
+
+    lo, hi = 0.0, math.pi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if log_g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    peak = 0.5 * (lo + hi)
+    slope = ((r - 1.0) * (alpha / math.tan(alpha * peak) - 1.0 / math.tan(peak))
+             + (1.0 - alpha) / math.tan((1.0 - alpha) * peak) - 1.0 / math.tan(peak))
+    points = [0.0, peak, math.pi]
+    step = 1.0 / slope if slope > 0.0 else math.pi
+    while step < math.pi:
+        points += [p for p in (peak - step, peak + step) if 0.0 < p < math.pi]
+        step *= 4.0
+    cuts = np.sort(points)
+    split = np.arange(specfun._PANEL_SPLIT) / specfun._PANEL_SPLIT
+    edges = np.append(cuts[:-1, None] + np.diff(cuts)[:, None] * split, math.pi)
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    rules = [specfun._gauss_legendre(order) for order in specfun._PANEL_ORDERS]
+    values = [integrand(mid[:, None] + half[:, None] * x) for x, _ in rules]
+    fine, coarse = (float(half @ (f @ w)) for f, (_, w) in zip(values, rules))
+    rounding = math.ulp(peak) * float(values[0].max())
+    scale = math.pi * (1.0 - alpha) * theta
+    return fine / scale, (abs(fine - coarse) + rounding) / scale
+
+
+def scalar_checked_density(order, thetas, tol):
+    """mainardi_density's array path, node by node on the scalar oracle,
+    with the checks it made before the batched kernel."""
+    out = []
+    for theta in thetas:
+        value, error = scalar_density_oracle(order, theta, tol)
+        if error > tol or value < -tol:
+            raise EvaluationError(f"refused at theta={theta}")
+        out.append(0.0 if value < 0.0 else value)
+    return np.array(out)
 
 
 class TestGamma:
@@ -123,21 +198,21 @@ class TestMainardiDensity:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_nonnegative_on_log_grid(self, alpha):
-        for theta in np.geomspace(1e-2, 10.0, 40):
-            assert mainardi_density(alpha, theta) >= 0.0
+        assert np.all(mainardi_density(alpha, np.geomspace(1e-2, 10.0, 40)) >= 0.0)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_dual_representations_agree(self, alpha):
         # overlap window where both the tail series and the stable integral converge
-        for theta in np.linspace(0.5, 1.0, 11):
-            a = _density_tail_series(alpha, theta, 1e-10)
-            b, _ = _density_stable_integral(alpha, theta)
-            assert abs(a - b) < 1e-7
+        thetas = np.linspace(0.5, 1.0, 11)
+        a = _density_tail_series(alpha, thetas, 1e-10)
+        b, _ = _density_stable_integral(alpha, thetas)
+        assert np.all(np.abs(a - b) < 1e-7)
 
     @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999))
     def test_stable_integral_matches_quad_oracle(self, alpha):
-        for theta in np.linspace(0.5, 6.0, 61)[1:]:
-            value, _ = _density_stable_integral(alpha, theta)
+        thetas = np.linspace(0.5, 6.0, 61)[1:]
+        values, _ = _density_stable_integral(alpha, thetas)
+        for theta, value in zip(thetas, values):
             assert abs(value - stable_integral_quad_oracle(alpha, theta)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", np.linspace(0.3, 0.93, 22))
@@ -145,8 +220,34 @@ class TestMainardiDensity:
         # every density value the theta rules use, with room below their
         # tol = 1e-12
         nodes = theta_quadrature(alpha, 200).nodes
-        worst = max(_density_stable_integral(alpha, t)[1] for t in nodes[nodes > 0.5])
-        assert worst <= 1e-13
+        assert np.max(_density_stable_integral(alpha, nodes[nodes > 0.5])[1]) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", np.round(np.arange(0.30, 0.935, 0.01), 2))
+    def test_batched_matches_scalar_oracle_at_rule_nodes(self, alpha):
+        nodes = theta_quadrature(alpha, 200).nodes
+        tail, body = nodes[nodes <= 0.5], nodes[nodes > 0.5]
+        want = np.array([scalar_density_oracle(alpha, t, 1e-12) for t in nodes])
+        values, estimates = _density_stable_integral(alpha, body)
+        got = np.concatenate([_density_tail_series(alpha, tail, 1e-12), values])
+        assert np.all(np.abs(got - want[:, 0]) <= 1e-14 * np.abs(want[:, 0]))
+        assert np.all(np.abs(estimates - want[tail.size:, 1]) <= 1e-15)
+
+    def test_batched_refusal_names_first_theta(self):
+        alpha, tol = 1.0 - 1e-8, 1e-10
+        with pytest.raises(EvaluationError) as batched:
+            mainardi_density(alpha, np.array([0.3, 0.55, 0.6]), tol=tol)
+        message = str(batched.value)
+        assert "theta=0.55)" in message and f"exceeds tol {tol:g}" in message
+        assert batched.value.partial is not None
+        with pytest.raises(EvaluationError) as single:
+            mainardi_density(alpha, 0.55, tol=tol)
+        assert str(single.value) == message
+        assert single.value.partial == batched.value.partial
+
+    @pytest.mark.parametrize("bad", (-1.0, 0.0, math.nan))
+    def test_array_domain_names_entry(self, bad):
+        with pytest.raises(DomainError, match=f"got {bad} at index 1"):
+            mainardi_density(0.5, np.array([0.7, bad]))
 
     def test_near_one_meets_tol_or_refuses(self, monkeypatch):
         # at 1 - 1e-8 the peak is too narrow for the panels at some theta:
@@ -306,6 +407,27 @@ class TestThetaQuadrature:
         except SobfracError:
             return
         assert rule.normalization_defect() <= 1e-8
+
+    def test_refuses_where_the_scalar_evaluation_refused(self, monkeypatch):
+        # the rule built on the per-node scalar oracle decides today's
+        # outcome; the scalar tail series overflows (OverflowError) at
+        # alpha = 0.01, where the batched one raises a typed error
+        alphas = [*np.round(np.arange(0.01, 0.955, 0.01), 2), *NEAR_ONE]
+        refused = {False: [], True: []}
+        for batched in (False, True):
+            with monkeypatch.context() as m:
+                if not batched:
+                    m.setattr(specfun, "mainardi_density", scalar_checked_density)
+                for alpha in alphas:
+                    try:
+                        theta_quadrature.__wrapped__(float(alpha), 200)
+                    except SobfracError:
+                        refused[batched].append(alpha)
+                    except OverflowError:
+                        assert not batched
+                        refused[batched].append(alpha)
+        assert refused[True] == refused[False]
+        assert 0.5 not in refused[True] and 0.95 in refused[True]
 
     def test_cold_build_never_uses_mpmath(self, monkeypatch):
         class NoMpmath:
