@@ -261,15 +261,19 @@ def _write_csv(path: Path, header: str, lines) -> None:
     path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
 
 
-def _table_lines(ts, labels, values, prefix: str = "") -> list:
-    """Lines "prefix t,label,value" of a (time x label) table, time-major.
+def _table_lines(times, labels, values, prefix: str = "") -> list:
+    """Rows "prefix t,label,value" of a (time x label) table, time-major.
 
-    Each time and label is formatted once; only the values per cell.
+    `times` and `labels` are strings, formatted once per table.  Each time
+    row comes back as one multi-line string: a cell template built per
+    table, joined behind the row's head and filled by one `%` call.
     """
+    cells = [f"{label.replace('%', '%%')},%.17g" for label in labels]
+    prefix = prefix.replace("%", "%%")
     lines = []
-    for t, row in zip(ts.tolist(), values.tolist()):
-        head = f"{prefix}{_fmt(t)},"
-        lines.extend([f"{head}{label},{_fmt(v)}" for label, v in zip(labels, row)])
+    for t, row in zip(times, values.tolist()):
+        head = f"{prefix}{t},"
+        lines.append((head + ("\n" + head).join(cells)) % tuple(row))
     return lines
 
 
@@ -278,7 +282,7 @@ def _mode_labels(mode_count: int) -> list:
 
 
 def _trajectory_artifacts(out: Path, traj, mode_count: int) -> None:
-    ts = traj.grid.nodes()
+    ts = [_fmt(t) for t in traj.grid.nodes().tolist()]
     n_x = default_collocation_size(mode_count)
     xs = [_fmt(x) for x in collocation_grid(n_x).tolist()]
     # stacked per-node products keep field_to_grid's rounding; a single
@@ -355,9 +359,10 @@ def run(config: RunConfig) -> int:
                 max_iter=config.solver_max_iter)
             _write_csv(out / "descent.csv", "iteration,J",
                        [f"{i},{_fmt(j)}" for i, j in enumerate(log.cost_values)])
+            ts = [_fmt(t) for t in grid.nodes().tolist()]
             lines = []
             for j, ctrl in enumerate(bundle.controls):
-                lines.extend(_table_lines(grid.nodes(), _mode_labels(ctrl.mode_count),
+                lines.extend(_table_lines(ts, _mode_labels(ctrl.mode_count),
                                           ctrl.coeffs, prefix=f"{j + 1},"))
             _write_csv(out / "controls.csv", "control,t,n,coefficient", lines)
             _trajectory_artifacts(out, traj, config.problem.mode_count)

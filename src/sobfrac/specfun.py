@@ -19,7 +19,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .errors import ConstructionError, DomainError, EvaluationError
@@ -369,6 +368,9 @@ def _ml_cached(alpha: float, beta: float, z: float) -> float:
 
     # Cancellation (or overflow) beyond the double budget: re-sum at a
     # precision sized from the hump height, never from the noisy sum.
+    # Imported here: no solve or optimize run needs mpmath's import time.
+    import mpmath
+
     with mpmath.workdps(50 + max(0, int(log_mx / math.log(10.0)))):
         a, b, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
         acc = mpmath.mpf(0)

@@ -94,6 +94,16 @@ def reference_controls_csv(bundle):
     return reference_csv("control,t,n,coefficient", rows)
 
 
+def fresh_interpreter(probe):
+    """Standard output of `probe` run by a new interpreter on this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
 def spy(monkeypatch, name):
     """Record the results of cli.<name> while the run calls it."""
     results = []
@@ -129,6 +139,23 @@ class TestTableWriter:
         assert (tmp_path / "controls.csv").read_text() == reference_controls_csv(bundle)
         assert (tmp_path / "descent.csv").read_text() == reference_csv(
             "iteration,J", [(i, float(j)) for i, j in enumerate(log.cost_values)])
+
+    def test_table_lines_edge_cells_match_per_value_writer(self):
+        cells = [-0.0, 5e-324, 1e-5, 1e16, 1e17, 123456789012345678.0,
+                 math.nan, math.inf, -math.inf]
+        ts = [0.0, 0.5]
+        values = np.array([cells, cells[::-1]])
+        labels = [str(n) for n in range(len(cells))]
+        lines = cli._table_lines([_fmt(t) for t in ts], labels, values, prefix="3,")
+        assert len(lines) == len(ts)
+        assert "\n".join(["h", *lines]) + "\n" == reference_csv(
+            "h", [(3, t, label, v) for t, row in zip(ts, values.tolist())
+                  for label, v in zip(labels, row)])
+
+    def test_table_lines_percent_label_is_literal(self):
+        lines = cli._table_lines(["1"], ["x%s", "100%%"], np.array([[0.25, -2.0]]),
+                                 prefix="%d,")
+        assert lines == ["%d,1,x%s,0.25\n%d,1,100%%,-2"]
 
     def test_verify_csv_matches_per_value_writer(self, tmp_path, monkeypatch):
         rows = [CheckRow("density_normalization", "alpha=0.3", 2.687e-14, 1e-8, True),
@@ -421,11 +448,23 @@ class TestMainEntry:
     def test_cli_import_loads_no_scipy(self):
         # scipy is a test-only dependency: a fresh interpreter that
         # imports the CLI must not load any of it
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
         probe = ("import sys, sobfrac.cli; "
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        done = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        assert fresh_interpreter(probe) == "[]"
+
+    def test_cold_builds_and_solve_load_no_mpmath(self, tmp_path):
+        # mpmath serves only the Mittag-Leffler oracle: cold theta rules
+        # (test_specfun's ALPHAS) and a nonlinear solve never import it
+        text = (MINIMAL + "nonlinearity = sin_grad:0.1\n"
+                f"\n[output]\ndirectory = {tmp_path}\n")
+        probe = f"""
+import sys
+from sobfrac import cli
+from sobfrac.specfun import theta_quadrature
+for alpha in (0.3, 0.5, 0.6, 0.8, 0.9):
+    assert theta_quadrature(alpha, 200).normalization_defect() <= 1e-8
+assert cli.run(cli.parse_config({text!r}, mode="solve")) == 0
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))
+"""
+        assert fresh_interpreter(probe) == "[]"
+        assert (tmp_path / "trajectory.csv").exists()

@@ -113,6 +113,17 @@ class TestMultiplierTable:
                 assert np.array_equal(s_row, s_table[m])
                 assert np.array_equal(t_row, t_table[m])
 
+    @pytest.mark.parametrize("modes, steps", ((4, 2), (8, 128), (32, 512)))
+    def test_block_size_moves_no_bit(self, modes, steps):
+        # multiplier_rows is the table in blocks of one time: the stacked
+        # rows equal the blocked table bit for bit, whatever the block size
+        c = SolutionOperatorCache(FracOrder(0.8, q=0.25), modes)
+        ts = np.linspace(0.0, 1.0, steps + 1)
+        rows = [c.multiplier_rows(float(t)) for t in ts]
+        s_table, t_table = c.multiplier_table(ts)
+        assert np.array_equal(s_table, np.stack([s for s, _ in rows]))
+        assert np.array_equal(t_table, np.stack([t for _, t in rows]))
+
     def test_negative_time_rejected(self, cache):
         with pytest.raises(DomainError):
             cache.multiplier_table([0.0, -1e-3])

@@ -429,21 +429,6 @@ class TestThetaQuadrature:
         assert refused[True] == refused[False]
         assert 0.5 not in refused[True] and 0.95 in refused[True]
 
-    def test_cold_build_never_uses_mpmath(self, monkeypatch):
-        class NoMpmath:
-            def __getattr__(self, name):
-                raise AssertionError(f"mpmath.{name} used on the solver path")
-
-        monkeypatch.setattr(specfun, "mpmath", NoMpmath())
-        theta_quadrature.cache_clear()
-        specfun._density_cached.cache_clear()
-        try:
-            for alpha in ALPHAS:
-                assert theta_quadrature(alpha, 200).normalization_defect() <= 1e-8
-        finally:
-            theta_quadrature.cache_clear()
-            specfun._density_cached.cache_clear()
-
     def test_unreachable_tolerance_reports_defect(self):
         with pytest.raises(ConstructionError) as err:
             theta_quadrature(0.8, 16)
