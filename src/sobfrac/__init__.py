@@ -9,9 +9,8 @@ from .fracops import SampledFn, TimeGrid, caputo_deriv, frac_integral, gl_deriv,
 from .mild_solver import (Nonlinearity, ProblemSpec, SolveReport, Trajectory,
                           ZERO_NONLINEARITY, apply_P, eval_f, picard_solve,
                           sin_gradient)
-from .optctrl import (ControlBundle, CostSpec, admissibility_value,
-                      bundle_from_array, cost_J, hypothesis_check,
-                      optimize_controls, project_admissible,
+from .optctrl import (ControlBundle, CostSpec, admissibility_value, cost_J,
+                      hypothesis_check, optimize_controls, project_admissible,
                       random_admissible_bundle, zero_bundle)
 from .solution_ops import SolutionOperatorCache, verify_operator_bounds
 from .specfun import (FracOrder, QuadratureRule, gamma, mainardi_density,

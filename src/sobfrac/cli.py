@@ -24,9 +24,9 @@ from .errors import ConfigError, SobfracError
 from .fracops import TimeGrid
 from .mild_solver import (Nonlinearity, ProblemSpec, ZERO_NONLINEARITY,
                           picard_solve, sin_gradient)
-from .optctrl import (ControlBundle, CostSpec, admissibility_value,
-                      bundle_from_array, cost_J, hypothesis_check,
-                      optimize_controls, project_admissible, zero_bundle)
+from .optctrl import (ControlBundle, CostSpec, admissibility_value, cost_J,
+                      hypothesis_check, optimize_controls, project_admissible,
+                      zero_bundle)
 from .solution_ops import SolutionOperatorCache
 from .specfun import FracOrder
 from .spectral import (SpectralField, collocation_grid, default_collocation_size,
@@ -350,8 +350,7 @@ def run(config: RunConfig) -> int:
             else:
                 x0 = rng.uniform(-1.0, 1.0,
                                  size=(k, grid.step_count, config.control_modes))
-                init = project_admissible(
-                    bundle_from_array(x0, grid, config.radius))
+                init = project_admissible(ControlBundle(x0, grid, config.radius))
             bundle, traj, log = optimize_controls(
                 config.problem, config.cost, init, budget=config.budget,
                 grad_tol=config.grad_tol, fd_step=config.fd_step,

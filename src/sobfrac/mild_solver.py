@@ -222,35 +222,37 @@ def _kernel_weights(alpha: float, step_count: int, dt: float) -> np.ndarray:
 
 
 def _control_forcing(spec: ProblemSpec, controls) -> np.ndarray:
-    """Cumulative trapezoid of the summed injected controls, per node."""
-    m1 = spec.step_count + 1
-    out = np.zeros((m1, spec.mode_count))
-    if controls is None or not controls.controls:
+    """Cumulative trapezoid of the summed injected controls, per node; the
+    final node repeats the last cell."""
+    out = np.zeros((spec.step_count + 1, spec.mode_count))
+    if controls is None:
         return out
-    dt = spec.grid.dt
-    total = np.zeros((m1, spec.mode_count))
-    for traj in controls.controls:
-        nc = traj.mode_count
-        if traj.grid != spec.grid:
-            raise DomainError("control grid does not match the problem grid")
-        if nc > spec.mode_count:
-            raise DomainError(
-                f"control has {nc} modes, the problem {spec.mode_count}")
-        total[:, :nc] += traj.coeffs
-    out[1:] = np.cumsum(0.5 * dt * (total[:-1] + total[1:]), axis=0)
+    nc = controls.cells.shape[2]
+    if controls.grid != spec.grid:
+        raise DomainError("control grid does not match the problem grid")
+    if nc > spec.mode_count:
+        raise DomainError(
+            f"control has {nc} modes, the problem {spec.mode_count}")
+    total = np.zeros_like(out)
+    total[:-1, :nc] = controls.cells.sum(axis=0)
+    total[-1] = total[-2]
+    out[1:] = np.cumsum(0.5 * spec.grid.dt * (total[:-1] + total[1:]), axis=0)
     return out
 
 
 def _control_forcing_adjoint(spec: ProblemSpec, grad_forcing: np.ndarray) -> np.ndarray:
     """Transpose of _control_forcing: gradient with respect to the summed
-    control node values, given the gradient with respect to its output."""
+    control cells, shape (M, N), given the gradient with respect to its
+    output."""
     half_dt = 0.5 * spec.grid.dt
     # out[m] sums the trapezoid cells l < m, so cell l collects rows m > l
     cells = np.cumsum(grad_forcing[:0:-1], axis=0)[::-1]
     out = np.zeros_like(grad_forcing)
     out[:-1] += half_dt * cells
     out[1:] += half_dt * cells
-    return out
+    # the final node repeats the last cell
+    out[-2] += out[-1]
+    return out[:-1]
 
 
 def fftconvolve(kernel_spectrum: np.ndarray, signal: np.ndarray, n: int) -> np.ndarray:
@@ -418,15 +420,14 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
     if not ok_aq:
         raise RejectedInstanceError(
             f"alpha*q = {spec.order.alpha * spec.order.q} must be < 1")
-    has_controls = controls is not None and getattr(controls, "controls", ())
-    if (spec.control_count > 0 or has_controls) and not ok_paq:
+    k = 0 if controls is None else len(controls.cells)
+    if (spec.control_count > 0 or k) and not ok_paq:
         raise RejectedInstanceError(
             f"p*alpha*(1-q) = {spec.order.p * spec.order.alpha * (1 - spec.order.q)} "
             "must exceed 1 for controlled instances")
-    if has_controls and len(controls.controls) != spec.control_count:
-        raise DomainError(
-            f"bundle supplies {len(controls.controls)} controls, "
-            f"spec declares {spec.control_count}")
+    if k and k != spec.control_count:
+        raise DomainError(f"bundle supplies {k} controls, "
+                          f"spec declares {spec.control_count}")
 
     workspace = _workspace(spec, cache, workspace)
     report = SolveReport()
@@ -445,8 +446,8 @@ def adjoint_solve(spec: ProblemSpec, traj: Trajectory, weight: np.ndarray,
                   workspace: _SweepWorkspace, tol: float = 1e-8,
                   max_iter: int = MAX_ITER) -> np.ndarray:
     """Gradient of <weight, u> at the solution traj with respect to the
-    summed control node values (the per-node sum of the bundle's control
-    coefficients, zero-padded to N modes); shape (M+1, N).
+    summed control cells (the per-cell sum of the bundle's cells,
+    zero-padded to N modes); shape (M, N).
 
     The adjoint state solves lam = E^T (weight + J^T lam), where J is the
     linearised response and E the h elimination, with the fixed-point

@@ -4,8 +4,10 @@ Controls are piecewise constant in time on the solver grid with a small
 number of spatial modes.  The optimizer is projected gradient descent
 with exact adjoint-state gradients of the discrete cost (one adjoint
 solve each) and Armijo backtracking; admissibility is restored after
-every step by uniform rescaling, which is exact for the homogeneous
-integral-norm constraint.
+every step by uniform rescaling.  Rescaling lands on the integral-norm
+ball, but it is not the Euclidean projection onto it, so the
+stationarity measure x - P(x - grad) is not a first-order optimality
+test when the ball binds.
 """
 
 from __future__ import annotations
@@ -32,58 +34,49 @@ _TRIALS = 50
 class ControlBundle:
     """k piecewise-constant-in-time spectral controls plus the ball radius.
 
-    Node m of each control trajectory is the value on cell [t_m, t_{m+1});
-    the final node repeats the last cell and carries no degrees of freedom.
+    cells has shape (k, M, modes): cells[j, m] is control j on the cell
+    [t_m, t_{m+1}) of grid.
     """
 
-    controls: tuple
+    cells: np.ndarray
+    grid: TimeGrid
     radius: float = 1.0
 
     def __post_init__(self):
+        c = np.array(self.cells, dtype=float)
+        if c.ndim != 3 or c.shape[1] != self.grid.step_count:
+            raise DomainError(
+                f"cells must have shape (k, {self.grid.step_count}, modes), "
+                f"got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise DomainError("control cells must be finite")
         if not self.radius > 0.0:
             raise DomainError(f"radius must be positive, got {self.radius}")
-        grids = {c.grid for c in self.controls}
-        if len(grids) > 1:
-            raise DomainError("all controls must share one grid")
+        c.setflags(write=False)
+        object.__setattr__(self, "cells", c)
 
     @property
-    def k(self) -> int:
-        return len(self.controls)
+    def controls(self) -> tuple:
+        """Per-control node trajectories: node m is cell m, and the final
+        node repeats the last cell."""
+        return tuple(Trajectory(self.grid, np.vstack([c, c[-1:]]))
+                     for c in self.cells)
 
     def scaled(self, factor: float) -> "ControlBundle":
-        return ControlBundle(
-            tuple(Trajectory(c.grid, c.coeffs * factor) for c in self.controls),
-            radius=self.radius)
-
-
-def bundle_from_array(x: np.ndarray, grid: TimeGrid, radius: float = 1.0) -> ControlBundle:
-    """Assemble a bundle from cell values of shape (k, M, modes)."""
-    k, m, nc = x.shape
-    if m != grid.step_count:
-        raise DomainError("cell count must equal the grid step count")
-    trajs = []
-    for j in range(k):
-        coeffs = np.vstack([x[j], x[j, -1:]])
-        trajs.append(Trajectory(grid, coeffs))
-    return ControlBundle(tuple(trajs), radius=radius)
-
-
-def bundle_to_array(bundle: ControlBundle) -> np.ndarray:
-    return np.stack([c.coeffs[:-1] for c in bundle.controls])
+        return ControlBundle(self.cells * factor, self.grid, self.radius)
 
 
 def zero_bundle(grid: TimeGrid, k: int, control_modes: int,
                 radius: float = 1.0) -> ControlBundle:
-    return bundle_from_array(np.zeros((k, grid.step_count, control_modes)),
-                             grid, radius)
+    return ControlBundle(np.zeros((k, grid.step_count, control_modes)),
+                         grid, radius)
 
 
 def admissibility_value(bundle: ControlBundle) -> float:
     """sum_j int_0^a ||u_j(s)|| ds, exact for piecewise-constant controls."""
     total = 0.0
-    for c in bundle.controls:
-        dt = c.grid.dt
-        total += float(np.sum(np.linalg.norm(c.coeffs[:-1], axis=1)) * dt)
+    for c in bundle.cells:
+        total += float(np.sum(np.linalg.norm(c, axis=1)) * bundle.grid.dt)
     return total
 
 
@@ -115,15 +108,13 @@ def cost_J(traj: Trajectory, controls: ControlBundle, spec: CostSpec) -> float:
     The inner integrals of the piecewise-constant controls accumulate
     exactly; the outer integral uses the trapezoid rule.
     """
-    for c in controls.controls:
-        if c.grid != traj.grid:
-            raise DomainError("cost requires trajectory and controls on one grid")
+    if controls.grid != traj.grid:
+        raise DomainError("cost requires trajectory and controls on one grid")
     dt = traj.grid.dt
     state = np.sum(traj.coeffs ** 2, axis=1)
     inner = np.zeros(traj.grid.step_count + 1)
-    for c in controls.controls:
-        sq = np.sum(c.coeffs[:-1] ** 2, axis=1)
-        inner[1:] += np.cumsum(sq) * dt
+    for c in controls.cells:
+        inner[1:] += np.cumsum(np.sum(c ** 2, axis=1)) * dt
     integrand = spec.state_weight * state + spec.control_weight * inner
     return float(np.trapezoid(integrand, dx=dt))
 
@@ -146,10 +137,7 @@ def adjoint_gradient(problem: ProblemSpec, cost: CostSpec, x: np.ndarray,
     weight = 2.0 * cost.state_weight * trapezoid[:, None] * traj.coeffs
     grad_total = adjoint_solve(problem, traj, weight, workspace, tol=solve_tol,
                                max_iter=max_iter)
-    nc = x.shape[2]
-    # bundle_from_array repeats the last cell at the final node
-    state = grad_total[:-1, :nc].copy()
-    state[-1] += grad_total[-1, :nc]
+    state = grad_total[:, :x.shape[2]]
     later = (m - 0.5 - np.arange(m))[:, None]
     return state[None] + 2.0 * cost.control_weight * dt * dt * later * x
 
@@ -165,7 +153,6 @@ class DescentLog:
 
     cost_values: list = field(default_factory=list)
     gradient_norms: list = field(default_factory=list)
-    step_sizes: list = field(default_factory=list)
     stationarity: float = math.nan
     converged: bool = False
     budget_exhausted: bool = False
@@ -202,12 +189,12 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
     workspace = _workspace(problem, cache, None)
     grid = problem.grid
 
-    x = bundle_to_array(project_admissible(init))
+    x = project_admissible(init).cells
     radius = init.radius
     log = DescentLog()
 
     def objective(arr, warm=None, tol=solve_tol):
-        bundle = bundle_from_array(arr, grid, radius)
+        bundle = ControlBundle(arr, grid, radius)
         try:
             traj, _ = picard_solve(problem, controls=bundle, tol=tol,
                                    max_iter=max_iter, initial=warm,
@@ -229,8 +216,7 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
         return grad
 
     def project_array(arr):
-        return bundle_to_array(project_admissible(
-            bundle_from_array(arr, grid, radius)))
+        return project_admissible(ControlBundle(arr, grid, radius)).cells
 
     j_cur, traj_cur = objective(x)
     log.cost_values.append(j_cur)
@@ -271,15 +257,13 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
         prev_x, prev_grad = x, grad
         x, j_cur, traj_cur = xn, jn, traj_n
         log.cost_values.append(j_cur)
-        log.step_sizes.append(gamma)
 
     else:
         log.budget_exhausted = True
 
     if checked is not None:
         log.gradient_check = _gradient_check(objective, *checked, fd_step, solve_tol)
-    bundle = bundle_from_array(x, grid, radius)
-    return bundle, traj_cur, log
+    return ControlBundle(x, grid, radius), traj_cur, log
 
 
 # Forward-solve tolerance of the gradient check.  Near a stationary point
@@ -315,7 +299,7 @@ def random_admissible_bundle(grid: TimeGrid, k: int, control_modes: int,
                              fill: float | None = None) -> ControlBundle:
     """Uniform-direction sample rescaled to a uniform fraction of the ball."""
     x = rng.uniform(-1.0, 1.0, size=(k, grid.step_count, control_modes))
-    bundle = bundle_from_array(x, grid, radius)
+    bundle = ControlBundle(x, grid, radius)
     value = admissibility_value(bundle)
     target = (fill if fill is not None else rng.uniform(0.0, 1.0)) * radius
     if value > 0.0:

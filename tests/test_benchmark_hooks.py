@@ -31,6 +31,26 @@ nonlinearity = sin_grad:0.1
 directory = {out}
 """
 
+TINY_OPTIMIZE = """
+[problem]
+alpha = 0.8
+q = 0.25
+p = 2.0
+horizon = 1.0
+modes = 4
+steps = 16
+u0 = 1:0.5
+v0 = 1:1.0
+nonlocal = 0.3@0.5
+controls = 1
+
+[optimize]
+control_modes = 2
+
+[output]
+directory = {out}
+"""
+
 
 @pytest.fixture()
 def perfbench(monkeypatch):
@@ -98,3 +118,25 @@ def test_traced_cold_build_is_one_density_call(perfbench):
     metrics = tracing.layer_metrics(tracer)
     assert metrics["specfun.theta_quadrature.cold"] == 1
     assert metrics["specfun.mainardi_density.calls"] == 1
+
+
+def test_traced_optimize_and_gate(perfbench, tmp_path):
+    # optimize_linear's hook reads the initial bundle's per-control node
+    # views and counts M * modes cell coefficients per control
+    tracing, workloads = perfbench
+    config = cli.parse_config(TINY_OPTIMIZE.format(out=tmp_path), mode="optimize")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        status = cli.run(config)
+    finally:
+        tracer.uninstall()
+    assert status == 0
+    counts = tracer.counts
+    assert counts["optctrl.iterations"] >= 1
+    opt = workloads.strict_json((tmp_path / "report.json").read_text())["optimize"]
+    assert counts["optctrl.inner_solves"] == opt["inner_solves"]
+    coefficients = 16 * 2
+    assert counts["optctrl.trial_steps"] == (
+        opt["inner_solves"] - 1 - 2 * coefficients * counts["optctrl.iterations"])
+    assert workloads.check_optimize(config, tmp_path, status, 0) == []

@@ -10,10 +10,11 @@ from sobfrac.errors import (DomainError, NonConvergenceError,
 from sobfrac.fracops import TimeGrid
 from sobfrac.mild_solver import (MAX_ITER, Nonlinearity, ProblemSpec,
                                  SolveReport, Trajectory, ZERO_NONLINEARITY,
-                                 _SweepWorkspace, _control_forcing, _f_on_grid,
+                                 _SweepWorkspace, _control_forcing,
+                                 _control_forcing_adjoint, _f_on_grid,
                                  _fixed_point, apply_P, eval_f, f_modes,
                                  picard_solve, sin_gradient)
-from sobfrac.optctrl import bundle_from_array
+from sobfrac.optctrl import ControlBundle
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import FracOrder, gamma, mittag_leffler
 from sobfrac.spectral import SpectralField, apply_Bi, grid_to_field, norm_q
@@ -185,16 +186,31 @@ class TestControlForcing:
 
     def test_horizon_mismatch_rejected(self, spec):
         # same step count, horizon 5 instead of 1
-        bundle = bundle_from_array(np.full((1, 32, 4), 0.1), TimeGrid(5.0, 32))
+        bundle = ControlBundle(np.full((1, 32, 4), 0.1), TimeGrid(5.0, 32))
         with pytest.raises(DomainError, match="grid"):
             picard_solve(spec, cache=SolutionOperatorCache(spec.order, 8),
                          controls=bundle)
 
     def test_extra_control_modes_rejected(self, spec):
-        bundle = bundle_from_array(np.full((1, 32, 12), 0.1), spec.grid)
+        bundle = ControlBundle(np.full((1, 32, 12), 0.1), spec.grid)
         with pytest.raises(DomainError, match="modes"):
             picard_solve(spec, cache=SolutionOperatorCache(spec.order, 8),
                          controls=bundle)
+
+    @pytest.mark.parametrize("m", [2, 7, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_adjoint_is_transpose(self, m, k):
+        # <F x, y> = <x, F^T y>, with F^T folding the repeated final node
+        # back into the last cell
+        spec = make_spec(n=8, m=m, control_count=k)
+        rng = np.random.default_rng(100 * m + k)
+        x = rng.standard_normal((k, m, 3))
+        y = rng.standard_normal((m + 1, 8))
+        lhs = float(np.sum(_control_forcing(spec, ControlBundle(x, spec.grid)) * y))
+        grad = _control_forcing_adjoint(spec, y)
+        assert grad.shape == (m, 8)
+        rhs = float(np.sum(x * grad[None, :, :3]))
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
 
 def reference_sweep(spec, ws, coeffs, ctrl_forcing):
@@ -217,8 +233,8 @@ class TestBatchedSweep:
         ws = _SweepWorkspace(spec, cache16)
         traj, _ = picard_solve(spec, workspace=ws, tol=1e-8)
         rng = np.random.default_rng(6)
-        controls = bundle_from_array(0.1 * rng.standard_normal((1, 512, 16)),
-                                     spec.grid)
+        controls = ControlBundle(0.1 * rng.standard_normal((1, 512, 16)),
+                                 spec.grid)
         ctrl_forcing = _control_forcing(spec, controls)
         for coeffs in (traj.coeffs, rng.standard_normal(traj.coeffs.shape)):
             got = apply_P(spec, cache16, Trajectory(spec.grid, coeffs), controls)

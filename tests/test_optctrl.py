@@ -12,8 +12,7 @@ from sobfrac.mild_solver import (Nonlinearity, ProblemSpec, Trajectory,
                                  _SweepWorkspace, eval_f, picard_solve,
                                  sin_gradient)
 from sobfrac.optctrl import (ControlBundle, CostSpec, adjoint_gradient,
-                             admissibility_value, bundle_from_array,
-                             bundle_to_array, cost_J, hypothesis_check,
+                             admissibility_value, cost_J, hypothesis_check,
                              optimize_controls, project_admissible,
                              random_admissible_bundle, zero_bundle)
 from sobfrac.solution_ops import SolutionOperatorCache
@@ -39,7 +38,7 @@ def fd_gradient(problem, cost, x, cache, fd_step=1e-4, solve_tol=1e-12):
     grid = problem.grid
 
     def objective(arr):
-        bundle = bundle_from_array(arr, grid)
+        bundle = ControlBundle(arr, grid)
         traj, _ = picard_solve(problem, cache=cache, controls=bundle, tol=solve_tol)
         return cost_J(traj, bundle, cost)
 
@@ -117,20 +116,20 @@ class TestCost:
         traj = Trajectory.zero(grid, 8)
         x = np.zeros((1, 64, 4))
         x[0, :, 0] = 1.0
-        got = cost_J(traj, bundle_from_array(x, grid), CostSpec())
+        got = cost_J(traj, ControlBundle(x, grid), CostSpec())
         assert abs(got - 0.5) <= 1e-6
 
     def test_nonnegative_on_random_inputs(self, grid):
         rng = np.random.default_rng(0)
         for _ in range(100):
             traj = Trajectory(grid, rng.standard_normal((65, 8)))
-            bundle = bundle_from_array(rng.standard_normal((2, 64, 4)), grid)
+            bundle = ControlBundle(rng.standard_normal((2, 64, 4)), grid)
             assert cost_J(traj, bundle, CostSpec()) >= 0.0
 
     def test_quadratic_scaling(self, grid):
         rng = np.random.default_rng(1)
         traj = Trajectory(grid, rng.standard_normal((65, 8)))
-        bundle = bundle_from_array(rng.standard_normal((1, 64, 4)), grid)
+        bundle = ControlBundle(rng.standard_normal((1, 64, 4)), grid)
         j1 = cost_J(traj, bundle, CostSpec())
         j4 = cost_J(Trajectory(grid, 2.0 * traj.coeffs), bundle.scaled(2.0),
                     CostSpec())
@@ -153,29 +152,60 @@ class TestAdmissibility:
     def test_admissible_returned_unchanged(self, grid):
         x = np.zeros((1, 64, 4))
         x[0, :, 0] = 0.5
-        bundle = bundle_from_array(x, grid)
+        bundle = ControlBundle(x, grid)
         assert project_admissible(bundle) is bundle
 
     def test_violating_bundle_rescaled(self, grid):
         x = np.zeros((1, 64, 4))
         x[0, :, 0] = 2.0
-        bundle = bundle_from_array(x, grid)
+        bundle = ControlBundle(x, grid)
         assert abs(admissibility_value(bundle) - 2.0) <= 1e-12
         projected = project_admissible(bundle)
         assert abs(admissibility_value(projected) - 1.0) <= 1e-10
 
     def test_idempotent(self, grid):
         rng = np.random.default_rng(2)
-        bundle = bundle_from_array(rng.standard_normal((2, 64, 3)), grid)
+        bundle = ControlBundle(rng.standard_normal((2, 64, 3)), grid)
         once = project_admissible(bundle)
         twice = project_admissible(once)
-        for a, b in zip(once.controls, twice.controls):
-            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12
+        assert np.max(np.abs(once.cells - twice.cells)) <= 1e-12
 
-    def test_round_trip_array(self, grid):
+    def test_node_view(self, grid):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 64, 3))
-        assert np.array_equal(bundle_to_array(bundle_from_array(x, grid)), x)
+        bundle = ControlBundle(x, grid)
+        assert len(bundle.controls) == 2
+        for j, ctrl in enumerate(bundle.controls):
+            assert ctrl.grid == grid
+            assert ctrl.coeffs.shape == (65, 3)
+            assert np.array_equal(ctrl.coeffs[:-1], bundle.cells[j])
+            assert np.array_equal(ctrl.coeffs[-1], bundle.cells[j, -1])
+
+
+class TestControlBundle:
+    def test_cells_are_read_only_copies(self, grid):
+        x = np.zeros((1, 64, 2))
+        bundle = ControlBundle(x, grid)
+        x[0, 0, 0] = 1.0
+        assert bundle.cells[0, 0, 0] == 0.0
+        with pytest.raises(ValueError):
+            bundle.cells[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(1, 63, 2), (1, 65, 2), (64, 2)])
+    def test_wrong_cell_count(self, grid, shape):
+        with pytest.raises(DomainError, match="shape"):
+            ControlBundle(np.zeros(shape), grid)
+
+    def test_nan_cell(self, grid):
+        x = np.zeros((2, 64, 2))
+        x[1, 17, 1] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            ControlBundle(x, grid)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_nonpositive_radius(self, grid, radius):
+        with pytest.raises(DomainError, match="radius"):
+            ControlBundle(np.zeros((1, 64, 2)), grid, radius)
 
 
 class TestHypothesisCheck:
@@ -290,7 +320,7 @@ class TestAdjointGradient:
         else:
             bundle = random_admissible_bundle(grid, 2, control_modes,
                                               np.random.default_rng(11))
-        x = bundle_to_array(bundle)
+        x = bundle.cells
         traj, _ = picard_solve(problem, cache=cache, controls=bundle, tol=1e-12)
         got = adjoint_gradient(problem, CostSpec(), x, traj,
                                _SweepWorkspace(problem, cache), solve_tol=1e-12)
