@@ -325,8 +325,10 @@ def run(config: RunConfig) -> int:
             }
             status = 0 if all(r.passed for r in rows) else 1
         elif config.mode == "solve":
+            cache = _operator_cache(config)
+            report["multiplier_rule"] = cache.rule_summary()
             traj, solve_report = picard_solve(
-                config.problem, cache=_operator_cache(config), tol=config.solver_tol,
+                config.problem, cache=cache, tol=config.solver_tol,
                 max_iter=config.solver_max_iter)
             _trajectory_artifacts(out, traj, config.problem.mode_count)
             report["solve"] = {
@@ -351,10 +353,12 @@ def run(config: RunConfig) -> int:
                 x0 = rng.uniform(-1.0, 1.0,
                                  size=(k, grid.step_count, config.control_modes))
                 init = project_admissible(ControlBundle(x0, grid, config.radius))
+            cache = _operator_cache(config)
+            report["multiplier_rule"] = cache.rule_summary()
             bundle, traj, log = optimize_controls(
                 config.problem, config.cost, init, budget=config.budget,
                 grad_tol=config.grad_tol, fd_step=config.fd_step,
-                solve_tol=config.solver_tol, cache=_operator_cache(config),
+                solve_tol=config.solver_tol, cache=cache,
                 max_iter=config.solver_max_iter)
             _write_csv(out / "descent.csv", "iteration,J",
                        [f"{i},{_fmt(j)}" for i, j in enumerate(log.cost_values)])

@@ -222,8 +222,8 @@ def _kernel_weights(alpha: float, step_count: int, dt: float) -> np.ndarray:
 
 
 def _control_forcing(spec: ProblemSpec, controls) -> np.ndarray:
-    """Cumulative trapezoid of the summed injected controls, per node; the
-    final node repeats the last cell."""
+    """Exact integral from 0 to each node of the summed piecewise-constant
+    controls: node m collects the cells l < m."""
     out = np.zeros((spec.step_count + 1, spec.mode_count))
     if controls is None:
         return out
@@ -233,26 +233,15 @@ def _control_forcing(spec: ProblemSpec, controls) -> np.ndarray:
     if nc > spec.mode_count:
         raise DomainError(
             f"control has {nc} modes, the problem {spec.mode_count}")
-    total = np.zeros_like(out)
-    total[:-1, :nc] = controls.cells.sum(axis=0)
-    total[-1] = total[-2]
-    out[1:] = np.cumsum(0.5 * spec.grid.dt * (total[:-1] + total[1:]), axis=0)
+    out[1:, :nc] = np.cumsum(spec.grid.dt * controls.cells.sum(axis=0), axis=0)
     return out
 
 
 def _control_forcing_adjoint(spec: ProblemSpec, grad_forcing: np.ndarray) -> np.ndarray:
     """Transpose of _control_forcing: gradient with respect to the summed
     control cells, shape (M, N), given the gradient with respect to its
-    output."""
-    half_dt = 0.5 * spec.grid.dt
-    # out[m] sums the trapezoid cells l < m, so cell l collects rows m > l
-    cells = np.cumsum(grad_forcing[:0:-1], axis=0)[::-1]
-    out = np.zeros_like(grad_forcing)
-    out[:-1] += half_dt * cells
-    out[1:] += half_dt * cells
-    # the final node repeats the last cell
-    out[-2] += out[-1]
-    return out[:-1]
+    output; cell l collects the rows m > l."""
+    return spec.grid.dt * np.cumsum(grad_forcing[:0:-1], axis=0)[::-1]
 
 
 def fftconvolve(kernel_spectrum: np.ndarray, signal: np.ndarray, n: int) -> np.ndarray:

@@ -4,7 +4,9 @@ Each check returns a row (name, detail, value, threshold, passed) so the
 front end can emit a pass/fail table and an exit status.  The checks
 mirror the module test suites: density normalization/moments/Laplace
 identity, the dual density representations, the discrete fractional
-calculus identities, and the solution-operator oracle and bounds.
+calculus identities, and the solution-operator oracle and bounds.  The
+paper's representation, the theta rule against the Mainardi density,
+checks the psi rule that the solver's multipliers come from.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fracops, solution_ops, specfun
+from . import fracops, solution_ops, specfun, spectral
 from .specfun import FracOrder
 
 
@@ -113,8 +115,40 @@ def fracops_checks() -> list:
     return rows
 
 
+def theta_rule_table(order: FracOrder, mode_count: int, ts,
+                     node_count: int = 200) -> tuple[np.ndarray, np.ndarray]:
+    """(s_table, t_table) from the theta rule: the subordination integrals
+    s = L^-1 int zeta_a(th) exp(-lambda t^a th) dth and
+    t = a L^-1 int th zeta_a(th) exp(-lambda t^a th) dth."""
+    alpha = order.alpha
+    rule = specfun.theta_quadrature(alpha, node_count)
+    wz = rule.weights * rule.density_values
+    lam = spectral.generator_symbol(mode_count)
+    linv = spectral.l_inverse_symbol(mode_count)
+    scaled = lam[None, :] * (np.asarray(ts, dtype=float) ** alpha)[:, None]
+    expo = np.exp(-scaled[:, :, None] * rule.nodes)
+    return linv * (expo @ wz), alpha * linv * (expo @ (wz * rule.nodes))
+
+
 def solution_op_checks() -> list:
     rows = []
+    ts = np.concatenate([[0.0], np.geomspace(1e-5, 10.0, 25)])
+    for a in (0.5, 0.8):
+        got = solution_ops.SolutionOperatorCache(FracOrder(a), 64).multiplier_table(ts)
+        want = theta_rule_table(FracOrder(a), 64, ts)
+        worst = max(np.max(np.abs(g - w)) for g, w in zip(got, want))
+        rows.append(_row("multiplier_rule_vs_theta", f"alpha={a}", worst, 1e-10))
+    # beyond the theta rule's reach, the Mittag-Leffler series checks it
+    a = 0.95
+    got_s, got_t = solution_ops.SolutionOperatorCache(FracOrder(a), 64).multiplier_table(ts)
+    worst = 0.0
+    for t, s_row, t_row in zip(ts, got_s, got_t):
+        for n in (1, 4, 16, 64):
+            z = -n * n / (1.0 + n * n) * t ** a
+            worst = max(worst,
+                        abs(s_row[n - 1] - specfun.mittag_leffler(a, 1.0, z) / (1 + n * n)),
+                        abs(t_row[n - 1] - specfun.mittag_leffler(a, a, z) / (1 + n * n)))
+    rows.append(_row("multiplier_rule_vs_series", f"alpha={a}", worst, 1e-9))
     for a in (0.5, 0.8):
         cache = solution_ops.SolutionOperatorCache(FracOrder(a, q=0.25), 16)
         worst_s = worst_t = 0.0

@@ -320,13 +320,33 @@ class TestSolveMode:
         assert solve["converged"]
         assert solve["nonlocal_denominator_min"] > 1.0
 
-    def test_alpha_near_one_reports_typed_error(self, tmp_path):
-        # the 200-node theta rule cannot reach its 1e-8 normalization here
-        text = (MINIMAL.replace("alpha = 0.8", "alpha = 0.99")
+    def test_alpha_below_floor_reports_typed_error(self, tmp_path):
+        # the 200-node psi rule refuses below its floor; p keeps the
+        # exponent condition p alpha (1 - q) > 1
+        text = (MINIMAL.replace("alpha = 0.8", "alpha = 0.01\np = 200.0")
                 + f"\n[output]\ndirectory = {tmp_path}\n")
         assert run(parse_config(text, mode="solve")) == 1
         report = strict_json(tmp_path / "report.json")
-        assert report["error"]["type"]
+        assert report["error"]["type"] == "ConstructionError"
+        assert "alpha=0.01" in report["error"]["message"]
+        assert f"alpha >= {solution_ops.ALPHA_FLOOR}" in report["error"]["message"]
+
+    def test_alpha_near_one_solves(self, tmp_path):
+        # the theta rule refused alpha >= 0.938; the psi rule serves it
+        text = (MINIMAL.replace("alpha = 0.8", "alpha = 0.99")
+                + f"\n[output]\ndirectory = {tmp_path}\n")
+        assert run(parse_config(text, mode="solve")) == 0
+        assert strict_json(tmp_path / "report.json")["solve"]["converged"]
+
+    def test_report_names_the_multiplier_rule(self, tmp_path):
+        text = (MINIMAL + f"\n[solver]\nquad_nodes = 150\n"
+                f"\n[output]\ndirectory = {tmp_path}\n")
+        assert run(parse_config(text, mode="solve")) == 0
+        rule = strict_json(tmp_path / "report.json")["multiplier_rule"]
+        assert rule["nodes"] == 150
+        assert rule["kind"] == "psi"
+        assert 0.0 <= rule["weight_sum_defect"] <= 1e-12
+        assert 0.0 <= rule["halving_defect"] <= solution_ops.HALVING_TOL
 
 
     def test_hypothesis_check_error_reported(self, tmp_path, monkeypatch):
@@ -368,17 +388,19 @@ class TestOptimizeMode:
 
     def test_quad_nodes_reach_the_optimizer(self, tmp_path, monkeypatch):
         built = []
-        original = solution_ops.theta_quadrature
+        original = solution_ops.psi_rule
 
         def spy(alpha, node_count=200):
             built.append(node_count)
             return original(alpha, node_count)
 
-        monkeypatch.setattr(solution_ops, "theta_quadrature", spy)
+        monkeypatch.setattr(solution_ops, "psi_rule", spy)
         text = (REFERENCE_CFG.replace("budget = 40", "budget = 2")
                 + f"directory = {tmp_path}\n\n[solver]\nquad_nodes = 120\n")
         run(parse_config(text, mode="optimize"))
         assert built and set(built) == {120}
+        rule = strict_json(tmp_path / "report.json")["multiplier_rule"]
+        assert rule["nodes"] == 120
 
     def test_max_iter_reaches_the_optimizer(self, tmp_path):
         # a linear solve is exact after one sweep, so only a nonlinear one
@@ -468,3 +490,23 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))
 """
         assert fresh_interpreter(probe) == "[]"
         assert (tmp_path / "trajectory.csv").exists()
+
+    def test_solve_and_optimize_evaluate_no_density(self, tmp_path):
+        # the multipliers come from the psi rule: a solve at an alpha used
+        # nowhere else and a small optimize build no theta rule and
+        # evaluate no Mainardi density
+        solve = (MINIMAL.replace("alpha = 0.8", "alpha = 0.6180339887")
+                 + f"nonlinearity = sin_grad:0.1\n\n[output]\ndirectory = {tmp_path / 's'}\n")
+        optimize = (REFERENCE_CFG.replace("budget = 40", "budget = 2")
+                    + f"directory = {tmp_path / 'o'}\n")
+        probe = f"""
+from sobfrac import cli
+from sobfrac.specfun import _density_cached, theta_quadrature
+assert cli.run(cli.parse_config({solve!r}, mode="solve")) == 0
+cli.run(cli.parse_config({optimize!r}, mode="optimize"))
+print(theta_quadrature.cache_info().currsize, _density_cached.cache_info().misses)
+"""
+        assert fresh_interpreter(probe) == "0 0"
+        report = strict_json(tmp_path / "o" / "report.json")
+        assert report["optimize"]["inner_solves"] >= 1
+        assert report["multiplier_rule"]["nodes"] == 200

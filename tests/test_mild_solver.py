@@ -197,11 +197,23 @@ class TestControlForcing:
             picard_solve(spec, cache=SolutionOperatorCache(spec.order, 8),
                          controls=bundle)
 
+    def test_forcing_integrates_the_cells_exactly(self):
+        # one unit cell [t_5, t_6) at dt = 0.1: nothing of it has entered
+        # by t_5, all of it (0.1) from t_6 on
+        spec = ProblemSpec(FracOrder(0.8, q=0.25, p=2.0), 1.0, 4, 10,
+                           SpectralField.unit(4, 1), SpectralField.unit(4, 1),
+                           control_count=1)
+        x = np.zeros((1, 10, 2))
+        x[0, 5, 0] = 1.0
+        forcing = _control_forcing(spec, ControlBundle(x, spec.grid))
+        assert np.all(forcing[:6] == 0.0)
+        assert np.allclose(forcing[6:, 0], 0.1, rtol=0.0, atol=1e-15)
+        assert np.all(forcing[:, 1:] == 0.0)
+
     @pytest.mark.parametrize("m", [2, 7, 64])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_adjoint_is_transpose(self, m, k):
-        # <F x, y> = <x, F^T y>, with F^T folding the repeated final node
-        # back into the last cell
+        # <F x, y> = <x, F^T y>
         spec = make_spec(n=8, m=m, control_count=k)
         rng = np.random.default_rng(100 * m + k)
         x = rng.standard_normal((k, m, 3))

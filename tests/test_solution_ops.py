@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from sobfrac.errors import DomainError
-from sobfrac.solution_ops import SolutionOperatorCache, verify_operator_bounds
+from sobfrac import solution_ops
+from sobfrac.errors import ConstructionError, DomainError
+from sobfrac.solution_ops import (ALPHA_FLOOR, HALVING_TOL, T_WINDOW,
+                                  SolutionOperatorCache, psi_rule,
+                                  verify_operator_bounds)
 from sobfrac.specfun import FracOrder, gamma, mittag_leffler
+from sobfrac.verification import theta_rule_table
 from sobfrac.spectral import SpectralField, l_inverse_symbol, measure_bounds, norm_q
 
 
@@ -84,15 +88,19 @@ class TestMultipliers:
 
 
 def per_time_rows(cache, t):
-    """The multiplier rows at one time, one exp(outer) block each: the
-    per-time evaluation that multiplier_table replaced."""
+    """The multiplier rows at one time from the psi rule, one exp(outer)
+    block each: the per-time evaluation that multiplier_table batches."""
     alpha = cache.order.alpha
     if alpha >= 1.0:
         decay = np.exp(-cache._lam * t)
         return cache._linv * decay, cache._linv * decay
-    expo = np.exp(-np.outer(cache._lam * t ** alpha, cache.rule.nodes))
-    return (cache._linv * (expo @ cache._wz),
-            alpha * cache._linv * (expo @ cache._wzt))
+    if t == 0.0:
+        return cache._linv, cache._linv / gamma(alpha)
+    rule = cache.rule
+    tau = t * cache._rate
+    expo = np.exp(np.maximum(np.outer(tau, -rule.nodes), -solution_ops._EXP_FLOOR))
+    return (cache._linv * (expo @ rule.weights),
+            cache._linv * (tau ** (1.0 - alpha) * (expo @ rule.t_weights)))
 
 
 class TestMultiplierTable:
@@ -129,6 +137,80 @@ class TestMultiplierTable:
             cache.multiplier_table([0.0, -1e-3])
         with pytest.raises(DomainError):
             cache.multiplier_rows(-1.0)
+
+    def test_times_outside_the_window_rejected(self, cache):
+        lo, hi = T_WINDOW
+        cache.multiplier_table([0.0, lo, hi])
+        for t in (0.5 * lo, 2.0 * hi):
+            with pytest.raises(DomainError, match="window"):
+                cache.multiplier_table([0.0, t])
+        # the semigroup serves every time
+        SolutionOperatorCache(FracOrder(1.0), 4).multiplier_table([1e-12, 1e6])
+
+
+ORACLE_TS = np.concatenate([[0.0], np.geomspace(1e-5, 10.0, 49)])
+
+
+class TestPsiRule:
+    def test_matches_theta_rule_rows(self):
+        # every alpha of the 0.01 grid where the theta rule builds well
+        # inside its normalization gate, n = 1..64
+        for alpha in np.round(np.arange(0.30, 0.905, 0.01), 2):
+            order = FracOrder(float(alpha))
+            got = SolutionOperatorCache(order, 64).multiplier_table(ORACLE_TS)
+            want = theta_rule_table(order, 64, ORACLE_TS)
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-10, alpha
+
+    @pytest.mark.parametrize("alpha", (0.23, 0.94, 0.97, 0.99, 0.999))
+    def test_matches_mittag_leffler_series(self, alpha):
+        s_table, t_table = SolutionOperatorCache(FracOrder(alpha), 64).multiplier_table(
+            ORACLE_TS)
+        for m in range(0, ORACLE_TS.size, 4):
+            t = ORACLE_TS[m]
+            for n in (1, 3, 8, 21, 64):
+                z = -lam(n) * t ** alpha
+                assert abs(s_table[m, n - 1]
+                           - mittag_leffler(alpha, 1.0, z) / (1 + n * n)) <= 1e-9
+                assert abs(t_table[m, n - 1]
+                           - mittag_leffler(alpha, alpha, z) / (1 + n * n)) <= 1e-9
+
+    def test_builds_from_the_floor_to_one(self):
+        # the theta rule's range at 200 nodes (0.23-0.93), beyond it, and
+        # the documented floor
+        alphas = np.concatenate([np.arange(ALPHA_FLOOR, 0.9995, 0.001), [0.999, 1 - 1e-9]])
+        for alpha in alphas:
+            rule = psi_rule(float(alpha), 200)
+            assert rule.nodes.size == rule.weights.size == 200
+            assert rule.halving_defect <= HALVING_TOL
+            assert np.all(np.isfinite(rule.nodes)) and np.all(rule.weights > 0.0)
+        assert psi_rule(0.8, 200).weight_sum_defect <= 1e-15
+
+    @pytest.mark.parametrize("alpha", (0.01, 0.02))
+    def test_refuses_below_the_floor(self, alpha):
+        with pytest.raises(ConstructionError) as err:
+            psi_rule(alpha, 200)
+        message = str(err.value)
+        assert f"alpha={alpha}" in message
+        assert f"alpha >= {ALPHA_FLOOR}" in message
+        assert "halving defect" in message
+        assert err.value.achieved_defect > HALVING_TOL
+
+    def test_too_few_nodes_refused(self):
+        with pytest.raises(ConstructionError, match="node_count=16"):
+            psi_rule(0.8, 16)
+        with pytest.raises(DomainError):
+            psi_rule(0.8, 15)
+        with pytest.raises(DomainError):
+            psi_rule(1.0, 200)
+
+    def test_cache_reads_the_rule(self):
+        c = SolutionOperatorCache(FracOrder(0.6, q=0.25), 8, node_count=150)
+        assert c.rule is psi_rule(0.6, 150)
+        summary = c.rule_summary()
+        assert summary["nodes"] == 150
+        assert summary["weight_sum_defect"] == c.rule.weight_sum_defect
+        assert SolutionOperatorCache(FracOrder(1.0), 8).rule_summary()["nodes"] == 0
 
 
 class TestOperatorApplication:
