@@ -15,39 +15,31 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SobfracError
+from .errors import ConfigError, ConstructionError, DomainError, SobfracError
 from .fracops import TimeGrid
 from .mild_solver import (Nonlinearity, ProblemSpec, ZERO_NONLINEARITY,
                           picard_solve, sin_gradient)
-from .optctrl import (ControlBundle, CostSpec, admissibility_value, cost_J,
-                      hypothesis_check, optimize_controls, project_admissible,
-                      zero_bundle)
-from .solution_ops import SolutionOperatorCache
+from .optctrl import (ControlBundle, CostSpec, admissibility_value, hypothesis_check,
+                      optimize_controls, project_admissible, zero_bundle)
+from .solution_ops import ALPHA_FLOOR, HALVING_TOL, SolutionOperatorCache, psi_rule
 from .specfun import FracOrder
 from .spectral import (SpectralField, collocation_grid, default_collocation_size,
                        derivative_matrix, measure_bounds)
 from .verification import run_battery
 
-_SCHEMA = {
-    "problem": {"alpha", "q", "p", "horizon", "modes", "steps", "u0", "v0",
-                "nonlocal", "nonlinearity", "controls"},
-    "solver": {"tol", "max_iter", "quad_nodes"},
-    "cost": {"state_weight", "control_weight"},
-    "optimize": {"budget", "grad_tol", "fd_step", "control_modes", "radius", "init"},
-    "output": {"directory", "seed"},
-}
-
-_REQUIRED = (("problem", "alpha"), ("problem", "horizon"),
-             ("problem", "modes"), ("problem", "steps"))
-
-_DEFAULTS = {
+# (section, key) -> default; None marks a required key
+_KEYS = {
+    ("problem", "alpha"): None,
     ("problem", "q"): "0.25",
     ("problem", "p"): "2.0",
+    ("problem", "horizon"): None,
+    ("problem", "modes"): None,
+    ("problem", "steps"): None,
     ("problem", "u0"): "",
     ("problem", "v0"): "",
     ("problem", "nonlocal"): "",
@@ -156,7 +148,7 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in _SCHEMA:
+            if all(section != known for known, _ in _KEYS):
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in stripped:
@@ -164,17 +156,19 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
         if section is None:
             raise ConfigError("key outside any section", lineno)
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA[section]:
+        if (section, key) not in _KEYS:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
         if (section, key) in entries:
             raise ConfigError(f"duplicate key {key!r}", lineno)
         entries[(section, key)] = (value, lineno)
 
-    for sk in _REQUIRED:
-        if sk not in entries:
-            raise ConfigError(f"missing required key {sk[1]!r} in section [{sk[0]}]")
-    for sk, default in _DEFAULTS.items():
-        entries.setdefault(sk, (default, 0))
+    for (section, key), default in _KEYS.items():
+        if (section, key) in entries:
+            continue
+        if default is None:
+            raise ConfigError(f"missing required key {key!r} in section [{section}]")
+        # a defaulted key has no line to blame
+        entries[(section, key)] = (default, None)
 
     def get(section, key, conv, check=None, describe=""):
         value, line = entries[(section, key)]
@@ -202,7 +196,7 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
     horizon, _ = get("problem", "horizon", float, lambda v: v > 0, "(0,inf)")
     modes, _ = get("problem", "modes", int, lambda v: v >= 1, "[1,inf)")
     steps, _ = get("problem", "steps", int, lambda v: v >= 2, "[2,inf)")
-    controls, _ = get("problem", "controls", int, lambda v: v >= 0, "[0,inf)")
+    controls, controls_line = get("problem", "controls", int, lambda v: v >= 0, "[0,inf)")
 
     u0_text, u0_line = entries[("problem", "u0")]
     v0_text, v0_line = entries[("problem", "v0")]
@@ -225,9 +219,26 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
 
     tol, _ = get("solver", "tol", float, lambda v: v > 0, "(0,inf)")
     max_iter, _ = get("solver", "max_iter", int, lambda v: v >= 1, "[1,inf)")
-    quad_nodes, _ = get("solver", "quad_nodes", int, lambda v: v >= 16, "[16,inf)")
-    state_w, _ = get("cost", "state_weight", float, lambda v: v >= 0, "[0,inf)")
-    control_w, _ = get("cost", "control_weight", float, lambda v: v >= 0, "[0,inf)")
+    quad_nodes, quad_line = get("solver", "quad_nodes", int, lambda v: v >= 16, "[16,inf)")
+    # build the psi rule now, so that too few nodes blame this line; the
+    # run reuses the cached rule.  Below ALPHA_FLOOR the run reports the
+    # rule's own refusal.
+    if mode != "verify" and ALPHA_FLOOR <= alpha < 1.0:
+        try:
+            psi_rule(alpha, quad_nodes)
+        except ConstructionError as exc:
+            raise ConfigError(
+                f"quad_nodes={quad_nodes} is too few for the psi rule at alpha={alpha} "
+                f"(halving defect {exc.achieved_defect:.3e} exceeds {HALVING_TOL:g})",
+                quad_line) from exc
+    state_w, state_line = get("cost", "state_weight", float, lambda v: v >= 0, "[0,inf)")
+    control_w, control_line = get("cost", "control_weight", float,
+                                  lambda v: v >= 0, "[0,inf)")
+    try:
+        cost = CostSpec(state_w, control_w)
+    except DomainError as exc:
+        # only both weights given as 0 get here
+        raise ConfigError(str(exc), max(state_line, control_line)) from exc
     budget, _ = get("optimize", "budget", int, lambda v: v >= 1, "[1,inf)")
     grad_tol, _ = get("optimize", "grad_tol", float, lambda v: v > 0, "(0,inf)")
     fd_step, _ = get("optimize", "fd_step", float, lambda v: v > 0, "(0,inf)")
@@ -240,14 +251,15 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
         raise ConfigError(f"init must be zero or random, got {init_kind!r}", init_line)
     out_dir, _ = entries[("output", "directory")]
     seed, _ = get("output", "seed", int, lambda v: v >= 0, "[0,inf)")
+    if mode == "optimize" and controls < 1:
+        raise ConfigError("optimize mode requires problem.controls >= 1", controls_line)
 
     echo = {f"{section}.{key}": entries[(section, key)][0]
             for section, key in sorted(entries)}
     echo["mode"] = mode
     return RunConfig(mode=mode, problem=problem, solver_tol=tol,
-                     solver_max_iter=max_iter, quad_nodes=quad_nodes,
-                     cost=CostSpec(state_w, control_w), budget=budget,
-                     grad_tol=grad_tol, fd_step=fd_step,
+                     solver_max_iter=max_iter, quad_nodes=quad_nodes, cost=cost,
+                     budget=budget, grad_tol=grad_tol, fd_step=fd_step,
                      control_modes=control_modes, radius=radius,
                      init_kind=init_kind, out_dir=out_dir.strip() or "out",
                      seed=seed, echo=echo)
@@ -281,39 +293,15 @@ def _mode_labels(mode_count: int) -> list:
     return [str(n) for n in range(1, mode_count + 1)]
 
 
-def _trajectory_artifacts(out: Path, traj, mode_count: int) -> None:
-    ts = [_fmt(t) for t in traj.grid.nodes().tolist()]
-    n_x = default_collocation_size(mode_count)
-    xs = [_fmt(x) for x in collocation_grid(n_x).tolist()]
-    # stacked per-node products keep field_to_grid's rounding; a single
-    # coeffs @ D.T product changes the last digit of many values
-    values = np.matmul(derivative_matrix(0, mode_count, n_x),
-                       traj.coeffs[:, :, None])[:, :, 0]
-    _write_csv(out / "trajectory.csv", "t,x,u", _table_lines(ts, xs, values))
-    _write_csv(out / "modes.csv", "t,n,coefficient",
-               _table_lines(ts, _mode_labels(mode_count), traj.coeffs))
-
-
-def _measured_constants(config: RunConfig) -> dict:
-    b = measure_bounds(max(config.problem.mode_count, 4),
-                       np.linspace(0.0, config.problem.horizon, 17)[1:],
-                       q=config.problem.order.q)
-    return {"C1": b.C1, "C2": b.C2, "M0": b.M0, "Mq": b.Mq, "q": b.q}
-
-
-def _operator_cache(config: RunConfig) -> SolutionOperatorCache:
-    return SolutionOperatorCache(config.problem.order, config.problem.mode_count,
-                                 node_count=config.quad_nodes)
-
-
 def run(config: RunConfig) -> int:
     """Execute one pipeline; returns the process exit status."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    problem = config.problem
     report = {"mode": config.mode, "config": config.echo}
     status = 0
     try:
-        report["hypothesis_check"] = hypothesis_check(config.problem)
+        report["hypothesis_check"] = hypothesis_check(problem)
         if config.mode == "verify":
             rows = run_battery()
             _write_csv(out / "verify.csv", "check,detail,value,threshold,status",
@@ -324,64 +312,54 @@ def run(config: RunConfig) -> int:
                 "failed": [r.name for r in rows if not r.passed],
             }
             status = 0 if all(r.passed for r in rows) else 1
-        elif config.mode == "solve":
-            cache = _operator_cache(config)
-            report["multiplier_rule"] = cache.rule_summary()
-            traj, solve_report = picard_solve(
-                config.problem, cache=cache, tol=config.solver_tol,
-                max_iter=config.solver_max_iter)
-            _trajectory_artifacts(out, traj, config.problem.mode_count)
-            report["solve"] = {
-                "iterations": solve_report.iterations,
-                "residual_history": solve_report.residual_history,
-                "converged": solve_report.converged,
-                "contraction_ratio": solve_report.contraction_ratio,
-                "nonlocal_denominator_min": solve_report.nonlocal_denominator_min,
-                "snapped_nonlocal_times": [
-                    list(s) for s in solve_report.snapped_nonlocal_times],
-            }
-            report["measured_constants"] = _measured_constants(config)
         else:
-            rng = np.random.default_rng(config.seed)
-            grid = TimeGrid(config.problem.horizon, config.problem.step_count)
-            k = config.problem.control_count
-            if k < 1:
-                raise ConfigError("optimize mode requires problem.controls >= 1")
-            if config.init_kind == "zero":
-                init = zero_bundle(grid, k, config.control_modes, config.radius)
-            else:
-                x0 = rng.uniform(-1.0, 1.0,
-                                 size=(k, grid.step_count, config.control_modes))
-                init = project_admissible(ControlBundle(x0, grid, config.radius))
-            cache = _operator_cache(config)
+            cache = SolutionOperatorCache(problem.order, problem.mode_count,
+                                          node_count=config.quad_nodes)
             report["multiplier_rule"] = cache.rule_summary()
-            bundle, traj, log = optimize_controls(
-                config.problem, config.cost, init, budget=config.budget,
-                grad_tol=config.grad_tol, fd_step=config.fd_step,
-                solve_tol=config.solver_tol, cache=cache,
-                max_iter=config.solver_max_iter)
-            _write_csv(out / "descent.csv", "iteration,J",
-                       [f"{i},{_fmt(j)}" for i, j in enumerate(log.cost_values)])
-            ts = [_fmt(t) for t in grid.nodes().tolist()]
-            lines = []
-            for j, ctrl in enumerate(bundle.controls):
-                lines.extend(_table_lines(ts, _mode_labels(ctrl.mode_count),
-                                          ctrl.coeffs, prefix=f"{j + 1},"))
-            _write_csv(out / "controls.csv", "control,t,n,coefficient", lines)
-            _trajectory_artifacts(out, traj, config.problem.mode_count)
-            report["optimize"] = {
-                "cost_values": [float(j) for j in log.cost_values],
-                "stationarity": log.stationarity,
-                "converged": log.converged,
-                "budget_exhausted": log.budget_exhausted,
-                "inner_solves": log.inner_solves,
-                "adjoint_solves": log.adjoint_solves,
-                "gradient_check": log.gradient_check,
-                "final_cost": float(log.cost_values[-1]),
-                "admissibility_value": admissibility_value(bundle),
-            }
-            report["measured_constants"] = _measured_constants(config)
-            status = 0 if log.converged else 1
+            if config.mode == "solve":
+                traj, solve_report = picard_solve(
+                    problem, cache=cache, tol=config.solver_tol,
+                    max_iter=config.solver_max_iter)
+                report["solve"] = asdict(solve_report)
+            else:
+                grid = TimeGrid(problem.horizon, problem.step_count)
+                k = problem.control_count
+                if config.init_kind == "zero":
+                    init = zero_bundle(grid, k, config.control_modes, config.radius)
+                else:
+                    x0 = np.random.default_rng(config.seed).uniform(
+                        -1.0, 1.0, size=(k, grid.step_count, config.control_modes))
+                    init = project_admissible(ControlBundle(x0, grid, config.radius))
+                bundle, traj, log = optimize_controls(
+                    problem, config.cost, init, budget=config.budget,
+                    grad_tol=config.grad_tol, fd_step=config.fd_step,
+                    solve_tol=config.solver_tol, cache=cache,
+                    max_iter=config.solver_max_iter)
+                _write_csv(out / "descent.csv", "iteration,J",
+                           [f"{i},{_fmt(j)}" for i, j in enumerate(log.cost_values)])
+                ts = [_fmt(t) for t in grid.nodes().tolist()]
+                lines = []
+                for j, ctrl in enumerate(bundle.controls):
+                    lines.extend(_table_lines(ts, _mode_labels(ctrl.mode_count),
+                                              ctrl.coeffs, prefix=f"{j + 1},"))
+                _write_csv(out / "controls.csv", "control,t,n,coefficient", lines)
+                report["optimize"] = {**asdict(log),
+                                      "final_cost": float(log.cost_values[-1]),
+                                      "admissibility_value": admissibility_value(bundle)}
+                status = 0 if log.converged else 1
+            ts = [_fmt(t) for t in traj.grid.nodes().tolist()]
+            n_x = default_collocation_size(problem.mode_count)
+            xs = [_fmt(x) for x in collocation_grid(n_x).tolist()]
+            # stacked per-node products keep field_to_grid's rounding; a single
+            # coeffs @ D.T product changes the last digit of many values
+            values = np.matmul(derivative_matrix(0, problem.mode_count, n_x),
+                               traj.coeffs[:, :, None])[:, :, 0]
+            _write_csv(out / "trajectory.csv", "t,x,u", _table_lines(ts, xs, values))
+            _write_csv(out / "modes.csv", "t,n,coefficient",
+                       _table_lines(ts, _mode_labels(problem.mode_count), traj.coeffs))
+            report["measured_constants"] = asdict(measure_bounds(
+                max(problem.mode_count, 4), np.linspace(0.0, problem.horizon, 17)[1:],
+                q=problem.order.q))
     except SobfracError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         extra = getattr(exc, "residual_history", None)

@@ -246,12 +246,15 @@ class SolutionOperatorCache:
         return s_table[0], t_table[0]
 
 
-def verify_operator_bounds(cache: SolutionOperatorCache, t_samples, trials: int = 200,
-                        seed: int = 0, raise_on_failure: bool = True) -> dict:
-    """Empirical check of the boundedness/continuity/envelope claims.
+def verify_operator_bounds(cache: SolutionOperatorCache, t_samples,
+                           raise_on_failure: bool = True) -> dict:
+    """Check of the boundedness/continuity/envelope claims on the table.
 
-    (a) ||S u|| <= C1 M0 ||u|| and ||T u|| <= C1 M0 / Gamma(alpha) ||u||
-        on random fields, plus the same bounds in the q-norm;
+    (a) ||S(t)|| <= C1 M0 and ||T(t)|| <= C1 M0 / Gamma(alpha) at every
+        sampled t, exactly: each operator is diagonal, so its norm is its
+        largest |multiplier|;
+    (e) the same bounds in the q-norm: the q-weights commute with the
+        diagonal operators, so both norms of each operator agree;
     (b) multiplier continuity in t against the exact Lipschitz envelope
         lambda_n |t2^a - t1^a| / (Gamma(1+a) (1+n^2));
     (d) ||A^q T(t)|| t^(q a) stays below a C1 Mq Gamma(2-q)/Gamma(1+a(1-q))
@@ -267,7 +270,6 @@ def verify_operator_bounds(cache: SolutionOperatorCache, t_samples, trials: int 
     q = cache.order.q
     n_modes = cache.mode_count
     bounds = measure_bounds(max(n_modes, 4), [t for t in t_samples if t > 0] or [1.0], q=q)
-    rng = np.random.default_rng(seed)
     slack = 1.0 + 1e-9
 
     report = {"C1": bounds.C1, "M0": bounds.M0, "Mq": bounds.Mq, "q": q,
@@ -276,49 +278,28 @@ def verify_operator_bounds(cache: SolutionOperatorCache, t_samples, trials: int 
     # S and T rows at every sampled time, shared by clauses (a), (e) and (b)
     s_table, t_table = cache.multiplier_table(t_samples)
 
-    # (a) boundedness
+    # (a) and (e) boundedness
     s_cap = bounds.C1 * bounds.M0
     t_cap = bounds.C1 * bounds.M0 / gamma(alpha)
-    per_t = max(1, trials // max(1, len(t_samples)))
-    worst_a = 0.0
-    for s_row, t_row in zip(s_table, t_table):
-        for u in rng.standard_normal((per_t, n_modes)):
-            nu = np.linalg.norm(u)
-            worst_a = max(worst_a,
-                          np.linalg.norm(s_row * u) / (s_cap * nu),
-                          np.linalg.norm(t_row * u) / (t_cap * nu))
+    worst_a = max(np.max(np.abs(s_table)) / s_cap, np.max(np.abs(t_table)) / t_cap)
     report["clauses"]["a_bounded"] = _clause(worst_a, slack)
+    report["clauses"]["e_bounded_q"] = _clause(worst_a, slack)
 
-    # (e) same bounds in the q-norm: multipliers are diagonal, so the
-    # scaled coefficients obey the identical per-mode inequality
-    weights = q_weights(n_modes, q)
-    stride = max(1, len(t_samples) // 4)
-    worst_e = 0.0
-    for s_row, t_row in zip(s_table[::stride], t_table[::stride]):
-        u = rng.standard_normal(n_modes)
-        nq = np.linalg.norm(weights * u)
-        worst_e = max(worst_e,
-                      np.linalg.norm(weights * (s_row * u)) / (s_cap * nq),
-                      np.linalg.norm(weights * (t_row * u)) / (t_cap * nq))
-    report["clauses"]["e_bounded_q"] = _clause(worst_e, slack)
-
-    # (b) strong continuity via the Mittag-Leffler Lipschitz envelope
-    worst_b = 0.0
-    lam = cache._lam
-    linv = cache._linv
-    for i in range(1, len(t_samples)):
-        t1, t2 = t_samples[i - 1], t_samples[i]
-        envelope = lam * abs(t2 ** alpha - t1 ** alpha) / gamma(1.0 + alpha) * linv
-        gap = np.abs(s_table[i] - s_table[i - 1])
-        ratio = float(np.max(gap / (envelope * 1.05 + 1e-8)))
-        worst_b = max(worst_b, ratio)
-        if not np.all(np.abs(t_table[i] - t_table[i - 1]) < 1.0):
-            raise PropertyFailure("T multiplier jump", clause="b", t=t2)
+    # (b) strong continuity via the Mittag-Leffler Lipschitz envelope,
+    # between consecutive sampled times
+    steps = np.abs(np.diff(np.array(t_samples) ** alpha))[:, None]
+    envelope = cache._lam * steps / gamma(1.0 + alpha) * cache._linv
+    gap = np.abs(np.diff(s_table, axis=0))
+    worst_b = np.max(gap / (envelope * 1.05 + 1e-8), initial=0.0)
+    jumps = np.flatnonzero(~np.all(np.abs(np.diff(t_table, axis=0)) < 1.0, axis=1))
+    if jumps.size:
+        raise PropertyFailure("T multiplier jump", clause="b", t=t_samples[jumps[0] + 1])
     report["clauses"]["b_continuity"] = _clause(worst_b, 1.0)
 
     # (d) the t^{-q alpha} envelope for ||A^q T(t)||
     cap_d = (alpha * bounds.C1 * bounds.Mq * gamma(2.0 - q)
              / gamma(1.0 + alpha * (1.0 - q)))
+    weights = q_weights(n_modes, q)
     worst_d = 0.0
     ts = np.geomspace(1e-3, max(t_samples) if max(t_samples) > 0 else 1.0, 40)
     for t, t_row in zip(ts, cache.multiplier_table(ts)[1]):

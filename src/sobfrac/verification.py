@@ -165,7 +165,7 @@ def solution_op_checks() -> list:
         rows.append(_row("t_multiplier_oracle", f"alpha={a}", worst_t, 1e-6))
 
         report = solution_ops.verify_operator_bounds(
-            cache, np.linspace(0.0, 1.0, 33), trials=300, raise_on_failure=False)
+            cache, np.linspace(0.0, 1.0, 33), raise_on_failure=False)
         worst = max(c["worst_ratio"] for c in report["clauses"].values())
         rows.append(_row("operator_bound_clauses", f"alpha={a}", worst, 1.0))
 

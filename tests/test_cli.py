@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,12 @@ import pytest
 from sobfrac import cli, solution_ops
 from sobfrac.cli import _fmt, main, parse_config, run
 from sobfrac.errors import ConfigError, EvaluationError
+from sobfrac.mild_solver import SolveReport
+from sobfrac.optctrl import DescentLog
 from sobfrac.specfun import mittag_leffler
 from sobfrac.verification import CheckRow
-from sobfrac.spectral import SpectralField, collocation_grid, field_to_grid
+from sobfrac.spectral import (BoundConstants, SpectralField, collocation_grid,
+                              field_to_grid)
 
 MINIMAL = """
 [problem]
@@ -243,6 +247,23 @@ class TestParseConfig:
             parse_config(MINIMAL + "[output]\nseed = -5\n", mode="optimize")
         assert err.value.line == 9
 
+    def test_too_few_quad_nodes_rejected_with_line(self):
+        # alpha = 0.8 needs 113 nodes; the run would refuse with a
+        # ConstructionError that names the alpha floor
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "[solver]\nquad_nodes = 100\n", mode="solve")
+        assert err.value.line == 9
+        assert "quad_nodes=100 is too few" in str(err.value)
+        # verify builds no rule from the config
+        assert parse_config(MINIMAL + "[solver]\nquad_nodes = 100\n", mode="verify")
+
+    def test_optimize_without_controls_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL, mode="optimize")
+        assert err.value.line is None
+        assert "requires problem.controls >= 1" in str(err.value)
+        assert parse_config(MINIMAL, mode="solve").problem.control_count == 0
+
     def test_non_finite_gain_exits_2(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(MINIMAL + "nonlinearity = sin_grad:inf\n")
@@ -274,13 +295,32 @@ class TestReadmeConfig:
                 else:
                     default = shown
                 stated[(section, key)] = default
-        assert set(stated) == {(sec, key) for sec, keys in cli._SCHEMA.items()
-                               for key in keys}
-        for sk, default in stated.items():
-            if default is None:
-                assert sk in cli._REQUIRED and sk not in cli._DEFAULTS, sk
-            else:
-                assert cli._DEFAULTS[sk] == default, sk
+        assert stated == cli._KEYS
+
+
+class TestReportShape:
+    # each result section is its record's fields: a field added to
+    # SolveReport, DescentLog or BoundConstants reaches report.json as is
+    def test_solve_and_optimize_sections_are_the_records(self, tmp_path):
+        tiny = MINIMAL.replace("steps = 64", "steps = 16")
+        solve_out, optimize_out = tmp_path / "solve", tmp_path / "optimize"
+        assert run(parse_config(tiny + f"\n[output]\ndirectory = {solve_out}\n",
+                                mode="solve")) == 0
+        assert run(parse_config(tiny + "controls = 1\n\n[optimize]\ncontrol_modes = 2\n"
+                                f"\n[output]\ndirectory = {optimize_out}\n",
+                                mode="optimize")) == 0
+        constants = {f.name for f in fields(BoundConstants)}
+        solve = strict_json(solve_out / "report.json")
+        assert set(solve["solve"]) == {f.name for f in fields(SolveReport)}
+        assert set(solve["measured_constants"]) == constants
+        optimize = strict_json(optimize_out / "report.json")
+        assert set(optimize["optimize"]) == ({f.name for f in fields(DescentLog)}
+                                             | {"final_cost", "admissibility_value"})
+        assert set(optimize["measured_constants"]) == constants
+        # the stationarity at each iterate, ending at the reported one
+        log = optimize["optimize"]
+        assert len(log["gradient_norms"]) == len(log["cost_values"])
+        assert log["gradient_norms"][-1] == log["stationarity"]
 
 
 class TestSolveMode:
@@ -451,6 +491,21 @@ class TestMainEntry:
         cfg_path.write_text(MINIMAL + "r_max = 2\n")
         assert main(["solve", "--config", str(cfg_path)]) == 2
         assert "line 8: unknown key 'r_max'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, extra, message", (
+        ("solve", "[cost]\nstate_weight = 0\ncontrol_weight = 0\n",
+         "line 10: cost weights must not both vanish"),
+        ("optimize", "controls = 0\n",
+         "line 8: optimize mode requires problem.controls >= 1"),
+    ), ids=("zero_cost_weights", "optimize_without_controls"))
+    def test_main_config_error_exits_2_before_any_work(self, tmp_path, capsys,
+                                                       mode, extra, message):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL + extra)
+        out = tmp_path / "out"
+        assert main([mode, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_main_missing_file(self):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == 2
