@@ -223,7 +223,7 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
     # build the psi rule now, so that too few nodes blame this line; the
     # run reuses the cached rule.  Below ALPHA_FLOOR the run reports the
     # rule's own refusal.
-    if mode != "verify" and ALPHA_FLOOR <= alpha < 1.0:
+    if ALPHA_FLOOR <= alpha < 1.0:
         try:
             psi_rule(alpha, quad_nodes)
         except ConstructionError as exc:
@@ -303,7 +303,7 @@ def run(config: RunConfig) -> int:
     try:
         report["hypothesis_check"] = hypothesis_check(problem)
         if config.mode == "verify":
-            rows = run_battery()
+            rows = run_battery(problem.order, problem.mode_count, config.quad_nodes)
             _write_csv(out / "verify.csv", "check,detail,value,threshold,status",
                        [f"{r.name},{r.detail},{_fmt(r.value)},{_fmt(r.threshold)},"
                         f"{'pass' if r.passed else 'fail'}" for r in rows])
@@ -357,9 +357,8 @@ def run(config: RunConfig) -> int:
             _write_csv(out / "trajectory.csv", "t,x,u", _table_lines(ts, xs, values))
             _write_csv(out / "modes.csv", "t,n,coefficient",
                        _table_lines(ts, _mode_labels(problem.mode_count), traj.coeffs))
-            report["measured_constants"] = asdict(measure_bounds(
-                max(problem.mode_count, 4), np.linspace(0.0, problem.horizon, 17)[1:],
-                q=problem.order.q))
+            report["measured_constants"] = asdict(
+                measure_bounds(problem.mode_count, q=problem.order.q))
     except SobfracError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         extra = getattr(exc, "residual_history", None)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (DomainError, EvaluationError, NonConvergenceError,
                      RejectedInstanceError)
-from .fracops import TimeGrid
+from .fracops import TimeGrid, power_increments
 from .solution_ops import SolutionOperatorCache
 from .specfun import FracOrder
 from .spectral import (MAX_DERIVATIVE_ORDER, SpectralField,
@@ -216,11 +216,6 @@ def eval_f(spec: ProblemSpec, t: float, u_field: SpectralField) -> SpectralField
     return SpectralField(f_modes(spec, [t], u_field.coeffs[None, :])[0])
 
 
-def _kernel_weights(alpha: float, step_count: int, dt: float) -> np.ndarray:
-    d = np.arange(1, step_count + 1, dtype=float)
-    return dt ** alpha * (d ** alpha - (d - 1.0) ** alpha) / alpha
-
-
 def _control_forcing(spec: ProblemSpec, controls) -> np.ndarray:
     """Exact integral from 0 to each node of the summed piecewise-constant
     controls: node m collects the cells l < m."""
@@ -267,7 +262,6 @@ class _SweepWorkspace:
 
     def __init__(self, spec: ProblemSpec, cache: SolutionOperatorCache):
         n_modes = spec.mode_count
-        dt = spec.grid.dt
         alpha = spec.order.alpha
         ts = spec.grid.nodes()
         self.spec = spec
@@ -287,7 +281,7 @@ class _SweepWorkspace:
         # d_n = 1 + sum c |s_lm kappa|_n(t_eta) >= 1: the division by it
         # needs no guard.
         self.denominator = 1.0 - self.nonlocal_sum(self.feedback)
-        self.kernel = (_kernel_weights(alpha, spec.step_count, dt)[:, None]
+        self.kernel = ((power_increments(spec.grid, alpha) / alpha)[:, None]
                        * t_table[1:, :n_modes])
         self.nfft = 2 * spec.step_count
         self.kernel_spectrum = np.fft.rfft(self.kernel, self.nfft, axis=0)
@@ -470,6 +464,8 @@ def _fixed_point(sweep, current, distance, report, what, tol, max_iter,
     A constant sweep (one that ignores its input, as with f = 0) is at its
     fixed point after one call: the next step would be exactly 0, so that
     step is recorded without running it."""
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     for it in range(1, max_iter + 1):
         new = sweep(current)
         residual = 0.0 if constant else distance(new, current)

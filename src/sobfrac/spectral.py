@@ -166,7 +166,7 @@ def apply_Bi(i: int, u: SpectralField) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Measured operator norms over the retained modes."""
+    """The paper's operator bound constants over the retained modes."""
 
     C1: float       # ||L^-1||
     C2: float       # ||M_inv|| restricted to the retained modes
@@ -181,30 +181,16 @@ class BoundConstants:
                 raise DomainError(f"{name} must be positive and finite, got {v}")
 
 
-def measure_bounds(mode_count: int, t_samples, q: float = 0.25) -> BoundConstants:
-    """Measure C1, C2, M0 and fit the A^q Q(t) envelope constant.
+def measure_bounds(mode_count: int, q: float = 0.25) -> BoundConstants:
+    """C1, C2, M0 and Mq over the first mode_count modes, in closed form.
 
-    M0 = sup_t ||Q(t)|| is 1: every symbol exp(-lambda_n t) lies in (0, 1]
-    for t >= 0 and equals 1 at t = 0.  The envelope sample grid includes
-    the per-mode maximizers t = q/lambda_n, where t^q ||A^q Q(t)|| attains
-    its supremum, so the fitted Mq is the tight constant for the retained
-    modes.
+    C1 = max_n 1/(1+n^2) = 1/2 and C2 = N^2.  M0 = sup_t ||Q(t)|| is 1:
+    every symbol exp(-lambda_n t) lies in (0, 1] for t >= 0 and equals 1
+    at t = 0.  Mq = (q/e)^q: every mode attains
+    sup_t t^q lambda_n^q exp(-lambda_n t) = (q/e)^q, at t = q/lambda_n.
     """
-    if mode_count < 4:
-        raise DomainError(f"mode_count must be >= 4, got {mode_count}")
-    t_samples = np.asarray(list(t_samples), dtype=float)
-    if t_samples.size == 0:
-        raise DomainError("t_samples must be nonempty")
-    if np.any(t_samples < 0.0):
-        raise DomainError(f"t_samples must be nonnegative, got {np.min(t_samples)}")
-
-    lam = generator_symbol(mode_count)
-    weights = q_weights(mode_count, q)
-    c1 = float(np.max(l_inverse_symbol(mode_count)))
-    c2 = float(mode_count * mode_count)
-
-    fit_ts = np.concatenate([t_samples[t_samples > 0.0], q / lam])
-    mq = 0.0
-    for t in fit_ts:
-        mq = max(mq, float(np.max(weights * np.exp(-lam * t))) * t ** q)
-    return BoundConstants(C1=c1, C2=c2, M0=1.0, Mq=mq, q=q)
+    if mode_count < 1:
+        raise DomainError(f"mode_count must be >= 1, got {mode_count}")
+    return BoundConstants(C1=float(np.max(l_inverse_symbol(mode_count))),
+                          C2=float(mode_count * mode_count), M0=1.0,
+                          Mq=q ** q * math.exp(-q), q=q)

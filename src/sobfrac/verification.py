@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fracops, solution_ops, specfun, spectral
+from .solution_ops import SolutionOperatorCache
 from .specfun import FracOrder
 
 
@@ -130,50 +131,48 @@ def theta_rule_table(order: FracOrder, mode_count: int, ts,
     return linv * (expo @ wz), alpha * linv * (expo @ (wz * rule.nodes))
 
 
-def solution_op_checks() -> list:
+def solution_op_checks(order: FracOrder, mode_count: int, node_count: int) -> list:
+    """Multiplier and operator-bound rows at the fixed orders 0.5, 0.8 and
+    0.95, and at the configured order with its mode and node counts."""
     rows = []
-    ts = np.concatenate([[0.0], np.geomspace(1e-5, 10.0, 25)])
+    wide_ts = np.concatenate([[0.0], np.geomspace(1e-5, 10.0, 25)])
     for a in (0.5, 0.8):
-        got = solution_ops.SolutionOperatorCache(FracOrder(a), 64).multiplier_table(ts)
-        want = theta_rule_table(FracOrder(a), 64, ts)
+        got = SolutionOperatorCache(FracOrder(a), 64).multiplier_table(wide_ts)
+        want = theta_rule_table(FracOrder(a), 64, wide_ts)
         worst = max(np.max(np.abs(g - w)) for g, w in zip(got, want))
         rows.append(_row("multiplier_rule_vs_theta", f"alpha={a}", worst, 1e-10))
-    # beyond the theta rule's reach, the Mittag-Leffler series checks it
-    a = 0.95
-    got_s, got_t = solution_ops.SolutionOperatorCache(FracOrder(a), 64).multiplier_table(ts)
-    worst = 0.0
-    for t, s_row, t_row in zip(ts, got_s, got_t):
-        for n in (1, 4, 16, 64):
-            z = -n * n / (1.0 + n * n) * t ** a
-            worst = max(worst,
-                        abs(s_row[n - 1] - specfun.mittag_leffler(a, 1.0, z) / (1 + n * n)),
-                        abs(t_row[n - 1] - specfun.mittag_leffler(a, a, z) / (1 + n * n)))
-    rows.append(_row("multiplier_rule_vs_series", f"alpha={a}", worst, 1e-9))
-    for a in (0.5, 0.8):
-        cache = solution_ops.SolutionOperatorCache(FracOrder(a, q=0.25), 16)
-        worst_s = worst_t = 0.0
-        ts = np.linspace(0.0, 1.0, 32)
+    # the series needs mpmath at t = 10, so the wide times keep to a few modes
+    unit_ts, few = np.linspace(0.0, 1.0, 32), (1, 4, 16, 64)
+    for detail, cache, ts, modes in (
+            ("alpha=0.5", SolutionOperatorCache(FracOrder(0.5, q=0.25), 16),
+             unit_ts, range(1, 17)),
+            ("alpha=0.8", SolutionOperatorCache(FracOrder(0.8, q=0.25), 16),
+             unit_ts, range(1, 17)),
+            ("alpha=0.95", SolutionOperatorCache(FracOrder(0.95, q=0.25), 64),
+             wide_ts, few),
+            (f"config alpha={order.alpha}",
+             SolutionOperatorCache(order, mode_count, node_count),
+             wide_ts, [n for n in few if n <= mode_count])):
+        a = cache.order.alpha
+        worst = 0.0
         for t, s_row, t_row in zip(ts, *cache.multiplier_table(ts)):
-            for n in range(1, 17):
-                lam = n * n / (1.0 + n * n)
-                z = -lam * t ** a
-                worst_s = max(worst_s, abs(
-                    s_row[n - 1] - specfun.mittag_leffler(a, 1.0, z) / (1 + n * n)))
-                worst_t = max(worst_t, abs(
-                    t_row[n - 1] - specfun.mittag_leffler(a, a, z) / (1 + n * n)))
-        rows.append(_row("s_multiplier_oracle", f"alpha={a}", worst_s, 1e-6))
-        rows.append(_row("t_multiplier_oracle", f"alpha={a}", worst_t, 1e-6))
-
+            for n in modes:
+                z = -n * n / (1.0 + n * n) * t ** a
+                s_ml, t_ml = (specfun.mittag_leffler(a, b, z) / (1 + n * n) for b in (1.0, a))
+                worst = max(worst, abs(s_row[n - 1] - s_ml), abs(t_row[n - 1] - t_ml))
+        rows.append(_row("multiplier_rule_vs_series", detail, worst, 1e-9))
         report = solution_ops.verify_operator_bounds(
             cache, np.linspace(0.0, 1.0, 33), raise_on_failure=False)
-        worst = max(c["worst_ratio"] for c in report["clauses"].values())
-        rows.append(_row("operator_bound_clauses", f"alpha={a}", worst, 1.0))
-
+        for clause, result in report["clauses"].items():
+            rows.append(_row(f"operator_bound_{clause}", detail,
+                             result["worst_ratio"], result["cap"]))
         grid_rows = cache.multiplier_table(np.linspace(0.0, 2.0, 64))[0]
-        rows.append(_row("multiplier_monotone", f"alpha={a}",
+        rows.append(_row("multiplier_monotone", detail,
                          float(np.max(np.diff(grid_rows, axis=0))), 1e-12))
     return rows
 
 
-def run_battery() -> list:
-    return density_checks() + fracops_checks() + solution_op_checks()
+def run_battery(order: FracOrder, mode_count: int, node_count: int) -> list:
+    """Every check, the configured order, modes and psi-rule nodes included."""
+    return (density_checks() + fracops_checks()
+            + solution_op_checks(order, mode_count, node_count))

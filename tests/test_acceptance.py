@@ -98,7 +98,7 @@ def test_criterion_04_multiplier_oracle():
 
 def test_criterion_05_operator_bounds():
     t0 = time.perf_counter()
-    bounds = measure_bounds(16, np.linspace(0.0, 1.0, 17)[1:], q=0.25)
+    bounds = measure_bounds(16, q=0.25)
     assert bounds.C1 == 0.5
     assert bounds.M0 == 1.0
     cache = SolutionOperatorCache(reference_order(), 16)

@@ -165,7 +165,7 @@ class TestTableWriter:
         rows = [CheckRow("density_normalization", "alpha=0.3", 2.687e-14, 1e-8, True),
                 CheckRow("frac_integral_refinement", "M 500 -> 1000", 1.0 / 3.0,
                          1.7, False)]
-        monkeypatch.setattr(cli, "run_battery", lambda: rows)
+        monkeypatch.setattr(cli, "run_battery", lambda order, modes, nodes: rows)
         text = MINIMAL + f"\n[output]\ndirectory = {tmp_path}\n"
         assert run(parse_config(text, mode="verify")) == 1
         assert (tmp_path / "verify.csv").read_text() == reference_csv(
@@ -254,8 +254,10 @@ class TestParseConfig:
             parse_config(MINIMAL + "[solver]\nquad_nodes = 100\n", mode="solve")
         assert err.value.line == 9
         assert "quad_nodes=100 is too few" in str(err.value)
-        # verify builds no rule from the config
-        assert parse_config(MINIMAL + "[solver]\nquad_nodes = 100\n", mode="verify")
+        # verify checks the configured rule too
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "[solver]\nquad_nodes = 100\n", mode="verify")
+        assert err.value.line == 9
 
     def test_optimize_without_controls_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -401,14 +403,53 @@ class TestSolveMode:
         assert "hypothesis_check" not in report
 
 
+def verify_rows(text, out):
+    """The rows of verify.csv after a verify run of the config text."""
+    assert run(parse_config(text + f"\n[output]\ndirectory = {out}\n", mode="verify")) == 0
+    return list(csv.DictReader((out / "verify.csv").open()))
+
+
 class TestVerifyMode:
     def test_all_rows_pass(self, tmp_path):
-        text = MINIMAL + f"\n[output]\ndirectory = {tmp_path}\n"
-        cfg = parse_config(text, mode="verify")
-        assert run(cfg) == 0
-        rows = list(csv.DictReader((tmp_path / "verify.csv").open()))
-        assert len(rows) > 20
+        rows = verify_rows(MINIMAL, tmp_path)
+        assert len(rows) == 46 + 6
         assert all(r["status"] == "pass" for r in rows)
+
+    def test_one_row_per_clause_per_order(self, tmp_path):
+        rows = verify_rows(MINIMAL, tmp_path)
+        per_order = ["multiplier_rule_vs_series", "multiplier_monotone",
+                     *(f"operator_bound_{c}" for c in
+                       ("a_bounded", "e_bounded_q", "b_continuity", "d_envelope"))]
+        for detail in ("alpha=0.5", "alpha=0.8", "alpha=0.95", "config alpha=0.8"):
+            names = [r["check"] for r in rows
+                     if r["detail"] == detail and r["check"] in per_order]
+            assert sorted(names) == sorted(per_order)
+        names = {r["check"] for r in rows}
+        assert not names & {"operator_bound_clauses", "s_multiplier_oracle",
+                            "t_multiplier_oracle"}
+        # the clauses the folded row hid behind clause (a)'s exact 1
+        d_envelope = [float(r["value"]) for r in rows
+                      if r["check"] == "operator_bound_d_envelope" and r["detail"] == "alpha=0.8"]
+        assert d_envelope and d_envelope[0] < 1.0
+
+    def test_config_reaches_the_battery(self, tmp_path):
+        first = verify_rows(MINIMAL, tmp_path / "a")
+        other = (MINIMAL.replace("alpha = 0.8", "alpha = 0.3").replace("modes = 8", "modes = 32")
+                 + "q = 0.5\n[solver]\nquad_nodes = 160\n")
+        second = verify_rows(other, tmp_path / "b")
+        assert all(r["status"] == "pass" for r in first + second)
+        assert (tmp_path / "a" / "verify.csv").read_text() != (
+            tmp_path / "b" / "verify.csv").read_text()
+        fixed = [r for r in first if not r["detail"].startswith("config")]
+        assert fixed == [r for r in second if not r["detail"].startswith("config")]
+        # clauses (a) and (e) read exactly 1 at every order; the rest move
+        moved = {"multiplier_rule_vs_series", "operator_bound_b_continuity",
+                 "operator_bound_d_envelope", "multiplier_monotone"}
+        config_values = [{r["check"]: r["value"] for r in rows
+                          if r["detail"].startswith("config") and r["check"] in moved}
+                         for rows in (first, second)]
+        assert set(config_values[0]) == moved
+        assert all(config_values[0][name] != config_values[1][name] for name in moved)
 
 
 class TestOptimizeMode:

@@ -7,7 +7,7 @@ import pytest
 
 from sobfrac.errors import DomainError, GridTooCoarseError
 from sobfrac.fracops import (SampledFn, TimeGrid, caputo_deriv, frac_integral,
-                             gl_deriv, rl_deriv)
+                             gl_deriv, power_increments, rl_deriv)
 
 
 def sampled(grid, fn):
@@ -80,6 +80,22 @@ class TestFracIntegral:
             ref = math.gamma(1.5) / math.gamma(2.0) * t
             errs.append(np.max(np.abs(got - ref)))
         assert errs[0] / errs[1] >= 1.7
+
+
+@pytest.mark.parametrize("alpha", (0.1, 0.3, 0.5, 0.8, 0.95, 1.0))
+def test_power_increments_are_the_kernel_cell_integrals(alpha):
+    for horizon, m in ((1.0, 4), (1.0, 64), (2.5, 100), (0.3, 512)):
+        grid = TimeGrid(horizon, m)
+        w = power_increments(grid, alpha)
+        # alpha times the integral of s^(alpha-1) over each cell, summing to a^alpha
+        assert w.shape == (m,) and np.all(w > 0.0)
+        assert abs(np.sum(w) - horizon ** alpha) <= 1e-13 * horizon ** alpha * m
+        # the two formulas the shared increments replaced, bit for bit
+        dt, d = grid.dt, np.arange(1, m + 1, dtype=float)
+        rl = dt ** alpha * (d ** alpha - (d - 1.0) ** alpha) / math.gamma(alpha + 1.0)
+        kernel = dt ** alpha * (d ** alpha - (d - 1.0) ** alpha) / alpha
+        assert np.array_equal(w / math.gamma(alpha + 1.0), rl)
+        assert np.array_equal(w / alpha, kernel)
 
 
 class TestCaputo:

@@ -12,8 +12,8 @@ from sobfrac.mild_solver import (MAX_ITER, Nonlinearity, ProblemSpec,
                                  SolveReport, Trajectory, ZERO_NONLINEARITY,
                                  _SweepWorkspace, _control_forcing,
                                  _control_forcing_adjoint, _f_on_grid,
-                                 _fixed_point, apply_P, eval_f, f_modes,
-                                 picard_solve, sin_gradient)
+                                 _fixed_point, adjoint_solve, apply_P, eval_f,
+                                 f_modes, picard_solve, sin_gradient)
 from sobfrac.optctrl import ControlBundle
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import FracOrder, gamma, mittag_leffler
@@ -320,6 +320,16 @@ class TestPicardSolve:
         with pytest.raises(NonConvergenceError) as err:
             picard_solve(spec, cache=cache16, tol=1e-8, max_iter=25)
         assert len(err.value.residual_history) == 25
+
+    @pytest.mark.parametrize("max_iter", (0, -3))
+    def test_no_sweep_budget_rejected(self, max_iter, cache16):
+        spec = make_spec(m=32)
+        with pytest.raises(DomainError, match="max_iter"):
+            picard_solve(spec, cache=cache16, max_iter=max_iter)
+        ws = _SweepWorkspace(spec, cache16)
+        traj, _ = picard_solve(spec, workspace=ws)
+        with pytest.raises(DomainError, match="max_iter"):
+            adjoint_solve(spec, traj, traj.coeffs, ws, max_iter=max_iter)
 
     def test_exponent_precondition(self):
         with pytest.raises(RejectedInstanceError):

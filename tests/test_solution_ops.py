@@ -250,7 +250,7 @@ def reference_operator_bounds(cache, t_samples):
     alpha = cache.order.alpha
     q = cache.order.q
     n_modes = cache.mode_count
-    bounds = measure_bounds(max(n_modes, 4), [t for t in t_samples if t > 0] or [1.0], q=q)
+    bounds = measure_bounds(n_modes, q=q)
     slack = 1.0 + 1e-9
     clauses = {}
 
@@ -266,8 +266,8 @@ def reference_operator_bounds(cache, t_samples):
             worst_e = max(worst_e,
                           norm_q(apply_S(cache, t, u), q) / (s_cap * nq),
                           norm_q(apply_T(cache, t, u), q) / (t_cap * nq))
-    clauses["a_bounded"] = {"worst_ratio": worst_a, "passed": worst_a <= slack}
-    clauses["e_bounded_q"] = {"worst_ratio": worst_e, "passed": worst_e <= slack}
+    clauses["a_bounded"] = {"worst_ratio": worst_a, "cap": slack, "passed": worst_a <= slack}
+    clauses["e_bounded_q"] = {"worst_ratio": worst_e, "cap": slack, "passed": worst_e <= slack}
 
     worst_b = 0.0
     s_table = cache.multiplier_table(t_samples)[0]
@@ -277,7 +277,7 @@ def reference_operator_bounds(cache, t_samples):
                     * cache._linv)
         gap = np.abs(s_table[i] - s_table[i - 1])
         worst_b = max(worst_b, float(np.max(gap / (envelope * 1.05 + 1e-8))))
-    clauses["b_continuity"] = {"worst_ratio": worst_b, "passed": worst_b <= 1.0}
+    clauses["b_continuity"] = {"worst_ratio": worst_b, "cap": 1.0, "passed": worst_b <= 1.0}
 
     cap_d = (alpha * bounds.C1 * bounds.Mq * gamma(2.0 - q)
              / gamma(1.0 + alpha * (1.0 - q)))
@@ -286,7 +286,7 @@ def reference_operator_bounds(cache, t_samples):
     for t, t_row in zip(ts, cache.multiplier_table(ts)[1]):
         measured = float(np.max(cache._lam ** q * t_row)) * t ** (q * alpha)
         worst_d = max(worst_d, measured / cap_d)
-    clauses["d_envelope"] = {"worst_ratio": worst_d, "passed": worst_d <= slack}
+    clauses["d_envelope"] = {"worst_ratio": worst_d, "cap": slack, "passed": worst_d <= slack}
 
     return {"C1": bounds.C1, "M0": bounds.M0, "Mq": bounds.Mq, "q": q,
             "clauses": clauses,

@@ -93,22 +93,45 @@ class TestCollocation:
             apply_Bi(3, SpectralField.unit(4, 1))
 
 
+def sampled_mq(mode_count, t_samples, q):
+    """The envelope constant as a supremum sampled over t_samples and the
+    per-mode maximizers q/lambda_n."""
+    lam = generator_symbol(mode_count)
+    weights = q_weights(mode_count, q)
+    t_samples = np.asarray(t_samples, dtype=float)
+    mq = 0.0
+    for t in np.concatenate([t_samples[t_samples > 0.0], q / lam]):
+        mq = max(mq, float(np.max(weights * np.exp(-lam * t))) * t ** q)
+    return mq
+
+
 class TestBounds:
     def test_measured_constants(self):
-        b = measure_bounds(16, np.linspace(0.0, 1.0, 9)[1:])
+        b = measure_bounds(16)
         assert b.C1 == 0.5
         assert b.C2 == 256.0
         assert b.M0 == 1.0
         # tight envelope constant q^q e^(-q) for the continuum of symbols
         assert abs(b.Mq - 0.25 ** 0.25 * math.exp(-0.25)) <= 1e-12
 
+    def test_closed_form_mq_matches_sampled_supremum(self):
+        ts = np.linspace(0.0, 1.0, 17)[1:]
+        for n_modes in range(4, 65):
+            assert measure_bounds(n_modes, q=0.25).Mq == sampled_mq(n_modes, ts, 0.25)
+        for q in (0.1, 0.5, 0.9):
+            for n_modes in (4, 16, 64):
+                want = sampled_mq(n_modes, ts, q)
+                assert abs(measure_bounds(n_modes, q=q).Mq - want) <= 2 * math.ulp(want)
+
+    @pytest.mark.parametrize("n_modes", (1, 2, 3))
+    def test_c2_over_the_retained_modes(self, n_modes):
+        b = measure_bounds(n_modes)
+        assert b.C2 == n_modes ** 2
+        assert b.C1 == 0.5
+
     def test_q_norm_definition(self):
         u = SpectralField.unit(4, 2)
         assert abs(norm_q(u, 0.25) - (4.0 / 5.0) ** 0.25) <= 1e-15
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(DomainError):
-            measure_bounds(16, [0.5, -1.0])
 
     def test_identity_at_zero(self):
         sym = semigroup(0.0) * SpectralField.unit(16, 7).coeffs
