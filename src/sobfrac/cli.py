@@ -26,7 +26,8 @@ from .mild_solver import (Nonlinearity, ProblemSpec, ZERO_NONLINEARITY,
                           picard_solve, sin_gradient)
 from .optctrl import (ControlBundle, CostSpec, admissibility_value, hypothesis_check,
                       optimize_controls, project_admissible, zero_bundle)
-from .solution_ops import ALPHA_FLOOR, HALVING_TOL, SolutionOperatorCache, psi_rule
+from .solution_ops import (ALPHA_FLOOR, HALVING_TOL, T_WINDOW, SolutionOperatorCache,
+                           psi_rule)
 from .specfun import FracOrder
 from .spectral import (SpectralField, collocation_grid, default_collocation_size,
                        derivative_matrix, measure_bounds)
@@ -193,9 +194,18 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
     p, p_line = get("problem", "p", float)
     if not p > 1.0:
         raise ConfigError(f"p out of (1,inf): {p}", p_line)
-    horizon, _ = get("problem", "horizon", float, lambda v: v > 0, "(0,inf)")
+    horizon, horizon_line = get("problem", "horizon", float, lambda v: v > 0, "(0,inf)")
     modes, _ = get("problem", "modes", int, lambda v: v >= 1, "[1,inf)")
-    steps, _ = get("problem", "steps", int, lambda v: v >= 2, "[2,inf)")
+    steps, steps_line = get("problem", "steps", int, lambda v: v >= 2, "[2,inf)")
+    # below alpha = 1 every positive grid node, dt to horizon, has to lie in
+    # the psi rule's window; the semigroup serves any time
+    if alpha < 1.0:
+        if horizon > T_WINDOW[1]:
+            raise ConfigError(f"horizon={horizon:g} exceeds the psi rule's window "
+                              f"{T_WINDOW} at alpha={alpha}", horizon_line)
+        if horizon / steps < T_WINDOW[0]:
+            raise ConfigError(f"horizon/steps={horizon / steps:g} falls below the psi "
+                              f"rule's window {T_WINDOW} at alpha={alpha}", steps_line)
     controls, controls_line = get("problem", "controls", int, lambda v: v >= 0, "[0,inf)")
 
     u0_text, u0_line = entries[("problem", "u0")]
@@ -242,6 +252,9 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
     budget, _ = get("optimize", "budget", int, lambda v: v >= 1, "[1,inf)")
     grad_tol, _ = get("optimize", "grad_tol", float, lambda v: v > 0, "(0,inf)")
     fd_step, _ = get("optimize", "fd_step", float, lambda v: v > 0, "(0,inf)")
+    if entries[("optimize", "control_modes")][1] is None:
+        # the default fits every mode count; a value given is checked as given
+        entries[("optimize", "control_modes")] = (str(min(4, modes)), None)
     control_modes, _ = get("optimize", "control_modes", int,
                            lambda v: 1 <= v <= modes, f"[1,{modes}]")
     radius, _ = get("optimize", "radius", float, lambda v: v > 0, "(0,inf)")

@@ -34,9 +34,9 @@ from .errors import (DomainError, EvaluationError, NonConvergenceError,
 from .fracops import TimeGrid, power_increments
 from .solution_ops import SolutionOperatorCache
 from .specfun import FracOrder
-from .spectral import (MAX_DERIVATIVE_ORDER, SpectralField,
-                       data_smoothing_symbol, default_collocation_size,
-                       derivative_matrix, projection_matrix, q_weights)
+from .spectral import (SpectralField, data_smoothing_symbol,
+                       default_collocation_size, derivative_matrix,
+                       projection_matrix, q_weights)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -46,30 +46,22 @@ MAX_ITER = 80
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Descriptor of the state nonlinearity f(t, W) with declared budgets.
-
-    Built-ins: "zero" and the bounded-Lipschitz family gain*sin(d_x u).
-    A custom callable receives (t, [grids of the requested derivatives])
-    and returns collocation values; its growth budget is declared here
-    and spot-checked, not proven.
+    """The state nonlinearity f(t, W) = gain sin(W), W = d_x u on the
+    collocation grid, with slope gain cos(W): "zero" (f = 0) or the
+    bounded-Lipschitz family "sin_gradient".
     """
 
     kind: str = "zero"
     gain: float = 0.0
-    b_orders: tuple = (1,)
-    growth_gain: float | None = None
-    fn: object = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "sin_gradient", "custom"):
+        if self.kind not in ("zero", "sin_gradient"):
             raise DomainError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kind == "custom" and self.fn is None:
-            raise DomainError("custom nonlinearity requires fn")
+        if not math.isfinite(self.gain):
+            raise DomainError(f"nonlinearity gain must be finite, got {self.gain}")
 
     @property
     def a_f(self) -> float:
-        if self.growth_gain is not None:
-            return self.growth_gain
         # sup |sin| <= 1, so the L2[0, pi] norm is capped by gain*sqrt(pi)
         return abs(self.gain) * _SQRT_PI if self.kind == "sin_gradient" else 0.0
 
@@ -78,7 +70,7 @@ ZERO_NONLINEARITY = Nonlinearity("zero")
 
 
 def sin_gradient(gain: float) -> Nonlinearity:
-    return Nonlinearity("sin_gradient", gain=gain, b_orders=(1,))
+    return Nonlinearity("sin_gradient", gain=gain)
 
 
 @dataclass(frozen=True)
@@ -110,10 +102,6 @@ class ProblemSpec:
                 raise DomainError(
                     f"nonlocal times must be increasing in (0, horizon), got {t_eta}")
             prev = t_eta
-        for i in self.nonlinearity.b_orders:
-            if not 1 <= i <= MAX_DERIVATIVE_ORDER:
-                raise DomainError(
-                    f"derivative order {i} outside 1..{MAX_DERIVATIVE_ORDER}")
 
     @property
     def grid(self) -> TimeGrid:
@@ -178,23 +166,6 @@ def snap_nonlocal_indices(spec: ProblemSpec) -> list:
     return out
 
 
-def _f_on_grid(nl: Nonlinearity, ts, grids: list) -> np.ndarray:
-    """Nonlinearity values at the collocation nodes, one row per time in ts.
-
-    grids holds one (len(ts), n_x) array per derivative order in b_orders.
-    """
-    if nl.kind == "sin_gradient":
-        values = nl.gain * np.sin(grids[0])
-    else:
-        values = np.array([nl.fn(t, [g[j] for g in grids]) for j, t in enumerate(ts)],
-                          dtype=float)
-    bad = ~np.all(np.isfinite(values), axis=1)
-    if np.any(bad):
-        raise EvaluationError(
-            f"nonlinearity returned non-finite values at t={ts[int(np.argmax(bad))]}")
-    return values
-
-
 def f_modes(spec: ProblemSpec, ts, coeffs: np.ndarray) -> np.ndarray:
     """Mode coefficients of f at each row of coeffs (the field at the
     matching time in ts), through the collocation grid; (len(ts), N).
@@ -205,10 +176,9 @@ def f_modes(spec: ProblemSpec, ts, coeffs: np.ndarray) -> np.ndarray:
     if nl.kind == "zero":
         return np.zeros((len(ts), n_modes))
     n_x = default_collocation_size(n_modes)
-    grids = [np.matmul(derivative_matrix(i, n_modes, n_x), coeffs[:, :, None])[:, :, 0]
-             for i in nl.b_orders]
-    values = _f_on_grid(nl, ts, grids)
-    return np.matmul(projection_matrix(n_modes, n_x), values[:, :, None])[:, :, 0]
+    gradients = np.matmul(derivative_matrix(1, n_modes, n_x), coeffs[:, :, None])
+    return np.matmul(projection_matrix(n_modes, n_x),
+                     nl.gain * np.sin(gradients))[:, :, 0]
 
 
 def eval_f(spec: ProblemSpec, t: float, u_field: SpectralField) -> SpectralField:
@@ -255,7 +225,7 @@ def fftconvolve(kernel_spectrum: np.ndarray, signal: np.ndarray, n: int) -> np.n
 class _SweepWorkspace:
     """Grid-static arrays shared by every sweep of one solve context.
 
-    D[i] maps coefficients to the i-th derivative on the collocation grid
+    D maps coefficients to the first derivative on the collocation grid
     (n_x x N), P maps collocation values back to coefficients (N x n_x);
     the forward sweep and its adjoint both go through them.
     """
@@ -265,7 +235,6 @@ class _SweepWorkspace:
         alpha = spec.order.alpha
         ts = spec.grid.nodes()
         self.spec = spec
-        self.ts = ts
         self.lm = data_smoothing_symbol(n_modes)
         self.kappa = ts ** (1.0 - alpha) / math.gamma(2.0 - alpha)
         self.snaps = snap_nonlocal_indices(spec)
@@ -286,8 +255,7 @@ class _SweepWorkspace:
         self.nfft = 2 * spec.step_count
         self.kernel_spectrum = np.fft.rfft(self.kernel, self.nfft, axis=0)
         n_x = default_collocation_size(n_modes)
-        self.D = {i: derivative_matrix(i, n_modes, n_x)
-                  for i in spec.nonlinearity.b_orders}
+        self.D = derivative_matrix(1, n_modes, n_x)
         self.P = projection_matrix(n_modes, n_x)
         self.q_scale = q_weights(n_modes, spec.order.q)
 
@@ -308,11 +276,9 @@ class _SweepWorkspace:
         forcing = ctrl_forcing[:-1]
         nl = spec.nonlinearity
         if nl.kind != "zero":
-            states = coeffs[:-1]
             # plain products, not f_modes' stacked ones: the trajectory
             # bytes depend on their rounding
-            grids = [states @ self.D[i].T for i in nl.b_orders]
-            forcing = forcing + _f_on_grid(nl, self.ts[:-1], grids) @ self.P.T
+            forcing = forcing + (nl.gain * np.sin(coeffs[:-1] @ self.D.T)) @ self.P.T
         if np.any(forcing):
             out[1:] += fftconvolve(self.kernel_spectrum, forcing, self.nfft)
         return out
@@ -331,11 +297,7 @@ class _SweepWorkspace:
         nl = self.spec.nonlinearity
         if nl.kind == "zero":
             return None
-        if nl.kind != "sin_gradient":
-            raise DomainError(
-                f"{nl.kind} nonlinearity declares no derivative; the adjoint "
-                "solve needs one")
-        return nl.gain * np.cos(coeffs[:-1] @ self.D[nl.b_orders[0]].T)
+        return nl.gain * np.cos(coeffs[:-1] @ self.D.T)
 
     def adjoint_sweep(self, lam: np.ndarray, source: np.ndarray,
                       slope: np.ndarray | None) -> np.ndarray:
@@ -344,8 +306,7 @@ class _SweepWorkspace:
         added at each nonlocal node with its weight c."""
         out = source.copy()
         if slope is not None:
-            d = self.D[self.spec.nonlinearity.b_orders[0]]
-            out[:-1] += ((self.correlate(lam) @ self.P) * slope) @ d
+            out[:-1] += ((self.correlate(lam) @ self.P) * slope) @ self.D
         if self.snaps:
             g = np.sum(self.feedback * out, axis=0) / self.denominator
             for c, idx, _ in self.snaps:
@@ -436,8 +397,7 @@ def adjoint_solve(spec: ProblemSpec, traj: Trajectory, weight: np.ndarray,
     linearised response and E the h elimination, with the fixed-point
     loop, tolerance and sweep budget of picard_solve; like it, the loop
     runs over f only (f = 0 takes one sweep) and contracts at the rate of
-    the forward f-loop.  Raises DomainError for a nonlinearity without a
-    declared derivative and NonConvergenceError like picard_solve.
+    the forward f-loop.  Raises NonConvergenceError like picard_solve.
     """
     slope = workspace.slope(traj.coeffs)
     lam = _fixed_point(lambda lam: workspace.adjoint_sweep(lam, weight, slope),

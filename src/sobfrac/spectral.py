@@ -45,16 +45,8 @@ class SpectralField:
         """L2[0, pi] norm via Parseval."""
         return float(np.linalg.norm(self.coeffs))
 
-    def __add__(self, other):
-        return SpectralField(self.coeffs + other.coeffs)
-
     def __sub__(self, other):
         return SpectralField(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return SpectralField(self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
 
     @staticmethod
     def zero(mode_count: int) -> "SpectralField":

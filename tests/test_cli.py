@@ -259,6 +259,48 @@ class TestParseConfig:
             parse_config(MINIMAL + "[solver]\nquad_nodes = 100\n", mode="verify")
         assert err.value.line == 9
 
+    @pytest.mark.parametrize("mode", ("verify", "solve", "optimize"))
+    def test_horizon_outside_psi_window_rejected_with_line(self, mode):
+        text = MINIMAL + "controls = 1\n"
+        # the last node, 2e4, lies past the window's 1e4: blame the horizon
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.replace("horizon = 1.0", "horizon = 2e4"), mode=mode)
+        assert err.value.line == 4
+        assert "horizon=20000 exceeds the psi rule's window" in str(err.value)
+        # dt = 1e-6 / 200 = 5e-9 lies below the window's 1e-8: blame the steps
+        short = text.replace("horizon = 1.0", "horizon = 1e-6").replace(
+            "steps = 64", "steps = 200")
+        with pytest.raises(ConfigError) as err:
+            parse_config(short, mode=mode)
+        assert err.value.line == 6
+        assert "horizon/steps=5e-09 falls below" in str(err.value)
+        # the semigroup serves every time
+        for edge in (text.replace("horizon = 1.0", "horizon = 2e4"), short):
+            cfg = parse_config(edge.replace("alpha = 0.8", "alpha = 1.0"), mode=mode)
+            assert cfg.problem.order.alpha == 1.0
+
+    def test_defaulted_control_modes_fit_few_modes(self, tmp_path):
+        two = MINIMAL.replace("modes = 8", "modes = 2") + "controls = 1\n"
+        for mode in ("verify", "solve"):
+            cfg_path = tmp_path / f"{mode}.cfg"
+            cfg_path.write_text(two)
+            assert main([mode, "--config", str(cfg_path),
+                         "--out", str(tmp_path / mode)]) == 0
+        cfg = parse_config(two + "[optimize]\nbudget = 3\n"
+                           f"[output]\ndirectory = {tmp_path / 'optimize'}\n",
+                           mode="optimize")
+        assert cfg.control_modes == 2
+        assert cfg.echo["optimize.control_modes"] == "2"
+        run(cfg)
+        rows = csv.DictReader(
+            (tmp_path / "optimize" / "controls.csv").read_text().splitlines())
+        assert {r["n"] for r in rows} == {"1", "2"}
+        # a value given is checked as given, against its line
+        with pytest.raises(ConfigError) as err:
+            parse_config(two + "[optimize]\ncontrol_modes = 3\n", mode="solve")
+        assert err.value.line == 10
+        assert "control_modes=3 out of [1,2]" in str(err.value)
+
     def test_optimize_without_controls_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL, mode="optimize")
@@ -337,7 +379,7 @@ class TestSolveMode:
         assert report["config"]["problem.alpha"] == "0.8"
 
         rows = {(float(r["t"]), int(r["n"])): float(r["coefficient"])
-                for r in csv.DictReader((tmp_path / "modes.csv").open())}
+                for r in csv.DictReader((tmp_path / "modes.csv").read_text().splitlines())}
         # per-mode oracle at (t=1, n=1)
         alpha = 0.8
         bracket = 1.0 + 0.5 / math.gamma(2.0 - alpha)
@@ -406,27 +448,28 @@ class TestSolveMode:
 def verify_rows(text, out):
     """The rows of verify.csv after a verify run of the config text."""
     assert run(parse_config(text + f"\n[output]\ndirectory = {out}\n", mode="verify")) == 0
-    return list(csv.DictReader((out / "verify.csv").open()))
+    return list(csv.DictReader((out / "verify.csv").read_text().splitlines()))
 
 
 class TestVerifyMode:
     def test_all_rows_pass(self, tmp_path):
         rows = verify_rows(MINIMAL, tmp_path)
-        assert len(rows) == 46 + 6
+        assert len(rows) == 43 + 5
         assert all(r["status"] == "pass" for r in rows)
 
     def test_one_row_per_clause_per_order(self, tmp_path):
         rows = verify_rows(MINIMAL, tmp_path)
         per_order = ["multiplier_rule_vs_series", "multiplier_monotone",
                      *(f"operator_bound_{c}" for c in
-                       ("a_bounded", "e_bounded_q", "b_continuity", "d_envelope"))]
+                       ("a_bounded", "b_continuity", "d_envelope"))]
         for detail in ("alpha=0.5", "alpha=0.8", "alpha=0.95", "config alpha=0.8"):
             names = [r["check"] for r in rows
                      if r["detail"] == detail and r["check"] in per_order]
             assert sorted(names) == sorted(per_order)
         names = {r["check"] for r in rows}
-        assert not names & {"operator_bound_clauses", "s_multiplier_oracle",
-                            "t_multiplier_oracle"}
+        # (e), the q-norm bounds, follows from (a) and has no row of its own
+        assert not names & {"operator_bound_clauses", "operator_bound_e_bounded_q",
+                            "s_multiplier_oracle", "t_multiplier_oracle"}
         # the clauses the folded row hid behind clause (a)'s exact 1
         d_envelope = [float(r["value"]) for r in rows
                       if r["check"] == "operator_bound_d_envelope" and r["detail"] == "alpha=0.8"]
@@ -442,7 +485,7 @@ class TestVerifyMode:
             tmp_path / "b" / "verify.csv").read_text()
         fixed = [r for r in first if not r["detail"].startswith("config")]
         assert fixed == [r for r in second if not r["detail"].startswith("config")]
-        # clauses (a) and (e) read exactly 1 at every order; the rest move
+        # clause (a) reads exactly 1 at every order; the rest move
         moved = {"multiplier_rule_vs_series", "operator_bound_b_continuity",
                  "operator_bound_d_envelope", "multiplier_monotone"}
         config_values = [{r["check"]: r["value"] for r in rows
@@ -457,7 +500,7 @@ class TestOptimizeMode:
         text = REFERENCE_CFG + f"directory = {tmp_path}\n"
         cfg = parse_config(text, mode="optimize")
         assert run(cfg) == 0
-        rows = list(csv.DictReader((tmp_path / "descent.csv").open()))
+        rows = list(csv.DictReader((tmp_path / "descent.csv").read_text().splitlines()))
         costs = [float(r["J"]) for r in rows]
         assert all(b <= a + 1e-14 for a, b in zip(costs, costs[1:]))
         assert (tmp_path / "controls.csv").exists()

@@ -11,13 +11,14 @@ from sobfrac.fracops import TimeGrid
 from sobfrac.mild_solver import (MAX_ITER, Nonlinearity, ProblemSpec,
                                  SolveReport, Trajectory, ZERO_NONLINEARITY,
                                  _SweepWorkspace, _control_forcing,
-                                 _control_forcing_adjoint, _f_on_grid,
-                                 _fixed_point, adjoint_solve, apply_P, eval_f,
-                                 f_modes, picard_solve, sin_gradient)
+                                 _control_forcing_adjoint, _fixed_point,
+                                 adjoint_solve, apply_P, eval_f, f_modes,
+                                 picard_solve, sin_gradient)
 from sobfrac.optctrl import ControlBundle
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import FracOrder, gamma, mittag_leffler
-from sobfrac.spectral import SpectralField, apply_Bi, grid_to_field, norm_q
+from sobfrac.spectral import (SpectralField, apply_Bi, grid_to_field, norm_q,
+                              projection_matrix)
 from test_specfun import ALPHAS
 
 
@@ -57,36 +58,29 @@ class TestEvalF:
         rng = np.random.default_rng(0)
         for _ in range(100):
             u = SpectralField(rng.standard_normal(16))
-            bound = a_f * (1.0 + len(spec.nonlinearity.b_orders) * norm_q(u, 0.25))
+            bound = a_f * (1.0 + norm_q(u, 0.25))
             assert eval_f(spec, 0.0, u).norm() <= bound * (1 + 1e-12)
 
-    def test_custom_callable(self):
-        custom = Nonlinearity("custom", b_orders=(1,),
-                              fn=lambda t, grids: 0.0 * grids[0] + 1.0,
-                              growth_gain=math.sqrt(math.pi))
-        spec = make_spec(nonlinearity=custom)
-        out = eval_f(spec, 0.0, SpectralField.zero(16))
-        # discrete sine projection of the constant function: odd modes only
-        assert out.coeffs[0] > 0.5
-        assert abs(out.coeffs[1]) <= 1e-12
+    @pytest.mark.parametrize("make", [
+        lambda: Nonlinearity("custom"),
+        lambda: sin_gradient(math.inf),
+        lambda: sin_gradient(math.nan),
+    ], ids=["custom_kind", "inf_gain", "nan_gain"])
+    def test_unknown_kind_and_non_finite_gain_rejected(self, make):
+        with pytest.raises(DomainError):
+            make()
 
 
 def per_field_eval_f(spec, t, u):
-    """eval_f as one apply_Bi per derivative order and one grid_to_field:
-    the per-field path that f_modes replaced."""
+    """eval_f as one apply_Bi and one grid_to_field: the per-field path
+    that f_modes replaced."""
     nl = spec.nonlinearity
-    grids = [apply_Bi(i, u)[None, :] for i in nl.b_orders]
-    return grid_to_field(_f_on_grid(nl, [t], grids)[0], spec.mode_count)
-
-
-TWO_ORDER = Nonlinearity("custom", b_orders=(1, 2),
-                         fn=lambda t, grids: np.tanh(grids[0]) * grids[1] + t)
+    return grid_to_field(nl.gain * np.sin(apply_Bi(1, u)), spec.mode_count)
 
 
 class TestBatchedEvalF:
     @pytest.mark.parametrize("n", [5, 16])
-    @pytest.mark.parametrize("nonlinearity", [sin_gradient(0.1), TWO_ORDER],
-                             ids=["sin_grad", "two_order"])
+    @pytest.mark.parametrize("nonlinearity", [sin_gradient(0.1)], ids=["sin_grad"])
     def test_matches_per_field_path_bitwise(self, n, nonlinearity):
         spec = make_spec(n=n, m=8, nonlinearity=nonlinearity)
         rng = np.random.default_rng(n)
@@ -231,7 +225,8 @@ def reference_sweep(spec, ws, coeffs, ctrl_forcing):
     h = sum(c * coeffs[idx] for c, idx, _ in ws.snaps)
     out = ws.s_lm * (spec.v0.coeffs + ws.kappa[:, None] * (spec.u0.coeffs + h))
     forcing = ctrl_forcing + np.array(
-        [eval_f(spec, t, SpectralField(row)).coeffs for t, row in zip(ws.ts, coeffs)])
+        [eval_f(spec, t, SpectralField(row)).coeffs
+         for t, row in zip(spec.grid.nodes(), coeffs)])
     for n in range(spec.mode_count):
         out[1:, n] += np.convolve(ws.kernel[:, n], forcing[:-1, n])[:spec.step_count]
     return out
@@ -340,16 +335,15 @@ class TestPicardSolve:
 
     def test_forced_instance_first_order_refinement(self):
         # constant forcing exercises the discretized convolution; its error
-        # against the two-parameter Mittag-Leffler closed form halves with dt
-        forcing = Nonlinearity("custom", b_orders=(1,),
-                               fn=lambda t, grids: 0.0 * grids[0] + 1.0,
-                               growth_gain=math.sqrt(math.pi))
+        # against the two-parameter Mittag-Leffler closed form halves with dt.
+        # With f = 0 the forcing goes straight into one sweep, which is exact.
+        g = projection_matrix(8, 32) @ np.ones(32)
         errors = []
         for m in (128, 256):
             spec = make_spec(n=8, m=m, u0=SpectralField.zero(8),
-                             v0=SpectralField.zero(8), nonlinearity=forcing)
-            g = eval_f(spec, 0.0, SpectralField.zero(8)).coeffs
-            traj, _ = picard_solve(spec, tol=1e-12)
+                             v0=SpectralField.zero(8))
+            ws = _SweepWorkspace(spec, SolutionOperatorCache(spec.order, 8))
+            coeffs = ws.sweep(ws.initial(), np.tile(g, (m + 1, 1)))
             ts = spec.grid.nodes()
             worst = 0.0
             for n in range(1, 9):
@@ -358,7 +352,7 @@ class TestPicardSolve:
                     g[n - 1] * t ** 0.8
                     * mittag_leffler(0.8, 1.8, -lam * t ** 0.8) / (1 + n * n)
                     for t in ts])
-                worst = max(worst, np.max(np.abs(traj.coeffs[:, n - 1] - ref)))
+                worst = max(worst, np.max(np.abs(coeffs[:, n - 1] - ref)))
             errors.append(worst)
         assert errors[0] / errors[1] >= 1.5
 
@@ -443,16 +437,3 @@ class TestProblemSpecValidation:
         with pytest.raises(DomainError):
             ProblemSpec(FracOrder(0.8), 1.0, 8, 16,
                         SpectralField.zero(4), SpectralField.zero(8))
-
-    def test_derivative_order_budget(self):
-        bad = Nonlinearity("custom", b_orders=(3,), fn=lambda t, g: g[0])
-        with pytest.raises(DomainError):
-            make_spec(nonlinearity=bad)
-
-    @pytest.mark.parametrize("order", [0, -1])
-    def test_derivative_order_below_one(self, order, cache16):
-        # the batched sweep reads derivative_matrix(i) directly, so the
-        # spec is where an order below 1 has to be refused
-        bad = Nonlinearity("custom", b_orders=(order,), fn=lambda t, g: g[0])
-        with pytest.raises(DomainError, match="outside"):
-            picard_solve(make_spec(nonlinearity=bad), cache=cache16)

@@ -243,9 +243,11 @@ def apply_T(cache, t, u):
 
 
 def reference_operator_bounds(cache, t_samples):
-    """verify_operator_bounds with clauses (a) and (e) applying S and T to
-    every unit field e_n at every sampled time, each call building its own
-    multiplier row, and clause (b) looping over consecutive times."""
+    """verify_operator_bounds with clause (a) applying S and T to every unit
+    field e_n at every sampled time, each call building its own multiplier
+    row, and clause (b) looping over consecutive times.  Also returns the
+    worst ratio of the same bounds in the q-norm (the paper's clause (e)),
+    which equals clause (a)'s."""
     t_samples = sorted(float(t) for t in t_samples)
     alpha = cache.order.alpha
     q = cache.order.q
@@ -267,7 +269,6 @@ def reference_operator_bounds(cache, t_samples):
                           norm_q(apply_S(cache, t, u), q) / (s_cap * nq),
                           norm_q(apply_T(cache, t, u), q) / (t_cap * nq))
     clauses["a_bounded"] = {"worst_ratio": worst_a, "cap": slack, "passed": worst_a <= slack}
-    clauses["e_bounded_q"] = {"worst_ratio": worst_e, "cap": slack, "passed": worst_e <= slack}
 
     worst_b = 0.0
     s_table = cache.multiplier_table(t_samples)[0]
@@ -290,7 +291,7 @@ def reference_operator_bounds(cache, t_samples):
 
     return {"C1": bounds.C1, "M0": bounds.M0, "Mq": bounds.Mq, "q": q,
             "clauses": clauses,
-            "passed": all(c["passed"] for c in clauses.values())}
+            "passed": all(c["passed"] for c in clauses.values())}, worst_e
 
 
 def random_field_ratio(cache, t_samples, trials, c1_m0, seed=0):
@@ -312,8 +313,7 @@ class TestBoundClauses:
     def test_all_clauses_pass(self, cache):
         report = verify_operator_bounds(cache, np.linspace(0.0, 1.0, 33))
         assert report["passed"]
-        assert set(report["clauses"]) == {"a_bounded", "e_bounded_q",
-                                          "b_continuity", "d_envelope"}
+        assert set(report["clauses"]) == {"a_bounded", "b_continuity", "d_envelope"}
 
     @pytest.mark.parametrize("alpha", (0.5, 0.8, 1.0))
     @pytest.mark.parametrize("samples,trials", ((33, 300), (33, 400), (7, 50)))
@@ -321,7 +321,10 @@ class TestBoundClauses:
         c = SolutionOperatorCache(FracOrder(alpha, q=0.25, p=2.0), 16)
         ts = np.linspace(0.0, 1.0, samples)
         report = verify_operator_bounds(c, ts, raise_on_failure=False)
-        assert report == reference_operator_bounds(c, ts)
+        want, worst_q_norm = reference_operator_bounds(c, ts)
+        assert report == want
+        # the q-norm bounds follow from (a): the q-weights commute with S and T
+        assert worst_q_norm == report["clauses"]["a_bounded"]["worst_ratio"]
         # the random-field estimate that the exact norms replaced stays below them
         assert (random_field_ratio(c, ts, trials, report["C1"] * report["M0"])
                 <= report["clauses"]["a_bounded"]["worst_ratio"])
