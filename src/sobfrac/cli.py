@@ -93,6 +93,7 @@ def _finite_float(text: str) -> float:
 
 def _parse_modes_list(text: str, mode_count: int, line: int) -> SpectralField:
     coeffs = np.zeros(mode_count)
+    seen = set()
     if text.strip():
         for chunk in text.replace(",", " ").split():
             if ":" not in chunk:
@@ -104,6 +105,9 @@ def _parse_modes_list(text: str, mode_count: int, line: int) -> SpectralField:
                 raise ConfigError(f"bad mode entry {chunk!r}", line) from None
             if not 1 <= n <= mode_count:
                 raise ConfigError(f"mode {n} outside 1..{mode_count}", line)
+            if n in seen:
+                raise ConfigError(f"mode {n} given twice", line)
+            seen.add(n)
             coeffs[n - 1] = v
     return SpectralField(coeffs)
 
@@ -126,15 +130,15 @@ def _parse_nonlinearity(text: str, line: int) -> Nonlinearity:
     text = text.strip()
     if text == "zero" or not text:
         return ZERO_NONLINEARITY
-    if text.startswith("sin_grad"):
-        gain = 1.0
-        if ":" in text:
-            try:
-                gain = _finite_float(text.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(f"bad sin_grad gain in {text!r}", line) from None
-        return sin_gradient(gain)
-    raise ConfigError(f"unknown nonlinearity {text!r}", line)
+    name, colon, gain_text = text.partition(":")
+    if name != "sin_grad":
+        raise ConfigError(f"unknown nonlinearity {text!r}", line)
+    if not colon:
+        return sin_gradient(1.0)
+    try:
+        return sin_gradient(_finite_float(gain_text))
+    except ValueError:
+        raise ConfigError(f"bad sin_grad gain in {text!r}", line) from None
 
 
 def parse_config(text: str, mode: str = "solve") -> RunConfig:

@@ -49,6 +49,15 @@ class Nonlinearity:
     """The state nonlinearity f(t, W) = gain sin(W), W = d_x u on the
     collocation grid, with slope gain cos(W): "zero" (f = 0) or the
     bounded-Lipschitz family "sin_gradient".
+
+    Its hypothesis constants are certified in closed form from three
+    facts about the N-mode discrete sine transform on n_x = 4N interior
+    nodes, K = n_x + 1, with f(u) = P (gain sin(D u)):
+    - P P^T = (pi/K) I, so ||P||_2 = sqrt(pi/K);
+    - D^T D = (2/pi) diag(n) ((K/2) I - E) diag(n), with E the all-ones
+      block on each parity class of n, which is positive semidefinite;
+      so D^T D <= (K/pi) diag(n^2);
+    - |sin a - sin b| <= |a - b| and |sin a| <= 1.
     """
 
     kind: str = "zero"
@@ -62,8 +71,17 @@ class Nonlinearity:
 
     @property
     def a_f(self) -> float:
-        # sup |sin| <= 1, so the L2[0, pi] norm is capped by gain*sqrt(pi)
+        """Growth bound: ||f(u)|| <= sqrt(pi/K) |gain| sqrt(n_x)
+        < |gain| sqrt(pi), whatever u."""
         return abs(self.gain) * _SQRT_PI if self.kind == "sin_gradient" else 0.0
+
+    def lipschitz_bound(self, mode_count: int, q: float) -> float:
+        """L with ||f(u) - f(v)|| <= L ||u - v||_q on mode_count modes:
+        |gain| max_n n / lambda_n^q = |gain| N (1 + 1/N^2)^q, since
+        n / lambda_n^q = n^(1-2q) (1 + n^2)^q grows with n for q < 1."""
+        if self.kind == "zero":
+            return 0.0
+        return abs(self.gain) * mode_count * (1.0 + 1.0 / mode_count ** 2) ** q
 
 
 ZERO_NONLINEARITY = Nonlinearity("zero")
@@ -107,10 +125,15 @@ class ProblemSpec:
     def grid(self) -> TimeGrid:
         return TimeGrid(self.horizon, self.step_count)
 
-    def exponents_ok(self) -> tuple[bool, bool]:
+    def exponents(self) -> tuple[float, float]:
+        """The paper's exponents alpha*q (must be < 1) and p*alpha*(1-q)
+        (must exceed 1 when controls act)."""
         o = self.order
-        return (o.alpha * o.q < 1.0,
-                o.p * o.alpha * (1.0 - o.q) > 1.0)
+        return o.alpha * o.q, o.p * o.alpha * (1.0 - o.q)
+
+    def exponents_ok(self) -> tuple[bool, bool]:
+        aq, paq = self.exponents()
+        return aq < 1.0, paq > 1.0
 
 
 @dataclass(frozen=True)
@@ -166,24 +189,16 @@ def snap_nonlocal_indices(spec: ProblemSpec) -> list:
     return out
 
 
-def f_modes(spec: ProblemSpec, ts, coeffs: np.ndarray) -> np.ndarray:
-    """Mode coefficients of f at each row of coeffs (the field at the
-    matching time in ts), through the collocation grid; (len(ts), N).
-    Each row gets its own matrix-vector products (a stacked matmul), so
-    its bits do not depend on the rows that share the call."""
+def eval_f(spec: ProblemSpec, t: float, u_field: SpectralField) -> SpectralField:
+    """f's mode coefficients at one field, P (gain sin(D u)) through the
+    collocation grid; f is autonomous, so t is not read."""
     nl = spec.nonlinearity
     n_modes = spec.mode_count
     if nl.kind == "zero":
-        return np.zeros((len(ts), n_modes))
+        return SpectralField.zero(n_modes)
     n_x = default_collocation_size(n_modes)
-    gradients = np.matmul(derivative_matrix(1, n_modes, n_x), coeffs[:, :, None])
-    return np.matmul(projection_matrix(n_modes, n_x),
-                     nl.gain * np.sin(gradients))[:, :, 0]
-
-
-def eval_f(spec: ProblemSpec, t: float, u_field: SpectralField) -> SpectralField:
-    """f's mode coefficients at one field: the one-row case of f_modes."""
-    return SpectralField(f_modes(spec, [t], u_field.coeffs[None, :])[0])
+    gradient = derivative_matrix(1, n_modes, n_x) @ u_field.coeffs
+    return SpectralField(projection_matrix(n_modes, n_x) @ (nl.gain * np.sin(gradient)))
 
 
 def _control_forcing(spec: ProblemSpec, controls) -> np.ndarray:
@@ -276,8 +291,6 @@ class _SweepWorkspace:
         forcing = ctrl_forcing[:-1]
         nl = spec.nonlinearity
         if nl.kind != "zero":
-            # plain products, not f_modes' stacked ones: the trajectory
-            # bytes depend on their rounding
             forcing = forcing + (nl.gain * np.sin(coeffs[:-1] @ self.D.T)) @ self.P.T
         if np.any(forcing):
             out[1:] += fftconvolve(self.kernel_spectrum, forcing, self.nfft)
@@ -360,15 +373,14 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
     NonConvergenceError (with the residual history) when the budget runs
     out, rather than returning a best-effort trajectory.
     """
+    aq, paq = spec.exponents()
     ok_aq, ok_paq = spec.exponents_ok()
     if not ok_aq:
-        raise RejectedInstanceError(
-            f"alpha*q = {spec.order.alpha * spec.order.q} must be < 1")
+        raise RejectedInstanceError(f"alpha*q = {aq} must be < 1")
     k = 0 if controls is None else len(controls.cells)
     if (spec.control_count > 0 or k) and not ok_paq:
         raise RejectedInstanceError(
-            f"p*alpha*(1-q) = {spec.order.p * spec.order.alpha * (1 - spec.order.q)} "
-            "must exceed 1 for controlled instances")
+            f"p*alpha*(1-q) = {paq} must exceed 1 for controlled instances")
     if k and k != spec.control_count:
         raise DomainError(f"bundle supplies {k} controls, "
                           f"spec declares {spec.control_count}")

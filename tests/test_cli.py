@@ -218,6 +218,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(MINIMAL.replace("u0 = 1:0.5", "u0 = 9:1.0"))
 
+    @pytest.mark.parametrize("entry, line", (
+        ("u0 = 1:0.5 1:0.7", 7),
+        ("u0 = 1:0.5\nv0 = 2:1.0, 2:1.0", 8),
+    ), ids=("u0", "v0"))
+    def test_repeated_mode_rejected_with_line(self, entry, line):
+        # the later value used to overwrite the earlier one silently
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL.replace("u0 = 1:0.5", entry))
+        assert err.value.line == line
+        assert "given twice" in str(err.value)
+
+    @pytest.mark.parametrize("text", (
+        "sin_gradXYZ", "sin_grad_typo:0.5", "sin_grad:", "sin_grad:0.5:1",
+    ))
+    def test_malformed_nonlinearity_rejected_with_line(self, text):
+        # a typo used to parse as sin_grad with gain 1.0 or the given gain
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"nonlinearity = {text}\n")
+        assert err.value.line == 8
+
+    @pytest.mark.parametrize("text, gain", (
+        ("sin_grad", 1.0), ("sin_grad:0.5", 0.5), ("sin_grad:-2", -2.0),
+    ))
+    def test_sin_grad_forms(self, text, gain):
+        nl = parse_config(MINIMAL + f"nonlinearity = {text}\n").problem.nonlinearity
+        assert (nl.kind, nl.gain) == ("sin_gradient", gain)
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "alpha = 0.5\n")
@@ -581,7 +608,11 @@ class TestMainEntry:
          "line 10: cost weights must not both vanish"),
         ("optimize", "controls = 0\n",
          "line 8: optimize mode requires problem.controls >= 1"),
-    ), ids=("zero_cost_weights", "optimize_without_controls"))
+        ("solve", "nonlinearity = sin_grad_typo:0.5\n",
+         "line 8: unknown nonlinearity 'sin_grad_typo:0.5'"),
+        ("solve", "v0 = 1:1.0 1:2.0\n", "line 8: mode 1 given twice"),
+    ), ids=("zero_cost_weights", "optimize_without_controls",
+            "nonlinearity_typo", "repeated_mode"))
     def test_main_config_error_exits_2_before_any_work(self, tmp_path, capsys,
                                                        mode, extra, message):
         cfg_path = tmp_path / "run.cfg"

@@ -12,7 +12,7 @@ from sobfrac.mild_solver import (MAX_ITER, Nonlinearity, ProblemSpec,
                                  SolveReport, Trajectory, ZERO_NONLINEARITY,
                                  _SweepWorkspace, _control_forcing,
                                  _control_forcing_adjoint, _fixed_point,
-                                 adjoint_solve, apply_P, eval_f, f_modes,
+                                 adjoint_solve, apply_P, eval_f,
                                  picard_solve, sin_gradient)
 from sobfrac.optctrl import ControlBundle
 from sobfrac.solution_ops import SolutionOperatorCache
@@ -72,8 +72,7 @@ class TestEvalF:
 
 
 def per_field_eval_f(spec, t, u):
-    """eval_f as one apply_Bi and one grid_to_field: the per-field path
-    that f_modes replaced."""
+    """eval_f as one apply_Bi and one grid_to_field."""
     nl = spec.nonlinearity
     return grid_to_field(nl.gain * np.sin(apply_Bi(1, u)), spec.mode_count)
 
@@ -86,11 +85,9 @@ class TestBatchedEvalF:
         rng = np.random.default_rng(n)
         ts = rng.uniform(0.0, 1.0, 40)
         fields = rng.standard_normal((40, n))
-        batched = f_modes(spec, ts, fields)
-        for t, row, got in zip(ts, fields, batched):
+        for t, row in zip(ts, fields):
             want = per_field_eval_f(spec, t, SpectralField(row)).coeffs
             assert np.array_equal(eval_f(spec, t, SpectralField(row)).coeffs, want)
-            assert np.array_equal(got, want)
 
 
 def sweep_bracket(spec, cache, traj):

@@ -15,7 +15,9 @@ from sobfrac.optctrl import (ControlBundle, CostSpec, adjoint_gradient,
                              random_admissible_bundle, zero_bundle)
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import FracOrder
-from sobfrac.spectral import SpectralField, norm_q
+from sobfrac.spectral import (SpectralField, default_collocation_size,
+                              derivative_matrix, norm_q, projection_matrix,
+                              q_weights)
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +55,10 @@ def fd_gradient(problem, cost, x, cache, fd_step=1e-4, solve_tol=1e-12):
 
 
 def hypothesis_check_oracle(problem, trials=50, seed=0):
-    """The per-sample hypothesis check that the batched one replaced: one
-    eval_f call per field, and one more for the previous field of each
-    Lipschitz quotient."""
+    """The sampled hypothesis check that the closed forms replaced: one
+    eval_f call per seeded field, and one more for the previous field of
+    each Lipschitz quotient.  Its quotients are lower estimates of the
+    suprema that the certified constants bound."""
     o = problem.order
     aq = o.alpha * o.q
     paq = o.p * o.alpha * (1.0 - o.q)
@@ -229,28 +232,55 @@ class TestHypothesisCheck:
     def test_nonlocal_constants(self):
         prob = reference_problem()
         report = hypothesis_check(prob)
-        assert report["nonlocal"]["k1"] == 0.3
-        assert report["nonlocal"]["k2"] > 0.0
-
-    @pytest.mark.parametrize("nonlinearity", [
-        sin_gradient(0.1),
-        None,
-    ], ids=["sin_grad", "zero"])
-    def test_matches_per_sample_oracle_bitwise(self, nonlinearity):
-        # the README problem (N = 16, M = 512), with its f swapped
-        kw = {} if nonlinearity is None else {"nonlinearity": nonlinearity}
-        problem = reference_problem(n=16, m=512, **kw)
-        assert hypothesis_check(problem) == hypothesis_check_oracle(problem)
+        assert report["nonlocal"] == {"k1": 0.3, "term_count": 1}
 
     def test_nonlinearity_budgets_sampled(self):
         n = 8
         u0 = SpectralField.zero(n)
         prob = ProblemSpec(FracOrder(0.8, q=0.25, p=2.0), 1.0, n, 16, u0, u0,
                            nonlinearity=sin_gradient(0.1))
-        report = hypothesis_check(prob)
-        nl = report["nonlinearity"]
-        assert nl["measured_growth"] <= nl["declared_a_f"] * (1 + 1e-9)
-        assert nl["measured_lipschitz"] > 0.0
+        nl = hypothesis_check(prob)["nonlinearity"]
+        assert set(nl) == {"kind", "declared_a_f", "lipschitz_bound"}
+        sampled = hypothesis_check_oracle(prob)["nonlinearity"]
+        assert 0.0 < sampled["measured_growth"] <= nl["declared_a_f"]
+        assert 0.0 < sampled["measured_lipschitz"] <= nl["lipschitz_bound"]
+
+    def test_readme_lipschitz_bound(self):
+        # the README problem (N = 16, q = 0.25, sin_grad:0.1): 1.6016
+        report = hypothesis_check(reference_problem(
+            n=16, m=512, nonlinearity=sin_gradient(0.1)))
+        assert report["nonlinearity"]["lipschitz_bound"] == pytest.approx(
+            0.1 * 16 * (257 / 256) ** 0.25, rel=1e-15)
+        zero = hypothesis_check(reference_problem(n=16, m=512))["nonlinearity"]
+        assert zero["declared_a_f"] == zero["lipschitz_bound"] == 0.0
+
+    @pytest.mark.parametrize("q", [0.05, 0.25, 0.95])
+    @pytest.mark.parametrize("n", [1, 2, 16, 64])
+    @pytest.mark.parametrize("gain", [0.1, 2.0, 40.0])
+    def test_certified_bounds_hold(self, gain, n, q):
+        u0 = SpectralField.zero(n)
+        prob = ProblemSpec(FracOrder(0.5, q=q, p=2.0), 1.0, n, 4, u0, u0,
+                           nonlinearity=sin_gradient(gain))
+        nl = hypothesis_check(prob)["nonlinearity"]
+        sampled = hypothesis_check_oracle(prob)["nonlinearity"]
+        assert sampled["measured_growth"] <= nl["declared_a_f"]
+        assert sampled["measured_lipschitz"] <= nl["lipschitz_bound"]
+        # the bound from the sweep's own matrices, |gain| ||P||_2 ||D W_q^-1||_2
+        n_x = default_collocation_size(n)
+        matrix_bound = gain * (
+            np.linalg.norm(projection_matrix(n, n_x), 2)
+            * np.linalg.norm(derivative_matrix(1, n, n_x) / q_weights(n, q), 2))
+        assert nl["lipschitz_bound"] >= matrix_bound * (1 - 1e-14)
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_projection_norm_closed_form(self, n):
+        # discrete sine orthogonality: P P^T = (pi/K) I, K = n_x + 1
+        n_x = default_collocation_size(n)
+        p = projection_matrix(n, n_x)
+        assert np.allclose(p @ p.T, math.pi / (n_x + 1) * np.eye(n),
+                           rtol=0.0, atol=1e-14)
+        assert np.linalg.norm(p, 2) == pytest.approx(math.sqrt(math.pi / (n_x + 1)),
+                                                     rel=1e-13)
 
 
 class TestOptimizer:
