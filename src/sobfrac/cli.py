@@ -83,9 +83,17 @@ class RunConfig:
     echo: dict = field(default_factory=dict)
 
 
+def _number(text: str, conv=float):
+    """conv(text), with a ValueError for any underscore: Python reads
+    digit groups, so a typo 1:0_5 would read as 5."""
+    if "_" in text:
+        raise ValueError(f"{text!r} has an underscore")
+    return conv(text)
+
+
 def _finite_float(text: str) -> float:
-    """float(text), with a ValueError for inf and nan too."""
-    value = float(text)
+    """float(text), with a ValueError for inf, nan and underscores too."""
+    value = _number(text)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
     return value
@@ -100,7 +108,7 @@ def _parse_modes_list(text: str, mode_count: int, line: int) -> SpectralField:
                 raise ConfigError(f"expected mode:coefficient, got {chunk!r}", line)
             n_str, v_str = chunk.split(":", 1)
             try:
-                n, v = int(n_str), _finite_float(v_str)
+                n, v = _number(n_str, int), _finite_float(v_str)
             except ValueError:
                 raise ConfigError(f"bad mode entry {chunk!r}", line) from None
             if not 1 <= n <= mode_count:
@@ -178,9 +186,7 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
     def get(section, key, conv, check=None, describe=""):
         value, line = entries[(section, key)]
         try:
-            out = conv(value)
-        except ConfigError:
-            raise
+            out = _number(value, conv)
         except ValueError:
             raise ConfigError(f"cannot parse {key}={value!r}", line) from None
         if isinstance(out, float) and not math.isfinite(out):

@@ -254,7 +254,7 @@ class _SweepWorkspace:
         self.kappa = ts ** (1.0 - alpha) / math.gamma(2.0 - alpha)
         self.snaps = snap_nonlocal_indices(spec)
         # S rows at every node; the kernel's T rows at the lags d*dt, nodes 1..M
-        s_table, t_table = cache.multiplier_table(ts)
+        s_table, t_table = cache.grid_table(spec.grid)
         self.s_lm = s_table[:, :n_modes] * self.lm[None, :]
         # the data term without h, and the trajectory's response to h
         self.data = self.s_lm * (spec.v0.coeffs[None, :]

@@ -268,6 +268,29 @@ class TestParseConfig:
             parse_config(MINIMAL.replace(old, new))
         assert err.value.line == line
 
+    @pytest.mark.parametrize("old, new, line", (
+        ("u0 = 1:0.5", "u0 = 1:0_5", 7),
+        ("u0 = 1:0.5", "u0 = 1_0:0.5", 7),
+        ("u0 = 1:0.5", "u0 = 1:0.5\nnonlocal = 0.3@0_5", 8),
+        ("u0 = 1:0.5", "u0 = 1:0.5\nnonlinearity = sin_grad:1_0", 8),
+        ("steps = 64", "steps = 6_4", 6),
+        ("u0 = 1:0.5", "u0 = 1:0.5\n[solver]\ntol = 1e-1_0", 9),
+    ), ids=("u0", "u0_mode", "nonlocal", "nonlinearity", "steps", "solver_tol"))
+    def test_digit_group_underscore_rejected_with_line(self, old, new, line):
+        # Python's float and int read 0_5 as 5, so a typo for 0.5 used to
+        # change the instance tenfold
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL.replace(old, new))
+        assert err.value.line == line
+
+    def test_digit_group_underscore_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL.replace("u0 = 1:0.5", "u0 = 1:0_5"))
+        assert main(["solve", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "line 7: bad mode entry '1:0_5'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_rejected_with_line(self):
         # default_rng refuses it only after the solve, with a bare traceback
         with pytest.raises(ConfigError) as err:

@@ -1,12 +1,15 @@
 """Solution-operator multipliers against the Mittag-Leffler oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sobfrac import solution_ops
+from sobfrac import mild_solver, solution_ops
+from sobfrac.cli import parse_config, run
 from sobfrac.errors import ConstructionError, DomainError
+from sobfrac.fracops import TimeGrid
 from sobfrac.solution_ops import (ALPHA_FLOOR, HALVING_TOL, T_WINDOW,
                                   SolutionOperatorCache, psi_rule,
                                   verify_operator_bounds)
@@ -89,7 +92,7 @@ class TestMultipliers:
 
 def per_time_rows(cache, t):
     """The multiplier rows at one time from the psi rule, one exp(outer)
-    block each: the per-time evaluation that multiplier_table batches."""
+    block each: the evaluation multiplier_table makes per time."""
     alpha = cache.order.alpha
     if alpha >= 1.0:
         decay = np.exp(-cache._lam * t)
@@ -106,31 +109,23 @@ def per_time_rows(cache, t):
 class TestMultiplierTable:
     @pytest.mark.parametrize("alpha", (0.5, 0.8, 1.0))
     def test_matches_per_time_rows_bitwise(self, alpha):
-        c = SolutionOperatorCache(FracOrder(alpha, q=0.25), 16)
-        # the README grid and a short grid out to t = 50; neither fills
-        # its last block
-        for ts in (np.linspace(0.0, 1.0, 513), np.linspace(0.0, 50.0, 7)):
+        # the README grid, the perfbench optimize grid, a two-step grid and a
+        # short grid out to t = 50; the table and multiplier_rows both equal
+        # the per-time rows bit for bit
+        for modes, ts in ((16, np.linspace(0.0, 1.0, 513)), (32, np.linspace(0.0, 1.0, 513)),
+                          (8, np.linspace(0.0, 1.0, 129)), (4, np.linspace(0.0, 1.0, 3)),
+                          (16, np.linspace(0.0, 50.0, 7))):
+            c = SolutionOperatorCache(FracOrder(alpha, q=0.25), modes)
             s_table, t_table = c.multiplier_table(ts)
-            assert s_table.shape == t_table.shape == (ts.size, 16)
+            assert s_table.shape == t_table.shape == (ts.size, modes)
             for m, t in enumerate(ts):
                 s_ref, t_ref = per_time_rows(c, float(t))
                 assert np.array_equal(s_table[m], s_ref)
                 assert np.array_equal(t_table[m], t_ref)
                 s_row, t_row = c.multiplier_rows(float(t))
-                assert s_row.shape == t_row.shape == (16,)
+                assert s_row.shape == t_row.shape == (modes,)
                 assert np.array_equal(s_row, s_table[m])
                 assert np.array_equal(t_row, t_table[m])
-
-    @pytest.mark.parametrize("modes, steps", ((4, 2), (8, 128), (32, 512)))
-    def test_block_size_moves_no_bit(self, modes, steps):
-        # multiplier_rows is the table in blocks of one time: the stacked
-        # rows equal the blocked table bit for bit, whatever the block size
-        c = SolutionOperatorCache(FracOrder(0.8, q=0.25), modes)
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        rows = [c.multiplier_rows(float(t)) for t in ts]
-        s_table, t_table = c.multiplier_table(ts)
-        assert np.array_equal(s_table, np.stack([s for s, _ in rows]))
-        assert np.array_equal(t_table, np.stack([t for _, t in rows]))
 
     def test_negative_time_rejected(self, cache):
         with pytest.raises(DomainError):
@@ -146,6 +141,99 @@ class TestMultiplierTable:
                 cache.multiplier_table([0.0, t])
         # the semigroup serves every time
         SolutionOperatorCache(FracOrder(1.0), 4).multiplier_table([1e-12, 1e6])
+
+
+class TestGridTable:
+    @pytest.mark.parametrize("alpha", (0.028, 0.3, 0.5, 0.8, 0.95, 0.999))
+    def test_matches_per_time_table(self, alpha):
+        # the per-time table is the oracle; a mode's column does not depend
+        # on the mode count, so one 64-mode table serves every count.  M = 100
+        # leaves its last block of isqrt(M) + 1 = 11 lags short.
+        for steps in (2, 64, 100, 512, 4096):
+            for horizon in (1.0, 50.0, 1e4):
+                grid = TimeGrid(horizon, steps)
+                want = SolutionOperatorCache(FracOrder(alpha), 64).multiplier_table(
+                    grid.nodes())
+                for modes in (1, 8, 16, 64):
+                    got = SolutionOperatorCache(FracOrder(alpha), modes).grid_table(grid)
+                    for g, w in zip(got, want):
+                        assert g.shape == (steps + 1, modes)
+                        assert g.flags.c_contiguous
+                        rel = np.abs(g - w[:, :modes]) / np.abs(w[:, :modes])
+                        assert np.max(rel) <= 1e-14, (steps, horizon, modes)
+
+    def test_semigroup_bitwise(self):
+        c = SolutionOperatorCache(FracOrder(1.0), 16)
+        for grid in (TimeGrid(1.0, 512), TimeGrid(1e6, 100), TimeGrid(1e-9, 2)):
+            for g, w in zip(c.grid_table(grid), c.multiplier_table(grid.nodes())):
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.8))
+    def test_row_zero_closed_form(self, alpha):
+        c = SolutionOperatorCache(FracOrder(alpha), 16)
+        s_table, t_table = c.grid_table(TimeGrid(1.0, 64))
+        assert np.array_equal(s_table[0], l_inverse_symbol(16))
+        assert np.array_equal(t_table[0], l_inverse_symbol(16) / gamma(alpha))
+
+    def test_grid_outside_the_window_rejected(self, cache):
+        lo, hi = T_WINDOW
+        cache.grid_table(TimeGrid(2.0 * lo, 2))
+        cache.grid_table(TimeGrid(hi, 64))
+        # dt = 5e-9 below the window, and a horizon past it
+        for grid in (TimeGrid(1e-6, 200), TimeGrid(2.0 * hi, 64)):
+            with pytest.raises(DomainError, match="window"):
+                cache.grid_table(grid)
+            # the semigroup serves every time
+            SolutionOperatorCache(FracOrder(1.0), 4).grid_table(grid)
+
+    @pytest.mark.parametrize("modes, steps", ((16, 512), (8, 128), (8, 64)))
+    def test_peak_memory_within_the_per_time_table(self, modes, steps):
+        # the perfbench grids; the factors are built per mode into reused
+        # buffers, so the product needs no more memory than the per-time path
+        c = SolutionOperatorCache(FracOrder(0.8, q=0.25), modes)
+        grid = TimeGrid(1.0, steps)
+        ts = grid.nodes()
+
+        def peak(build):
+            build()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                build()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(lambda: c.grid_table(grid))
+                <= peak(lambda: c.multiplier_table(ts)))
+
+    def test_solves_read_one_grid_table_per_workspace(self, tmp_path, monkeypatch):
+        calls = {"grid": 0, "workspace": 0}
+        grid_table = SolutionOperatorCache.grid_table
+        workspace_init = mild_solver._SweepWorkspace.__init__
+
+        def count_grid(self, grid):
+            calls["grid"] += 1
+            return grid_table(self, grid)
+
+        def count_workspace(self, spec, cache):
+            calls["workspace"] += 1
+            workspace_init(self, spec, cache)
+
+        def refuse(self, ts):
+            raise AssertionError("a solve read the per-time table")
+
+        monkeypatch.setattr(SolutionOperatorCache, "grid_table", count_grid)
+        monkeypatch.setattr(SolutionOperatorCache, "multiplier_table", refuse)
+        monkeypatch.setattr(mild_solver._SweepWorkspace, "__init__", count_workspace)
+        text = ("[problem]\nalpha = 0.8\nhorizon = 1.0\nmodes = 8\nsteps = 64\n"
+                "u0 = 1:0.5\nnonlocal = 0.3@0.5\nnonlinearity = sin_grad:0.1\n"
+                "controls = 1\n[optimize]\nbudget = 3\n")
+        for mode in ("solve", "optimize"):
+            config = parse_config(text + f"[output]\ndirectory = {tmp_path / mode}\n", mode)
+            run(config)
+            assert calls["grid"] == calls["workspace"] == 1, mode
+            calls.update(grid=0, workspace=0)
 
 
 ORACLE_TS = np.concatenate([[0.0], np.geomspace(1e-5, 10.0, 49)])
