@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvtable import write_table
 from .errors import ConfigError, ConstructionError, DomainError, SobfracError
-from .fracops import TimeGrid
 from .mild_solver import (Nonlinearity, ProblemSpec, ZERO_NONLINEARITY,
                           picard_solve, sin_gradient)
 from .optctrl import (ControlBundle, CostSpec, admissibility_value, hypothesis_check,
@@ -292,24 +292,14 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: Path, header: str, lines) -> None:
-    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
-
-
-def _table_lines(times, labels, values, prefix: str = "") -> list:
-    """Rows "prefix t,label,value" of a (time x label) table, time-major.
-
-    `times` and `labels` are strings, formatted once per table.  Each time
-    row comes back as one multi-line string: a cell template built per
-    table, joined behind the row's head and filled by one `%` call.
-    """
-    cells = [f"{label.replace('%', '%%')},%.17g" for label in labels]
-    prefix = prefix.replace("%", "%%")
-    lines = []
-    for t, row in zip(times, values.tolist()):
-        head = f"{prefix}{t},"
-        lines.append((head + ("\n" + head).join(cells)) % tuple(row))
-    return lines
+def _write_artifact(path: Path, text: str, *table) -> None:
+    """Write `text`, then the `csvtable.write_table` lines of `table`
+    (heads, labels, values) if given, as UTF-8 bytes with "\\n" line ends
+    on every platform."""
+    with open(path, "wb") as out:
+        out.write(text.encode("utf-8"))
+        if table:
+            write_table(out, *table)
 
 
 def _mode_labels(mode_count: int) -> list:
@@ -327,9 +317,10 @@ def run(config: RunConfig) -> int:
         report["hypothesis_check"] = hypothesis_check(problem)
         if config.mode == "verify":
             rows = run_battery(problem.order, problem.mode_count, config.quad_nodes)
-            _write_csv(out / "verify.csv", "check,detail,value,threshold,status",
-                       [f"{r.name},{r.detail},{_fmt(r.value)},{_fmt(r.threshold)},"
-                        f"{'pass' if r.passed else 'fail'}" for r in rows])
+            lines = [f"{r.name},{r.detail},{_fmt(r.value)},{_fmt(r.threshold)},"
+                     f"{'pass' if r.passed else 'fail'}\n" for r in rows]
+            _write_artifact(out / "verify.csv",
+                            "check,detail,value,threshold,status\n" + "".join(lines))
             report["verify"] = {
                 "total": len(rows),
                 "failed": [r.name for r in rows if not r.passed],
@@ -339,13 +330,14 @@ def run(config: RunConfig) -> int:
             cache = SolutionOperatorCache(problem.order, problem.mode_count,
                                           node_count=config.quad_nodes)
             report["multiplier_rule"] = cache.rule_summary()
+            grid = problem.grid
+            ts = [_fmt(t) for t in grid.nodes().tolist()]
             if config.mode == "solve":
                 traj, solve_report = picard_solve(
                     problem, cache=cache, tol=config.solver_tol,
                     max_iter=config.solver_max_iter)
                 report["solve"] = asdict(solve_report)
             else:
-                grid = TimeGrid(problem.horizon, problem.step_count)
                 k = problem.control_count
                 if config.init_kind == "zero":
                     init = zero_bundle(grid, k, config.control_modes, config.radius)
@@ -358,28 +350,26 @@ def run(config: RunConfig) -> int:
                     grad_tol=config.grad_tol, fd_step=config.fd_step,
                     solve_tol=config.solver_tol, cache=cache,
                     max_iter=config.solver_max_iter)
-                _write_csv(out / "descent.csv", "iteration,J",
-                           [f"{i},{_fmt(j)}" for i, j in enumerate(log.cost_values)])
-                ts = [_fmt(t) for t in grid.nodes().tolist()]
-                lines = []
-                for j, ctrl in enumerate(bundle.controls):
-                    lines.extend(_table_lines(ts, _mode_labels(ctrl.mode_count),
-                                              ctrl.coeffs, prefix=f"{j + 1},"))
-                _write_csv(out / "controls.csv", "control,t,n,coefficient", lines)
+                _write_artifact(out / "descent.csv", "iteration,J\n" + "".join(
+                    f"{i},{_fmt(j)}\n" for i, j in enumerate(log.cost_values)))
+                # one stacked table: control j's node rows under heads "j,t"
+                _write_artifact(out / "controls.csv", "control,t,n,coefficient\n",
+                                [f"{j},{t}" for j in range(1, k + 1) for t in ts],
+                                _mode_labels(config.control_modes),
+                                np.concatenate([c.coeffs for c in bundle.controls]))
                 report["optimize"] = {**asdict(log),
                                       "final_cost": float(log.cost_values[-1]),
                                       "admissibility_value": admissibility_value(bundle)}
                 status = 0 if log.converged else 1
-            ts = [_fmt(t) for t in traj.grid.nodes().tolist()]
             n_x = default_collocation_size(problem.mode_count)
             xs = [_fmt(x) for x in collocation_grid(n_x).tolist()]
             # stacked per-node products keep field_to_grid's rounding; a single
             # coeffs @ D.T product changes the last digit of many values
             values = np.matmul(derivative_matrix(0, problem.mode_count, n_x),
                                traj.coeffs[:, :, None])[:, :, 0]
-            _write_csv(out / "trajectory.csv", "t,x,u", _table_lines(ts, xs, values))
-            _write_csv(out / "modes.csv", "t,n,coefficient",
-                       _table_lines(ts, _mode_labels(problem.mode_count), traj.coeffs))
+            _write_artifact(out / "trajectory.csv", "t,x,u\n", ts, xs, values)
+            _write_artifact(out / "modes.csv", "t,n,coefficient\n",
+                            ts, _mode_labels(problem.mode_count), traj.coeffs)
             report["measured_constants"] = asdict(
                 measure_bounds(problem.mode_count, q=problem.order.q))
     except SobfracError as exc:
@@ -388,10 +378,9 @@ def run(config: RunConfig) -> int:
         if extra:
             report["error"]["residual_history"] = list(extra)
         status = 1
-    (out / "report.json").write_text(
-        json.dumps(_strict_json(report), indent=2, sort_keys=True,
-                   allow_nan=False, default=str) + "\n",
-        encoding="utf-8")
+    _write_artifact(out / "report.json",
+                    json.dumps(_strict_json(report), indent=2, sort_keys=True,
+                               allow_nan=False, default=str) + "\n")
     return status
 
 

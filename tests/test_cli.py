@@ -1,6 +1,8 @@
 """Config parsing, run pipelines, artifact formats, exit codes."""
 
+import builtins
 import csv
+import io
 import json
 import math
 import os
@@ -15,6 +17,7 @@ import pytest
 
 from sobfrac import cli, solution_ops
 from sobfrac.cli import _fmt, main, parse_config, run
+from sobfrac.csvtable import write_table
 from sobfrac.errors import ConfigError, EvaluationError
 from sobfrac.mild_solver import SolveReport
 from sobfrac.optctrl import DescentLog
@@ -144,22 +147,45 @@ class TestTableWriter:
         assert (tmp_path / "descent.csv").read_text() == reference_csv(
             "iteration,J", [(i, float(j)) for i, j in enumerate(log.cost_values)])
 
-    def test_table_lines_edge_cells_match_per_value_writer(self):
-        cells = [-0.0, 5e-324, 1e-5, 1e16, 1e17, 123456789012345678.0,
+    def test_write_table_edge_cells_match_per_value_writer(self):
+        cells = [-0.0, 0.0, 5e-324, 1e-5, 1e16, 1e17, 123456789012345678.0,
                  math.nan, math.inf, -math.inf]
         ts = [0.0, 0.5]
         values = np.array([cells, cells[::-1]])
         labels = [str(n) for n in range(len(cells))]
-        lines = cli._table_lines([_fmt(t) for t in ts], labels, values, prefix="3,")
-        assert len(lines) == len(ts)
-        assert "\n".join(["h", *lines]) + "\n" == reference_csv(
+        out = io.BytesIO()
+        out.write(b"h\n")
+        write_table(out, [f"3,{_fmt(t)}" for t in ts], labels, values)
+        assert out.getvalue().decode() == reference_csv(
             "h", [(3, t, label, v) for t, row in zip(ts, values.tolist())
                   for label, v in zip(labels, row)])
 
-    def test_table_lines_percent_label_is_literal(self):
-        lines = cli._table_lines(["1"], ["x%s", "100%%"], np.array([[0.25, -2.0]]),
-                                 prefix="%d,")
-        assert lines == ["%d,1,x%s,0.25\n%d,1,100%%,-2"]
+    def test_write_table_percent_label_is_literal(self):
+        out = io.BytesIO()
+        write_table(out, ["%d,1"], ["x%s", "100%%"], np.array([[0.25, -2.0]]))
+        assert out.getvalue() == b"%d,1,x%s,0.25\n%d,1,100%%,-2\n"
+
+    @pytest.mark.parametrize("run_mode", ("verify", "solve", "optimize"))
+    def test_every_artifact_is_written_in_binary_mode(self, tmp_path, monkeypatch, run_mode):
+        # text mode turns "\n" into os.linesep, "\r\n" on Windows
+        file_modes = {}
+        real_open = builtins.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            file_modes[Path(file).name] = mode
+            return real_open(file, mode, *args, **kwargs)
+
+        def text_write(*args, **kwargs):
+            raise AssertionError("an artifact was written in text mode")
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(Path, "write_text", text_write)
+        monkeypatch.setattr(cli, "run_battery", lambda order, modes, nodes: [])
+        text = REFERENCE_CFG if run_mode == "optimize" else MINIMAL + "[output]\n"
+        run(parse_config(text + f"directory = {tmp_path}\n", mode=run_mode))
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert len(names) == {"verify": 2, "solve": 3, "optimize": 5}[run_mode]
+        assert {name: file_modes.get(name) for name in names} == dict.fromkeys(names, "wb")
 
     def test_verify_csv_matches_per_value_writer(self, tmp_path, monkeypatch):
         rows = [CheckRow("density_normalization", "alpha=0.3", 2.687e-14, 1e-8, True),
