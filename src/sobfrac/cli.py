@@ -11,7 +11,6 @@ artifacts described in the README.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -22,16 +21,15 @@ import numpy as np
 
 from .csvtable import write_table
 from .errors import ConfigError, ConstructionError, DomainError, SobfracError
+from .fracops import FracOrder
 from .mild_solver import (Nonlinearity, ProblemSpec, ZERO_NONLINEARITY,
                           picard_solve, sin_gradient)
 from .optctrl import (ControlBundle, CostSpec, admissibility_value, hypothesis_check,
                       optimize_controls, project_admissible, zero_bundle)
 from .solution_ops import (ALPHA_FLOOR, HALVING_TOL, T_WINDOW, SolutionOperatorCache,
                            psi_rule)
-from .specfun import FracOrder
 from .spectral import (SpectralField, collocation_grid, default_collocation_size,
                        derivative_matrix, measure_bounds)
-from .verification import run_battery
 
 # (section, key) -> default; None marks a required key
 _KEYS = {
@@ -316,6 +314,8 @@ def run(config: RunConfig) -> int:
     try:
         report["hypothesis_check"] = hypothesis_check(problem)
         if config.mode == "verify":
+            # the oracles load only for verify
+            from .verification import run_battery
             rows = run_battery(problem.order, problem.mode_count, config.quad_nodes)
             lines = [f"{r.name},{r.detail},{_fmt(r.value)},{_fmt(r.threshold)},"
                      f"{'pass' if r.passed else 'fail'}\n" for r in rows]
@@ -399,6 +399,8 @@ def _strict_json(obj):
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="sobfrac",
         description="Verify, solve, or optimize the fractional evolution instance "

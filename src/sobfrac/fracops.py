@@ -3,7 +3,9 @@
 Fractional integral by product integration (exact kernel moments against
 the piecewise-constant left-endpoint interpolant), Caputo and
 Riemann-Liouville derivatives built on top of it, and an independent
-Grunwald-Letnikov discretization for cross-validation.
+Grunwald-Letnikov discretization for cross-validation.  The fractional
+order triple and the gamma function, which every layer reads, live here
+too.
 """
 
 from __future__ import annotations
@@ -14,6 +16,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridTooCoarseError
+
+
+@dataclass(frozen=True)
+class FracOrder:
+    """Fractional order triple (alpha, q, p).
+
+    alpha is the time-derivative order in (0, 1], q the fractional power
+    exponent in (0, 1), p the integrability exponent in (1, inf).  The
+    solver-side conditions alpha*q < 1 and p*alpha*(1-q) > 1 are checked
+    where they are actually needed, not here.
+    """
+
+    alpha: float
+    q: float = 0.5
+    p: float = 2.0
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha <= 1.0:
+            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if not 0.0 < self.q < 1.0:
+            raise DomainError(f"q must lie in (0, 1), got {self.q}")
+        if not self.p > 1.0:
+            raise DomainError(f"p must exceed 1, got {self.p}")
+
+
+def gamma(x: float) -> float:
+    """Gamma function for positive arguments only."""
+    if not x > 0.0:
+        raise DomainError(f"gamma requires x > 0, got {x}")
+    return math.gamma(x)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,8 @@ import numpy as np
 
 from .errors import (DomainError, EvaluationError, NonConvergenceError,
                      RejectedInstanceError)
-from .fracops import TimeGrid, power_increments
+from .fracops import FracOrder, TimeGrid, power_increments
 from .solution_ops import SolutionOperatorCache
-from .specfun import FracOrder
 from .spectral import (SpectralField, data_smoothing_symbol,
                        default_collocation_size, derivative_matrix,
                        projection_matrix, q_weights)

@@ -35,9 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, DomainError, PropertyFailure
-from .fracops import TimeGrid
+from .fracops import FracOrder, TimeGrid, gamma
 from .spectral import generator_symbol, l_inverse_symbol, measure_bounds, q_weights
-from .specfun import FracOrder, gamma
 
 _DEFAULT_NODES = 200
 

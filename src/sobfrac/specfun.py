@@ -1,9 +1,10 @@
 """Special functions for the subordination formulas.
 
-Evaluates the gamma function, the Wright-type tail series, the Mainardi
-probability density on (0, inf), its fractional moments, and the
-Mittag-Leffler function used as an independent per-mode oracle, plus a
-quadrature rule for integrals against the density.
+Evaluates the Wright-type tail series, the Mainardi probability density
+on (0, inf), its fractional moments, and the Mittag-Leffler function used
+as an independent per-mode oracle, plus a quadrature rule for integrals
+against the density.  FracOrder and gamma live in fracops, which the
+solver path imports without this module; they are re-exported here.
 
 The density has two representations, one per range of theta: the
 Wright tail series converges quickly for small argument, and a
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DomainError, EvaluationError
+from .fracops import FracOrder, gamma  # noqa: F401  (re-exported)
 
 _MAX_TERMS = 500
 # The Mittag-Leffler oracle keeps its own, larger budget: for small alpha
@@ -47,38 +49,8 @@ _PANEL_ORDERS = (20, 16)
 _PANEL_CHUNK = 512
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional order triple (alpha, q, p).
-
-    alpha is the time-derivative order in (0, 1], q the fractional power
-    exponent in (0, 1), p the integrability exponent in (1, inf).  The
-    solver-side conditions alpha*q < 1 and p*alpha*(1-q) > 1 are checked
-    where they are actually needed, not here.
-    """
-
-    alpha: float
-    q: float = 0.5
-    p: float = 2.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0.0 < self.q < 1.0:
-            raise DomainError(f"q must lie in (0, 1), got {self.q}")
-        if not self.p > 1.0:
-            raise DomainError(f"p must exceed 1, got {self.p}")
-
-
 def _alpha_of(order) -> float:
     return order.alpha if isinstance(order, FracOrder) else float(order)
-
-
-def gamma(x: float) -> float:
-    """Gamma function for positive arguments only."""
-    if not x > 0.0:
-        raise DomainError(f"gamma requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 def _sinpi(z: float) -> float:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fracops, solution_ops, specfun, spectral
+from .fracops import FracOrder
 from .solution_ops import SolutionOperatorCache
-from .specfun import FracOrder
 
 
 @dataclass(frozen=True)

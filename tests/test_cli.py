@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sobfrac import cli, solution_ops
+import sobfrac
+from sobfrac import cli, solution_ops, verification
 from sobfrac.cli import _fmt, main, parse_config, run
 from sobfrac.csvtable import write_table
 from sobfrac.errors import ConfigError, EvaluationError
@@ -180,7 +181,7 @@ class TestTableWriter:
 
         monkeypatch.setattr(builtins, "open", recording_open)
         monkeypatch.setattr(Path, "write_text", text_write)
-        monkeypatch.setattr(cli, "run_battery", lambda order, modes, nodes: [])
+        monkeypatch.setattr(verification, "run_battery", lambda order, modes, nodes: [])
         text = REFERENCE_CFG if run_mode == "optimize" else MINIMAL + "[output]\n"
         run(parse_config(text + f"directory = {tmp_path}\n", mode=run_mode))
         names = sorted(p.name for p in tmp_path.iterdir())
@@ -191,7 +192,7 @@ class TestTableWriter:
         rows = [CheckRow("density_normalization", "alpha=0.3", 2.687e-14, 1e-8, True),
                 CheckRow("frac_integral_refinement", "M 500 -> 1000", 1.0 / 3.0,
                          1.7, False)]
-        monkeypatch.setattr(cli, "run_battery", lambda order, modes, nodes: rows)
+        monkeypatch.setattr(verification, "run_battery", lambda order, modes, nodes: rows)
         text = MINIMAL + f"\n[output]\ndirectory = {tmp_path}\n"
         assert run(parse_config(text, mode="verify")) == 1
         assert (tmp_path / "verify.csv").read_text() == reference_csv(
@@ -692,6 +693,50 @@ class TestMainEntry:
         probe = ("import sys, sobfrac.cli; "
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert fresh_interpreter(probe) == "[]"
+
+    def test_cli_import_loads_no_oracles(self):
+        # the density and Mittag-Leffler oracles load only for verify, and
+        # argparse only for the command line
+        probe = ("import sys, sobfrac.cli; print(sorted(m for m in ('sobfrac.specfun', "
+                 "'sobfrac.verification', 'argparse') if m in sys.modules))")
+        assert fresh_interpreter(probe) == "[]"
+
+    def test_package_names_resolve_lazily_to_their_homes(self):
+        # the 58 public names of the eager package; FracOrder and gamma
+        # moved to fracops and are the same objects through specfun
+        probe = """
+import importlib, sys, sobfrac
+homes = {"errors": "ConfigError ConstructionError DomainError EvaluationError GridTooCoarseError "
+                   "NonConvergenceError OptimizationError PropertyFailure RejectedInstanceError "
+                   "SobfracError",
+         "fracops": "SampledFn TimeGrid caputo_deriv frac_integral gl_deriv rl_deriv",
+         "mild_solver": "Nonlinearity ProblemSpec SolveReport Trajectory ZERO_NONLINEARITY "
+                        "apply_P eval_f picard_solve sin_gradient",
+         "optctrl": "ControlBundle CostSpec admissibility_value cost_J hypothesis_check "
+                    "optimize_controls project_admissible random_admissible_bundle zero_bundle",
+         "solution_ops": "SolutionOperatorCache verify_operator_bounds",
+         "specfun": "FracOrder QuadratureRule gamma mainardi_density mainardi_moment "
+                    "mittag_leffler theta_quadrature",
+         "spectral": "BoundConstants SpectralField apply_Bi collocation_grid field_to_grid "
+                     "grid_to_field measure_bounds norm_q"}
+assert "sobfrac.specfun" not in sys.modules
+expected = sorted([*homes, *(n for names in homes.values() for n in names.split())])
+assert sobfrac.__all__ == expected, sobfrac.__all__
+for home, names in homes.items():
+    module = importlib.import_module("sobfrac." + home)
+    assert getattr(sobfrac, home) is module
+    for name in names.split():
+        assert getattr(sobfrac, name) is getattr(module, name), name
+assert sobfrac.specfun.FracOrder is sobfrac.fracops.FracOrder
+assert set(sobfrac.__all__) <= set(dir(sobfrac))
+namespace = {}
+exec("from sobfrac import *", namespace)
+assert all(namespace[name] is getattr(sobfrac, name) for name in sobfrac.__all__)
+print(len(sobfrac.__all__))
+"""
+        assert fresh_interpreter(probe) == "58"
+        with pytest.raises(AttributeError, match="no_such_name"):
+            sobfrac.no_such_name
 
     def test_cold_builds_and_solve_load_no_mpmath(self, tmp_path):
         # mpmath serves only the Mittag-Leffler oracle: cold theta rules

@@ -7,8 +7,9 @@ from decimal import Decimal
 from io import BytesIO
 
 import numpy as np
+import pytest
 
-from sobfrac.csvtable import write_table
+from sobfrac.csvtable import _BLOCK_VALUES, write_table
 from sobfrac.fracops import TimeGrid
 from sobfrac.spectral import collocation_grid
 
@@ -84,12 +85,92 @@ class TestAgainstPercentOracle:
             assert written(heads, labels, block) == want.encode()
 
 
+def oracle(heads, labels, values) -> bytes:
+    return "".join(line + "\n" for line in table_lines(heads, labels, values)).encode()
+
+
+def mixed_values(rows: int, cols: int, seed: int) -> np.ndarray:
+    """Values of every magnitude and sign, zeros, ties and non-finite
+    ones, so that every block meets the kernel's slots and its fallback."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(rows * cols) * 10.0 ** rng.integers(-50, 50, rows * cols)
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.5, 1.8e14 + 0.125,
+               0.1, 1e-5, 123456789012345678.0, 1200.0]
+    at = rng.choice(values.size, min(values.size, 3 * len(special)), replace=False)
+    values[at] = np.resize(special, at.size)
+    return values.reshape(rows, cols)
+
+
+class TestBlocks:
+    """Tables around the block boundaries: blocks are whole rows, at most
+    _BLOCK_VALUES values each, laid out in one reused line matrix and
+    scratch per call."""
+
+    @pytest.mark.parametrize("cols", (16, 64))
+    def test_rows_around_one_block(self, cols):
+        per_block = _BLOCK_VALUES // cols
+        for rows in (1, per_block - 1, per_block, per_block + 1):
+            values = mixed_values(rows, cols, seed=rows)
+            heads = [f"{0.001 * i:.17g}" for i in range(rows)]
+            labels = [f"x{j}" for j in range(cols)]
+            assert written(heads, labels, values) == oracle(heads, labels, values), rows
+
+    def test_row_wider_than_a_block(self):
+        values = mixed_values(3, _BLOCK_VALUES + 77, seed=1)
+        heads = ["0", "0.5", "1"]
+        labels = [str(j) for j in range(values.shape[1])]
+        assert written(heads, labels, values) == oracle(heads, labels, values)
+
+    def test_strided_view_across_blocks(self):
+        base = mixed_values(2 * (_BLOCK_VALUES // 16) + 3, 40, seed=2)
+        values = base[::2, 1::3][:, ::-1]
+        assert not values.flags.c_contiguous
+        heads = [str(i) for i in range(values.shape[0])]
+        labels = [f"c{j}" for j in range(values.shape[1])]
+        assert written(heads, labels, values) == oracle(heads, labels, values)
+
+    def test_tables_back_to_back_share_no_state(self):
+        # the same shape with other heads and labels, then another width
+        tables = [([f"{i / 7:.17g}" for i in range(150)],
+                   [f"{j / 3:.17g}" for j in range(64)], mixed_values(150, 64, seed=3)),
+                  ([f"{i / 9:.17g}" for i in range(150)],
+                   [f"{j / 11:.17g}" for j in range(64)], mixed_values(150, 64, seed=6)),
+                  ([str(i) for i in range(400)], list("abcde"), mixed_values(400, 5, seed=4))]
+        out = BytesIO()
+        for table in tables + tables[::-1]:
+            write_table(out, *table)
+        assert out.getvalue() == b"".join(oracle(*t) for t in tables + tables[::-1])
+
+
 class _CountingSink:
     def __init__(self):
         self.size = 0
 
     def write(self, data):
         self.size += memoryview(data).nbytes
+
+
+def traced_peak(heads, labels, values) -> tuple:
+    """(bytes written, tracemalloc peak) of a second write_table call."""
+    write_table(_CountingSink(), heads, labels, values)
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_table(sink, heads, labels, values)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return sink.size, peak
+
+
+def test_peak_memory_of_the_readme_modes_table_below_1_mb():
+    # the README solve's modes.csv: 513 times x 16 modes
+    ts = [f"{t:.17g}" for t in TimeGrid(1.0, 512).nodes().tolist()]
+    values = mixed_values(513, 16, seed=5)
+    size, peak = traced_peak(ts, [str(n) for n in range(1, 17)], values)
+    assert size > 250_000
+    assert peak < 1_000_000
 
 
 def test_peak_memory_of_the_readme_trajectory_table_below_1_mb():
