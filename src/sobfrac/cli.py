@@ -11,6 +11,7 @@ artifacts described in the README.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 
 from .csvtable import write_table
 from .errors import ConfigError, ConstructionError, DomainError, SobfracError
-from .fracops import FracOrder
+from .fracops import FracOrder, TimeGrid
 from .mild_solver import (Nonlinearity, ProblemSpec, ZERO_NONLINEARITY,
                           picard_solve, sin_gradient)
 from .optctrl import (ControlBundle, CostSpec, admissibility_value, hypothesis_check,
@@ -286,8 +287,18 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
                      seed=seed, echo=echo)
 
 
+# time grids whose formatted node times one process keeps
+_TIME_HEADS_MEMO = 4
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+@functools.lru_cache(maxsize=_TIME_HEADS_MEMO)
+def _time_heads(grid: TimeGrid) -> tuple:
+    """The grid's node times as CSV heads, '%.17g' each."""
+    return tuple(_fmt(t) for t in grid.nodes().tolist())
 
 
 def _write_artifact(path: Path, text: str, *table) -> None:
@@ -331,7 +342,7 @@ def run(config: RunConfig) -> int:
                                           node_count=config.quad_nodes)
             report["multiplier_rule"] = cache.rule_summary()
             grid = problem.grid
-            ts = [_fmt(t) for t in grid.nodes().tolist()]
+            ts = _time_heads(grid)
             if config.mode == "solve":
                 traj, solve_report = picard_solve(
                     problem, cache=cache, tol=config.solver_tol,

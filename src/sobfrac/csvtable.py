@@ -27,6 +27,7 @@ kernel to few numpy loops.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,6 +42,9 @@ _CAP = 1e300   # |v| is capped: nan and inf turn finite, the splitter cannot ove
 # measured fastest, and 4,800 takes the README trajectory table's peak
 # memory past 1 MB
 _BLOCK_VALUES = 3200
+# head and label columns one process keeps: the CLI writes each table's
+# time heads twice per run, and often the same ones run after run
+_COLUMN_MEMO = 8
 _SCRATCH_ROWS = 12
 _DIGITS = 17
 _BODY_WORDS = 3
@@ -311,9 +315,10 @@ def _value_words(v: np.ndarray, out: np.ndarray, w: np.ndarray) -> None:
         out[i] = np.frombuffer(text.rjust(8 * _FIELD_WORDS, b"\0"), "<i8")
 
 
-def _column(texts, align) -> np.ndarray:
-    """(len(texts), words) little-endian int64 words: each text and a
-    comma, padded with NUL by `align` (bytes.ljust or bytes.rjust)."""
+@functools.lru_cache(maxsize=_COLUMN_MEMO)
+def _column(texts: tuple, align) -> np.ndarray:
+    """(len(texts), words) little-endian int64 words, read-only: each text
+    and a comma, padded with NUL by `align` (bytes.ljust or bytes.rjust)."""
     encoded = [f"{t},".encode("utf-8") for t in texts]
     width = -(-max(map(len, encoded)) // 8) * 8
     return np.frombuffer(b"".join(align(t, width, b"\0") for t in encoded),
@@ -324,17 +329,22 @@ def write_table(out, heads, labels, values: np.ndarray) -> None:
     """Write "head,label,value\\n" for every cell of `values`, time-major.
 
     `heads` (one per row) and `labels` (one per column) are strings
-    without NUL; `out` is a binary file.  Rows are written in as few
-    blocks of whole rows as hold at most _BLOCK_VALUES values each (one
-    row at least), all of one size but the last; the line matrix and the
-    kernel's scratch are allocated once, for one block.  Heads are
-    right-aligned, so a line's text is few runs between NUL bytes: the
-    padding after one line's value joins the padding before the next
-    head.
+    without NUL; `out` is a binary file.  A table without rows or columns
+    writes nothing.  Rows are written in as few blocks of whole rows as
+    hold at most _BLOCK_VALUES values each (one row at least), all of one
+    size but the last; the line matrix and the kernel's scratch are
+    allocated once, for one block.  Heads are right-aligned, so a line's
+    text is few runs between NUL bytes: the padding after one line's
+    value joins the padding before the next head.  The head and label
+    words are memoized per (texts, alignment), so tables that share a
+    column build it once.
     """
     values = np.asarray(values, dtype=float)
     rows, cols = values.shape
-    head_words, label_words = _column(heads, bytes.rjust), _column(labels, bytes.ljust)
+    if not rows or not cols:
+        return
+    head_words = _column(tuple(heads), bytes.rjust)
+    label_words = _column(tuple(labels), bytes.ljust)
     h_w = head_words.shape[1]
     l_w = h_w + label_words.shape[1]
     width = l_w + _FIELD_WORDS

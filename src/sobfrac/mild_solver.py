@@ -23,6 +23,7 @@ with respect to the controls at the cost of one extra solve.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -236,42 +237,65 @@ def fftconvolve(kernel_spectrum: np.ndarray, signal: np.ndarray, n: int) -> np.n
                         n, axis=0)[:rows]
 
 
-class _SweepWorkspace:
-    """Grid-static arrays shared by every sweep of one solve context.
+# discretisations whose grid-static sweep state one process keeps
+GRID_STATIC_MEMO = 8
 
-    D maps coefficients to the first derivative on the collocation grid
-    (n_x x N), P maps collocation values back to coefficients (N x n_x);
-    the forward sweep and its adjoint both go through them.
+
+@functools.lru_cache(maxsize=GRID_STATIC_MEMO)
+def _grid_static(alpha: float, node_count: int, table_modes: int, order: FracOrder,
+                 mode_count: int, grid: TimeGrid) -> tuple:
+    """The sweep state that reads only the discretisation, read-only:
+    (lm, kappa, s_lm, feedback, kernel, kernel_spectrum, D, P, q_scale).
+
+    alpha, node_count and table_modes are the multiplier cache's; the
+    cache is rebuilt from them, so an entry depends on its key alone.
+    """
+    cache = SolutionOperatorCache(FracOrder(alpha), table_modes, node_count)
+    lm = data_smoothing_symbol(mode_count)
+    kappa = grid.nodes() ** (1.0 - order.alpha) / math.gamma(2.0 - order.alpha)
+    # S rows at every node; the kernel's T rows at the lags d*dt, nodes 1..M
+    s_table, t_table = cache.grid_table(grid)
+    s_lm = s_table[:, :mode_count] * lm[None, :]
+    kernel = ((power_increments(grid, order.alpha) / order.alpha)[:, None]
+              * t_table[1:, :mode_count])
+    n_x = default_collocation_size(mode_count)
+    arrays = (lm, kappa, s_lm, s_lm * kappa[:, None], kernel,
+              np.fft.rfft(kernel, 2 * grid.step_count, axis=0),
+              derivative_matrix(1, mode_count, n_x), projection_matrix(mode_count, n_x),
+              q_weights(mode_count, order.q))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+class _SweepWorkspace:
+    """Arrays shared by every sweep of one solve context.
+
+    The grid-static ones come from _grid_static, built once per
+    discretisation; the nonlocal snaps, the denominators and the data
+    term are built per workspace.  D maps coefficients to the first
+    derivative on the collocation grid (n_x x N), P maps collocation
+    values back to coefficients (N x n_x); the forward sweep and its
+    adjoint both go through them.
     """
 
     def __init__(self, spec: ProblemSpec, cache: SolutionOperatorCache):
-        n_modes = spec.mode_count
-        alpha = spec.order.alpha
-        ts = spec.grid.nodes()
         self.spec = spec
-        self.lm = data_smoothing_symbol(n_modes)
-        self.kappa = ts ** (1.0 - alpha) / math.gamma(2.0 - alpha)
         self.snaps = snap_nonlocal_indices(spec)
-        # S rows at every node; the kernel's T rows at the lags d*dt, nodes 1..M
-        s_table, t_table = cache.grid_table(spec.grid)
-        self.s_lm = s_table[:, :n_modes] * self.lm[None, :]
-        # the data term without h, and the trajectory's response to h
+        # feedback is the trajectory's response to h
+        (self.lm, self.kappa, self.s_lm, self.feedback, self.kernel,
+         self.kernel_spectrum, self.D, self.P, self.q_scale) = _grid_static(
+            cache.order.alpha, cache.node_count, cache.mode_count,
+            spec.order, spec.mode_count, spec.grid)
+        # the data term without h
         self.data = self.s_lm * (spec.v0.coeffs[None, :]
                                  + self.kappa[:, None] * spec.u0.coeffs[None, :])
-        self.feedback = self.s_lm * self.kappa[:, None]
         # d_n = 1 - sum c (s_lm kappa)_n(t_eta).  ProblemSpec keeps c > 0,
         # the data-smoothing symbol is < 0, S >= 0 and kappa >= 0, so
         # d_n = 1 + sum c |s_lm kappa|_n(t_eta) >= 1: the division by it
         # needs no guard.
         self.denominator = 1.0 - self.nonlocal_sum(self.feedback)
-        self.kernel = ((power_increments(spec.grid, alpha) / alpha)[:, None]
-                       * t_table[1:, :n_modes])
         self.nfft = 2 * spec.step_count
-        self.kernel_spectrum = np.fft.rfft(self.kernel, self.nfft, axis=0)
-        n_x = default_collocation_size(n_modes)
-        self.D = derivative_matrix(1, n_modes, n_x)
-        self.P = projection_matrix(n_modes, n_x)
-        self.q_scale = q_weights(n_modes, spec.order.q)
 
     def nonlocal_sum(self, coeffs: np.ndarray) -> np.ndarray:
         """h = sum c_eta coeffs(t_eta), per mode."""

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import sobfrac
-from sobfrac import cli, solution_ops, verification
+from sobfrac import cli, csvtable, mild_solver, solution_ops, verification
 from sobfrac.cli import _fmt, main, parse_config, run
 from sobfrac.csvtable import write_table
 from sobfrac.errors import ConfigError, EvaluationError
@@ -417,6 +417,27 @@ class TestReadmeConfig:
                     default = shown
                 stated[(section, key)] = default
         assert stated == cli._KEYS
+
+    def test_solve_and_optimize_bytes_cold_and_warm(self, tmp_path):
+        # the second run of each mode reads the memoized grid state, time
+        # heads and columns; its artifacts are the cold run's, byte for byte
+        block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"),
+                          re.S).group(1)
+        mild_solver._grid_static.cache_clear()
+        cli._time_heads.cache_clear()
+        csvtable._column.cache_clear()
+        for mode in ("solve", "optimize"):
+            out = tmp_path / mode
+            text = block.replace("directory = out", f"directory = {out}")
+            artifacts = []
+            for _ in range(2):
+                hits = mild_solver._grid_static.cache_info().hits
+                assert run(parse_config(text, mode)) == 0
+                artifacts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert mild_solver._grid_static.cache_info().hits > hits
+            assert "trajectory.csv" in artifacts[0]
+            assert artifacts[1] == artifacts[0], mode
+        assert cli._time_heads.cache_info().misses == 1
 
 
 class TestReportShape:

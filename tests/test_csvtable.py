@@ -142,6 +142,21 @@ class TestBlocks:
         assert out.getvalue() == b"".join(oracle(*t) for t in tables + tables[::-1])
 
 
+class TestEmptyTables:
+    def test_no_rows_or_no_columns_write_nothing(self):
+        assert written([], ["a", "b"], np.empty((0, 2))) == b""
+        assert written(["0", "1"], [], np.empty((2, 0))) == b""
+        assert written([], [], np.empty((0, 0))) == b""
+
+    def test_empty_table_between_tables(self):
+        table = (["0", "0.5"], ["x"], np.array([[1.0], [-2.5]]))
+        out = BytesIO()
+        write_table(out, *table)
+        write_table(out, [], ["x"], np.empty((0, 1)))
+        write_table(out, *table)
+        assert out.getvalue() == 2 * oracle(*table)
+
+
 class _CountingSink:
     def __init__(self):
         self.size = 0

@@ -1,5 +1,6 @@
 """Fixed-point solver tests: assembly, Picard convergence, dependence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from sobfrac.errors import (DomainError, NonConvergenceError,
                             RejectedInstanceError)
 from sobfrac.fracops import TimeGrid
-from sobfrac.mild_solver import (MAX_ITER, Nonlinearity, ProblemSpec,
-                                 SolveReport, Trajectory, ZERO_NONLINEARITY,
-                                 _SweepWorkspace, _control_forcing,
+from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
+                                 ProblemSpec, SolveReport, Trajectory,
+                                 ZERO_NONLINEARITY, _SweepWorkspace,
+                                 _control_forcing, _grid_static,
                                  _control_forcing_adjoint, _fixed_point,
                                  adjoint_solve, apply_P, eval_f,
                                  picard_solve, sin_gradient)
@@ -419,6 +421,69 @@ class TestNonlocalElimination:
     def test_denominator_without_nonlocal_terms(self, cache16):
         _, rep = picard_solve(make_spec(), cache=cache16)
         assert rep.nonlocal_denominator_min == 1.0
+
+
+class TestGridStaticMemo:
+    """The grid-static sweep state is built once per discretisation."""
+
+    STATIC = ("lm", "kappa", "s_lm", "feedback", "kernel", "kernel_spectrum",
+              "D", "P", "q_scale")
+
+    def test_memoized_arrays_are_read_only_and_shared(self):
+        spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),))
+        cache = SolutionOperatorCache(spec.order, 8)
+        first, second = _SweepWorkspace(spec, cache), _SweepWorkspace(spec, cache)
+        for name in self.STATIC:
+            arr = getattr(first, name)
+            assert getattr(second, name) is arr, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        # the per-solve arrays belong to their workspace
+        assert first.data is not second.data
+        assert first.denominator is not second.denominator
+
+    def test_snapped_time_warns_on_every_solve(self):
+        spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5001),))
+        cache = SolutionOperatorCache(spec.order, 8)
+        for _ in range(3):
+            with pytest.warns(UserWarning, match="snapped"):
+                _, rep = picard_solve(spec, cache=cache)
+            assert [idx for _, idx, _ in rep.snapped_nonlocal_times] == [32]
+
+    def test_other_q_or_quad_nodes_share_no_entry(self):
+        # a warm memo holds the base discretisation; a spec that differs in
+        # q alone, or a cache that differs in node_count alone, misses it
+        # and solves exactly as a cold build does
+        base = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),),
+                         nonlinearity=sin_gradient(0.1))
+        variants = ((dataclasses.replace(base, order=FracOrder(0.8, q=0.6, p=2.0)), 200),
+                    (base, 150))
+
+        def solve(spec, nodes):
+            cache = SolutionOperatorCache(spec.order, spec.mode_count, node_count=nodes)
+            return picard_solve(spec, cache=cache)[0].coeffs
+
+        cold = []
+        for spec, nodes in variants:
+            _grid_static.cache_clear()
+            cold.append(solve(spec, nodes))
+        _grid_static.cache_clear()
+        solve(base, 200)
+        for (spec, nodes), want in zip(variants, cold):
+            before = _grid_static.cache_info()
+            got = solve(spec, nodes)
+            after = _grid_static.cache_info()
+            assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+            assert np.array_equal(got, want)
+
+    def test_size_stays_at_the_bound(self):
+        _grid_static.cache_clear()
+        alphas = np.linspace(0.5, 0.9, GRID_STATIC_MEMO + 3)
+        for alpha in alphas:
+            picard_solve(make_spec(alpha=float(alpha), n=4, m=16))
+        info = _grid_static.cache_info()
+        assert info.misses == alphas.size
+        assert info.currsize == info.maxsize == GRID_STATIC_MEMO
 
 
 class TestProblemSpecValidation:

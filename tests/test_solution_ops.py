@@ -207,7 +207,9 @@ class TestGridTable:
         assert (peak(lambda: c.grid_table(grid))
                 <= peak(lambda: c.multiplier_table(ts)))
 
-    def test_solves_read_one_grid_table_per_workspace(self, tmp_path, monkeypatch):
+    def test_solves_read_one_grid_table_per_discretisation(self, tmp_path, monkeypatch):
+        # the table is built once per discretisation per process: a solve and
+        # an optimize of one config share it, another step count builds one more
         calls = {"grid": 0, "workspace": 0}
         grid_table = SolutionOperatorCache.grid_table
         workspace_init = mild_solver._SweepWorkspace.__init__
@@ -226,14 +228,15 @@ class TestGridTable:
         monkeypatch.setattr(SolutionOperatorCache, "grid_table", count_grid)
         monkeypatch.setattr(SolutionOperatorCache, "multiplier_table", refuse)
         monkeypatch.setattr(mild_solver._SweepWorkspace, "__init__", count_workspace)
-        text = ("[problem]\nalpha = 0.8\nhorizon = 1.0\nmodes = 8\nsteps = 64\n"
+        mild_solver._grid_static.cache_clear()
+        text = ("[problem]\nalpha = 0.8\nhorizon = 1.0\nmodes = 8\nsteps = {steps}\n"
                 "u0 = 1:0.5\nnonlocal = 0.3@0.5\nnonlinearity = sin_grad:0.1\n"
-                "controls = 1\n[optimize]\nbudget = 3\n")
+                "controls = 1\n[optimize]\nbudget = 3\n[output]\ndirectory = {out}\n")
         for mode in ("solve", "optimize"):
-            config = parse_config(text + f"[output]\ndirectory = {tmp_path / mode}\n", mode)
-            run(config)
-            assert calls["grid"] == calls["workspace"] == 1, mode
-            calls.update(grid=0, workspace=0)
+            run(parse_config(text.format(steps=64, out=tmp_path / mode), mode))
+        assert calls == {"grid": 1, "workspace": 2}
+        run(parse_config(text.format(steps=128, out=tmp_path / "steps"), "solve"))
+        assert calls == {"grid": 2, "workspace": 3}
 
 
 ORACLE_TS = np.concatenate([[0.0], np.geomspace(1e-5, 10.0, 49)])
