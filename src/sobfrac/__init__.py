@@ -16,8 +16,7 @@ _HOMES = {name: module for module, names in {
     "fracops": ("FracOrder", "SampledFn", "TimeGrid", "caputo_deriv", "frac_integral",
                 "gamma", "gl_deriv", "rl_deriv"),
     "mild_solver": ("Nonlinearity", "ProblemSpec", "SolveReport", "Trajectory",
-                    "ZERO_NONLINEARITY", "apply_P", "eval_f", "picard_solve",
-                    "sin_gradient"),
+                    "apply_P", "eval_f", "picard_solve"),
     "optctrl": ("ControlBundle", "CostSpec", "admissibility_value", "cost_J",
                 "hypothesis_check", "optimize_controls", "project_admissible",
                 "random_admissible_bundle", "zero_bundle"),

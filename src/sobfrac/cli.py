@@ -23,8 +23,7 @@ import numpy as np
 from .csvtable import write_table
 from .errors import ConfigError, ConstructionError, DomainError, SobfracError
 from .fracops import FracOrder, TimeGrid
-from .mild_solver import (Nonlinearity, ProblemSpec, ZERO_NONLINEARITY,
-                          picard_solve, sin_gradient)
+from .mild_solver import Nonlinearity, ProblemSpec, picard_solve
 from .optctrl import (ControlBundle, CostSpec, admissibility_value, hypothesis_check,
                       optimize_controls, project_admissible, zero_bundle)
 from .solution_ops import (ALPHA_FLOOR, HALVING_TOL, T_WINDOW, SolutionOperatorCache,
@@ -136,14 +135,14 @@ def _parse_nonlocal(text: str, line: int) -> tuple:
 def _parse_nonlinearity(text: str, line: int) -> Nonlinearity:
     text = text.strip()
     if text == "zero" or not text:
-        return ZERO_NONLINEARITY
+        return Nonlinearity()
     name, colon, gain_text = text.partition(":")
     if name != "sin_grad":
         raise ConfigError(f"unknown nonlinearity {text!r}", line)
     if not colon:
-        return sin_gradient(1.0)
+        return Nonlinearity(1.0)
     try:
-        return sin_gradient(_finite_float(gain_text))
+        return Nonlinearity(_finite_float(gain_text))
     except ValueError:
         raise ConfigError(f"bad sin_grad gain in {text!r}", line) from None
 
@@ -287,15 +286,15 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
                      seed=seed, echo=echo)
 
 
-# time grids whose formatted node times one process keeps
-_TIME_HEADS_MEMO = 4
+# time grids, and mode counts, whose CSV heads and labels one process keeps
+_HEADS_MEMO = 4
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-@functools.lru_cache(maxsize=_TIME_HEADS_MEMO)
+@functools.lru_cache(maxsize=_HEADS_MEMO)
 def _time_heads(grid: TimeGrid) -> tuple:
     """The grid's node times as CSV heads, '%.17g' each."""
     return tuple(_fmt(t) for t in grid.nodes().tolist())
@@ -313,6 +312,16 @@ def _write_artifact(path: Path, text: str, *table) -> None:
 
 def _mode_labels(mode_count: int) -> list:
     return [str(n) for n in range(1, mode_count + 1)]
+
+
+@functools.lru_cache(maxsize=_HEADS_MEMO)
+def _collocation(mode_count: int) -> tuple:
+    """The 4N collocation nodes as CSV labels, '%.17g' each, and the
+    read-only (4N, N) map from mode coefficients to values there."""
+    n_x = default_collocation_size(mode_count)
+    evaluate = derivative_matrix(0, mode_count, n_x)
+    evaluate.setflags(write=False)
+    return tuple(_fmt(x) for x in collocation_grid(n_x).tolist()), evaluate
 
 
 def run(config: RunConfig) -> int:
@@ -372,12 +381,10 @@ def run(config: RunConfig) -> int:
                                       "final_cost": float(log.cost_values[-1]),
                                       "admissibility_value": admissibility_value(bundle)}
                 status = 0 if log.converged else 1
-            n_x = default_collocation_size(problem.mode_count)
-            xs = [_fmt(x) for x in collocation_grid(n_x).tolist()]
+            xs, evaluate = _collocation(problem.mode_count)
             # stacked per-node products keep field_to_grid's rounding; a single
             # coeffs @ D.T product changes the last digit of many values
-            values = np.matmul(derivative_matrix(0, problem.mode_count, n_x),
-                               traj.coeffs[:, :, None])[:, :, 0]
+            values = np.matmul(evaluate, traj.coeffs[:, :, None])[:, :, 0]
             _write_artifact(out / "trajectory.csv", "t,x,u\n", ts, xs, values)
             _write_artifact(out / "modes.csv", "t,n,coefficient\n",
                             ts, _mode_labels(problem.mode_count), traj.coeffs)

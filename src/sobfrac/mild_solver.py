@@ -47,8 +47,7 @@ MAX_ITER = 80
 @dataclass(frozen=True)
 class Nonlinearity:
     """The state nonlinearity f(t, W) = gain sin(W), W = d_x u on the
-    collocation grid, with slope gain cos(W): "zero" (f = 0) or the
-    bounded-Lipschitz family "sin_gradient".
+    collocation grid, with slope gain cos(W); gain = 0 is f = 0.
 
     Its hypothesis constants are certified in closed form from three
     facts about the N-mode discrete sine transform on n_x = 4N interior
@@ -60,12 +59,9 @@ class Nonlinearity:
     - |sin a - sin b| <= |a - b| and |sin a| <= 1.
     """
 
-    kind: str = "zero"
     gain: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "sin_gradient"):
-            raise DomainError(f"unknown nonlinearity kind {self.kind!r}")
         if not math.isfinite(self.gain):
             raise DomainError(f"nonlinearity gain must be finite, got {self.gain}")
 
@@ -73,22 +69,13 @@ class Nonlinearity:
     def a_f(self) -> float:
         """Growth bound: ||f(u)|| <= sqrt(pi/K) |gain| sqrt(n_x)
         < |gain| sqrt(pi), whatever u."""
-        return abs(self.gain) * _SQRT_PI if self.kind == "sin_gradient" else 0.0
+        return abs(self.gain) * _SQRT_PI
 
     def lipschitz_bound(self, mode_count: int, q: float) -> float:
         """L with ||f(u) - f(v)|| <= L ||u - v||_q on mode_count modes:
         |gain| max_n n / lambda_n^q = |gain| N (1 + 1/N^2)^q, since
         n / lambda_n^q = n^(1-2q) (1 + n^2)^q grows with n for q < 1."""
-        if self.kind == "zero":
-            return 0.0
         return abs(self.gain) * mode_count * (1.0 + 1.0 / mode_count ** 2) ** q
-
-
-ZERO_NONLINEARITY = Nonlinearity("zero")
-
-
-def sin_gradient(gain: float) -> Nonlinearity:
-    return Nonlinearity("sin_gradient", gain=gain)
 
 
 @dataclass(frozen=True)
@@ -102,7 +89,7 @@ class ProblemSpec:
     u0: SpectralField
     v0: SpectralField
     nonlocal_terms: tuple = ()           # (c_eta, t_eta) pairs
-    nonlinearity: Nonlinearity = ZERO_NONLINEARITY
+    nonlinearity: Nonlinearity = Nonlinearity()
     control_count: int = 0
 
     def __post_init__(self):
@@ -158,10 +145,6 @@ class Trajectory:
     def mode_count(self) -> int:
         return self.coeffs.shape[1]
 
-    @staticmethod
-    def zero(grid: TimeGrid, mode_count: int) -> "Trajectory":
-        return Trajectory(grid, np.zeros((grid.step_count + 1, mode_count)))
-
 
 @dataclass
 class SolveReport:
@@ -194,7 +177,7 @@ def eval_f(spec: ProblemSpec, t: float, u_field: SpectralField) -> SpectralField
     collocation grid; f is autonomous, so t is not read."""
     nl = spec.nonlinearity
     n_modes = spec.mode_count
-    if nl.kind == "zero":
+    if nl.gain == 0.0:
         return SpectralField.zero(n_modes)
     n_x = default_collocation_size(n_modes)
     gradient = derivative_matrix(1, n_modes, n_x) @ u_field.coeffs
@@ -242,22 +225,22 @@ GRID_STATIC_MEMO = 8
 
 
 @functools.lru_cache(maxsize=GRID_STATIC_MEMO)
-def _grid_static(alpha: float, node_count: int, table_modes: int, order: FracOrder,
-                 mode_count: int, grid: TimeGrid) -> tuple:
+def _grid_static(order: FracOrder, mode_count: int, grid: TimeGrid,
+                 node_count: int) -> tuple:
     """The sweep state that reads only the discretisation, read-only:
     (lm, kappa, s_lm, feedback, kernel, kernel_spectrum, D, P, q_scale).
 
-    alpha, node_count and table_modes are the multiplier cache's; the
-    cache is rebuilt from them, so an entry depends on its key alone.
+    node_count is the multiplier cache's psi-rule size; the multiplier
+    table is built from it for the problem's own order and modes, so an
+    entry depends on its key alone.
     """
-    cache = SolutionOperatorCache(FracOrder(alpha), table_modes, node_count)
+    cache = SolutionOperatorCache(order, mode_count, node_count)
     lm = data_smoothing_symbol(mode_count)
     kappa = grid.nodes() ** (1.0 - order.alpha) / math.gamma(2.0 - order.alpha)
     # S rows at every node; the kernel's T rows at the lags d*dt, nodes 1..M
     s_table, t_table = cache.grid_table(grid)
-    s_lm = s_table[:, :mode_count] * lm[None, :]
-    kernel = ((power_increments(grid, order.alpha) / order.alpha)[:, None]
-              * t_table[1:, :mode_count])
+    s_lm = s_table * lm[None, :]
+    kernel = (power_increments(grid, order.alpha) / order.alpha)[:, None] * t_table[1:]
     n_x = default_collocation_size(mode_count)
     arrays = (lm, kappa, s_lm, s_lm * kappa[:, None], kernel,
               np.fft.rfft(kernel, 2 * grid.step_count, axis=0),
@@ -280,13 +263,18 @@ class _SweepWorkspace:
     """
 
     def __init__(self, spec: ProblemSpec, cache: SolutionOperatorCache):
+        # the cache lends only its rule size: alpha comes from the problem
+        if cache.order.alpha != spec.order.alpha:
+            raise DomainError(f"cache alpha {cache.order.alpha} differs from the "
+                              f"problem's alpha {spec.order.alpha}")
+        if cache.mode_count < spec.mode_count:
+            raise DomainError("cache has fewer modes than the problem")
         self.spec = spec
         self.snaps = snap_nonlocal_indices(spec)
         # feedback is the trajectory's response to h
         (self.lm, self.kappa, self.s_lm, self.feedback, self.kernel,
          self.kernel_spectrum, self.D, self.P, self.q_scale) = _grid_static(
-            cache.order.alpha, cache.node_count, cache.mode_count,
-            spec.order, spec.mode_count, spec.grid)
+            spec.order, spec.mode_count, spec.grid, cache.node_count)
         # the data term without h
         self.data = self.s_lm * (spec.v0.coeffs[None, :]
                                  + self.kappa[:, None] * spec.u0.coeffs[None, :])
@@ -313,7 +301,7 @@ class _SweepWorkspace:
         # the last node's forcing never enters the convolution
         forcing = ctrl_forcing[:-1]
         nl = spec.nonlinearity
-        if nl.kind != "zero":
+        if nl.gain != 0.0:
             forcing = forcing + (nl.gain * np.sin(coeffs[:-1] @ self.D.T)) @ self.P.T
         if np.any(forcing):
             out[1:] += fftconvolve(self.kernel_spectrum, forcing, self.nfft)
@@ -331,7 +319,7 @@ class _SweepWorkspace:
     def slope(self, coeffs: np.ndarray) -> np.ndarray | None:
         """f' on the collocation grid at nodes 0..M-1 (None when f = 0)."""
         nl = self.spec.nonlinearity
-        if nl.kind == "zero":
+        if nl.gain == 0.0:
             return None
         return nl.gain * np.cos(coeffs[:-1] @ self.D.T)
 
@@ -417,7 +405,7 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
         lambda c: workspace.sweep(c, ctrl_forcing),
         initial.coeffs if initial is not None else workspace.initial(),
         workspace.residual, report, "Picard iteration", tol, max_iter,
-        constant=spec.nonlinearity.kind == "zero")
+        constant=spec.nonlinearity.gain == 0.0)
     return Trajectory(spec.grid, current), report
 
 
@@ -448,8 +436,6 @@ def _workspace(spec, cache, workspace) -> _SweepWorkspace:
         return workspace
     if cache is None:
         cache = SolutionOperatorCache(spec.order, spec.mode_count)
-    if cache.mode_count < spec.mode_count:
-        raise DomainError("cache has fewer modes than the problem")
     return _SweepWorkspace(spec, cache)
 
 

@@ -316,7 +316,7 @@ def hypothesis_check(problem: ProblemSpec) -> dict:
         "alpha_q": {"value": aq, "passed": ok_aq},
         "p_alpha_one_minus_q": {"value": paq, "passed": ok_paq},
         "nonlinearity": {
-            "kind": nl.kind,
+            "kind": "zero" if nl.gain == 0.0 else "sin_gradient",
             "declared_a_f": nl.a_f,
             "lipschitz_bound": nl.lipschitz_bound(problem.mode_count,
                                                   problem.order.q),

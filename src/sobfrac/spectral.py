@@ -45,19 +45,9 @@ class SpectralField:
         """L2[0, pi] norm via Parseval."""
         return float(np.linalg.norm(self.coeffs))
 
-    def __sub__(self, other):
-        return SpectralField(self.coeffs - other.coeffs)
-
     @staticmethod
     def zero(mode_count: int) -> "SpectralField":
         return SpectralField(np.zeros(mode_count))
-
-    @staticmethod
-    def unit(mode_count: int, n: int) -> "SpectralField":
-        """The basis field w_n."""
-        c = np.zeros(mode_count)
-        c[n - 1] = 1.0
-        return SpectralField(c)
 
 
 def generator_symbol(mode_count: int) -> np.ndarray:

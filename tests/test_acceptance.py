@@ -19,7 +19,7 @@ import pytest
 
 from sobfrac.cli import parse_config, run
 from sobfrac.fracops import SampledFn, TimeGrid, caputo_deriv, gl_deriv, rl_deriv
-from sobfrac.mild_solver import ProblemSpec, picard_solve, sin_gradient
+from sobfrac.mild_solver import Nonlinearity, ProblemSpec, picard_solve
 from sobfrac.optctrl import (CostSpec, admissibility_value, cost_J,
                              hypothesis_check, optimize_controls,
                              random_admissible_bundle, zero_bundle)
@@ -39,10 +39,10 @@ def reference_order():
 
 def reference_problem(n=16, m=512, controls=0, nonlinearity=None):
     u0 = SpectralField(np.array([0.5, 0.2] + [0.0] * (n - 2)))
-    v0 = SpectralField.unit(n, 1)
+    v0 = SpectralField(np.eye(n)[0])
     return ProblemSpec(reference_order(), 1.0, n, m, u0, v0,
                        nonlocal_terms=((0.3, 0.5),),
-                       nonlinearity=nonlinearity or sin_gradient(0.1),
+                       nonlinearity=nonlinearity or Nonlinearity(0.1),
                        control_count=controls)
 
 
@@ -233,7 +233,7 @@ def test_criterion_09_exponent_reproduction():
 def test_criterion_10_optimal_control():
     t0 = time.perf_counter()
     problem = reference_problem(n=8, m=64, controls=2,
-                           nonlinearity=sin_gradient(0.0))
+                           nonlinearity=Nonlinearity(0.0))
     problem = ProblemSpec(reference_order(), 1.0, 8, 64, problem.u0, problem.v0,
                           nonlocal_terms=problem.nonlocal_terms,
                           control_count=2)

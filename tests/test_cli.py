@@ -20,7 +20,7 @@ from sobfrac import cli, csvtable, mild_solver, solution_ops, verification
 from sobfrac.cli import _fmt, main, parse_config, run
 from sobfrac.csvtable import write_table
 from sobfrac.errors import ConfigError, EvaluationError
-from sobfrac.mild_solver import SolveReport
+from sobfrac.mild_solver import Nonlinearity, SolveReport
 from sobfrac.optctrl import DescentLog
 from sobfrac.specfun import mittag_leffler
 from sobfrac.verification import CheckRow
@@ -270,7 +270,7 @@ class TestParseConfig:
     ))
     def test_sin_grad_forms(self, text, gain):
         nl = parse_config(MINIMAL + f"nonlinearity = {text}\n").problem.nonlinearity
-        assert (nl.kind, nl.gain) == ("sin_gradient", gain)
+        assert nl == Nonlinearity(gain)
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError):
@@ -425,6 +425,7 @@ class TestReadmeConfig:
                           re.S).group(1)
         mild_solver._grid_static.cache_clear()
         cli._time_heads.cache_clear()
+        cli._collocation.cache_clear()
         csvtable._column.cache_clear()
         for mode in ("solve", "optimize"):
             out = tmp_path / mode
@@ -438,6 +439,9 @@ class TestReadmeConfig:
             assert "trajectory.csv" in artifacts[0]
             assert artifacts[1] == artifacts[0], mode
         assert cli._time_heads.cache_info().misses == 1
+        assert cli._collocation.cache_info().misses == 1
+        with pytest.raises(ValueError, match="read-only"):
+            cli._collocation(16)[1][0, 0] = 0.0
 
 
 class TestReportShape:
@@ -493,6 +497,24 @@ class TestSolveMode:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["error"]["type"] == "NonConvergenceError"
         assert len(report["error"]["residual_history"]) == 20
+
+    def test_zero_gain_is_the_linear_solve(self, tmp_path):
+        # f = 0 is gain 0: sin_grad:0 takes the one-sweep path and writes
+        # the artifacts of nonlinearity = zero
+        artifacts = {}
+        for nonlinearity in ("zero", "sin_grad:0"):
+            out = tmp_path / nonlinearity.replace(":", "_")
+            text = (MINIMAL + f"\nnonlocal = 0.3@0.5\nnonlinearity = {nonlinearity}\n"
+                    f"\n[output]\ndirectory = {out}\n")
+            assert run(parse_config(text, mode="solve")) == 0
+            report = strict_json(out / "report.json")
+            assert report["solve"]["iterations"] == 1
+            assert report["solve"]["residual_history"] == [0.0]
+            assert report["hypothesis_check"]["nonlinearity"] == {
+                "kind": "zero", "declared_a_f": 0.0, "lipschitz_bound": 0.0}
+            artifacts[nonlinearity] = [(out / name).read_bytes()
+                                       for name in ("trajectory.csv", "modes.csv")]
+        assert artifacts["sin_grad:0"] == artifacts["zero"]
 
     def test_large_nonlocal_weight_solves(self, tmp_path):
         # plain Picard iteration diverges at this weight
@@ -723,7 +745,7 @@ class TestMainEntry:
         assert fresh_interpreter(probe) == "[]"
 
     def test_package_names_resolve_lazily_to_their_homes(self):
-        # the 58 public names of the eager package; FracOrder and gamma
+        # the 56 public names; FracOrder and gamma
         # moved to fracops and are the same objects through specfun
         probe = """
 import importlib, sys, sobfrac
@@ -731,8 +753,8 @@ homes = {"errors": "ConfigError ConstructionError DomainError EvaluationError Gr
                    "NonConvergenceError OptimizationError PropertyFailure RejectedInstanceError "
                    "SobfracError",
          "fracops": "SampledFn TimeGrid caputo_deriv frac_integral gl_deriv rl_deriv",
-         "mild_solver": "Nonlinearity ProblemSpec SolveReport Trajectory ZERO_NONLINEARITY "
-                        "apply_P eval_f picard_solve sin_gradient",
+         "mild_solver": "Nonlinearity ProblemSpec SolveReport Trajectory apply_P eval_f "
+                        "picard_solve",
          "optctrl": "ControlBundle CostSpec admissibility_value cost_J hypothesis_check "
                     "optimize_controls project_admissible random_admissible_bundle zero_bundle",
          "solution_ops": "SolutionOperatorCache verify_operator_bounds",
@@ -755,7 +777,7 @@ exec("from sobfrac import *", namespace)
 assert all(namespace[name] is getattr(sobfrac, name) for name in sobfrac.__all__)
 print(len(sobfrac.__all__))
 """
-        assert fresh_interpreter(probe) == "58"
+        assert fresh_interpreter(probe) == "56"
         with pytest.raises(AttributeError, match="no_such_name"):
             sobfrac.no_such_name
 

@@ -11,11 +11,9 @@ from sobfrac.errors import (DomainError, NonConvergenceError,
 from sobfrac.fracops import TimeGrid
 from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
                                  ProblemSpec, SolveReport, Trajectory,
-                                 ZERO_NONLINEARITY, _SweepWorkspace,
-                                 _control_forcing, _grid_static,
+                                 _SweepWorkspace, _control_forcing, _grid_static,
                                  _control_forcing_adjoint, _fixed_point,
-                                 adjoint_solve, apply_P, eval_f,
-                                 picard_solve, sin_gradient)
+                                 adjoint_solve, apply_P, eval_f, picard_solve)
 from sobfrac.optctrl import ControlBundle
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import FracOrder, gamma, mittag_leffler
@@ -27,7 +25,7 @@ from test_specfun import ALPHAS
 def make_spec(alpha=0.8, n=16, m=512, u0=None, v0=None, **kw):
     u0 = u0 if u0 is not None else SpectralField(
         np.array([0.5, 0.2] + [0.0] * (n - 2)))
-    v0 = v0 if v0 is not None else SpectralField.unit(n, 1)
+    v0 = v0 if v0 is not None else SpectralField(np.eye(n)[0])
     return ProblemSpec(FracOrder(alpha, q=0.25, p=2.0), 1.0, n, m, u0, v0, **kw)
 
 
@@ -50,12 +48,12 @@ class TestEvalF:
         assert out.norm() == 0.0
 
     def test_sine_of_gradient_at_zero_field(self):
-        spec = make_spec(nonlinearity=sin_gradient(0.5))
+        spec = make_spec(nonlinearity=Nonlinearity(0.5))
         out = eval_f(spec, 0.0, SpectralField.zero(16))
         assert out.norm() <= 1e-14
 
     def test_growth_bound(self):
-        spec = make_spec(nonlinearity=sin_gradient(0.1))
+        spec = make_spec(nonlinearity=Nonlinearity(0.1))
         a_f = spec.nonlinearity.a_f
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -63,14 +61,11 @@ class TestEvalF:
             bound = a_f * (1.0 + norm_q(u, 0.25))
             assert eval_f(spec, 0.0, u).norm() <= bound * (1 + 1e-12)
 
-    @pytest.mark.parametrize("make", [
-        lambda: Nonlinearity("custom"),
-        lambda: sin_gradient(math.inf),
-        lambda: sin_gradient(math.nan),
-    ], ids=["custom_kind", "inf_gain", "nan_gain"])
-    def test_unknown_kind_and_non_finite_gain_rejected(self, make):
-        with pytest.raises(DomainError):
-            make()
+    @pytest.mark.parametrize("gain", [math.inf, math.nan],
+                             ids=["inf_gain", "nan_gain"])
+    def test_non_finite_gain_rejected(self, gain):
+        with pytest.raises(DomainError, match="finite"):
+            Nonlinearity(gain)
 
 
 def per_field_eval_f(spec, t, u):
@@ -81,7 +76,7 @@ def per_field_eval_f(spec, t, u):
 
 class TestBatchedEvalF:
     @pytest.mark.parametrize("n", [5, 16])
-    @pytest.mark.parametrize("nonlinearity", [sin_gradient(0.1)], ids=["sin_grad"])
+    @pytest.mark.parametrize("nonlinearity", [Nonlinearity(0.1)], ids=["sin_grad"])
     def test_matches_per_field_path_bitwise(self, n, nonlinearity):
         spec = make_spec(n=n, m=8, nonlinearity=nonlinearity)
         rng = np.random.default_rng(n)
@@ -103,16 +98,15 @@ def sweep_bracket(spec, cache, traj):
 class TestNonlocalBracket:
     def test_reduces_to_v0(self, cache16):
         spec = make_spec(u0=SpectralField.zero(16))
-        traj = Trajectory.zero(spec.grid, 16)
+        traj = Trajectory(spec.grid, np.zeros((spec.step_count + 1, 16)))
         bracket = sweep_bracket(spec, cache16, traj)
         for node in (0, 17, 512):
-            out = SpectralField(bracket[node])
-            assert (out - spec.v0).norm() <= 1e-14
+            assert np.linalg.norm(bracket[node] - spec.v0.coeffs) <= 1e-14
 
     def test_kernel_closed_form(self, cache16):
-        spec = make_spec(u0=SpectralField.unit(16, 1),
+        spec = make_spec(u0=SpectralField(np.eye(16)[0]),
                          v0=SpectralField.zero(16))
-        traj = Trajectory.zero(spec.grid, 16)
+        traj = Trajectory(spec.grid, np.zeros((spec.step_count + 1, 16)))
         alpha = 0.8
         bracket = sweep_bracket(spec, cache16, traj)
         for node in (1, 100, 512):
@@ -134,7 +128,7 @@ class TestNonlocalBracket:
 
     def test_off_grid_time_warns(self, cache16):
         spec = make_spec(m=7, nonlocal_terms=((0.5, 0.33),))
-        traj = Trajectory.zero(spec.grid, 16)
+        traj = Trajectory(spec.grid, np.zeros((spec.step_count + 1, 16)))
         with pytest.warns(UserWarning):
             apply_P(spec, cache16, traj)
 
@@ -143,13 +137,15 @@ class TestApplyP:
     def test_zero_data_gives_zero(self):
         spec = make_spec(u0=SpectralField.zero(16), v0=SpectralField.zero(16))
         cache = SolutionOperatorCache(spec.order, 16)
-        out = apply_P(spec, cache, Trajectory.zero(spec.grid, 16))
+        zero = Trajectory(spec.grid, np.zeros((spec.step_count + 1, 16)))
+        out = apply_P(spec, cache, zero)
         assert np.max(np.abs(out.coeffs)) == 0.0
 
     def test_mode_one_composition_symbol(self, cache16):
         # data smoothing composed with L has per-mode value -2 at n = 1
         spec = make_spec(u0=SpectralField.zero(16))
-        out = apply_P(spec, cache16, Trajectory.zero(spec.grid, 16))
+        zero = Trajectory(spec.grid, np.zeros((spec.step_count + 1, 16)))
+        out = apply_P(spec, cache16, zero)
         for node in (0, 64, 512):
             t = node * spec.grid.dt
             expect = -2.0 * cache16.multiplier_rows(t)[0][0]
@@ -157,7 +153,7 @@ class TestApplyP:
 
     def test_fixed_point_residual(self, cache16):
         spec = make_spec(nonlocal_terms=((0.3, 0.5),),
-                         nonlinearity=sin_gradient(0.1))
+                         nonlinearity=Nonlinearity(0.1))
         traj, rep = picard_solve(spec, cache=cache16, tol=1e-8)
         again = apply_P(spec, cache16, traj)
         defect = max(
@@ -169,7 +165,7 @@ class TestApplyP:
         spec = make_spec(n=8, m=32)
         small_cache = SolutionOperatorCache(spec.order, 4)
         with pytest.raises(DomainError, match="fewer modes"):
-            apply_P(spec, small_cache, Trajectory.zero(spec.grid, 8))
+            apply_P(spec, small_cache, Trajectory(spec.grid, np.zeros((33, 8))))
 
 
 class TestControlForcing:
@@ -194,7 +190,7 @@ class TestControlForcing:
         # one unit cell [t_5, t_6) at dt = 0.1: nothing of it has entered
         # by t_5, all of it (0.1) from t_6 on
         spec = ProblemSpec(FracOrder(0.8, q=0.25, p=2.0), 1.0, 4, 10,
-                           SpectralField.unit(4, 1), SpectralField.unit(4, 1),
+                           SpectralField(np.eye(4)[0]), SpectralField(np.eye(4)[0]),
                            control_count=1)
         x = np.zeros((1, 10, 2))
         x[0, 5, 0] = 1.0
@@ -235,7 +231,7 @@ class TestBatchedSweep:
     def test_matches_per_node_reference(self, cache16):
         # README solve config
         spec = make_spec(nonlocal_terms=((0.3, 0.5),),
-                         nonlinearity=sin_gradient(0.1))
+                         nonlinearity=Nonlinearity(0.1))
         ws = _SweepWorkspace(spec, cache16)
         traj, _ = picard_solve(spec, workspace=ws, tol=1e-8)
         rng = np.random.default_rng(6)
@@ -266,7 +262,7 @@ class TestPicardSolve:
 
     def test_nonlinear_instance_converges(self, cache16):
         spec = make_spec(nonlocal_terms=((0.3, 0.5),),
-                         nonlinearity=sin_gradient(0.1))
+                         nonlinearity=Nonlinearity(0.1))
         traj, rep = picard_solve(spec, cache=cache16, tol=1e-8)
         assert rep.converged
         assert rep.contraction_ratio < 1.0
@@ -278,13 +274,13 @@ class TestPicardSolve:
 
     def test_continuous_dependence_linear_response(self, cache16):
         base = make_spec(nonlocal_terms=((0.3, 0.5),),
-                         nonlinearity=sin_gradient(0.1))
+                         nonlinearity=Nonlinearity(0.1))
         traj0, _ = picard_solve(base, cache=cache16, tol=1e-11)
 
         def perturbed(delta):
             u0 = SpectralField(base.u0.coeffs + np.eye(16)[0] * delta)
             spec = make_spec(u0=u0, nonlocal_terms=((0.3, 0.5),),
-                             nonlinearity=sin_gradient(0.1))
+                             nonlinearity=Nonlinearity(0.1))
             traj, _ = picard_solve(spec, cache=cache16, tol=1e-11)
             return max(norm_q(SpectralField(traj.coeffs[m] - traj0.coeffs[m]), 0.25)
                        for m in range(base.step_count + 1))
@@ -298,10 +294,10 @@ class TestPicardSolve:
 
     def test_uniqueness_under_different_starts(self, cache16):
         spec = make_spec(nonlocal_terms=((0.3, 0.5),),
-                         nonlinearity=sin_gradient(0.1))
+                         nonlinearity=Nonlinearity(0.1))
         t1, _ = picard_solve(spec, cache=cache16, tol=1e-10)
-        t2, _ = picard_solve(spec, cache=cache16, tol=1e-10,
-                             initial=Trajectory.zero(spec.grid, 16))
+        zero = Trajectory(spec.grid, np.zeros((spec.step_count + 1, 16)))
+        t2, _ = picard_solve(spec, cache=cache16, tol=1e-10, initial=zero)
         diff = max(norm_q(SpectralField(t1.coeffs[m] - t2.coeffs[m]), 0.25)
                    for m in range(spec.step_count + 1))
         assert diff <= 2e-10
@@ -310,7 +306,7 @@ class TestPicardSolve:
         # the nonlocal condition is eliminated in each sweep, so only a
         # strong nonlinearity keeps the iteration from contracting
         spec = make_spec(nonlocal_terms=((0.3, 0.5),),
-                         nonlinearity=sin_gradient(40.0))
+                         nonlinearity=Nonlinearity(40.0))
         with pytest.raises(NonConvergenceError) as err:
             picard_solve(spec, cache=cache16, tol=1e-8, max_iter=25)
         assert len(err.value.residual_history) == 25
@@ -355,6 +351,17 @@ class TestPicardSolve:
             errors.append(worst)
         assert errors[0] / errors[1] >= 1.5
 
+    def test_cache_alpha_must_match(self):
+        # the kernel and kappa read the problem's alpha; a cache at another
+        # alpha is refused, not solved with a mixed order
+        spec = make_spec(alpha=0.5, n=8, m=64, nonlocal_terms=((0.3, 0.5),))
+        cache = SolutionOperatorCache(FracOrder(0.8, q=0.25, p=2.0), 8)
+        zero = Trajectory(spec.grid, np.zeros((65, 8)))
+        for solve in (lambda: picard_solve(spec, cache=cache),
+                      lambda: apply_P(spec, cache, zero)):
+            with pytest.raises(DomainError, match="cache alpha 0.8 .* alpha 0.5"):
+                solve()
+
     def test_grid_consistency_checked(self, cache16):
         spec = make_spec()
         small_cache = SolutionOperatorCache(spec.order, 4)
@@ -379,9 +386,9 @@ def p_residual(spec, cache, traj):
 
 class TestNonlocalElimination:
     @pytest.mark.parametrize("kw", [
-        dict(nonlinearity=sin_gradient(0.1)),          # README grid
+        dict(nonlinearity=Nonlinearity(0.1)),          # README grid
         dict(n=8, m=64),                               # acceptance grid, f = 0
-        dict(nonlinearity=sin_gradient(6.0)),
+        dict(nonlinearity=Nonlinearity(6.0)),
     ], ids=["readme", "acceptance", "sin_grad_6"])
     def test_agrees_with_plain_picard(self, kw):
         spec = make_spec(nonlocal_terms=((0.3, 0.5),), **kw)
@@ -391,7 +398,7 @@ class TestNonlocalElimination:
         assert np.max(np.linalg.norm(traj.coeffs - want, axis=1)) <= 1e-11
 
     @pytest.mark.parametrize("c", [3.0, 50.0])
-    @pytest.mark.parametrize("nonlinearity", [ZERO_NONLINEARITY, sin_gradient(0.1)],
+    @pytest.mark.parametrize("nonlinearity", [Nonlinearity(), Nonlinearity(0.1)],
                              ids=["zero", "sin_grad"])
     def test_large_weights_solve(self, c, nonlinearity, cache16):
         # plain Picard iteration diverges at these weights
@@ -455,7 +462,7 @@ class TestGridStaticMemo:
         # q alone, or a cache that differs in node_count alone, misses it
         # and solves exactly as a cold build does
         base = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),),
-                         nonlinearity=sin_gradient(0.1))
+                         nonlinearity=Nonlinearity(0.1))
         variants = ((dataclasses.replace(base, order=FracOrder(0.8, q=0.6, p=2.0)), 200),
                     (base, 150))
 
@@ -475,6 +482,22 @@ class TestGridStaticMemo:
             after = _grid_static.cache_info()
             assert (after.hits, after.misses) == (before.hits, before.misses + 1)
             assert np.array_equal(got, want)
+
+    def test_wider_cache_is_bit_identical(self):
+        # the table is built for the problem's modes, whatever the cache's;
+        # the first N columns of a wider table are the same numbers, so a
+        # wider cache solves exactly as a matching one
+        spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),),
+                         nonlinearity=Nonlinearity(0.1))
+        wide = SolutionOperatorCache(spec.order, 16)
+        narrow = SolutionOperatorCache(spec.order, 8)
+        for got, want in zip(wide.grid_table(spec.grid), narrow.grid_table(spec.grid)):
+            assert np.array_equal(got[:, :8], want)
+        solved = []
+        for cache in (wide, narrow):
+            _grid_static.cache_clear()
+            solved.append(picard_solve(spec, cache=cache)[0].coeffs)
+        assert np.array_equal(solved[0], solved[1])
 
     def test_size_stays_at_the_bound(self):
         _grid_static.cache_clear()
