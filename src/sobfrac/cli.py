@@ -26,8 +26,8 @@ from .fracops import FracOrder, TimeGrid
 from .mild_solver import Nonlinearity, ProblemSpec, picard_solve
 from .optctrl import (ControlBundle, CostSpec, admissibility_value, hypothesis_check,
                       optimize_controls, project_admissible, zero_bundle)
-from .solution_ops import (ALPHA_FLOOR, HALVING_TOL, T_WINDOW, SolutionOperatorCache,
-                           psi_rule)
+from .solution_ops import (_DEFAULT_NODES, ALPHA_FLOOR, HALVING_TOL, T_WINDOW,
+                           SolutionOperatorCache, psi_rule)
 from .spectral import (SpectralField, collocation_grid, default_collocation_size,
                        derivative_matrix, measure_bounds)
 
@@ -46,7 +46,7 @@ _KEYS = {
     ("problem", "controls"): "0",
     ("solver", "tol"): "1e-8",
     ("solver", "max_iter"): "80",
-    ("solver", "quad_nodes"): "200",
+    ("solver", "quad_nodes"): str(_DEFAULT_NODES),
     ("cost", "state_weight"): "1.0",
     ("cost", "control_weight"): "1.0",
     ("optimize", "budget"): "60",
@@ -372,11 +372,12 @@ def run(config: RunConfig) -> int:
                     max_iter=config.solver_max_iter)
                 _write_artifact(out / "descent.csv", "iteration,J\n" + "".join(
                     f"{i},{_fmt(j)}\n" for i, j in enumerate(log.cost_values)))
-                # one stacked table: control j's node rows under heads "j,t"
+                # control j's node rows under heads "j,t"; the final node repeats the last cell
+                nodes = np.pad(bundle.cells, ((0, 0), (0, 1), (0, 0)), mode="edge")
                 _write_artifact(out / "controls.csv", "control,t,n,coefficient\n",
                                 [f"{j},{t}" for j in range(1, k + 1) for t in ts],
                                 _mode_labels(config.control_modes),
-                                np.concatenate([c.coeffs for c in bundle.controls]))
+                                nodes.reshape(-1, config.control_modes))
                 report["optimize"] = {**asdict(log),
                                       "final_cost": float(log.cost_values[-1]),
                                       "admissibility_value": admissibility_value(bundle)}

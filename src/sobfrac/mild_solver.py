@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (DomainError, EvaluationError, NonConvergenceError,
                      RejectedInstanceError)
 from .fracops import FracOrder, TimeGrid, power_increments
-from .solution_ops import SolutionOperatorCache
+from .solution_ops import _DEFAULT_NODES, SolutionOperatorCache
 from .spectral import (SpectralField, data_smoothing_symbol,
                        default_collocation_size, derivative_matrix,
                        projection_matrix, q_weights)
@@ -225,36 +225,36 @@ GRID_STATIC_MEMO = 8
 
 
 @functools.lru_cache(maxsize=GRID_STATIC_MEMO)
-def _grid_static(order: FracOrder, mode_count: int, grid: TimeGrid,
-                 node_count: int) -> tuple:
+def _grid_static(alpha: float, q: float, mode_count: int, grid: TimeGrid,
+                 node_count: int | None) -> tuple:
     """The sweep state that reads only the discretisation, read-only:
     (lm, kappa, s_lm, feedback, kernel, kernel_spectrum, D, P, q_scale).
 
-    node_count is the multiplier cache's psi-rule size; the multiplier
-    table is built from it for the problem's own order and modes, so an
-    entry depends on its key alone.
+    The key is what the state reads: node_count is the psi-rule size,
+    None at alpha = 1, where no rule is built.  The multiplier table is
+    built here for these modes, so an entry depends on its key alone.
     """
-    cache = SolutionOperatorCache(order, mode_count, node_count)
+    cache = SolutionOperatorCache(FracOrder(alpha, q), mode_count, node_count)
     lm = data_smoothing_symbol(mode_count)
-    kappa = grid.nodes() ** (1.0 - order.alpha) / math.gamma(2.0 - order.alpha)
+    kappa = grid.nodes() ** (1.0 - alpha) / math.gamma(2.0 - alpha)
     # S rows at every node; the kernel's T rows at the lags d*dt, nodes 1..M
     s_table, t_table = cache.grid_table(grid)
     s_lm = s_table * lm[None, :]
-    kernel = (power_increments(grid, order.alpha) / order.alpha)[:, None] * t_table[1:]
+    kernel = (power_increments(grid, alpha) / alpha)[:, None] * t_table[1:]
     n_x = default_collocation_size(mode_count)
     arrays = (lm, kappa, s_lm, s_lm * kappa[:, None], kernel,
               np.fft.rfft(kernel, 2 * grid.step_count, axis=0),
               derivative_matrix(1, mode_count, n_x), projection_matrix(mode_count, n_x),
-              q_weights(mode_count, order.q))
+              q_weights(mode_count, q))
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
 
 
 class _SweepWorkspace:
-    """Arrays shared by every sweep of one solve context.
+    """The solve context: one problem at one psi-rule size, and its sweeps' arrays.
 
-    The grid-static ones come from _grid_static, built once per
+    The grid-static arrays come from _grid_static, built once per
     discretisation; the nonlocal snaps, the denominators and the data
     term are built per workspace.  D maps coefficients to the first
     derivative on the collocation grid (n_x x N), P maps collocation
@@ -262,19 +262,14 @@ class _SweepWorkspace:
     adjoint both go through them.
     """
 
-    def __init__(self, spec: ProblemSpec, cache: SolutionOperatorCache):
-        # the cache lends only its rule size: alpha comes from the problem
-        if cache.order.alpha != spec.order.alpha:
-            raise DomainError(f"cache alpha {cache.order.alpha} differs from the "
-                              f"problem's alpha {spec.order.alpha}")
-        if cache.mode_count < spec.mode_count:
-            raise DomainError("cache has fewer modes than the problem")
+    def __init__(self, spec: ProblemSpec, node_count: int = _DEFAULT_NODES):
         self.spec = spec
         self.snaps = snap_nonlocal_indices(spec)
         # feedback is the trajectory's response to h
         (self.lm, self.kappa, self.s_lm, self.feedback, self.kernel,
          self.kernel_spectrum, self.D, self.P, self.q_scale) = _grid_static(
-            spec.order, spec.mode_count, spec.grid, cache.node_count)
+            spec.order.alpha, spec.order.q, spec.mode_count, spec.grid,
+            node_count if spec.order.alpha < 1.0 else None)
         # the data term without h
         self.data = self.s_lm * (spec.v0.coeffs[None, :]
                                  + self.kappa[:, None] * spec.u0.coeffs[None, :])
@@ -378,7 +373,7 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
     f = 0 is exact after one sweep and stops there, with a recorded step
     of exactly 0; the report's contraction_ratio measures the f-loop
     alone, and nonlocal_denominator_min is the smallest d_n (1.0 without
-    nonlocal terms).
+    nonlocal terms).  A workspace passed in must be built for spec itself.
 
     Raises RejectedInstanceError when the exponent preconditions fail and
     NonConvergenceError (with the residual history) when the budget runs
@@ -409,12 +404,11 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
     return Trajectory(spec.grid, current), report
 
 
-def adjoint_solve(spec: ProblemSpec, traj: Trajectory, weight: np.ndarray,
-                  workspace: _SweepWorkspace, tol: float = 1e-8,
-                  max_iter: int = MAX_ITER) -> np.ndarray:
-    """Gradient of <weight, u> at the solution traj with respect to the
-    summed control cells (the per-cell sum of the bundle's cells,
-    zero-padded to N modes); shape (M, N).
+def adjoint_solve(traj: Trajectory, weight: np.ndarray, workspace: _SweepWorkspace,
+                  tol: float = 1e-8, max_iter: int = MAX_ITER) -> np.ndarray:
+    """Gradient of <weight, u> at the workspace problem's solution traj
+    with respect to the summed control cells (the per-cell sum of the
+    bundle's cells, zero-padded to N modes); shape (M, N).
 
     The adjoint state solves lam = E^T (weight + J^T lam), where J is the
     linearised response and E the h elimination, with the fixed-point
@@ -428,15 +422,21 @@ def adjoint_solve(spec: ProblemSpec, traj: Trajectory, weight: np.ndarray,
                        tol, max_iter, constant=slope is None)
     grad_forcing = np.zeros_like(lam)
     grad_forcing[:-1] = workspace.correlate(lam)
-    return _control_forcing_adjoint(spec, grad_forcing)
+    return _control_forcing_adjoint(workspace.spec, grad_forcing)
 
 
 def _workspace(spec, cache, workspace) -> _SweepWorkspace:
+    """spec's solve context: workspace if built for spec, else one at cache's rule size."""
     if workspace is not None:
+        if workspace.spec is not spec:
+            raise DomainError("the workspace was built for another problem")
         return workspace
     if cache is None:
-        cache = SolutionOperatorCache(spec.order, spec.mode_count)
-    return _SweepWorkspace(spec, cache)
+        return _SweepWorkspace(spec)
+    if cache.order.alpha != spec.order.alpha:
+        raise DomainError(f"cache alpha {cache.order.alpha} differs from the "
+                          f"problem's alpha {spec.order.alpha}")
+    return _SweepWorkspace(spec, cache.node_count)
 
 
 def _fixed_point(sweep, current, distance, report, what, tol, max_iter,

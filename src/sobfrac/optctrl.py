@@ -116,24 +116,22 @@ def cost_J(traj: Trajectory, controls: ControlBundle, spec: CostSpec) -> float:
     return float(np.trapezoid(integrand, dx=dt))
 
 
-def adjoint_gradient(problem: ProblemSpec, cost: CostSpec, x: np.ndarray,
-                     traj: Trajectory, workspace: _SweepWorkspace,
-                     solve_tol: float = 1e-9, max_iter: int = MAX_ITER) -> np.ndarray:
+def adjoint_gradient(cost: CostSpec, x: np.ndarray, traj: Trajectory,
+                     workspace: _SweepWorkspace, solve_tol: float = 1e-9,
+                     max_iter: int = MAX_ITER) -> np.ndarray:
     """Exact gradient of x -> J(u*(x), x) over cell values x of shape
-    (k, M, modes), given the solved state traj = u*(x).
+    (k, M, modes), given the workspace problem's solved state traj = u*(x).
 
     One adjoint solve gives the state term; every control sees the same
     state term because the controls enter only through their sum.  The
     control term is explicit: cell l is counted by the outer trapezoid at
     the M - 1 - l interior nodes after it and half the final node.
     """
-    dt = problem.grid.dt
-    m = problem.step_count
+    dt, m = traj.grid.dt, traj.grid.step_count
     trapezoid = np.full(m + 1, dt)
     trapezoid[[0, -1]] *= 0.5
     weight = 2.0 * cost.state_weight * trapezoid[:, None] * traj.coeffs
-    grad_total = adjoint_solve(problem, traj, weight, workspace, tol=solve_tol,
-                               max_iter=max_iter)
+    grad_total = adjoint_solve(traj, weight, workspace, tol=solve_tol, max_iter=max_iter)
     state = grad_total[:, :x.shape[2]]
     later = (m - 0.5 - np.arange(m))[:, None]
     return state[None] + 2.0 * cost.control_weight * dt * dt * later * x
@@ -199,7 +197,7 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
 
     def gradient(arr, traj):
         try:
-            grad = adjoint_gradient(problem, cost, arr, traj, workspace,
+            grad = adjoint_gradient(cost, arr, traj, workspace,
                                     solve_tol=solve_tol, max_iter=max_iter)
         except NonConvergenceError as exc:
             raise OptimizationError(

@@ -91,7 +91,7 @@ def sweep_bracket(spec, cache, traj):
     """Bracketed data term v0 + kappa(t) (u0 + h(u)) at every node, read off
     one application of P: with f = 0 and no controls it is S(t)
     [smoothing] times the bracket, node by node."""
-    ws = _SweepWorkspace(spec, cache)
+    ws = _SweepWorkspace(spec, cache.node_count)
     return apply_P(spec, cache, traj).coeffs / ws.s_lm
 
 
@@ -161,11 +161,18 @@ class TestApplyP:
             for m in range(spec.step_count + 1))
         assert defect <= 2e-8
 
-    def test_small_cache_rejected(self):
-        spec = make_spec(n=8, m=32)
-        small_cache = SolutionOperatorCache(spec.order, 4)
-        with pytest.raises(DomainError, match="fewer modes"):
-            apply_P(spec, small_cache, Trajectory(spec.grid, np.zeros((33, 8))))
+    def test_narrower_cache_is_bit_identical(self):
+        # the cache lends only its rule size: the table is built for the
+        # problem's modes, so a 4-mode cache solves an 8-mode problem
+        spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),),
+                         nonlinearity=Nonlinearity(0.1))
+        solved = []
+        for modes in (4, 8):
+            _grid_static.cache_clear()
+            cache = SolutionOperatorCache(spec.order, modes)
+            traj, _ = picard_solve(spec, cache=cache)
+            solved.append(apply_P(spec, cache, traj).coeffs)
+        assert np.array_equal(solved[0], solved[1])
 
 
 class TestControlForcing:
@@ -232,7 +239,7 @@ class TestBatchedSweep:
         # README solve config
         spec = make_spec(nonlocal_terms=((0.3, 0.5),),
                          nonlinearity=Nonlinearity(0.1))
-        ws = _SweepWorkspace(spec, cache16)
+        ws = _SweepWorkspace(spec, cache16.node_count)
         traj, _ = picard_solve(spec, workspace=ws, tol=1e-8)
         rng = np.random.default_rng(6)
         controls = ControlBundle(0.1 * rng.standard_normal((1, 512, 16)),
@@ -316,10 +323,10 @@ class TestPicardSolve:
         spec = make_spec(m=32)
         with pytest.raises(DomainError, match="max_iter"):
             picard_solve(spec, cache=cache16, max_iter=max_iter)
-        ws = _SweepWorkspace(spec, cache16)
+        ws = _SweepWorkspace(spec, cache16.node_count)
         traj, _ = picard_solve(spec, workspace=ws)
         with pytest.raises(DomainError, match="max_iter"):
-            adjoint_solve(spec, traj, traj.coeffs, ws, max_iter=max_iter)
+            adjoint_solve(traj, traj.coeffs, ws, max_iter=max_iter)
 
     def test_exponent_precondition(self):
         with pytest.raises(RejectedInstanceError):
@@ -337,7 +344,7 @@ class TestPicardSolve:
         for m in (128, 256):
             spec = make_spec(n=8, m=m, u0=SpectralField.zero(8),
                              v0=SpectralField.zero(8))
-            ws = _SweepWorkspace(spec, SolutionOperatorCache(spec.order, 8))
+            ws = _SweepWorkspace(spec)
             coeffs = ws.sweep(ws.initial(), np.tile(g, (m + 1, 1)))
             ts = spec.grid.nodes()
             worst = 0.0
@@ -362,17 +369,24 @@ class TestPicardSolve:
             with pytest.raises(DomainError, match="cache alpha 0.8 .* alpha 0.5"):
                 solve()
 
-    def test_grid_consistency_checked(self, cache16):
-        spec = make_spec()
-        small_cache = SolutionOperatorCache(spec.order, 4)
-        with pytest.raises(DomainError):
-            picard_solve(spec, cache=small_cache)
+    def test_workspace_of_another_problem_refused(self):
+        # the workspace is the solve context: a solve is refused one built
+        # for another problem, even an equal copy, rather than solving its
+        # problem in place of the one asked for
+        spec = make_spec(alpha=0.8, n=8, m=64, nonlocal_terms=((0.3, 0.5),),
+                         nonlinearity=Nonlinearity(0.1))
+        ws = _SweepWorkspace(dataclasses.replace(spec, order=FracOrder(0.5, q=0.25)))
+        for other in (ws, _SweepWorkspace(dataclasses.replace(spec))):
+            with pytest.raises(DomainError, match="another problem"):
+                picard_solve(spec, workspace=other)
+        traj, _ = picard_solve(spec, workspace=_SweepWorkspace(spec))
+        assert np.array_equal(traj.coeffs, picard_solve(spec)[0].coeffs)
 
 
 def plain_picard(spec, cache, tol):
     """Picard iteration of apply_P, the paper's map with h read from the
     iterate: the slow reference for the eliminated sweep."""
-    ws = _SweepWorkspace(spec, cache)
+    ws = _SweepWorkspace(spec, cache.node_count)
     return _fixed_point(
         lambda c: apply_P(spec, cache, Trajectory(spec.grid, c)).coeffs,
         ws.initial(), ws.residual, SolveReport(), "plain Picard", tol, MAX_ITER)
@@ -380,7 +394,7 @@ def plain_picard(spec, cache, tol):
 
 def p_residual(spec, cache, traj):
     """Sup q-norm distance between traj and P(traj)."""
-    ws = _SweepWorkspace(spec, cache)
+    ws = _SweepWorkspace(spec, cache.node_count)
     return ws.residual(apply_P(spec, cache, traj).coeffs, traj.coeffs)
 
 
@@ -418,8 +432,7 @@ class TestNonlocalElimination:
     def test_denominator_at_least_one(self, alpha):
         spec = make_spec(alpha=alpha, n=8, m=64,
                          nonlocal_terms=((0.3, 0.25), (50.0, 0.5), (3.0, 0.75)))
-        cache = SolutionOperatorCache(spec.order, 8)
-        ws = _SweepWorkspace(spec, cache)
+        ws = _SweepWorkspace(spec)
         assert np.all(ws.denominator >= 1.0)
         assert np.min(ws.denominator) > 1.0
         _, rep = picard_solve(spec, workspace=ws)
@@ -438,8 +451,7 @@ class TestGridStaticMemo:
 
     def test_memoized_arrays_are_read_only_and_shared(self):
         spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),))
-        cache = SolutionOperatorCache(spec.order, 8)
-        first, second = _SweepWorkspace(spec, cache), _SweepWorkspace(spec, cache)
+        first, second = _SweepWorkspace(spec), _SweepWorkspace(spec)
         for name in self.STATIC:
             arr = getattr(first, name)
             assert getattr(second, name) is arr, name
@@ -498,6 +510,40 @@ class TestGridStaticMemo:
             _grid_static.cache_clear()
             solved.append(picard_solve(spec, cache=cache)[0].coeffs)
         assert np.array_equal(solved[0], solved[1])
+
+    def test_alpha_one_and_p_share_one_entry(self):
+        # the memo keys what it reads: at alpha = 1 no psi rule is built,
+        # so caches that differ in node_count alone share one entry, and
+        # p is never read, so neither does it split one
+        base = make_spec(alpha=1.0, n=8, m=64, nonlocal_terms=((0.3, 0.5),),
+                         nonlinearity=Nonlinearity(0.1))
+        other_p = dataclasses.replace(base, order=FracOrder(1.0, q=0.25, p=3.0))
+        _grid_static.cache_clear()
+        solved = [picard_solve(spec, cache=SolutionOperatorCache(spec.order, 8, nodes))[0]
+                  for spec, nodes in ((base, 200), (base, 150), (other_p, 200))]
+        info = _grid_static.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        for traj in solved[1:]:
+            assert np.array_equal(traj.coeffs, solved[0].coeffs)
+
+    def test_warm_solve_builds_no_cache(self, monkeypatch):
+        # without a cache a solve reads the default rule size, and a warm
+        # memo holds the table, so nothing builds a SolutionOperatorCache
+        spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),))
+        picard_solve(spec)
+        built = []
+        init = SolutionOperatorCache.__post_init__
+
+        def count_build(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(SolutionOperatorCache, "__post_init__", count_build)
+        picard_solve(spec)
+        assert built == []
+        _grid_static.cache_clear()
+        picard_solve(spec)
+        assert len(built) == 1
 
     def test_size_stays_at_the_bound(self):
         _grid_static.cache_clear()

@@ -352,8 +352,8 @@ class TestAdjointGradient:
                                               np.random.default_rng(11))
         x = bundle.cells
         traj, _ = picard_solve(problem, cache=cache, controls=bundle, tol=1e-12)
-        got = adjoint_gradient(problem, CostSpec(), x, traj,
-                               _SweepWorkspace(problem, cache), solve_tol=1e-12)
+        got = adjoint_gradient(CostSpec(), x, traj, _SweepWorkspace(problem),
+                               solve_tol=1e-12)
         want = fd_gradient(problem, CostSpec(), x, cache)
         assert np.linalg.norm(want) > 0.0
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)

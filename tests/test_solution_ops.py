@@ -218,9 +218,9 @@ class TestGridTable:
             calls["grid"] += 1
             return grid_table(self, grid)
 
-        def count_workspace(self, spec, cache):
+        def count_workspace(self, spec, node_count):
             calls["workspace"] += 1
-            workspace_init(self, spec, cache)
+            workspace_init(self, spec, node_count)
 
         def refuse(self, ts):
             raise AssertionError("a solve read the per-time table")
