@@ -26,37 +26,39 @@ from .fracops import FracOrder, TimeGrid
 from .mild_solver import Nonlinearity, ProblemSpec, picard_solve
 from .optctrl import (ControlBundle, CostSpec, admissibility_value, hypothesis_check,
                       optimize_controls, project_admissible, zero_bundle)
-from .solution_ops import (_DEFAULT_NODES, ALPHA_FLOOR, HALVING_TOL, T_WINDOW,
-                           SolutionOperatorCache, psi_rule)
+from .solution_ops import _DEFAULT_NODES, T_WINDOW, SolutionOperatorCache, psi_rule
 from .spectral import (SpectralField, collocation_grid, default_collocation_size,
                        derivative_matrix, measure_bounds)
 
-# (section, key) -> default; None marks a required key
+# (section, key) -> (default text, type, admissible range); a None default
+# marks a required key, and the text keys, parsed on their own, have no type.
+# A range reads as refusals name it: "(0,1]", "[1,inf)" or "{zero,random}".
 _KEYS = {
-    ("problem", "alpha"): None,
-    ("problem", "q"): "0.25",
-    ("problem", "p"): "2.0",
-    ("problem", "horizon"): None,
-    ("problem", "modes"): None,
-    ("problem", "steps"): None,
-    ("problem", "u0"): "",
-    ("problem", "v0"): "",
-    ("problem", "nonlocal"): "",
-    ("problem", "nonlinearity"): "zero",
-    ("problem", "controls"): "0",
-    ("solver", "tol"): "1e-8",
-    ("solver", "max_iter"): "80",
-    ("solver", "quad_nodes"): str(_DEFAULT_NODES),
-    ("cost", "state_weight"): "1.0",
-    ("cost", "control_weight"): "1.0",
-    ("optimize", "budget"): "60",
-    ("optimize", "grad_tol"): "1e-4",
-    ("optimize", "fd_step"): "1e-4",
-    ("optimize", "control_modes"): "4",
-    ("optimize", "radius"): "1.0",
-    ("optimize", "init"): "zero",
-    ("output", "directory"): "out",
-    ("output", "seed"): "0",
+    ("problem", "alpha"): (None, float, "(0,1]"),
+    ("problem", "q"): ("0.25", float, "(0,1)"),
+    ("problem", "p"): ("2.0", float, "(1,inf)"),
+    ("problem", "horizon"): (None, float, "(0,inf)"),
+    ("problem", "modes"): (None, int, "[1,inf)"),
+    ("problem", "steps"): (None, int, "[2,inf)"),
+    ("problem", "u0"): ("", None, None),
+    ("problem", "v0"): ("", None, None),
+    ("problem", "nonlocal"): ("", None, None),
+    ("problem", "nonlinearity"): ("zero", None, None),
+    ("problem", "controls"): ("0", int, "[0,inf)"),
+    ("solver", "tol"): ("1e-8", float, "(0,inf)"),
+    ("solver", "max_iter"): ("80", int, "[1,inf)"),
+    ("solver", "quad_nodes"): (str(_DEFAULT_NODES), int, "[16,inf)"),
+    ("cost", "state_weight"): ("1.0", float, "[0,inf)"),
+    ("cost", "control_weight"): ("1.0", float, "[0,inf)"),
+    ("optimize", "budget"): ("60", int, "[1,inf)"),
+    ("optimize", "grad_tol"): ("1e-4", float, "(0,inf)"),
+    ("optimize", "fd_step"): ("1e-4", float, "(0,inf)"),
+    # at most the mode count too, which parse_config checks
+    ("optimize", "control_modes"): ("4", int, "[1,inf)"),
+    ("optimize", "radius"): ("1.0", float, "(0,inf)"),
+    ("optimize", "init"): ("zero", str, "{zero,random}"),
+    ("output", "directory"): ("out", None, None),
+    ("output", "seed"): ("0", int, "[0,inf)"),
 }
 
 
@@ -95,6 +97,16 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
     return value
+
+
+def _within(value, admissible: str) -> bool:
+    """Whether value lies in a range written as in _KEYS."""
+    if admissible[0] == "{":
+        return value in admissible[1:-1].split(",")
+    lo, _, hi = admissible[1:-1].partition(",")
+    lo, hi = float(lo), float(hi)
+    return ((lo < value if admissible[0] == "(" else lo <= value)
+            and (value < hi if admissible[-1] == ")" else value <= hi))
 
 
 def _parse_modes_list(text: str, mode_count: int, line: int) -> SpectralField:
@@ -173,117 +185,80 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
             raise ConfigError(f"duplicate key {key!r}", lineno)
         entries[(section, key)] = (value, lineno)
 
-    for (section, key), default in _KEYS.items():
-        if (section, key) in entries:
+    # every scalar key converted and checked against its range, at its line
+    values, line = {}, {}
+    for (section, key), (default, conv, admissible) in _KEYS.items():
+        if (section, key) not in entries:
+            if default is None:
+                raise ConfigError(f"missing required key {key!r} in section [{section}]")
+            # a defaulted key has no line to blame
+            entries[(section, key)] = (default, None)
+        given, line[key] = entries[(section, key)]
+        if conv is None:
+            values[key] = given  # a text key, parsed below
             continue
-        if default is None:
-            raise ConfigError(f"missing required key {key!r} in section [{section}]")
-        # a defaulted key has no line to blame
-        entries[(section, key)] = (default, None)
-
-    def get(section, key, conv, check=None, describe=""):
-        value, line = entries[(section, key)]
         try:
-            out = _number(value, conv)
+            value = _number(given, conv)
         except ValueError:
-            raise ConfigError(f"cannot parse {key}={value!r}", line) from None
-        if isinstance(out, float) and not math.isfinite(out):
-            raise ConfigError(f"{key}={value} is not finite", line)
-        if check is not None and not check(out):
-            raise ConfigError(f"{key}={value} out of {describe}", line)
-        return out, line
+            raise ConfigError(f"cannot parse {key}={given!r}", line[key]) from None
+        # inf and nan lie outside every range
+        if not _within(value, admissible):
+            raise ConfigError(f"{key}={given} out of {admissible}", line[key])
+        values[key] = value
 
-    alpha, a_line = get("problem", "alpha", float)
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"alpha out of (0,1]: {alpha}", a_line)
-    q, q_line = get("problem", "q", float)
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"q out of (0,1): {q}", q_line)
-    p, p_line = get("problem", "p", float)
-    if not p > 1.0:
-        raise ConfigError(f"p out of (1,inf): {p}", p_line)
-    horizon, horizon_line = get("problem", "horizon", float, lambda v: v > 0, "(0,inf)")
-    modes, _ = get("problem", "modes", int, lambda v: v >= 1, "[1,inf)")
-    steps, steps_line = get("problem", "steps", int, lambda v: v >= 2, "[2,inf)")
+    alpha, horizon, modes, steps = (values[k] for k in ("alpha", "horizon", "modes", "steps"))
     # below alpha = 1 every positive grid node, dt to horizon, has to lie in
-    # the psi rule's window; the semigroup serves any time
+    # the psi rule's window (the semigroup serves any time), and the rule is
+    # built now, so that too few nodes blame their line; the run reuses it
     if alpha < 1.0:
         if horizon > T_WINDOW[1]:
             raise ConfigError(f"horizon={horizon:g} exceeds the psi rule's window "
-                              f"{T_WINDOW} at alpha={alpha}", horizon_line)
+                              f"{T_WINDOW} at alpha={alpha}", line["horizon"])
         if horizon / steps < T_WINDOW[0]:
             raise ConfigError(f"horizon/steps={horizon / steps:g} falls below the psi "
-                              f"rule's window {T_WINDOW} at alpha={alpha}", steps_line)
-    controls, controls_line = get("problem", "controls", int, lambda v: v >= 0, "[0,inf)")
-
-    u0_text, u0_line = entries[("problem", "u0")]
-    v0_text, v0_line = entries[("problem", "v0")]
-    nl_text, nl_line = entries[("problem", "nonlocal")]
-    f_text, f_line = entries[("problem", "nonlinearity")]
+                              f"rule's window {T_WINDOW} at alpha={alpha}", line["steps"])
+        try:
+            psi_rule(alpha, values["quad_nodes"])
+        except ConstructionError as exc:
+            raise ConfigError(f"quad_nodes={values['quad_nodes']} is too few: {exc}",
+                              line["quad_nodes"]) from exc
 
     try:
         problem = ProblemSpec(
-            order=FracOrder(alpha, q=q, p=p),
+            order=FracOrder(alpha, q=values["q"], p=values["p"]),
             horizon=horizon, mode_count=modes, step_count=steps,
-            u0=_parse_modes_list(u0_text, modes, u0_line),
-            v0=_parse_modes_list(v0_text, modes, v0_line),
-            nonlocal_terms=_parse_nonlocal(nl_text, nl_line),
-            nonlinearity=_parse_nonlinearity(f_text, f_line),
-            control_count=controls)
-    except SobfracError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc), nl_line) from exc
+            u0=_parse_modes_list(values["u0"], modes, line["u0"]),
+            v0=_parse_modes_list(values["v0"], modes, line["v0"]),
+            nonlocal_terms=_parse_nonlocal(values["nonlocal"], line["nonlocal"]),
+            nonlinearity=_parse_nonlinearity(values["nonlinearity"], line["nonlinearity"]),
+            control_count=values["controls"])
+    except DomainError as exc:
+        raise ConfigError(str(exc), line["nonlocal"]) from exc
 
-    tol, _ = get("solver", "tol", float, lambda v: v > 0, "(0,inf)")
-    max_iter, _ = get("solver", "max_iter", int, lambda v: v >= 1, "[1,inf)")
-    quad_nodes, quad_line = get("solver", "quad_nodes", int, lambda v: v >= 16, "[16,inf)")
-    # build the psi rule now, so that too few nodes blame this line; the
-    # run reuses the cached rule.  Below ALPHA_FLOOR the run reports the
-    # rule's own refusal.
-    if ALPHA_FLOOR <= alpha < 1.0:
-        try:
-            psi_rule(alpha, quad_nodes)
-        except ConstructionError as exc:
-            raise ConfigError(
-                f"quad_nodes={quad_nodes} is too few for the psi rule at alpha={alpha} "
-                f"(halving defect {exc.achieved_defect:.3e} exceeds {HALVING_TOL:g})",
-                quad_line) from exc
-    state_w, state_line = get("cost", "state_weight", float, lambda v: v >= 0, "[0,inf)")
-    control_w, control_line = get("cost", "control_weight", float,
-                                  lambda v: v >= 0, "[0,inf)")
     try:
-        cost = CostSpec(state_w, control_w)
+        cost = CostSpec(values["state_weight"], values["control_weight"])
     except DomainError as exc:
         # only both weights given as 0 get here
-        raise ConfigError(str(exc), max(state_line, control_line)) from exc
-    budget, _ = get("optimize", "budget", int, lambda v: v >= 1, "[1,inf)")
-    grad_tol, _ = get("optimize", "grad_tol", float, lambda v: v > 0, "(0,inf)")
-    fd_step, _ = get("optimize", "fd_step", float, lambda v: v > 0, "(0,inf)")
-    if entries[("optimize", "control_modes")][1] is None:
+        raise ConfigError(str(exc), max(line["state_weight"], line["control_weight"])) from exc
+    if line["control_modes"] is None:
         # the default fits every mode count; a value given is checked as given
-        entries[("optimize", "control_modes")] = (str(min(4, modes)), None)
-    control_modes, _ = get("optimize", "control_modes", int,
-                           lambda v: 1 <= v <= modes, f"[1,{modes}]")
-    radius, _ = get("optimize", "radius", float, lambda v: v > 0, "(0,inf)")
-    init_kind, init_line = entries[("optimize", "init")]
-    init_kind = init_kind.strip()
-    if init_kind not in ("zero", "random"):
-        raise ConfigError(f"init must be zero or random, got {init_kind!r}", init_line)
-    out_dir, _ = entries[("output", "directory")]
-    seed, _ = get("output", "seed", int, lambda v: v >= 0, "[0,inf)")
-    if mode == "optimize" and controls < 1:
-        raise ConfigError("optimize mode requires problem.controls >= 1", controls_line)
+        values["control_modes"] = min(values["control_modes"], modes)
+        entries[("optimize", "control_modes")] = (str(values["control_modes"]), None)
+    elif values["control_modes"] > modes:
+        raise ConfigError(f"control_modes={values['control_modes']} out of [1,{modes}]",
+                          line["control_modes"])
+    if mode == "optimize" and values["controls"] < 1:
+        raise ConfigError("optimize mode requires problem.controls >= 1", line["controls"])
 
     echo = {f"{section}.{key}": entries[(section, key)][0]
             for section, key in sorted(entries)}
     echo["mode"] = mode
-    return RunConfig(mode=mode, problem=problem, solver_tol=tol,
-                     solver_max_iter=max_iter, quad_nodes=quad_nodes, cost=cost,
-                     budget=budget, grad_tol=grad_tol, fd_step=fd_step,
-                     control_modes=control_modes, radius=radius,
-                     init_kind=init_kind, out_dir=out_dir.strip() or "out",
-                     seed=seed, echo=echo)
+    return RunConfig(mode=mode, problem=problem, solver_tol=values["tol"],
+                     solver_max_iter=values["max_iter"], quad_nodes=values["quad_nodes"],
+                     cost=cost, budget=values["budget"], grad_tol=values["grad_tol"],
+                     fd_step=values["fd_step"], control_modes=values["control_modes"],
+                     radius=values["radius"], init_kind=values["init"],
+                     out_dir=values["directory"] or "out", seed=values["seed"], echo=echo)
 
 
 # time grids, and mode counts, whose CSV heads and labels one process keeps

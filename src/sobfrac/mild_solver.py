@@ -228,21 +228,20 @@ GRID_STATIC_MEMO = 8
 def _grid_static(alpha: float, q: float, mode_count: int, grid: TimeGrid,
                  node_count: int | None) -> tuple:
     """The sweep state that reads only the discretisation, read-only:
-    (lm, kappa, s_lm, feedback, kernel, kernel_spectrum, D, P, q_scale).
+    (kappa, s_lm, feedback, kernel_spectrum, D, P, q_scale).
 
     The key is what the state reads: node_count is the psi-rule size,
     None at alpha = 1, where no rule is built.  The multiplier table is
     built here for these modes, so an entry depends on its key alone.
     """
     cache = SolutionOperatorCache(FracOrder(alpha, q), mode_count, node_count)
-    lm = data_smoothing_symbol(mode_count)
     kappa = grid.nodes() ** (1.0 - alpha) / math.gamma(2.0 - alpha)
     # S rows at every node; the kernel's T rows at the lags d*dt, nodes 1..M
     s_table, t_table = cache.grid_table(grid)
-    s_lm = s_table * lm[None, :]
+    s_lm = s_table * data_smoothing_symbol(mode_count)[None, :]
     kernel = (power_increments(grid, alpha) / alpha)[:, None] * t_table[1:]
     n_x = default_collocation_size(mode_count)
-    arrays = (lm, kappa, s_lm, s_lm * kappa[:, None], kernel,
+    arrays = (kappa, s_lm, s_lm * kappa[:, None],
               np.fft.rfft(kernel, 2 * grid.step_count, axis=0),
               derivative_matrix(1, mode_count, n_x), projection_matrix(mode_count, n_x),
               q_weights(mode_count, q))
@@ -266,8 +265,8 @@ class _SweepWorkspace:
         self.spec = spec
         self.snaps = snap_nonlocal_indices(spec)
         # feedback is the trajectory's response to h
-        (self.lm, self.kappa, self.s_lm, self.feedback, self.kernel,
-         self.kernel_spectrum, self.D, self.P, self.q_scale) = _grid_static(
+        (self.kappa, self.s_lm, self.feedback, self.kernel_spectrum,
+         self.D, self.P, self.q_scale) = _grid_static(
             spec.order.alpha, spec.order.q, spec.mode_count, spec.grid,
             node_count if spec.order.alpha < 1.0 else None)
         # the data term without h

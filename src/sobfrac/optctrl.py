@@ -242,7 +242,6 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
             gamma *= 0.5
         if not accepted:
             # no admissible descent step left at this gradient resolution
-            log.converged = stationarity <= grad_tol
             break
         prev_x, prev_grad = x, grad
         x, j_cur, traj_cur = xn, jn, traj_n

@@ -216,8 +216,33 @@ class TestParseConfig:
         text = MINIMAL.replace("alpha = 0.8", "alpha = 1.5")
         with pytest.raises(ConfigError) as err:
             parse_config(text)
-        assert "alpha out of (0,1]" in str(err.value)
+        assert "alpha=1.5 out of (0,1]" in str(err.value)
         assert err.value.line == 3
+
+    # a value just outside each numeric key's range; control_modes is
+    # also bounded by MINIMAL's 8 modes
+    JUST_OUTSIDE = {
+        "alpha": ("0", "1.0000000000000002"), "q": ("0", "1"), "p": ("1",),
+        "horizon": ("0",), "modes": ("0",), "steps": ("1",), "controls": ("-1",),
+        "tol": ("0",), "max_iter": ("0",), "quad_nodes": ("15",),
+        "state_weight": ("-5e-324",), "control_weight": ("-5e-324",),
+        "budget": ("0",), "grad_tol": ("0",), "fd_step": ("0",),
+        "control_modes": ("0", "9"), "radius": ("0",), "seed": ("-1",),
+    }
+
+    @pytest.mark.parametrize("section, key", [
+        entry for entry, (_, conv, _) in cli._KEYS.items() if conv in (int, float)])
+    def test_numeric_key_refuses_just_outside_its_range(self, section, key):
+        for bad in self.JUST_OUTSIDE[key]:
+            given = f"{key} = {bad}"
+            if re.search(rf"^{key} = ", MINIMAL, re.M):
+                text = re.sub(rf"^{key} = .*$", given, MINIMAL, flags=re.M)
+            else:
+                text = MINIMAL + f"[{section}]\n{given}\n"
+            with pytest.raises(ConfigError) as err:
+                parse_config(text, mode="solve")
+            assert err.value.line == text.splitlines().index(given) + 1, bad
+            assert f"{key}={bad} out of " in str(err.value)
 
     def test_unknown_key_with_line(self):
         with pytest.raises(ConfigError) as err:
@@ -416,7 +441,7 @@ class TestReadmeConfig:
                 else:
                     default = shown
                 stated[(section, key)] = default
-        assert stated == cli._KEYS
+        assert stated == {entry: default for entry, (default, _, _) in cli._KEYS.items()}
 
     def test_solve_and_optimize_bytes_cold_and_warm(self, tmp_path):
         # the second run of each mode reads the memoized grid state, time
@@ -524,16 +549,26 @@ class TestSolveMode:
         assert solve["converged"]
         assert solve["nonlocal_denominator_min"] > 1.0
 
-    def test_alpha_below_floor_reports_typed_error(self, tmp_path):
-        # the 200-node psi rule refuses below its floor; p keeps the
-        # exponent condition p alpha (1 - q) > 1
-        text = (MINIMAL.replace("alpha = 0.8", "alpha = 0.01\np = 200.0")
-                + f"\n[output]\ndirectory = {tmp_path}\n")
-        assert run(parse_config(text, mode="solve")) == 1
-        report = strict_json(tmp_path / "report.json")
-        assert report["error"]["type"] == "ConstructionError"
-        assert "alpha=0.01" in report["error"]["message"]
-        assert f"alpha >= {solution_ops.ALPHA_FLOOR}" in report["error"]["message"]
+    def test_alpha_below_floor_needs_more_quad_nodes(self, tmp_path, capsys):
+        # the default 200-node psi rule serves alpha >= ALPHA_FLOOR; below
+        # it, too few nodes are refused at parse, and enough nodes solve
+        text = MINIMAL.replace("alpha = 0.8", "alpha = 0.01")
+        cfg_path, out = tmp_path / "run.cfg", tmp_path / "out"
+        argv = ["solve", "--config", str(cfg_path), "--out", str(out)]
+        cfg_path.write_text(text)
+        assert main(argv) == 2
+        # the defaulted key has no line to blame
+        assert capsys.readouterr().err.startswith("error: quad_nodes=200 is too few: ")
+        assert not out.exists()
+        cfg_path.write_text(text + "[solver]\nquad_nodes = 300\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: line 9: quad_nodes=300 is too few")
+        assert not out.exists()
+        cfg_path.write_text(text + "[solver]\nquad_nodes = 400\n")
+        assert main(argv) == 0
+        report = strict_json(out / "report.json")
+        assert report["solve"]["converged"]
+        assert report["multiplier_rule"]["nodes"] == 400
 
     def test_alpha_near_one_solves(self, tmp_path):
         # the theta rule refused alpha >= 0.938; the psi rule serves it

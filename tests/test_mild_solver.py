@@ -8,7 +8,7 @@ import pytest
 
 from sobfrac.errors import (DomainError, NonConvergenceError,
                             RejectedInstanceError)
-from sobfrac.fracops import TimeGrid
+from sobfrac.fracops import TimeGrid, power_increments
 from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
                                  ProblemSpec, SolveReport, Trajectory,
                                  _SweepWorkspace, _control_forcing, _grid_static,
@@ -223,14 +223,18 @@ class TestControlForcing:
 
 def reference_sweep(spec, ws, coeffs, ctrl_forcing):
     """The sweep with per-node eval_f and a direct causal convolution: the
-    slow reference for the batched collocation transforms and the FFT."""
+    slow reference for the batched collocation transforms and the FFT.
+    The kernel is rebuilt from the cell increments and the T rows."""
+    alpha = spec.order.alpha
+    _, t_table = SolutionOperatorCache(spec.order, spec.mode_count).grid_table(spec.grid)
+    kernel = (power_increments(spec.grid, alpha) / alpha)[:, None] * t_table[1:]
     h = sum(c * coeffs[idx] for c, idx, _ in ws.snaps)
     out = ws.s_lm * (spec.v0.coeffs + ws.kappa[:, None] * (spec.u0.coeffs + h))
     forcing = ctrl_forcing + np.array(
         [eval_f(spec, t, SpectralField(row)).coeffs
          for t, row in zip(spec.grid.nodes(), coeffs)])
     for n in range(spec.mode_count):
-        out[1:, n] += np.convolve(ws.kernel[:, n], forcing[:-1, n])[:spec.step_count]
+        out[1:, n] += np.convolve(kernel[:, n], forcing[:-1, n])[:spec.step_count]
     return out
 
 
@@ -446,8 +450,7 @@ class TestNonlocalElimination:
 class TestGridStaticMemo:
     """The grid-static sweep state is built once per discretisation."""
 
-    STATIC = ("lm", "kappa", "s_lm", "feedback", "kernel", "kernel_spectrum",
-              "D", "P", "q_scale")
+    STATIC = ("kappa", "s_lm", "feedback", "kernel_spectrum", "D", "P", "q_scale")
 
     def test_memoized_arrays_are_read_only_and_shared(self):
         spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),))
