@@ -207,17 +207,20 @@ def _control_forcing_adjoint(spec: ProblemSpec, grad_forcing: np.ndarray) -> np.
     return spec.grid.dt * np.cumsum(grad_forcing[:0:-1], axis=0)[::-1]
 
 
-def fftconvolve(kernel_spectrum: np.ndarray, signal: np.ndarray, n: int) -> np.ndarray:
+def fftconvolve(kernel_spectrum: np.ndarray, signal: np.ndarray,
+                spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
     """First len(signal) rows of the causal convolution of a kernel with
-    signal along axis 0, per column.
+    signal along axis 0, per column, as a view of out.
 
-    kernel_spectrum is the kernel's length-n rFFT along axis 0; n is at
-    least the kernel length plus len(signal) - 1, so the circular product
-    does not wrap around.
+    kernel_spectrum is the kernel's length-n rFFT along axis 0, with n =
+    len(out) at least the kernel length plus len(signal) - 1, so the
+    circular product does not wrap around; spectrum (n // 2 + 1 rows,
+    complex) and out are overwritten.
     """
-    rows = signal.shape[0]
-    return np.fft.irfft(kernel_spectrum * np.fft.rfft(signal, n, axis=0),
-                        n, axis=0)[:rows]
+    n = out.shape[0]
+    np.fft.rfft(signal, n, axis=0, out=spectrum)
+    np.multiply(kernel_spectrum, spectrum, out=spectrum)
+    return np.fft.irfft(spectrum, n, axis=0, out=out)[:signal.shape[0]]
 
 
 # discretisations whose grid-static sweep state one process keeps
@@ -259,6 +262,13 @@ class _SweepWorkspace:
     derivative on the collocation grid (n_x x N), P maps collocation
     values back to coefficients (N x n_x); the forward sweep and its
     adjoint both go through them.
+
+    The workspace owns the scratch its sweeps write, allocated once: the
+    collocation values and the forcing (when f != 0) and the FFT's
+    spectrum and output.  So it serves one solve at a time and is not
+    shared between threads.  sweep and adjoint_sweep return fresh
+    arrays; correlate returns a view of the FFT output, valid until the
+    next convolution.
     """
 
     def __init__(self, spec: ProblemSpec, node_count: int = _DEFAULT_NODES):
@@ -277,7 +287,12 @@ class _SweepWorkspace:
         # d_n = 1 + sum c |s_lm kappa|_n(t_eta) >= 1: the division by it
         # needs no guard.
         self.denominator = 1.0 - self.nonlocal_sum(self.feedback)
-        self.nfft = 2 * spec.step_count
+        m, n_modes = spec.step_count, spec.mode_count
+        if spec.nonlinearity.gain != 0.0:
+            self.colloc = np.empty((m, self.D.shape[0]))
+            self.forcing = np.empty((m, n_modes))
+        self.spectrum = np.empty((m + 1, n_modes), dtype=complex)
+        self.convolved = np.empty((2 * m, n_modes))
 
     def nonlocal_sum(self, coeffs: np.ndarray) -> np.ndarray:
         """h = sum c_eta coeffs(t_eta), per mode."""
@@ -290,15 +305,19 @@ class _SweepWorkspace:
         """The solution map at coeffs without its h term: the data term
         S(t) [smoothing] (v0 + kappa u0) plus the kernel convolution of
         the forcing."""
-        spec = self.spec
         out = self.data.copy()
         # the last node's forcing never enters the convolution
         forcing = ctrl_forcing[:-1]
-        nl = spec.nonlinearity
-        if nl.gain != 0.0:
-            forcing = forcing + (nl.gain * np.sin(coeffs[:-1] @ self.D.T)) @ self.P.T
+        gain = self.spec.nonlinearity.gain
+        if gain != 0.0:
+            colloc = np.matmul(coeffs[:-1], self.D.T, out=self.colloc)
+            np.sin(colloc, out=colloc)
+            colloc *= gain
+            forcing = np.matmul(colloc, self.P.T, out=self.forcing)
+            forcing += ctrl_forcing[:-1]
         if np.any(forcing):
-            out[1:] += fftconvolve(self.kernel_spectrum, forcing, self.nfft)
+            out[1:] += fftconvolve(self.kernel_spectrum, forcing, self.spectrum,
+                                   self.convolved)
         return out
 
     def sweep(self, coeffs: np.ndarray, ctrl_forcing: np.ndarray) -> np.ndarray:
@@ -312,10 +331,13 @@ class _SweepWorkspace:
 
     def slope(self, coeffs: np.ndarray) -> np.ndarray | None:
         """f' on the collocation grid at nodes 0..M-1 (None when f = 0)."""
-        nl = self.spec.nonlinearity
-        if nl.gain == 0.0:
+        gain = self.spec.nonlinearity.gain
+        if gain == 0.0:
             return None
-        return nl.gain * np.cos(coeffs[:-1] @ self.D.T)
+        slope = coeffs[:-1] @ self.D.T
+        np.cos(slope, out=slope)
+        slope *= gain
+        return slope
 
     def adjoint_sweep(self, lam: np.ndarray, source: np.ndarray,
                       slope: np.ndarray | None) -> np.ndarray:
@@ -324,7 +346,9 @@ class _SweepWorkspace:
         added at each nonlocal node with its weight c."""
         out = source.copy()
         if slope is not None:
-            out[:-1] += ((self.correlate(lam) @ self.P) * slope) @ self.D
+            colloc = np.matmul(self.correlate(lam), self.P, out=self.colloc)
+            colloc *= slope
+            out[:-1] += np.matmul(colloc, self.D, out=self.forcing)
         if self.snaps:
             g = np.sum(self.feedback * out, axis=0) / self.denominator
             for c, idx, _ in self.snaps:
@@ -333,8 +357,10 @@ class _SweepWorkspace:
 
     def correlate(self, lam: np.ndarray) -> np.ndarray:
         """Transpose of the sweep's convolution: forcing rows 0..M-1 from
-        trajectory rows 0..M (anti-causal, through the same spectrum)."""
-        return fftconvolve(self.kernel_spectrum, lam[:0:-1], self.nfft)[::-1]
+        trajectory rows 0..M (anti-causal, through the same spectrum); a
+        view of the FFT output."""
+        return fftconvolve(self.kernel_spectrum, lam[:0:-1], self.spectrum,
+                           self.convolved)[::-1]
 
     def initial(self) -> np.ndarray:
         return self.s_lm * self.spec.v0.coeffs[None, :]

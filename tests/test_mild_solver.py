@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from sobfrac.fracops import TimeGrid, power_increments
 from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
                                  ProblemSpec, SolveReport, Trajectory,
                                  _SweepWorkspace, _control_forcing, _grid_static,
-                                 _control_forcing_adjoint, _fixed_point,
+                                 _control_forcing_adjoint, _finite, _fixed_point,
                                  adjoint_solve, apply_P, eval_f, picard_solve)
-from sobfrac.optctrl import ControlBundle
+from sobfrac.optctrl import ControlBundle, CostSpec, adjoint_gradient
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import FracOrder, gamma, mittag_leffler
 from sobfrac.spectral import (SpectralField, apply_Bi, grid_to_field, norm_q,
@@ -253,6 +254,157 @@ class TestBatchedSweep:
             got = apply_P(spec, cache16, Trajectory(spec.grid, coeffs), controls)
             want = reference_sweep(spec, ws, coeffs, ctrl_forcing)
             assert np.max(np.abs(got.coeffs - want)) <= 1e-14
+
+
+def allocating_fftconvolve(kernel_spectrum, signal):
+    """The convolution with every step in a fresh array."""
+    n = 2 * (kernel_spectrum.shape[0] - 1)
+    return np.fft.irfft(kernel_spectrum * np.fft.rfft(signal, n, axis=0),
+                        n, axis=0)[:signal.shape[0]]
+
+
+class AllocatingWorkspace(_SweepWorkspace):
+    """The sweeps as allocating expressions, with no scratch reused: the
+    bit-for-bit oracle for the workspace's buffers, which keep every
+    operand and its order."""
+
+    def response(self, coeffs, ctrl_forcing):
+        out = self.data.copy()
+        forcing = ctrl_forcing[:-1]
+        gain = self.spec.nonlinearity.gain
+        if gain != 0.0:
+            forcing = forcing + (gain * np.sin(coeffs[:-1] @ self.D.T)) @ self.P.T
+        if np.any(forcing):
+            out[1:] += allocating_fftconvolve(self.kernel_spectrum, forcing)
+        return out
+
+    def slope(self, coeffs):
+        gain = self.spec.nonlinearity.gain
+        return None if gain == 0.0 else gain * np.cos(coeffs[:-1] @ self.D.T)
+
+    def adjoint_sweep(self, lam, source, slope):
+        out = source.copy()
+        if slope is not None:
+            out[:-1] += ((self.correlate(lam) @ self.P) * slope) @ self.D
+        if self.snaps:
+            g = np.sum(self.feedback * out, axis=0) / self.denominator
+            for c, idx, _ in self.snaps:
+                out[idx] += c * g
+        return _finite(out)
+
+    def correlate(self, lam):
+        return allocating_fftconvolve(self.kernel_spectrum, lam[:0:-1])[::-1]
+
+
+def allocating_apply_P(spec, coeffs, controls):
+    ws = AllocatingWorkspace(spec)
+    out = ws.response(coeffs, _control_forcing(spec, controls))
+    out += ws.feedback * ws.nonlocal_sum(coeffs)
+    return _finite(out)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def allocation_peak(call) -> int:
+    """tracemalloc peak, in bytes, of a call beyond what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def readme_spec(**kw):
+    return make_spec(nonlocal_terms=((0.3, 0.5),), nonlinearity=Nonlinearity(0.1), **kw)
+
+
+def random_controls(spec, seed):
+    rng = np.random.default_rng(seed)
+    return ControlBundle(0.1 * rng.standard_normal((spec.control_count, spec.step_count, 4)),
+                         spec.grid)
+
+
+class TestScratchBuffers:
+    """The workspace's sweeps write into buffers it owns and give the
+    allocating expressions' results bit for bit."""
+
+    # one block of the README collocation grid, 512 x 64 doubles
+    BLOCK = 512 * 64 * 8
+
+    @pytest.mark.parametrize("spec", [
+        readme_spec(control_count=2),
+        readme_spec(),
+        make_spec(alpha=1.0, n=8, m=64, nonlocal_terms=((0.3, 0.5),),
+                  nonlinearity=Nonlinearity(0.1), control_count=2),
+        # f = 0 with controls: the convolution optimize_linear runs
+        make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),), control_count=2),
+    ], ids=["readme_controls", "readme", "alpha_one", "linear_controls"])
+    def test_matches_allocating_oracle_bitwise(self, spec):
+        controls = random_controls(spec, 1) if spec.control_count else None
+        ctrl_forcing = _control_forcing(spec, controls)
+        ws, oracle = _SweepWorkspace(spec), AllocatingWorkspace(spec)
+        rng = np.random.default_rng(2)
+        # two iterates in a row on one workspace: a stale buffer would show
+        for _ in range(2):
+            coeffs = rng.standard_normal((spec.step_count + 1, spec.mode_count))
+            lam = rng.standard_normal(coeffs.shape)
+            assert_same_bits(ws.sweep(coeffs, ctrl_forcing),
+                             oracle.sweep(coeffs, ctrl_forcing))
+            assert_same_bits(apply_P(spec, None, Trajectory(spec.grid, coeffs),
+                                     controls).coeffs,
+                             allocating_apply_P(spec, coeffs, controls))
+            slope = ws.slope(coeffs)
+            if slope is not None:
+                assert_same_bits(slope, oracle.slope(coeffs))
+            assert_same_bits(ws.adjoint_sweep(lam, coeffs, slope),
+                             oracle.adjoint_sweep(lam, coeffs, slope))
+            assert_same_bits(ws.correlate(lam), oracle.correlate(lam))
+
+    def test_results_do_not_alias_scratch(self):
+        spec = readme_spec(control_count=2)
+        ws = _SweepWorkspace(spec)
+        ctrl_forcing = _control_forcing(spec, random_controls(spec, 3))
+        rng = np.random.default_rng(4)
+        first, second = (rng.standard_normal((513, 16)) for _ in range(2))
+        swept = ws.sweep(first, ctrl_forcing)
+        slope = ws.slope(first)
+        adjoint = ws.adjoint_sweep(first, first, slope)
+        kept = [arr.copy() for arr in (swept, slope, adjoint)]
+        ws.sweep(second, ctrl_forcing)
+        ws.adjoint_sweep(second, second, ws.slope(second))
+        for arr, want in zip((swept, slope, adjoint), kept):
+            assert np.array_equal(arr, want)
+
+    def test_warm_sweeps_allocate_less_than_one_block(self):
+        # allocating every step, the sweep peaked at 576 KiB and the
+        # adjoint sweep at 449 KiB: D u, sin and the gain product were
+        # each a fresh block
+        spec = readme_spec(control_count=2)
+        ws = _SweepWorkspace(spec)
+        ctrl_forcing = _control_forcing(spec, random_controls(spec, 5))
+        coeffs = np.random.default_rng(6).standard_normal((513, 16))
+        slope = ws.slope(coeffs)
+        ws.sweep(coeffs, ctrl_forcing)
+        ws.adjoint_sweep(coeffs, coeffs, slope)
+        assert allocation_peak(lambda: ws.sweep(coeffs, ctrl_forcing)) < self.BLOCK
+        assert allocation_peak(lambda: ws.adjoint_sweep(coeffs, coeffs, slope)) < self.BLOCK
+
+    def test_readme_adjoint_gradient_matches_oracle_bitwise(self):
+        # the README optimize config: 2 controls of 4 modes on 16 modes
+        spec = readme_spec(control_count=2)
+        controls = random_controls(spec, 7)
+        grads = []
+        for ws in (_SweepWorkspace(spec), AllocatingWorkspace(spec)):
+            traj, _ = picard_solve(spec, controls=controls, workspace=ws)
+            grads.append((traj.coeffs,
+                          adjoint_gradient(CostSpec(), controls.cells, traj, ws)))
+        for got, want in zip(*grads):
+            assert_same_bits(got, want)
 
 
 class TestPicardSolve:
