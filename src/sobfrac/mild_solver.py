@@ -228,28 +228,45 @@ GRID_STATIC_MEMO = 8
 
 
 @functools.lru_cache(maxsize=GRID_STATIC_MEMO)
+def _mode_maps(mode_count: int, q: float) -> tuple:
+    """The maps that read only the modes, read-only and shared by every
+    discretisation: (smoothing symbol, D, P, q-weights)."""
+    n_x = default_collocation_size(mode_count)
+    arrays = (data_smoothing_symbol(mode_count), derivative_matrix(1, mode_count, n_x),
+              projection_matrix(mode_count, n_x), q_weights(mode_count, q))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=GRID_STATIC_MEMO)
 def _grid_static(alpha: float, q: float, mode_count: int, grid: TimeGrid,
-                 node_count: int | None) -> tuple:
+                 node_count: int | None, forced: bool) -> tuple:
     """The sweep state that reads only the discretisation, read-only:
     (kappa, s_lm, feedback, kernel_spectrum, D, P, q_scale).
 
     The key is what the state reads: node_count is the psi-rule size,
-    None at alpha = 1, where no rule is built.  The multiplier table is
-    built here for these modes, so an entry depends on its key alone.
+    None at alpha = 1, where no rule is built, and forced says whether
+    the kernel is read.  Without it only the S rows are built, and
+    kernel_spectrum is None.  The multiplier table is built here for
+    these modes, so an entry depends on its key alone.
     """
     cache = SolutionOperatorCache(FracOrder(alpha, q), mode_count, node_count)
+    smoothing, D, P, q_scale = _mode_maps(mode_count, q)
     kappa = grid.nodes() ** (1.0 - alpha) / math.gamma(2.0 - alpha)
-    # S rows at every node; the kernel's T rows at the lags d*dt, nodes 1..M
-    s_table, t_table = cache.grid_table(grid)
-    s_lm = s_table * data_smoothing_symbol(mode_count)[None, :]
-    kernel = (power_increments(grid, alpha) / alpha)[:, None] * t_table[1:]
-    n_x = default_collocation_size(mode_count)
-    arrays = (kappa, s_lm, s_lm * kappa[:, None],
-              np.fft.rfft(kernel, 2 * grid.step_count, axis=0),
-              derivative_matrix(1, mode_count, n_x), projection_matrix(mode_count, n_x),
-              q_weights(mode_count, q))
+    kernel_spectrum = None
+    if forced:
+        # S rows at every node; the kernel's T rows at the lags d*dt, nodes 1..M
+        s_table, t_table = cache.grid_table(grid)
+        kernel = (power_increments(grid, alpha) / alpha)[:, None] * t_table[1:]
+        kernel_spectrum = np.fft.rfft(kernel, 2 * grid.step_count, axis=0)
+    else:
+        s_table, _ = cache.grid_table(grid, t_rows=False)
+    s_lm = s_table * smoothing[None, :]
+    arrays = (kappa, s_lm, s_lm * kappa[:, None], kernel_spectrum, D, P, q_scale)
     for arr in arrays:
-        arr.setflags(write=False)
+        if arr is not None:
+            arr.setflags(write=False)
     return arrays
 
 
@@ -258,27 +275,32 @@ class _SweepWorkspace:
 
     The grid-static arrays come from _grid_static, built once per
     discretisation; the nonlocal snaps, the denominators and the data
-    term are built per workspace.  D maps coefficients to the first
-    derivative on the collocation grid (n_x x N), P maps collocation
-    values back to coefficients (N x n_x); the forward sweep and its
-    adjoint both go through them.
+    term are built per workspace.  Whether the kernel is built is decided
+    here, from the problem: a forcing (f != 0 or declared controls) reads
+    it, a linear uncontrolled problem does not, and a forcing the problem
+    does not declare fetches it when first met.  D maps coefficients to
+    the first derivative on the collocation grid (n_x x N), P maps
+    collocation values back to coefficients (N x n_x); the forward sweep
+    and its adjoint both go through them.
 
-    The workspace owns the scratch its sweeps write, allocated once: the
-    collocation values and the forcing (when f != 0) and the FFT's
-    spectrum and output.  So it serves one solve at a time and is not
-    shared between threads.  sweep and adjoint_sweep return fresh
-    arrays; correlate returns a view of the FFT output, valid until the
-    next convolution.
+    The workspace owns the scratch its sweeps write, allocated once: an
+    (M+1) x N block for the h elimination, its transpose, the finiteness
+    check and the residual; the collocation values and the forcing (when
+    f != 0); and the FFT's spectrum and output.  So it serves one solve
+    at a time and is not shared between threads.  sweep and
+    adjoint_sweep return fresh arrays; correlate returns a view of the
+    FFT output, valid until the next convolution.
     """
 
     def __init__(self, spec: ProblemSpec, node_count: int = _DEFAULT_NODES):
         self.spec = spec
         self.snaps = snap_nonlocal_indices(spec)
+        self._key = (spec.order.alpha, spec.order.q, spec.mode_count, spec.grid,
+                     node_count if spec.order.alpha < 1.0 else None)
+        forced = spec.nonlinearity.gain != 0.0 or spec.control_count > 0
         # feedback is the trajectory's response to h
         (self.kappa, self.s_lm, self.feedback, self.kernel_spectrum,
-         self.D, self.P, self.q_scale) = _grid_static(
-            spec.order.alpha, spec.order.q, spec.mode_count, spec.grid,
-            node_count if spec.order.alpha < 1.0 else None)
+         self.D, self.P, self.q_scale) = _grid_static(*self._key, forced)
         # the data term without h
         self.data = self.s_lm * (spec.v0.coeffs[None, :]
                                  + self.kappa[:, None] * spec.u0.coeffs[None, :])
@@ -288,6 +310,10 @@ class _SweepWorkspace:
         # needs no guard.
         self.denominator = 1.0 - self.nonlocal_sum(self.feedback)
         m, n_modes = spec.step_count, spec.mode_count
+        self.scratch = np.empty((m + 1, n_modes))
+        # the finiteness mask, a bool view of the scratch block's first bytes
+        self.mask = self.scratch.reshape(-1).view(bool)[:self.scratch.size].reshape(
+            self.scratch.shape)
         if spec.nonlinearity.gain != 0.0:
             self.colloc = np.empty((m, self.D.shape[0]))
             self.forcing = np.empty((m, n_modes))
@@ -316,9 +342,17 @@ class _SweepWorkspace:
             forcing = np.matmul(colloc, self.P.T, out=self.forcing)
             forcing += ctrl_forcing[:-1]
         if np.any(forcing):
-            out[1:] += fftconvolve(self.kernel_spectrum, forcing, self.spectrum,
-                                   self.convolved)
+            out[1:] += self.convolve(forcing)
         return out
+
+    def convolve(self, signal: np.ndarray) -> np.ndarray:
+        """fftconvolve with the kernel, a view of the FFT output.  A
+        workspace built without the kernel (a forcing its problem does not
+        declare, such as a control bundle on a spec with control_count 0)
+        fetches it here, from the forced entry of the same discretisation."""
+        if self.kernel_spectrum is None:
+            self.kernel_spectrum = _grid_static(*self._key, True)[3]
+        return fftconvolve(self.kernel_spectrum, signal, self.spectrum, self.convolved)
 
     def sweep(self, coeffs: np.ndarray, ctrl_forcing: np.ndarray) -> np.ndarray:
         """The solution map at coeffs with h eliminated: the response r
@@ -326,8 +360,10 @@ class _SweepWorkspace:
         h = sum c (r + s_lm kappa h)(t_eta) mode by mode."""
         out = self.response(coeffs, ctrl_forcing)
         if self.snaps:
-            out += self.feedback * (self.nonlocal_sum(out) / self.denominator)
-        return _finite(out)
+            h = self.nonlocal_sum(out)
+            h /= self.denominator
+            out += np.multiply(self.feedback, h, out=self.scratch)
+        return self.finite(out)
 
     def slope(self, coeffs: np.ndarray) -> np.ndarray | None:
         """f' on the collocation grid at nodes 0..M-1 (None when f = 0)."""
@@ -350,31 +386,38 @@ class _SweepWorkspace:
             colloc *= slope
             out[:-1] += np.matmul(colloc, self.D, out=self.forcing)
         if self.snaps:
-            g = np.sum(self.feedback * out, axis=0) / self.denominator
+            g = np.sum(np.multiply(self.feedback, out, out=self.scratch), axis=0)
+            g /= self.denominator
             for c, idx, _ in self.snaps:
                 out[idx] += c * g
-        return _finite(out)
+        return self.finite(out)
 
     def correlate(self, lam: np.ndarray) -> np.ndarray:
         """Transpose of the sweep's convolution: forcing rows 0..M-1 from
         trajectory rows 0..M (anti-causal, through the same spectrum); a
         view of the FFT output."""
-        return fftconvolve(self.kernel_spectrum, lam[:0:-1], self.spectrum,
-                           self.convolved)[::-1]
+        return self.convolve(lam[:0:-1])[::-1]
 
     def initial(self) -> np.ndarray:
         return self.s_lm * self.spec.v0.coeffs[None, :]
 
     def residual(self, new: np.ndarray, old: np.ndarray) -> float:
-        return float(np.max(np.linalg.norm((new - old) * self.q_scale[None, :],
-                                           axis=1)))
+        """Sup over nodes of the q-norm of new - old.  sqrt is monotone and
+        correctly rounded, so the square root of the largest row sum is
+        the largest row norm bit for bit."""
+        diff = np.subtract(new, old, out=self.scratch)
+        diff *= self.q_scale
+        diff *= diff
+        return math.sqrt(float(np.max(np.sum(diff, axis=1))))
 
-
-def _finite(out: np.ndarray) -> np.ndarray:
-    bad = ~np.all(np.isfinite(out), axis=1)
-    if np.any(bad):
-        raise EvaluationError(f"non-finite trajectory value at node {int(np.argmax(bad))}")
-    return out
+    def finite(self, out: np.ndarray) -> np.ndarray:
+        """out, or EvaluationError naming its first node with a nan or an
+        infinity; the mask is written into the scratch block."""
+        ok = np.isfinite(out, out=self.mask)
+        if not ok.all():
+            node = int(np.argmin(ok.all(axis=1)))
+            raise EvaluationError(f"non-finite trajectory value at node {node}")
+        return out
 
 
 def apply_P(spec: ProblemSpec, cache: SolutionOperatorCache, u_traj: Trajectory,
@@ -386,7 +429,7 @@ def apply_P(spec: ProblemSpec, cache: SolutionOperatorCache, u_traj: Trajectory,
     coeffs = u_traj.coeffs
     out = ws.response(coeffs, _control_forcing(spec, controls))
     out += ws.feedback * ws.nonlocal_sum(coeffs)
-    return Trajectory(spec.grid, _finite(out))
+    return Trajectory(spec.grid, ws.finite(out))
 
 
 def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,

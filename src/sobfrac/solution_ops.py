@@ -236,8 +236,11 @@ class SolutionOperatorCache:
         t_table[zero] = self._linv / gamma(self.order.alpha)
         return s_table, t_table
 
-    def grid_table(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-        """multiplier_table(grid.nodes()), one matrix product per mode.
+    def grid_table(self, grid: TimeGrid,
+                   t_rows: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """multiplier_table(grid.nodes()), one matrix product per mode;
+        with t_rows False the T half is skipped and None stands for it,
+        the S rows unchanged bit for bit.
 
         On the grid t_m = m dt, and with m = b B + j (B = isqrt(M) + 1)
         exp(-t_m r g_k) = exp(-b B dt r g_k) exp(-j dt r g_k).  So a mode's
@@ -254,7 +257,7 @@ class SolutionOperatorCache:
         floors them.  Agrees with multiplier_table within 3e-15 relative.
         """
         if self.rule is None:
-            return self._semigroup_table(grid.nodes())
+            return self._semigroup_table(grid.nodes(), t_rows)
         if grid.dt < T_WINDOW[0] or grid.horizon > T_WINDOW[1]:
             raise DomainError(f"grid dt={grid.dt}, horizon={grid.horizon} leaves the "
                               f"psi rule's window {T_WINDOW}")
@@ -288,7 +291,10 @@ class SolutionOperatorCache:
         np.power(t_power, 1.0 - alpha, out=t_power)
         t_scale = self._linv * self._rate ** (1.0 - alpha)
         s_table = np.empty((rows, self.mode_count))
-        t_table = np.empty((rows, self.mode_count))
+        t_table = np.empty((rows, self.mode_count)) if t_rows else None
+        halves = [(s_table, expo[0:2], s_cols)]
+        if t_rows:
+            halves.append((t_table, expo[1:3], t_cols))
         for n, (rate, k0) in enumerate(zip(self._rate, kept)):
             np.multiply(nodes[k0:], -rate, out=expo[1, k0:])
             right = right_buf[:(size - k0) * block].reshape(size - k0, block)
@@ -296,8 +302,7 @@ class SolutionOperatorCache:
             np.maximum(right, floor, out=right)
             np.exp(right, out=right)
             left = left_buf[:blocks * (size - k0)].reshape(blocks, size - k0)
-            for table, exp_rows, cols in ((s_table, expo[0:2], s_cols),
-                                          (t_table, expo[1:3], t_cols)):
+            for table, exp_rows, cols in halves:
                 np.matmul(cols, exp_rows[:, k0:], out=left)
                 np.maximum(left, floor, out=left)
                 np.exp(left, out=left)
@@ -308,13 +313,15 @@ class SolutionOperatorCache:
                     np.multiply(column, t_power, out=column)
                     np.multiply(column, t_scale[n], out=table[:, n])
         s_table[0] = self._linv
-        t_table[0] = self._linv / gamma(alpha)
+        if t_rows:
+            t_table[0] = self._linv / gamma(alpha)
         return s_table, t_table
 
-    def _semigroup_table(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _semigroup_table(self, ts: np.ndarray,
+                         t_rows: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         # alpha = 1: S(t) = T(t) = L^-1 exp(-lambda t), at any t >= 0
         decay = np.exp(-self._lam[None, :] * ts[:, None])
-        return self._linv * decay, self._linv * decay
+        return self._linv * decay, self._linv * decay if t_rows else None
 
     def multiplier_rows(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(s_row, t_row) over all modes at time t."""

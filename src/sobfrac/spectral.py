@@ -8,6 +8,7 @@ taken of the negated generator, whose spectrum is positive.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -163,8 +164,10 @@ class BoundConstants:
                 raise DomainError(f"{name} must be positive and finite, got {v}")
 
 
+@functools.lru_cache(maxsize=64)
 def measure_bounds(mode_count: int, q: float = 0.25) -> BoundConstants:
-    """C1, C2, M0 and Mq over the first mode_count modes, in closed form.
+    """C1, C2, M0 and Mq over the first mode_count modes, in closed form,
+    built once per (mode_count, q) per process: the constants are frozen.
 
     C1 = max_n 1/(1+n^2) = 1/2 and C2 = N^2.  M0 = sup_t ||Q(t)|| is 1:
     every symbol exp(-lambda_n t) lies in (0, 1] for t >= 0 and equals 1

@@ -103,6 +103,39 @@ def test_traced_solve_and_gates(perfbench, tmp_path):
     assert workloads.check_solve(config, tmp_path, status, 0) == []
 
 
+def test_sweep_template_builds_no_t_rows_or_spectrum(perfbench, tmp_path, monkeypatch):
+    # alpha_sweep's solves have f = 0 and no controls, so their sweeps read
+    # the S rows alone: no T rows, kernel spectrum or convolution is built
+    _, workloads = perfbench
+    from sobfrac import mild_solver, solution_ops
+    asked, workspaces = [], []
+    grid_table = solution_ops.SolutionOperatorCache.grid_table
+    workspace_init = mild_solver._SweepWorkspace.__init__
+
+    def record_grid(self, grid, t_rows=True):
+        asked.append(t_rows)
+        return grid_table(self, grid, t_rows)
+
+    def record_workspace(self, spec, node_count):
+        workspaces.append(self)
+        workspace_init(self, spec, node_count)
+
+    def refuse(*args):
+        raise AssertionError("a linear uncontrolled solve convolved")
+
+    monkeypatch.setattr(solution_ops.SolutionOperatorCache, "grid_table", record_grid)
+    monkeypatch.setattr(mild_solver._SweepWorkspace, "__init__", record_workspace)
+    monkeypatch.setattr(mild_solver, "fftconvolve", refuse)
+    mild_solver._grid_static.cache_clear()
+    text = workloads.SWEEP_TEMPLATE.format(alpha="0.641", out=tmp_path)
+    config = cli.parse_config(text, mode="solve")
+    status = cli.run(config)
+    assert status == 0
+    assert asked == [False]
+    assert workspaces and all(ws.kernel_spectrum is None for ws in workspaces)
+    assert workloads.check_sweep(config, tmp_path, status, 0) == []
+
+
 def test_traced_cold_build_is_one_density_call(perfbench):
     # alpha_sweep's specfun metrics: a cold theta rule counts as cold and
     # evaluates the density at all of its nodes in one call

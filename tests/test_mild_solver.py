@@ -7,13 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sobfrac.errors import (DomainError, NonConvergenceError,
+from sobfrac.errors import (DomainError, EvaluationError, NonConvergenceError,
                             RejectedInstanceError)
 from sobfrac.fracops import TimeGrid, power_increments
 from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
                                  ProblemSpec, SolveReport, Trajectory,
                                  _SweepWorkspace, _control_forcing, _grid_static,
-                                 _control_forcing_adjoint, _finite, _fixed_point,
+                                 _control_forcing_adjoint, _fixed_point,
                                  adjoint_solve, apply_P, eval_f, picard_solve)
 from sobfrac.optctrl import ControlBundle, CostSpec, adjoint_gradient
 from sobfrac.solution_ops import SolutionOperatorCache
@@ -222,13 +222,18 @@ class TestControlForcing:
         assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
 
-def reference_sweep(spec, ws, coeffs, ctrl_forcing):
-    """The sweep with per-node eval_f and a direct causal convolution: the
-    slow reference for the batched collocation transforms and the FFT.
-    The kernel is rebuilt from the cell increments and the T rows."""
+def reference_kernel(spec):
+    """The kernel rebuilt from the cell increments and the T rows of one
+    S-and-T table at the default rule size."""
     alpha = spec.order.alpha
     _, t_table = SolutionOperatorCache(spec.order, spec.mode_count).grid_table(spec.grid)
-    kernel = (power_increments(spec.grid, alpha) / alpha)[:, None] * t_table[1:]
+    return (power_increments(spec.grid, alpha) / alpha)[:, None] * t_table[1:]
+
+
+def reference_sweep(spec, ws, coeffs, ctrl_forcing):
+    """The sweep with per-node eval_f and a direct causal convolution: the
+    slow reference for the batched collocation transforms and the FFT."""
+    kernel = reference_kernel(spec)
     h = sum(c * coeffs[idx] for c, idx, _ in ws.snaps)
     out = ws.s_lm * (spec.v0.coeffs + ws.kappa[:, None] * (spec.u0.coeffs + h))
     forcing = ctrl_forcing + np.array(
@@ -263,10 +268,23 @@ def allocating_fftconvolve(kernel_spectrum, signal):
                         n, axis=0)[:signal.shape[0]]
 
 
+def allocating_finite(out):
+    bad = ~np.all(np.isfinite(out), axis=1)
+    if np.any(bad):
+        raise EvaluationError(f"non-finite trajectory value at node {int(np.argmax(bad))}")
+    return out
+
+
 class AllocatingWorkspace(_SweepWorkspace):
-    """The sweeps as allocating expressions, with no scratch reused: the
-    bit-for-bit oracle for the workspace's buffers, which keep every
-    operand and its order."""
+    """The sweeps as allocating expressions, with no scratch reused and
+    the kernel built from one S-and-T table whatever the problem: the
+    bit-for-bit oracle for the workspace's buffers and its S-only path,
+    which keep every operand and its order."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.kernel_spectrum = np.fft.rfft(reference_kernel(spec), 2 * spec.step_count,
+                                           axis=0)
 
     def response(self, coeffs, ctrl_forcing):
         out = self.data.copy()
@@ -277,6 +295,12 @@ class AllocatingWorkspace(_SweepWorkspace):
         if np.any(forcing):
             out[1:] += allocating_fftconvolve(self.kernel_spectrum, forcing)
         return out
+
+    def sweep(self, coeffs, ctrl_forcing):
+        out = self.response(coeffs, ctrl_forcing)
+        if self.snaps:
+            out += self.feedback * (self.nonlocal_sum(out) / self.denominator)
+        return allocating_finite(out)
 
     def slope(self, coeffs):
         gain = self.spec.nonlinearity.gain
@@ -290,17 +314,20 @@ class AllocatingWorkspace(_SweepWorkspace):
             g = np.sum(self.feedback * out, axis=0) / self.denominator
             for c, idx, _ in self.snaps:
                 out[idx] += c * g
-        return _finite(out)
+        return allocating_finite(out)
 
     def correlate(self, lam):
         return allocating_fftconvolve(self.kernel_spectrum, lam[:0:-1])[::-1]
+
+    def residual(self, new, old):
+        return float(np.max(np.linalg.norm((new - old) * self.q_scale[None, :], axis=1)))
 
 
 def allocating_apply_P(spec, coeffs, controls):
     ws = AllocatingWorkspace(spec)
     out = ws.response(coeffs, _control_forcing(spec, controls))
     out += ws.feedback * ws.nonlocal_sum(coeffs)
-    return _finite(out)
+    return allocating_finite(out)
 
 
 def assert_same_bits(got, want):
@@ -343,7 +370,9 @@ class TestScratchBuffers:
                   nonlinearity=Nonlinearity(0.1), control_count=2),
         # f = 0 with controls: the convolution optimize_linear runs
         make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),), control_count=2),
-    ], ids=["readme_controls", "readme", "alpha_one", "linear_controls"])
+        # f = 0 without controls: the S-only build, whose kernel correlate fetches
+        make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),)),
+    ], ids=["readme_controls", "readme", "alpha_one", "linear_controls", "linear"])
     def test_matches_allocating_oracle_bitwise(self, spec):
         controls = random_controls(spec, 1) if spec.control_count else None
         ctrl_forcing = _control_forcing(spec, controls)
@@ -364,6 +393,7 @@ class TestScratchBuffers:
             assert_same_bits(ws.adjoint_sweep(lam, coeffs, slope),
                              oracle.adjoint_sweep(lam, coeffs, slope))
             assert_same_bits(ws.correlate(lam), oracle.correlate(lam))
+            assert ws.residual(coeffs, lam).hex() == oracle.residual(coeffs, lam).hex()
 
     def test_results_do_not_alias_scratch(self):
         spec = readme_spec(control_count=2)
@@ -393,6 +423,63 @@ class TestScratchBuffers:
         ws.adjoint_sweep(coeffs, coeffs, slope)
         assert allocation_peak(lambda: ws.sweep(coeffs, ctrl_forcing)) < self.BLOCK
         assert allocation_peak(lambda: ws.adjoint_sweep(coeffs, coeffs, slope)) < self.BLOCK
+
+    def test_elimination_and_residual_write_the_workspace_block(self):
+        # the h elimination, its transpose and the residual write one
+        # (M+1) x N block the workspace owns.  numpy's broadcast product
+        # still fills its ufunc buffer (the operand or 8,192 elements,
+        # whichever is smaller; here both are about one block), so a warm
+        # sweep peaks near two row blocks (its result and that buffer), the
+        # adjoint sweep near one (its result) and the residual near one
+        # (that buffer); each allocated one block more per product before
+        # (198,440, 132,648 and 198,256 bytes)
+        rows = 513 * 16 * 8
+        spec = readme_spec(control_count=2)
+        ws = _SweepWorkspace(spec)
+        ctrl_forcing = _control_forcing(spec, random_controls(spec, 5))
+        rng = np.random.default_rng(6)
+        coeffs, other = rng.standard_normal((2, 513, 16))
+        slope = ws.slope(coeffs)
+        calls = (lambda: ws.sweep(coeffs, ctrl_forcing),
+                 lambda: ws.adjoint_sweep(coeffs, coeffs, slope),
+                 lambda: ws.residual(coeffs, other))
+        for call, blocks in zip(calls, (2.5, 1.5, 1.5)):
+            call()
+            assert allocation_peak(call) < blocks * rows
+
+    def test_undeclared_control_bundle_fetches_the_kernel(self):
+        # a bundle on a spec that declares no controls: the workspace was
+        # built without the kernel and fetches it at the first forcing, so
+        # the map gives the declared problem's result bit for bit
+        spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),))
+        declared = dataclasses.replace(spec, control_count=1)
+        controls = random_controls(declared, 8)
+        coeffs = np.random.default_rng(9).standard_normal((65, 8))
+        got = apply_P(spec, None, Trajectory(spec.grid, coeffs), controls).coeffs
+        want = apply_P(declared, None, Trajectory(spec.grid, coeffs), controls).coeffs
+        assert_same_bits(got, want)
+        assert_same_bits(got, allocating_apply_P(spec, coeffs, controls))
+        ws = _SweepWorkspace(spec)
+        assert ws.kernel_spectrum is None
+        ctrl_forcing = _control_forcing(spec, controls)
+        assert_same_bits(ws.sweep(coeffs, ctrl_forcing),
+                         _SweepWorkspace(declared).sweep(coeffs, ctrl_forcing))
+        assert ws.kernel_spectrum is _SweepWorkspace(declared).kernel_spectrum
+
+    def test_finiteness_check(self):
+        ws = _SweepWorkspace(make_spec(n=8, m=64))
+        # finite rows whose sums overflow to +-inf pass
+        out = np.full((65, 8), 1e308)
+        out[1::2] *= -1.0
+        assert ws.finite(out) is out
+        for node in (0, 17, 64):
+            for bad in (math.nan, math.inf, -math.inf):
+                hit = out.copy()
+                hit[node, 3] = bad
+                # a later non-finite node is not the one named
+                hit[64, 7] = math.nan
+                with pytest.raises(EvaluationError, match=f"at node {node}$"):
+                    ws.finite(hit)
 
     def test_readme_adjoint_gradient_matches_oracle_bitwise(self):
         # the README optimize config: 2 controls of 4 modes on 16 modes
@@ -605,16 +692,31 @@ class TestGridStaticMemo:
     STATIC = ("kappa", "s_lm", "feedback", "kernel_spectrum", "D", "P", "q_scale")
 
     def test_memoized_arrays_are_read_only_and_shared(self):
-        spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),))
-        first, second = _SweepWorkspace(spec), _SweepWorkspace(spec)
-        for name in self.STATIC:
+        linear = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),))
+        for spec in (linear, dataclasses.replace(linear, control_count=1)):
+            first, second = _SweepWorkspace(spec), _SweepWorkspace(spec)
+            for name in self.STATIC:
+                arr = getattr(first, name)
+                assert getattr(second, name) is arr, name
+                if arr is None:
+                    # a linear uncontrolled problem reads no kernel
+                    assert spec is linear and name == "kernel_spectrum"
+                    continue
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0.0
+            # the per-solve arrays belong to their workspace
+            assert first.data is not second.data
+            assert first.denominator is not second.denominator
+
+    def test_two_alphas_share_the_mode_maps(self):
+        # D, P and the q-weights read the modes and q alone
+        first, second = (_SweepWorkspace(make_spec(alpha=alpha, n=8, m=64))
+                         for alpha in (0.45, 0.65))
+        for name in ("D", "P", "q_scale"):
             arr = getattr(first, name)
             assert getattr(second, name) is arr, name
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
-        # the per-solve arrays belong to their workspace
-        assert first.data is not second.data
-        assert first.denominator is not second.denominator
 
     def test_snapped_time_warns_on_every_solve(self):
         spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5001),))

@@ -175,6 +175,18 @@ class TestGridTable:
         assert np.array_equal(s_table[0], l_inverse_symbol(16))
         assert np.array_equal(t_table[0], l_inverse_symbol(16) / gamma(alpha))
 
+    @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.8, 0.95, 1.0))
+    def test_s_rows_alone_match_the_s_and_t_call_bitwise(self, alpha):
+        # a linear uncontrolled solve reads S alone; alpha = 1 is the semigroup
+        for modes, steps in ((8, 64), (8, 128), (16, 512)):
+            c = SolutionOperatorCache(FracOrder(alpha), modes)
+            grid = TimeGrid(1.0, steps)
+            s_table, t_table = c.grid_table(grid, t_rows=False)
+            assert t_table is None
+            want = c.grid_table(grid)[0]
+            assert s_table.shape == want.shape == (steps + 1, modes)
+            assert s_table.tobytes() == want.tobytes()
+
     def test_grid_outside_the_window_rejected(self, cache):
         lo, hi = T_WINDOW
         cache.grid_table(TimeGrid(2.0 * lo, 2))

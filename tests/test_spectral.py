@@ -123,6 +123,17 @@ class TestBounds:
                 want = sampled_mq(n_modes, ts, q)
                 assert abs(measure_bounds(n_modes, q=q).Mq - want) <= 2 * math.ulp(want)
 
+    def test_memo_returns_equal_constants(self):
+        # built once per (modes, q) per process, and equal to a fresh build
+        measure_bounds.cache_clear()
+        first = measure_bounds(12, q=0.4)
+        again = measure_bounds(12, q=0.4)
+        info = measure_bounds.cache_info()
+        assert again is first
+        assert (info.hits, info.misses) == (1, 1)
+        assert first == measure_bounds.__wrapped__(12, q=0.4)
+        assert measure_bounds(12, q=0.3) != first
+
     @pytest.mark.parametrize("n_modes", (1, 2, 3))
     def test_c2_over_the_retained_modes(self, n_modes):
         b = measure_bounds(n_modes)
