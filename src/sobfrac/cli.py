@@ -12,10 +12,10 @@ artifacts described in the README.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -331,7 +331,7 @@ def run(config: RunConfig) -> int:
                 traj, solve_report = picard_solve(
                     problem, cache=cache, tol=config.solver_tol,
                     max_iter=config.solver_max_iter)
-                report["solve"] = asdict(solve_report)
+                report["solve"] = solve_report
             else:
                 k = problem.control_count
                 if config.init_kind == "zero":
@@ -353,7 +353,7 @@ def run(config: RunConfig) -> int:
                                 [f"{j},{t}" for j in range(1, k + 1) for t in ts],
                                 _mode_labels(config.control_modes),
                                 nodes.reshape(-1, config.control_modes))
-                report["optimize"] = {**asdict(log),
+                report["optimize"] = {**vars(log),
                                       "final_cost": float(log.cost_values[-1]),
                                       "admissibility_value": admissibility_value(bundle)}
                 status = 0 if log.converged else 1
@@ -364,32 +364,55 @@ def run(config: RunConfig) -> int:
             _write_artifact(out / "trajectory.csv", "t,x,u\n", ts, xs, values)
             _write_artifact(out / "modes.csv", "t,n,coefficient\n",
                             ts, _mode_labels(problem.mode_count), traj.coeffs)
-            report["measured_constants"] = asdict(
-                measure_bounds(problem.mode_count, q=problem.order.q))
+            report["measured_constants"] = measure_bounds(problem.mode_count,
+                                                          q=problem.order.q)
     except SobfracError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         extra = getattr(exc, "residual_history", None)
         if extra:
             report["error"]["residual_history"] = list(extra)
         status = 1
-    _write_artifact(out / "report.json",
-                    json.dumps(_strict_json(report), indent=2, sort_keys=True,
-                               allow_nan=False, default=str) + "\n")
+    _write_artifact(out / "report.json", _json_text(report) + "\n")
     return status
 
 
-def _strict_json(obj):
-    """Plain containers and numbers, with every non-finite float as None:
-    json.dumps writes NaN and Infinity as tokens strict parsers reject."""
-    if isinstance(obj, dict):
-        return {key: _strict_json(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_strict_json(value) for value in obj]
+def _json_text(obj, newline: str = "\n") -> str:
+    """Strict JSON of obj, laid out as json.dumps(obj, indent=2,
+    sort_keys=True) lays it out, in one pass over the objects themselves:
+    dicts (str keys) and dataclass records as objects, lists, tuples and
+    arrays as lists, numpy scalars as their Python values, every float
+    that is not finite as null (json.dumps writes NaN and Infinity,
+    tokens strict parsers reject), and any other object as its str.
+    newline is the line break plus the indentation of obj's own line."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, np.generic):
         obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if hasattr(type(obj), "__dataclass_fields__"):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            for key, value in sorted(obj.items())]) + newline + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if len(obj) == 0:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _json_text(value, inner) for value in obj]) + newline + "]"
+    return encode_basestring_ascii(str(obj))
 
 
 def main(argv=None) -> int:

@@ -135,7 +135,7 @@ class Trajectory:
         if c.ndim != 2 or c.shape[0] != self.grid.step_count + 1:
             raise DomainError(
                 f"coeffs must have shape (M+1, N), got {c.shape}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise DomainError("trajectory coefficients must be finite")
         c = c.copy()
         c.setflags(write=False)
@@ -190,13 +190,14 @@ def _control_forcing(spec: ProblemSpec, controls) -> np.ndarray:
     out = np.zeros((spec.step_count + 1, spec.mode_count))
     if controls is None:
         return out
-    nc = controls.cells.shape[2]
-    if controls.grid != spec.grid:
+    cells, grid = controls.cells, spec.grid
+    nc = cells.shape[2]
+    if controls.grid != grid:
         raise DomainError("control grid does not match the problem grid")
     if nc > spec.mode_count:
         raise DomainError(
             f"control has {nc} modes, the problem {spec.mode_count}")
-    out[1:, :nc] = np.cumsum(spec.grid.dt * controls.cells.sum(axis=0), axis=0)
+    out[1:, :nc] = (grid.dt * cells.sum(axis=0)).cumsum(axis=0)
     return out
 
 
@@ -204,7 +205,7 @@ def _control_forcing_adjoint(spec: ProblemSpec, grad_forcing: np.ndarray) -> np.
     """Transpose of _control_forcing: gradient with respect to the summed
     control cells, shape (M, N), given the gradient with respect to its
     output; cell l collects the rows m > l."""
-    return spec.grid.dt * np.cumsum(grad_forcing[:0:-1], axis=0)[::-1]
+    return spec.grid.dt * grad_forcing[:0:-1].cumsum(axis=0)[::-1]
 
 
 def fftconvolve(kernel_spectrum: np.ndarray, signal: np.ndarray,
@@ -341,7 +342,7 @@ class _SweepWorkspace:
             colloc *= gain
             forcing = np.matmul(colloc, self.P.T, out=self.forcing)
             forcing += ctrl_forcing[:-1]
-        if np.any(forcing):
+        if forcing.any():
             out[1:] += self.convolve(forcing)
         return out
 
@@ -462,7 +463,7 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
     workspace = _workspace(spec, cache, workspace)
     report = SolveReport()
     report.snapped_nonlocal_times = list(workspace.snaps)
-    report.nonlocal_denominator_min = float(np.min(workspace.denominator))
+    report.nonlocal_denominator_min = float(workspace.denominator.min())
     ctrl_forcing = _control_forcing(spec, controls)
     current = _fixed_point(
         lambda c: workspace.sweep(c, ctrl_forcing),

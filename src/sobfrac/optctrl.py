@@ -45,7 +45,7 @@ class ControlBundle:
             raise DomainError(
                 f"cells must have shape (k, {self.grid.step_count}, modes), "
                 f"got {c.shape}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise DomainError("control cells must be finite")
         if not self.radius > 0.0:
             raise DomainError(f"radius must be positive, got {self.radius}")
@@ -70,10 +70,15 @@ def zero_bundle(grid: TimeGrid, k: int, control_modes: int,
 
 
 def admissibility_value(bundle: ControlBundle) -> float:
-    """sum_j int_0^a ||u_j(s)|| ds, exact for piecewise-constant controls."""
+    """sum_j int_0^a ||u_j(s)|| ds, exact for piecewise-constant controls.
+
+    Every cell norm comes from one reduction over all controls; the
+    per-control sums then accumulate in control order.
+    """
+    cells, dt = bundle.cells, bundle.grid.dt
     total = 0.0
-    for c in bundle.cells:
-        total += float(np.sum(np.linalg.norm(c, axis=1)) * bundle.grid.dt)
+    for norm_sum in np.sqrt(np.add.reduce(cells * cells, axis=2)).sum(axis=1):
+        total += float(norm_sum * dt)
     return total
 
 
@@ -107,13 +112,14 @@ def cost_J(traj: Trajectory, controls: ControlBundle, spec: CostSpec) -> float:
     """
     if controls.grid != traj.grid:
         raise DomainError("cost requires trajectory and controls on one grid")
-    dt = traj.grid.dt
-    state = np.sum(traj.coeffs ** 2, axis=1)
-    inner = np.zeros(traj.grid.step_count + 1)
-    for c in controls.cells:
-        inner[1:] += np.cumsum(np.sum(c ** 2, axis=1)) * dt
-    integrand = spec.state_weight * state + spec.control_weight * inner
-    return float(np.trapezoid(integrand, dx=dt))
+    dt, u, cells = traj.grid.dt, traj.coeffs, controls.cells
+    state = (u * u).sum(axis=1)
+    inner = np.zeros(len(u))
+    for running in (cells * cells).sum(axis=2).cumsum(axis=1):
+        inner[1:] += running * dt
+    y = spec.state_weight * state + spec.control_weight * inner
+    # np.trapezoid(y, dx=dt), without its argument handling
+    return float((dt * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def adjoint_gradient(cost: CostSpec, x: np.ndarray, traj: Trajectory,
@@ -129,7 +135,7 @@ def adjoint_gradient(cost: CostSpec, x: np.ndarray, traj: Trajectory,
     """
     dt, m = traj.grid.dt, traj.grid.step_count
     trapezoid = np.full(m + 1, dt)
-    trapezoid[[0, -1]] *= 0.5
+    trapezoid[0] = trapezoid[-1] = 0.5 * dt
     weight = 2.0 * cost.state_weight * trapezoid[:, None] * traj.coeffs
     grad_total = adjoint_solve(traj, weight, workspace, tol=solve_tol, max_iter=max_iter)
     state = grad_total[:, :x.shape[2]]
@@ -177,14 +183,10 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
         raise DomainError(
             "optimize_controls requires alpha*q < 1 and p*alpha*(1-q) > 1")
     workspace = _workspace(problem, cache, None)
-    grid = problem.grid
-
-    x = project_admissible(init).cells
-    radius = init.radius
+    grid, radius = problem.grid, init.radius
     log = DescentLog()
 
-    def objective(arr, warm=None, tol=solve_tol):
-        bundle = ControlBundle(arr, grid, radius)
+    def objective(bundle, warm=None, tol=solve_tol):
         try:
             traj, _ = picard_solve(problem, controls=bundle, tol=tol,
                                    max_iter=max_iter, initial=warm,
@@ -205,18 +207,21 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
         log.adjoint_solves += 1
         return grad
 
-    def project_array(arr):
-        return project_admissible(ControlBundle(arr, grid, radius)).cells
+    def project(arr):
+        return project_admissible(ControlBundle(arr, grid, radius))
 
-    j_cur, traj_cur = objective(x)
+    # the current point, as its one validated bundle and its cells
+    current = project_admissible(init)
+    x = current.cells
+    j_cur, traj_cur = objective(current)
     log.cost_values.append(j_cur)
     prev_x = prev_grad = checked = None
     step = 1.0
 
     for _ in range(budget):
         grad = gradient(x, traj_cur)
-        checked = x, traj_cur, grad
-        mapped = x - project_array(x - grad)
+        checked = current, traj_cur, grad
+        mapped = x - project(x - grad).cells
         stationarity = float(np.linalg.norm(mapped))
         log.gradient_norms.append(stationarity)
         log.stationarity = stationarity
@@ -233,9 +238,9 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
         gamma = min(max(step, 1e-8), 1e8)
         accepted = False
         while gamma > 1e-14:
-            xn = project_array(x - gamma * grad)
-            jn, traj_n = objective(xn, warm=traj_cur)
-            decrease = _ARMIJO_SIGMA / gamma * float(np.sum((x - xn) ** 2))
+            candidate = project(x - gamma * grad)
+            jn, traj_n = objective(candidate, warm=traj_cur)
+            decrease = _ARMIJO_SIGMA / gamma * float(((x - candidate.cells) ** 2).sum())
             if jn <= j_cur - decrease:
                 accepted = True
                 break
@@ -244,7 +249,8 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
             # no admissible descent step left at this gradient resolution
             break
         prev_x, prev_grad = x, grad
-        x, j_cur, traj_cur = xn, jn, traj_n
+        current, j_cur, traj_cur = candidate, jn, traj_n
+        x = current.cells
         log.cost_values.append(j_cur)
 
     else:
@@ -252,7 +258,7 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
 
     if checked is not None:
         log.gradient_check = _gradient_check(objective, *checked, fd_step, solve_tol)
-    return ControlBundle(x, grid, radius), traj_cur, log
+    return current, traj_cur, log
 
 
 # Forward-solve tolerance of the gradient check.  Near a stationary point
@@ -262,7 +268,7 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
 _CHECK_TOL = 1e-12
 
 
-def _gradient_check(objective, x, traj, grad, fd_step, solve_tol) -> dict:
+def _gradient_check(objective, bundle, traj, grad, fd_step, solve_tol) -> dict:
     """Central difference of J along the normalised gradient against the
     adjoint directional derivative |grad|.  NaN where undefined: at
     grad = 0, or when a check solve does not converge."""
@@ -271,9 +277,12 @@ def _gradient_check(objective, x, traj, grad, fd_step, solve_tol) -> dict:
     if adjoint > 0.0:
         direction = grad / adjoint
         tol = min(solve_tol, _CHECK_TOL)
+        x, grid, radius = bundle.cells, bundle.grid, bundle.radius
         try:
-            j_plus, _ = objective(x + fd_step * direction, warm=traj, tol=tol)
-            j_minus, _ = objective(x - fd_step * direction, warm=traj, tol=tol)
+            j_plus, _ = objective(ControlBundle(x + fd_step * direction, grid, radius),
+                                  warm=traj, tol=tol)
+            j_minus, _ = objective(ControlBundle(x - fd_step * direction, grid, radius),
+                                   warm=traj, tol=tol)
         except OptimizationError:
             pass
         else:

@@ -6,10 +6,11 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,40 @@ init = zero
 [output]
 seed = 7
 """
+
+
+def report_oracle(obj):
+    """report.json's text as json.dumps wrote it before the one-pass
+    writer: records through asdict, then a copy with every non-finite
+    float as None."""
+    def strict(obj):
+        if is_dataclass(obj) and not isinstance(obj, type):
+            obj = asdict(obj)
+        if isinstance(obj, dict):
+            return {key: strict(value) for key, value in obj.items()}
+        if isinstance(obj, (list, tuple, np.ndarray)):
+            return [strict(value) for value in obj]
+        if isinstance(obj, np.generic):
+            obj = obj.item()
+        if isinstance(obj, float) and not math.isfinite(obj):
+            return None
+        return obj
+    return json.dumps(strict(obj), indent=2, sort_keys=True, allow_nan=False,
+                      default=str)
+
+
+@pytest.fixture(autouse=True)
+def reports_match_the_oracle(monkeypatch):
+    """Every report a test here writes equals report_oracle's text."""
+    writer = cli._json_text
+
+    def checked(obj, newline="\n"):
+        text = writer(obj, newline)
+        if newline == "\n":  # the whole report, not one of its values
+            assert text == report_oracle(obj)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
 
 
 def strict_json(path):
@@ -492,6 +527,48 @@ class TestReportShape:
         log = optimize["optimize"]
         assert len(log["gradient_norms"]) == len(log["cost_values"])
         assert log["gradient_norms"][-1] == log["stationarity"]
+
+
+@dataclass
+class _Record:
+    name: str
+    values: list
+    extra: dict = field(default_factory=dict)
+
+
+class TestReportWriter:
+    LEAVES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 0.1, 1e300,
+              np.float64(math.nan), np.float64(-math.inf), np.float64(2.5),
+              np.float32(0.1), np.int64(-3), np.bool_(True), True, False, None,
+              0, -7, 2 ** 70, "", "ascii", "naïve ∞ 日本", 'quote" slash\\ nl\n tab\t',
+              np.str_("np"), Path("a/b"))
+    KEYS = ("a", "b", "zeta", "Ä", "ключ", "", "with space", "10", "9")
+
+    def build(self, rng, depth):
+        kind = rng.random()
+        if depth == 0 or kind < 0.35:
+            return self.LEAVES[rng.randrange(len(self.LEAVES))]
+        n = rng.randrange(4)
+        if kind < 0.55:
+            return {rng.choice(self.KEYS): self.build(rng, depth - 1) for _ in range(n)}
+        if kind < 0.7:
+            return [self.build(rng, depth - 1) for _ in range(n)]
+        if kind < 0.8:
+            return tuple(self.build(rng, depth - 1) for _ in range(n))
+        if kind < 0.9:
+            values = np.array([rng.choice((math.nan, math.inf, rng.uniform(-9, 9)))
+                               for _ in range(2 * n)])
+            return values.reshape(2, n) if rng.random() < 0.5 else values
+        return _Record(rng.choice(self.KEYS), [self.build(rng, depth - 1) for _ in range(n)],
+                       {key: self.build(rng, depth - 1) for key in self.KEYS[:n]})
+
+    def test_random_records_match_the_oracle(self):
+        rng = random.Random(28)
+        for _ in range(400):
+            obj = self.build(rng, 4)
+            assert cli._json_text(obj) == report_oracle(obj)
+        for empty in ({}, [], (), np.array([]), _Record("", [])):
+            assert cli._json_text(empty) == report_oracle(empty)
 
 
 class TestSolveMode:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sobfrac import optctrl
 from sobfrac.errors import DomainError
 from sobfrac.fracops import TimeGrid
 from sobfrac.mild_solver import (Nonlinearity, ProblemSpec, Trajectory,
@@ -52,6 +53,27 @@ def fd_gradient(problem, cost, x, cache, fd_step=1e-4, solve_tol=1e-12):
         work.flat[i] = x.flat[i]
         grad.flat[i] = (jp - jm) / (2.0 * fd_step)
     return grad
+
+
+def admissibility_oracle(bundle):
+    """The per-control norm loop admissibility_value replaced."""
+    total = 0.0
+    for c in bundle.cells:
+        total += float(np.sum(np.linalg.norm(c, axis=1)) * bundle.grid.dt)
+    return total
+
+
+def cost_oracle(traj, controls, spec):
+    """cost_J as it was: a cumulative sum per control, then np.trapezoid."""
+    if controls.grid != traj.grid:
+        raise DomainError("cost requires trajectory and controls on one grid")
+    dt = traj.grid.dt
+    state = np.sum(traj.coeffs ** 2, axis=1)
+    inner = np.zeros(traj.grid.step_count + 1)
+    for c in controls.cells:
+        inner[1:] += np.cumsum(np.sum(c ** 2, axis=1)) * dt
+    integrand = spec.state_weight * state + spec.control_weight * inner
+    return float(np.trapezoid(integrand, dx=dt))
 
 
 def hypothesis_check_oracle(problem, trials=50, seed=0):
@@ -179,6 +201,61 @@ class TestAdmissibility:
             assert ctrl.coeffs.shape == (65, 3)
             assert np.array_equal(ctrl.coeffs[:-1], bundle.cells[j])
             assert np.array_equal(ctrl.coeffs[-1], bundle.cells[j, -1])
+
+
+class TestLeanHelpers:
+    """admissibility_value and cost_J against the loops they replaced,
+    bit for bit."""
+
+    @staticmethod
+    def bundles(seed, count):
+        """Seeded bundles of 1-3 controls on grids of 2-64 steps, with
+        1-8 control modes (below and at the 8 state modes of the cost
+        test) and zero cells; each one outside its ball is followed by
+        its rescaling onto the ball, and the last is all zero."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            grid = TimeGrid(float(rng.uniform(0.1, 3.0)), int(rng.integers(2, 65)))
+            shape = (int(rng.integers(1, 4)), grid.step_count, int(rng.integers(1, 9)))
+            cells = rng.standard_normal(shape) * rng.uniform(0.0, 4.0)
+            cells[rng.random(shape[:2]) < 0.2] = 0.0
+            bundle = ControlBundle(cells, grid, float(rng.uniform(0.1, 2.0)))
+            yield grid, bundle
+            projected = project_admissible(bundle)
+            if projected is not bundle:
+                yield grid, projected
+        yield grid, zero_bundle(grid, 3, 8)
+
+    def test_admissibility_value_matches_the_loop(self):
+        count = 0
+        for _, bundle in self.bundles(seed=5, count=200):
+            assert admissibility_value(bundle) == admissibility_oracle(bundle)
+            count += 1
+        assert count > 200
+
+    def test_cost_J_matches_the_trapezoid_rule(self):
+        rng = np.random.default_rng(6)
+        for grid, bundle in self.bundles(seed=7, count=200):
+            traj = Trajectory(grid, rng.standard_normal((grid.step_count + 1, 8)))
+            for spec in (CostSpec(), CostSpec(0.0, 1.0), CostSpec(1.0, 0.0),
+                         CostSpec(*rng.uniform(0.1, 3.0, 2))):
+                assert cost_J(traj, bundle, spec) == cost_oracle(traj, bundle, spec)
+
+    @pytest.mark.parametrize("radius", [1.0, 0.05])
+    def test_optimizer_unchanged_under_the_oracles(self, monkeypatch, radius):
+        # the acceptance problem from zero, and with the ball binding
+        problem = reference_problem()
+        init = zero_bundle(problem.grid, 2, 4, radius)
+        runs = []
+        for helpers in ((admissibility_value, cost_J), (admissibility_oracle, cost_oracle)):
+            monkeypatch.setattr(optctrl, "admissibility_value", helpers[0])
+            monkeypatch.setattr(optctrl, "cost_J", helpers[1])
+            runs.append(optimize_controls(problem, CostSpec(), init, budget=200))
+        (bundle, traj, log), (bundle_ref, traj_ref, log_ref) = runs
+        assert log == log_ref
+        assert len(log.cost_values) > 2
+        assert np.array_equal(bundle.cells, bundle_ref.cells)
+        assert np.array_equal(traj.coeffs, traj_ref.coeffs)
 
 
 class TestControlBundle:
@@ -311,6 +388,13 @@ class TestOptimizer:
                                               grad_tol=1e-12)
         assert log.budget_exhausted
         assert not log.converged
+
+    def test_initial_bundle_on_another_grid(self):
+        # the initial bundle is solved as given, so its cells cannot be
+        # relabelled onto the problem's grid
+        prob = reference_problem(m=16, controls=1)
+        with pytest.raises(DomainError, match="control grid"):
+            optimize_controls(prob, CostSpec(), zero_bundle(TimeGrid(2.0, 16), 1, 2))
 
     def test_cache_alpha_must_match(self):
         prob = reference_problem(m=16, controls=1)
