@@ -109,39 +109,36 @@ def _within(value, admissible: str) -> bool:
             and (value < hi if admissible[-1] == ")" else value <= hi))
 
 
+def _pairs(text: str, sep: str, form: str, what: str, line: int, conv):
+    """conv(left, right) of each left<sep>right chunk of text, split at commas
+    and spaces, lazily, so a bad chunk is blamed where the loop meets it."""
+    for chunk in text.replace(",", " ").split():
+        if sep not in chunk:
+            raise ConfigError(f"expected {form}, got {chunk!r}", line)
+        try:
+            pair = conv(*chunk.split(sep, 1))
+        except ValueError:
+            raise ConfigError(f"bad {what} entry {chunk!r}", line) from None
+        yield pair
+
+
 def _parse_modes_list(text: str, mode_count: int, line: int) -> SpectralField:
     coeffs = np.zeros(mode_count)
     seen = set()
-    if text.strip():
-        for chunk in text.replace(",", " ").split():
-            if ":" not in chunk:
-                raise ConfigError(f"expected mode:coefficient, got {chunk!r}", line)
-            n_str, v_str = chunk.split(":", 1)
-            try:
-                n, v = _number(n_str, int), _finite_float(v_str)
-            except ValueError:
-                raise ConfigError(f"bad mode entry {chunk!r}", line) from None
-            if not 1 <= n <= mode_count:
-                raise ConfigError(f"mode {n} outside 1..{mode_count}", line)
-            if n in seen:
-                raise ConfigError(f"mode {n} given twice", line)
-            seen.add(n)
-            coeffs[n - 1] = v
+    for n, v in _pairs(text, ":", "mode:coefficient", "mode", line,
+                       lambda n, v: (_number(n, int), _finite_float(v))):
+        if not 1 <= n <= mode_count:
+            raise ConfigError(f"mode {n} outside 1..{mode_count}", line)
+        if n in seen:
+            raise ConfigError(f"mode {n} given twice", line)
+        seen.add(n)
+        coeffs[n - 1] = v
     return SpectralField(coeffs)
 
 
 def _parse_nonlocal(text: str, line: int) -> tuple:
-    terms = []
-    if text.strip():
-        for chunk in text.replace(",", " ").split():
-            if "@" not in chunk:
-                raise ConfigError(f"expected weight@time, got {chunk!r}", line)
-            c_str, t_str = chunk.split("@", 1)
-            try:
-                terms.append((_finite_float(c_str), _finite_float(t_str)))
-            except ValueError:
-                raise ConfigError(f"bad nonlocal entry {chunk!r}", line) from None
-    return tuple(terms)
+    return tuple(_pairs(text, "@", "weight@time", "nonlocal", line,
+                        lambda c, t: (_finite_float(c), _finite_float(t))))
 
 
 def _parse_nonlinearity(text: str, line: int) -> Nonlinearity:

@@ -24,8 +24,8 @@ class FracOrder:
 
     alpha is the time-derivative order in (0, 1], q the fractional power
     exponent in (0, 1), p the integrability exponent in (1, inf).  The
-    solver-side conditions alpha*q < 1 and p*alpha*(1-q) > 1 are checked
-    where they are actually needed, not here.
+    paper's alpha*q < 1 follows from this domain; p*alpha*(1-q) > 1, which
+    controlled problems need, is ProblemSpec.exponent_defect's to check.
     """
 
     alpha: float
@@ -56,8 +56,8 @@ class TimeGrid:
     step_count: int
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
         if self.step_count < 2:
             raise DomainError(f"step_count must be at least 2, got {self.step_count}")
 

@@ -93,6 +93,7 @@ class ProblemSpec:
     control_count: int = 0
 
     def __post_init__(self):
+        TimeGrid(self.horizon, self.step_count)  # refuses horizon <= 0, step_count < 2
         if self.mode_count < 1:
             raise DomainError("mode_count must be >= 1")
         if self.u0.mode_count != self.mode_count or self.v0.mode_count != self.mode_count:
@@ -113,14 +114,18 @@ class ProblemSpec:
         return TimeGrid(self.horizon, self.step_count)
 
     def exponents(self) -> tuple[float, float]:
-        """The paper's exponents alpha*q (must be < 1) and p*alpha*(1-q)
-        (must exceed 1 when controls act)."""
+        """The paper's exponents alpha*q and p*alpha*(1-q)."""
         o = self.order
         return o.alpha * o.q, o.p * o.alpha * (1.0 - o.q)
 
-    def exponents_ok(self) -> tuple[bool, bool]:
-        aq, paq = self.exponents()
-        return aq < 1.0, paq > 1.0
+    def exponent_defect(self) -> str | None:
+        """Why the paper's exponent hypothesis fails for this problem, or
+        None when it holds.  alpha*q < 1 holds on FracOrder's domain;
+        p*alpha*(1-q) must exceed 1 once controls are declared."""
+        paq = self.exponents()[1]
+        if self.control_count > 0 and not paq > 1.0:
+            return f"p*alpha*(1-q) = {paq} must exceed 1 for controlled instances"
+        return None
 
 
 @dataclass(frozen=True)
@@ -186,12 +191,17 @@ def eval_f(spec: ProblemSpec, t: float, u_field: SpectralField) -> SpectralField
 
 def _control_forcing(spec: ProblemSpec, controls) -> np.ndarray:
     """Exact integral from 0 to each node of the summed piecewise-constant
-    controls: node m collects the cells l < m."""
+    controls: node m collects the cells l < m.  The solver's one reader of
+    a bundle: DomainError unless it has spec's control count, grid and at
+    most its modes."""
     out = np.zeros((spec.step_count + 1, spec.mode_count))
     if controls is None:
         return out
     cells, grid = controls.cells, spec.grid
-    nc = cells.shape[2]
+    k, _, nc = cells.shape
+    if k != spec.control_count:
+        raise DomainError(f"bundle supplies {k} controls, "
+                          f"spec declares {spec.control_count}")
     if controls.grid != grid:
         raise DomainError("control grid does not match the problem grid")
     if nc > spec.mode_count:
@@ -276,32 +286,31 @@ class _SweepWorkspace:
 
     The grid-static arrays come from _grid_static, built once per
     discretisation; the nonlocal snaps, the denominators and the data
-    term are built per workspace.  Whether the kernel is built is decided
-    here, from the problem: a forcing (f != 0 or declared controls) reads
-    it, a linear uncontrolled problem does not, and a forcing the problem
-    does not declare fetches it when first met.  D maps coefficients to
-    the first derivative on the collocation grid (n_x x N), P maps
-    collocation values back to coefficients (N x n_x); the forward sweep
-    and its adjoint both go through them.
+    term are built per workspace.  The kernel and the FFT buffers are
+    built exactly when the problem declares a forcing (f != 0 or
+    controls): a linear uncontrolled problem has kernel_spectrum None
+    and neither convolves nor correlates.  D maps coefficients to the first derivative on the collocation grid
+    (n_x x N), P maps collocation values back to coefficients (N x n_x);
+    the forward sweep and its adjoint both go through them.
 
     The workspace owns the scratch its sweeps write, allocated once: an
     (M+1) x N block for the h elimination, its transpose, the finiteness
     check and the residual; the collocation values and the forcing (when
-    f != 0); and the FFT's spectrum and output.  So it serves one solve
-    at a time and is not shared between threads.  sweep and
-    adjoint_sweep return fresh arrays; correlate returns a view of the
-    FFT output, valid until the next convolution.
+    f != 0); and the FFT's spectrum and output (when forced).  So it
+    serves one solve at a time and is not shared between threads.  sweep
+    and adjoint_sweep return fresh arrays; correlate returns a view of
+    the FFT output, valid until the next convolution.
     """
 
     def __init__(self, spec: ProblemSpec, node_count: int = _DEFAULT_NODES):
         self.spec = spec
         self.snaps = snap_nonlocal_indices(spec)
-        self._key = (spec.order.alpha, spec.order.q, spec.mode_count, spec.grid,
-                     node_count if spec.order.alpha < 1.0 else None)
         forced = spec.nonlinearity.gain != 0.0 or spec.control_count > 0
         # feedback is the trajectory's response to h
         (self.kappa, self.s_lm, self.feedback, self.kernel_spectrum,
-         self.D, self.P, self.q_scale) = _grid_static(*self._key, forced)
+         self.D, self.P, self.q_scale) = _grid_static(
+            spec.order.alpha, spec.order.q, spec.mode_count, spec.grid,
+            node_count if spec.order.alpha < 1.0 else None, forced)
         # the data term without h
         self.data = self.s_lm * (spec.v0.coeffs[None, :]
                                  + self.kappa[:, None] * spec.u0.coeffs[None, :])
@@ -318,8 +327,9 @@ class _SweepWorkspace:
         if spec.nonlinearity.gain != 0.0:
             self.colloc = np.empty((m, self.D.shape[0]))
             self.forcing = np.empty((m, n_modes))
-        self.spectrum = np.empty((m + 1, n_modes), dtype=complex)
-        self.convolved = np.empty((2 * m, n_modes))
+        if forced:
+            self.spectrum = np.empty((m + 1, n_modes), dtype=complex)
+            self.convolved = np.empty((2 * m, n_modes))
 
     def nonlocal_sum(self, coeffs: np.ndarray) -> np.ndarray:
         """h = sum c_eta coeffs(t_eta), per mode."""
@@ -343,17 +353,9 @@ class _SweepWorkspace:
             forcing = np.matmul(colloc, self.P.T, out=self.forcing)
             forcing += ctrl_forcing[:-1]
         if forcing.any():
-            out[1:] += self.convolve(forcing)
+            out[1:] += fftconvolve(self.kernel_spectrum, forcing, self.spectrum,
+                                   self.convolved)
         return out
-
-    def convolve(self, signal: np.ndarray) -> np.ndarray:
-        """fftconvolve with the kernel, a view of the FFT output.  A
-        workspace built without the kernel (a forcing its problem does not
-        declare, such as a control bundle on a spec with control_count 0)
-        fetches it here, from the forced entry of the same discretisation."""
-        if self.kernel_spectrum is None:
-            self.kernel_spectrum = _grid_static(*self._key, True)[3]
-        return fftconvolve(self.kernel_spectrum, signal, self.spectrum, self.convolved)
 
     def sweep(self, coeffs: np.ndarray, ctrl_forcing: np.ndarray) -> np.ndarray:
         """The solution map at coeffs with h eliminated: the response r
@@ -397,7 +399,8 @@ class _SweepWorkspace:
         """Transpose of the sweep's convolution: forcing rows 0..M-1 from
         trajectory rows 0..M (anti-causal, through the same spectrum); a
         view of the FFT output."""
-        return self.convolve(lam[:0:-1])[::-1]
+        return fftconvolve(self.kernel_spectrum, lam[:0:-1], self.spectrum,
+                           self.convolved)[::-1]
 
     def initial(self) -> np.ndarray:
         return self.s_lm * self.spec.v0.coeffs[None, :]
@@ -425,10 +428,11 @@ def apply_P(spec: ProblemSpec, cache: SolutionOperatorCache, u_traj: Trajectory,
             controls=None) -> Trajectory:
     """One application of the paper's solution map to a trajectory
     iterate, with h read from the iterate (the solver's sweep eliminates
-    it instead)."""
+    it instead); it reads controls through _control_forcing, as picard_solve does."""
+    ctrl_forcing = _control_forcing(spec, controls)
     ws = _workspace(spec, cache, None)
     coeffs = u_traj.coeffs
-    out = ws.response(coeffs, _control_forcing(spec, controls))
+    out = ws.response(coeffs, ctrl_forcing)
     out += ws.feedback * ws.nonlocal_sum(coeffs)
     return Trajectory(spec.grid, ws.finite(out))
 
@@ -444,27 +448,19 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
     alone, and nonlocal_denominator_min is the smallest d_n (1.0 without
     nonlocal terms).  A workspace passed in must be built for spec itself.
 
-    Raises RejectedInstanceError when the exponent preconditions fail and
-    NonConvergenceError (with the residual history) when the budget runs
-    out, rather than returning a best-effort trajectory.
+    Raises RejectedInstanceError with spec.exponent_defect() when the
+    exponent hypothesis fails, DomainError for a bundle _control_forcing
+    refuses, and NonConvergenceError (with the residual history) when the
+    budget runs out, rather than returning a best-effort trajectory.
     """
-    aq, paq = spec.exponents()
-    ok_aq, ok_paq = spec.exponents_ok()
-    if not ok_aq:
-        raise RejectedInstanceError(f"alpha*q = {aq} must be < 1")
-    k = 0 if controls is None else len(controls.cells)
-    if (spec.control_count > 0 or k) and not ok_paq:
-        raise RejectedInstanceError(
-            f"p*alpha*(1-q) = {paq} must exceed 1 for controlled instances")
-    if k and k != spec.control_count:
-        raise DomainError(f"bundle supplies {k} controls, "
-                          f"spec declares {spec.control_count}")
-
+    defect = spec.exponent_defect()
+    if defect:
+        raise RejectedInstanceError(defect)
+    ctrl_forcing = _control_forcing(spec, controls)
     workspace = _workspace(spec, cache, workspace)
     report = SolveReport()
     report.snapped_nonlocal_times = list(workspace.snaps)
     report.nonlocal_denominator_min = float(workspace.denominator.min())
-    ctrl_forcing = _control_forcing(spec, controls)
     current = _fixed_point(
         lambda c: workspace.sweep(c, ctrl_forcing),
         initial.coeffs if initial is not None else workspace.initial(),
@@ -483,12 +479,15 @@ def adjoint_solve(traj: Trajectory, weight: np.ndarray, workspace: _SweepWorkspa
     linearised response and E the h elimination, with the fixed-point
     loop, tolerance and sweep budget of picard_solve; like it, the loop
     runs over f only (f = 0 takes one sweep) and contracts at the rate of
-    the forward f-loop.  Raises NonConvergenceError like picard_solve.
+    the forward f-loop.  Raises NonConvergenceError like picard_solve,
+    and DomainError for a workspace without a kernel (f = 0, no controls).
     """
     slope = workspace.slope(traj.coeffs)
     lam = _fixed_point(lambda lam: workspace.adjoint_sweep(lam, weight, slope),
                        weight, workspace.residual, SolveReport(), "adjoint iteration",
                        tol, max_iter, constant=slope is None)
+    if workspace.kernel_spectrum is None:
+        raise DomainError("the problem declares no forcing (f = 0, no controls)")
     grad_forcing = np.zeros_like(lam)
     grad_forcing[:-1] = workspace.correlate(lam)
     return _control_forcing_adjoint(workspace.spec, grad_forcing)

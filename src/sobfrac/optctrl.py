@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, OptimizationError
+from .errors import (DomainError, NonConvergenceError, OptimizationError,
+                     RejectedInstanceError)
 from .fracops import TimeGrid
 from .mild_solver import (MAX_ITER, ProblemSpec, Trajectory, _SweepWorkspace,
                           _workspace, adjoint_solve, picard_solve)
@@ -176,12 +177,12 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
     difference of step fd_step along the last gradient (two solves)
     checks it.  Every forward and adjoint solve stops after max_iter
     sweeps.  Returns (bundle, trajectory, DescentLog); the log's
-    budget_exhausted flag marks a best-so-far return.
+    budget_exhausted flag marks a best-so-far return.  A failed exponent
+    hypothesis raises picard_solve's RejectedInstanceError before any solve.
     """
-    ok_aq, ok_paq = problem.exponents_ok()
-    if not (ok_aq and ok_paq):
-        raise DomainError(
-            "optimize_controls requires alpha*q < 1 and p*alpha*(1-q) > 1")
+    defect = problem.exponent_defect()
+    if defect:
+        raise RejectedInstanceError(defect)
     workspace = _workspace(problem, cache, None)
     grid, radius = problem.grid, init.radius
     log = DescentLog()
@@ -316,11 +317,10 @@ def hypothesis_check(problem: ProblemSpec) -> dict:
     the whole space: on the ball of radius r the bound is k1 r.
     """
     aq, paq = problem.exponents()
-    ok_aq, ok_paq = problem.exponents_ok()
     nl = problem.nonlinearity
     return {
-        "alpha_q": {"value": aq, "passed": ok_aq},
-        "p_alpha_one_minus_q": {"value": paq, "passed": ok_paq},
+        "alpha_q": {"value": aq, "passed": aq < 1.0},
+        "p_alpha_one_minus_q": {"value": paq, "passed": paq > 1.0},
         "nonlinearity": {
             "kind": "zero" if nl.gain == 0.0 else "sin_gradient",
             "declared_a_f": nl.a_f,
@@ -334,5 +334,5 @@ def hypothesis_check(problem: ProblemSpec) -> dict:
         # the quadratic running cost is coercive by construction; the
         # lower-bound constants are structural, not user data
         "cost_structure": {"psi": 0.0, "d": 0.0, "form": "quadratic"},
-        "passed": ok_aq and (problem.control_count == 0 or ok_paq),
+        "passed": problem.exponent_defect() is None,
     }

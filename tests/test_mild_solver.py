@@ -207,6 +207,21 @@ class TestControlForcing:
         assert np.allclose(forcing[6:, 0], 0.1, rtol=0.0, atol=1e-15)
         assert np.all(forcing[:, 1:] == 0.0)
 
+    @pytest.mark.parametrize("declared, supplied", [(0, 1), (2, 1), (1, 2), (2, 0)])
+    def test_count_mismatch_refused_alike(self, declared, supplied):
+        # the map and the solve read a bundle through one check
+        spec = make_spec(n=8, m=32, control_count=declared)
+        bundle = ControlBundle(np.full((supplied, 32, 4), 0.1), spec.grid)
+        zero = Trajectory(spec.grid, np.zeros((33, 8)))
+        messages = []
+        for call in (lambda: apply_P(spec, None, zero, bundle),
+                     lambda: picard_solve(spec, controls=bundle)):
+            with pytest.raises(DomainError) as err:
+                call()
+            messages.append(str(err.value))
+        assert messages == [f"bundle supplies {supplied} controls, "
+                            f"spec declares {declared}"] * 2
+
     @pytest.mark.parametrize("m", [2, 7, 64])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_adjoint_is_transpose(self, m, k):
@@ -246,9 +261,9 @@ def reference_sweep(spec, ws, coeffs, ctrl_forcing):
 
 class TestBatchedSweep:
     def test_matches_per_node_reference(self, cache16):
-        # README solve config
+        # README solve config, with the one control its bundle supplies
         spec = make_spec(nonlocal_terms=((0.3, 0.5),),
-                         nonlinearity=Nonlinearity(0.1))
+                         nonlinearity=Nonlinearity(0.1), control_count=1)
         ws = _SweepWorkspace(spec, cache16.node_count)
         traj, _ = picard_solve(spec, workspace=ws, tol=1e-8)
         rng = np.random.default_rng(6)
@@ -370,7 +385,7 @@ class TestScratchBuffers:
                   nonlinearity=Nonlinearity(0.1), control_count=2),
         # f = 0 with controls: the convolution optimize_linear runs
         make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),), control_count=2),
-        # f = 0 without controls: the S-only build, whose kernel correlate fetches
+        # f = 0 without controls: the S-only build, with no kernel
         make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),)),
     ], ids=["readme_controls", "readme", "alpha_one", "linear_controls", "linear"])
     def test_matches_allocating_oracle_bitwise(self, spec):
@@ -392,7 +407,11 @@ class TestScratchBuffers:
                 assert_same_bits(slope, oracle.slope(coeffs))
             assert_same_bits(ws.adjoint_sweep(lam, coeffs, slope),
                              oracle.adjoint_sweep(lam, coeffs, slope))
-            assert_same_bits(ws.correlate(lam), oracle.correlate(lam))
+            if spec.nonlinearity.gain == 0.0 and spec.control_count == 0:
+                # a problem that declares no forcing has nothing to correlate
+                assert ws.kernel_spectrum is None
+            else:
+                assert_same_bits(ws.correlate(lam), oracle.correlate(lam))
             assert ws.residual(coeffs, lam).hex() == oracle.residual(coeffs, lam).hex()
 
     def test_results_do_not_alias_scratch(self):
@@ -447,24 +466,24 @@ class TestScratchBuffers:
             call()
             assert allocation_peak(call) < blocks * rows
 
-    def test_undeclared_control_bundle_fetches_the_kernel(self):
-        # a bundle on a spec that declares no controls: the workspace was
-        # built without the kernel and fetches it at the first forcing, so
-        # the map gives the declared problem's result bit for bit
+    def test_undeclared_control_bundle_refused(self):
+        # a bundle on a spec that declares no controls: the map and the
+        # solve refuse it, and the workspace holds no kernel and no FFT
+        # buffers; the declared problem takes the same bundle
         spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),))
         declared = dataclasses.replace(spec, control_count=1)
         controls = random_controls(declared, 8)
-        coeffs = np.random.default_rng(9).standard_normal((65, 8))
-        got = apply_P(spec, None, Trajectory(spec.grid, coeffs), controls).coeffs
-        want = apply_P(declared, None, Trajectory(spec.grid, coeffs), controls).coeffs
-        assert_same_bits(got, want)
-        assert_same_bits(got, allocating_apply_P(spec, coeffs, controls))
+        traj = Trajectory(spec.grid, np.random.default_rng(9).standard_normal((65, 8)))
+        for call in (lambda: apply_P(spec, None, traj, controls),
+                     lambda: picard_solve(spec, controls=controls)):
+            with pytest.raises(DomainError,
+                               match="^bundle supplies 1 controls, spec declares 0$"):
+                call()
         ws = _SweepWorkspace(spec)
         assert ws.kernel_spectrum is None
-        ctrl_forcing = _control_forcing(spec, controls)
-        assert_same_bits(ws.sweep(coeffs, ctrl_forcing),
-                         _SweepWorkspace(declared).sweep(coeffs, ctrl_forcing))
-        assert ws.kernel_spectrum is _SweepWorkspace(declared).kernel_spectrum
+        assert not hasattr(ws, "spectrum") and not hasattr(ws, "convolved")
+        assert_same_bits(apply_P(declared, None, traj, controls).coeffs,
+                         allocating_apply_P(declared, traj.coeffs, controls))
 
     def test_finiteness_check(self):
         ws = _SweepWorkspace(make_spec(n=8, m=64))
@@ -571,6 +590,19 @@ class TestPicardSolve:
         with pytest.raises(DomainError, match="max_iter"):
             adjoint_solve(traj, traj.coeffs, ws, max_iter=max_iter)
 
+    def test_adjoint_of_an_unforced_problem_refused(self):
+        # f = 0 and no controls: the workspace has no kernel, and there is
+        # no control to take a gradient with respect to
+        spec = make_spec(n=8, m=32, nonlocal_terms=((0.3, 0.5),))
+        ws = _SweepWorkspace(spec)
+        traj, _ = picard_solve(spec, workspace=ws)
+        with pytest.raises(DomainError, match="declares no forcing"):
+            adjoint_solve(traj, traj.coeffs, ws)
+        forced = dataclasses.replace(spec, control_count=1)
+        ws = _SweepWorkspace(forced)
+        traj, _ = picard_solve(forced, workspace=ws)
+        assert adjoint_solve(traj, traj.coeffs, ws).shape == (32, 8)
+
     def test_exponent_precondition(self):
         with pytest.raises(RejectedInstanceError):
             spec = ProblemSpec(FracOrder(0.5, q=0.5, p=1.5), 1.0, 4, 8,
@@ -585,8 +617,9 @@ class TestPicardSolve:
         g = projection_matrix(8, 32) @ np.ones(32)
         errors = []
         for m in (128, 256):
+            # the forcing stands in for a control, which the problem declares
             spec = make_spec(n=8, m=m, u0=SpectralField.zero(8),
-                             v0=SpectralField.zero(8))
+                             v0=SpectralField.zero(8), control_count=1)
             ws = _SweepWorkspace(spec)
             coeffs = ws.sweep(ws.initial(), np.tile(g, (m + 1, 1)))
             ts = spec.grid.nodes()
@@ -820,6 +853,14 @@ class TestProblemSpecValidation:
             make_spec(nonlocal_terms=((-0.3, 0.5),))
         with pytest.raises(DomainError):
             make_spec(nonlocal_terms=((0.3, 1.5),))
+
+    @pytest.mark.parametrize("horizon, steps", [(-1.0, 1), (-1.0, 8), (0.0, 8), (math.nan, 8),
+                                                (math.inf, 8), (1.0, 1), (1.0, 0)])
+    def test_grid_validated(self, horizon, steps):
+        # refused when built, not at the first use of .grid
+        with pytest.raises(DomainError, match="horizon|step_count"):
+            ProblemSpec(FracOrder(0.8), horizon, 4, steps,
+                        SpectralField.zero(4), SpectralField.zero(4))
 
     def test_mode_count_consistency(self):
         with pytest.raises(DomainError):

@@ -1,12 +1,13 @@
 """Admissible set, cost functional, and projected-gradient optimizer."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from sobfrac import optctrl
-from sobfrac.errors import DomainError
+from sobfrac.errors import DomainError, RejectedInstanceError
 from sobfrac.fracops import TimeGrid
 from sobfrac.mild_solver import (Nonlinearity, ProblemSpec, Trajectory,
                                  _SweepWorkspace, eval_f, picard_solve)
@@ -305,6 +306,30 @@ class TestHypothesisCheck:
         assert not report["p_alpha_one_minus_q"]["passed"]
         assert not report["passed"]
 
+    def test_passed_exactly_when_the_solve_admits(self):
+        # one exponent rule: over seeded orders, with and without controls,
+        # the report passes exactly the instances picard_solve accepts
+        rng = np.random.default_rng(29)
+        orders = [FracOrder(1.0, q=0.5, p=2.0), FracOrder(0.5, q=0.5, p=4.0)]  # paq = 1
+        orders += [FracOrder(float(rng.choice([0.3, 0.5, 0.8, 1.0])),
+                             q=float(rng.uniform(0.05, 0.95)), p=float(rng.uniform(1.01, 5.0)))
+                   for _ in range(30)]
+        seen = set()
+        for order in orders:
+            for controls in (0, 1, 2):
+                prob = ProblemSpec(order, 1.0, 4, 8, SpectralField(np.eye(4)[0]),
+                                   SpectralField(np.eye(4)[0]), control_count=controls)
+                bundle = zero_bundle(prob.grid, controls, 2) if controls else None
+                try:
+                    picard_solve(prob, controls=bundle)
+                    admitted = True
+                except RejectedInstanceError:
+                    admitted = False
+                assert hypothesis_check(prob)["passed"] == admitted
+                seen.add((controls > 0, admitted))
+        # both verdicts occur, and every uncontrolled instance is admitted
+        assert seen == {(False, True), (True, True), (True, False)}
+
     def test_nonlocal_constants(self):
         prob = reference_problem()
         report = hypothesis_check(prob)
@@ -408,6 +433,20 @@ class TestOptimizer:
                           control_count=1)
         with pytest.raises(DomainError):
             optimize_controls(bad, CostSpec(), zero_bundle(TimeGrid(1.0, 8), 1, 2))
+
+    def test_exponent_rejection_matches_the_solve(self):
+        # the README problem at p = 1.1: p*alpha*(1-q) = 0.66
+        bad = dataclasses.replace(reference_problem(m=16, controls=1),
+                                  order=FracOrder(0.8, q=0.25, p=1.1))
+        init = zero_bundle(bad.grid, 1, 2)
+        messages = []
+        for call in (lambda: picard_solve(bad, controls=init),
+                     lambda: optimize_controls(bad, CostSpec(), init)):
+            with pytest.raises(RejectedInstanceError) as err:
+                call()
+            messages.append(str(err.value))
+        assert messages == ["p*alpha*(1-q) = 0.6600000000000001 must exceed 1 "
+                            "for controlled instances"] * 2
 
 
 # acceptance optimize config (f = 0) and a small sin_grad instance, each
