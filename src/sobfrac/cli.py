@@ -23,10 +23,11 @@ import numpy as np
 from .csvtable import write_table
 from .errors import ConfigError, ConstructionError, DomainError, SobfracError
 from .fracops import FracOrder, TimeGrid
-from .mild_solver import Nonlinearity, ProblemSpec, picard_solve
+from .mild_solver import Nonlinearity, ProblemSpec, _SweepWorkspace, picard_solve
 from .optctrl import (ControlBundle, CostSpec, admissibility_value, hypothesis_check,
                       optimize_controls, project_admissible, zero_bundle)
-from .solution_ops import _DEFAULT_NODES, T_WINDOW, SolutionOperatorCache, psi_rule
+# SolutionOperatorCache and FracOrder stay importable here for perfbench's set-up probe
+from .solution_ops import _DEFAULT_NODES, T_WINDOW, SolutionOperatorCache, psi_rule  # noqa: F401
 from .spectral import (SpectralField, collocation_grid, default_collocation_size,
                        derivative_matrix, measure_bounds)
 
@@ -319,16 +320,17 @@ def run(config: RunConfig) -> int:
             }
             status = 0 if all(r.passed for r in rows) else 1
         else:
-            cache = SolutionOperatorCache(problem.order, problem.mode_count,
-                                          node_count=config.quad_nodes)
-            report["multiplier_rule"] = cache.rule_summary()
+            # the rule parse_config built, and the run's one solve context
+            alpha = problem.order.alpha
+            report["multiplier_rule"] = (psi_rule(alpha, config.quad_nodes).summary()
+                                         if alpha < 1.0 else {"kind": "semigroup", "nodes": 0})
+            workspace = _SweepWorkspace(problem, config.quad_nodes)
             grid = problem.grid
             ts = _time_heads(grid)
             if config.mode == "solve":
-                traj, solve_report = picard_solve(
-                    problem, cache=cache, tol=config.solver_tol,
-                    max_iter=config.solver_max_iter)
-                report["solve"] = solve_report
+                traj, report["solve"] = picard_solve(
+                    problem, tol=config.solver_tol, max_iter=config.solver_max_iter,
+                    workspace=workspace)
             else:
                 k = problem.control_count
                 if config.init_kind == "zero":
@@ -340,7 +342,7 @@ def run(config: RunConfig) -> int:
                 bundle, traj, log = optimize_controls(
                     problem, config.cost, init, budget=config.budget,
                     grad_tol=config.grad_tol, fd_step=config.fd_step,
-                    solve_tol=config.solver_tol, cache=cache,
+                    solve_tol=config.solver_tol, workspace=workspace,
                     max_iter=config.solver_max_iter)
                 _write_artifact(out / "descent.csv", "iteration,J\n" + "".join(
                     f"{i},{_fmt(j)}\n" for i, j in enumerate(log.cost_values)))

@@ -39,6 +39,7 @@ from .spectral import (SpectralField, data_smoothing_symbol,
                        projection_matrix, q_weights)
 
 _SQRT_PI = math.sqrt(math.pi)
+_UNFORCED = "the problem declares no forcing (f = 0, no controls)"
 
 # sweep budget of a forward or adjoint fixed-point solve
 MAX_ITER = 80
@@ -341,7 +342,7 @@ class _SweepWorkspace:
     def response(self, coeffs: np.ndarray, ctrl_forcing: np.ndarray) -> np.ndarray:
         """The solution map at coeffs without its h term: the data term
         S(t) [smoothing] (v0 + kappa u0) plus the kernel convolution of
-        the forcing."""
+        the forcing, which has to vanish without a kernel (DomainError)."""
         out = self.data.copy()
         # the last node's forcing never enters the convolution
         forcing = ctrl_forcing[:-1]
@@ -353,6 +354,8 @@ class _SweepWorkspace:
             forcing = np.matmul(colloc, self.P.T, out=self.forcing)
             forcing += ctrl_forcing[:-1]
         if forcing.any():
+            if self.kernel_spectrum is None:
+                raise DomainError(_UNFORCED)
             out[1:] += fftconvolve(self.kernel_spectrum, forcing, self.spectrum,
                                    self.convolved)
         return out
@@ -487,24 +490,23 @@ def adjoint_solve(traj: Trajectory, weight: np.ndarray, workspace: _SweepWorkspa
                        weight, workspace.residual, SolveReport(), "adjoint iteration",
                        tol, max_iter, constant=slope is None)
     if workspace.kernel_spectrum is None:
-        raise DomainError("the problem declares no forcing (f = 0, no controls)")
+        raise DomainError(_UNFORCED)
     grad_forcing = np.zeros_like(lam)
     grad_forcing[:-1] = workspace.correlate(lam)
     return _control_forcing_adjoint(workspace.spec, grad_forcing)
 
 
 def _workspace(spec, cache, workspace) -> _SweepWorkspace:
-    """spec's solve context: workspace if built for spec, else one at cache's rule size."""
+    """spec's solve context: workspace if built for spec (else DomainError),
+    or a new one at cache's rule size."""
     if workspace is not None:
         if workspace.spec is not spec:
             raise DomainError("the workspace was built for another problem")
         return workspace
-    if cache is None:
-        return _SweepWorkspace(spec)
-    if cache.order.alpha != spec.order.alpha:
+    if cache is not None and cache.order.alpha != spec.order.alpha:
         raise DomainError(f"cache alpha {cache.order.alpha} differs from the "
                           f"problem's alpha {spec.order.alpha}")
-    return _SweepWorkspace(spec, cache.node_count)
+    return _SweepWorkspace(spec, _DEFAULT_NODES if cache is None else cache.node_count)
 
 
 def _fixed_point(sweep, current, distance, report, what, tol, max_iter,

@@ -22,7 +22,6 @@ from .errors import (DomainError, NonConvergenceError, OptimizationError,
 from .fracops import TimeGrid
 from .mild_solver import (MAX_ITER, ProblemSpec, Trajectory, _SweepWorkspace,
                           _workspace, adjoint_solve, picard_solve)
-from .solution_ops import SolutionOperatorCache
 
 # sufficient-decrease constant of the Armijo test
 _ARMIJO_SIGMA = 1e-4
@@ -166,7 +165,7 @@ class DescentLog:
 def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
                       budget: int = 60, grad_tol: float = 1e-4,
                       fd_step: float = 1e-4, solve_tol: float = 1e-9,
-                      cache: SolutionOperatorCache | None = None,
+                      workspace: _SweepWorkspace | None = None,
                       max_iter: int = MAX_ITER):
     """Projected-gradient descent on the control coefficients.
 
@@ -175,15 +174,16 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
     Armijo test, and projects back onto the admissible ball, so accepted
     cost values never increase.  After the descent, one central
     difference of step fd_step along the last gradient (two solves)
-    checks it.  Every forward and adjoint solve stops after max_iter
-    sweeps.  Returns (bundle, trajectory, DescentLog); the log's
-    budget_exhausted flag marks a best-so-far return.  A failed exponent
+    checks it.  Every forward and adjoint solve runs in workspace (one
+    built for problem, else DomainError; None builds one) and stops after
+    max_iter sweeps.  Returns (bundle, trajectory, DescentLog), the log's
+    budget_exhausted marking a best-so-far return.  A failed exponent
     hypothesis raises picard_solve's RejectedInstanceError before any solve.
     """
     defect = problem.exponent_defect()
     if defect:
         raise RejectedInstanceError(defect)
-    workspace = _workspace(problem, cache, None)
+    workspace = _workspace(problem, None, workspace)
     grid, radius = problem.grid, init.radius
     log = DescentLog()
 

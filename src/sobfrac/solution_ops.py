@@ -207,12 +207,6 @@ class SolutionOperatorCache:
         # the semigroup itself at alpha = 1: no psi integration
         self.rule = psi_rule(alpha, self.node_count) if alpha < 1.0 else None
 
-    def rule_summary(self) -> dict:
-        """Node count and construction defects of the multiplier rule."""
-        if self.rule is None:
-            return {"kind": "semigroup", "nodes": 0}
-        return self.rule.summary()
-
     def multiplier_table(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """(s_table, t_table), one row over all modes per time in ts."""
         ts = [float(t) for t in ts]

@@ -787,6 +787,48 @@ class TestOptimizeMode:
         assert (out1 / "controls.csv").read_bytes() == (out2 / "controls.csv").read_bytes()
 
 
+class TestSolveContext:
+    @pytest.mark.parametrize("mode", ["solve", "optimize"])
+    def test_run_builds_one_workspace_and_no_operator_cache(self, tmp_path, monkeypatch,
+                                                            mode):
+        # the run's solve context is one workspace at the configured rule
+        # size, handed to the solver or the optimizer
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run built a SolutionOperatorCache")
+
+        built = []
+        workspace_init = mild_solver._SweepWorkspace.__init__
+
+        def record(self, spec, node_count):
+            built.append(node_count)
+            workspace_init(self, spec, node_count)
+
+        monkeypatch.setattr(cli, "SolutionOperatorCache", refuse)
+        monkeypatch.setattr(mild_solver._SweepWorkspace, "__init__", record)
+        text = REFERENCE_CFG + f"directory = {tmp_path}\n\n[solver]\nquad_nodes = 120\n"
+        assert run(parse_config(text, mode=mode)) == 0
+        assert built == [120]
+
+    @pytest.mark.parametrize("alpha, rule", [
+        ("0.6", lambda: solution_ops.psi_rule(0.6, 150).summary()),
+        ("1.0", lambda: {"kind": "semigroup", "nodes": 0})])
+    def test_multiplier_rule_is_the_parsed_rule(self, tmp_path, alpha, rule):
+        # the summary of the rule parse_config built; the controlled
+        # instance at alpha = 0.6 fails the exponent hypothesis, and its
+        # optimize writes the entry before the error
+        controlled = alpha == "0.6"
+        for mode, base, status in (("solve", MINIMAL, 0),
+                                   ("optimize", REFERENCE_CFG, int(controlled))):
+            out = tmp_path / mode
+            text = (base.replace("alpha = 0.8", f"alpha = {alpha}")
+                    + f"\n[solver]\nquad_nodes = 150\n\n[output]\ndirectory = {out}\n")
+            assert run(parse_config(text, mode=mode)) == status
+            report = strict_json(out / "report.json")
+            assert report["multiplier_rule"] == rule()
+            if status:
+                assert report["error"]["type"] == "RejectedInstanceError"
+
+
 class TestMainEntry:
     def test_main_solve(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

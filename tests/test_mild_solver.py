@@ -603,6 +603,16 @@ class TestPicardSolve:
         traj, _ = picard_solve(forced, workspace=ws)
         assert adjoint_solve(traj, traj.coeffs, ws).shape == (32, 8)
 
+    def test_unforced_sweep_refuses_a_forcing(self):
+        # the sweep of a workspace without a kernel refuses a nonzero raw
+        # forcing with the adjoint's diagnosis; a zero one is the linear sweep
+        spec = make_spec(n=4, m=8)
+        ws = _SweepWorkspace(spec)
+        with pytest.raises(DomainError, match=r"^the problem declares no forcing \("):
+            ws.sweep(ws.initial(), np.ones((9, 4)))
+        assert_same_bits(ws.sweep(ws.initial(), np.zeros((9, 4))),
+                         picard_solve(spec, workspace=ws)[0].coeffs)
+
     def test_exponent_precondition(self):
         with pytest.raises(RejectedInstanceError):
             spec = ProblemSpec(FracOrder(0.5, q=0.5, p=1.5), 1.0, 4, 8,

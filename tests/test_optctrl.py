@@ -421,11 +421,38 @@ class TestOptimizer:
         with pytest.raises(DomainError, match="control grid"):
             optimize_controls(prob, CostSpec(), zero_bundle(TimeGrid(2.0, 16), 1, 2))
 
-    def test_cache_alpha_must_match(self):
+    def test_workspace_of_another_problem_refused(self):
+        # the solve context is the problem's own: one built at another
+        # alpha, or for an equal copy, is refused before any solve
         prob = reference_problem(m=16, controls=1)
-        cache = SolutionOperatorCache(FracOrder(0.5, q=0.25, p=2.0), 8)
-        with pytest.raises(DomainError, match="cache alpha 0.5 .* alpha 0.8"):
-            optimize_controls(prob, CostSpec(), zero_bundle(prob.grid, 1, 2), cache=cache)
+        for other in (dataclasses.replace(prob, order=FracOrder(0.5, q=0.25, p=2.0)),
+                      dataclasses.replace(prob)):
+            with pytest.raises(DomainError,
+                               match="^the workspace was built for another problem$"):
+                optimize_controls(prob, CostSpec(), zero_bundle(prob.grid, 1, 2),
+                                  workspace=_SweepWorkspace(other))
+
+    def test_given_workspace_is_the_only_one(self, monkeypatch):
+        # a workspace passed in serves every solve: the optimizer builds
+        # none of its own, and its run is the one it builds otherwise
+        prob = reference_problem(m=16, controls=1, nonlinearity=Nonlinearity(0.1))
+        init = zero_bundle(prob.grid, 1, 2)
+        own = optimize_controls(prob, CostSpec(), init, budget=5)
+        workspace = _SweepWorkspace(prob, 200)
+        built = []
+        workspace_init = _SweepWorkspace.__init__
+
+        def record(self, *args, **kwargs):
+            built.append(self)
+            workspace_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_SweepWorkspace, "__init__", record)
+        bundle, traj, log = optimize_controls(prob, CostSpec(), init, budget=5,
+                                              workspace=workspace)
+        assert built == []
+        assert log == own[2]
+        assert np.array_equal(bundle.cells, own[0].cells)
+        assert np.array_equal(traj.coeffs, own[1].coeffs)
 
     def test_exponent_precondition(self):
         bad = ProblemSpec(FracOrder(0.9, q=0.9, p=1.1), 1.0, 4, 8,

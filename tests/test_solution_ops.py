@@ -310,10 +310,7 @@ class TestPsiRule:
     def test_cache_reads_the_rule(self):
         c = SolutionOperatorCache(FracOrder(0.6, q=0.25), 8, node_count=150)
         assert c.rule is psi_rule(0.6, 150)
-        summary = c.rule_summary()
-        assert summary["nodes"] == 150
-        assert summary["weight_sum_defect"] == c.rule.weight_sum_defect
-        assert SolutionOperatorCache(FracOrder(1.0), 8).rule_summary()["nodes"] == 0
+        assert SolutionOperatorCache(FracOrder(1.0), 8).rule is None
 
 
 class TestOperatorApplication:
