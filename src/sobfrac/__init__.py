@@ -12,7 +12,7 @@ import importlib as _importlib
 _HOMES = {name: module for module, names in {
     "errors": ("ConfigError", "ConstructionError", "DomainError", "EvaluationError",
                "GridTooCoarseError", "NonConvergenceError", "OptimizationError",
-               "PropertyFailure", "RejectedInstanceError", "SobfracError"),
+               "RejectedInstanceError", "SobfracError"),
     "fracops": ("FracOrder", "SampledFn", "TimeGrid", "caputo_deriv", "frac_integral",
                 "gamma", "gl_deriv", "rl_deriv"),
     "mild_solver": ("Nonlinearity", "ProblemSpec", "SolveReport", "Trajectory",

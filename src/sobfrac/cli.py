@@ -25,7 +25,7 @@ from .errors import ConfigError, ConstructionError, DomainError, SobfracError
 from .fracops import FracOrder, TimeGrid
 from .mild_solver import Nonlinearity, ProblemSpec, _SweepWorkspace, picard_solve
 from .optctrl import (ControlBundle, CostSpec, admissibility_value, hypothesis_check,
-                      optimize_controls, project_admissible, zero_bundle)
+                      optimize_controls, zero_bundle)
 # SolutionOperatorCache and FracOrder stay importable here for perfbench's set-up probe
 from .solution_ops import _DEFAULT_NODES, T_WINDOW, SolutionOperatorCache, psi_rule  # noqa: F401
 from .spectral import (SpectralField, collocation_grid, default_collocation_size,
@@ -338,7 +338,11 @@ def run(config: RunConfig) -> int:
                 else:
                     x0 = np.random.default_rng(config.seed).uniform(
                         -1.0, 1.0, size=(k, grid.step_count, config.control_modes))
-                    init = project_admissible(ControlBundle(x0, grid, config.radius))
+                    init = ControlBundle(x0, grid, config.radius)
+                    # a draw outside the ball is rescaled onto it, keeping its direction
+                    value = admissibility_value(init)
+                    if value > config.radius:
+                        init = init.scaled(config.radius / value)
                 bundle, traj, log = optimize_controls(
                     problem, config.cost, init, budget=config.budget,
                     grad_tol=config.grad_tol, fd_step=config.fd_step,

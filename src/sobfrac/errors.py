@@ -34,17 +34,6 @@ class ConstructionError(SobfracError):
         self.achieved_defect = achieved_defect
 
 
-class PropertyFailure(SobfracError):
-    """A numerically verified operator bound was violated."""
-
-    def __init__(self, message, clause=None, t=None, mode=None, report=None):
-        super().__init__(message)
-        self.clause = clause
-        self.t = t
-        self.mode = mode
-        self.report = report
-
-
 class NonConvergenceError(SobfracError):
     """Picard iteration exhausted its budget without meeting the tolerance."""
 

@@ -147,10 +147,6 @@ class Trajectory:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def mode_count(self) -> int:
-        return self.coeffs.shape[1]
-
 
 @dataclass
 class SolveReport:

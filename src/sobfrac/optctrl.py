@@ -3,11 +3,10 @@
 Controls are piecewise constant in time on the solver grid with a small
 number of spatial modes.  The optimizer is projected gradient descent
 with exact adjoint-state gradients of the discrete cost (one adjoint
-solve each) and Armijo backtracking; admissibility is restored after
-every step by uniform rescaling.  Rescaling lands on the integral-norm
-ball, but it is not the Euclidean projection onto it, so the
-stationarity measure x - P(x - grad) is not a first-order optimality
-test when the ball binds.
+solve each) and Armijo backtracking; after every step the Euclidean
+projection onto the integral-norm ball restores admissibility, so the
+stationarity measure x - P(x - grad) is a first-order optimality test
+whether or not the ball binds.
 """
 
 from __future__ import annotations
@@ -69,25 +68,43 @@ def zero_bundle(grid: TimeGrid, k: int, control_modes: int,
                          grid, radius)
 
 
+def _cell_norms(cells: np.ndarray) -> np.ndarray:
+    """||x_jc|| of every cell, in one reduction over all controls."""
+    return np.sqrt(np.add.reduce(cells * cells, axis=2))
+
+
 def admissibility_value(bundle: ControlBundle) -> float:
     """sum_j int_0^a ||u_j(s)|| ds, exact for piecewise-constant controls.
 
-    Every cell norm comes from one reduction over all controls; the
-    per-control sums then accumulate in control order.
+    The per-control sums of the cell norms accumulate in control order.
     """
     cells, dt = bundle.cells, bundle.grid.dt
     total = 0.0
-    for norm_sum in np.sqrt(np.add.reduce(cells * cells, axis=2)).sum(axis=1):
+    for norm_sum in _cell_norms(cells).sum(axis=1):
         total += float(norm_sum * dt)
     return total
 
 
 def project_admissible(bundle: ControlBundle) -> ControlBundle:
-    """Uniformly rescale onto the ball when the constraint is violated."""
-    value = admissibility_value(bundle)
-    if value <= bundle.radius:
+    """The Euclidean projection onto {y : sum_j sum_c dt ||y_jc|| <= radius};
+    an admissible bundle is returned itself.
+
+    With a_c = dt ||x_c|| per cell, every a_c is soft-thresholded by one
+    theta >= 0 with sum_c max(0, a_c - theta) = radius, found from a sort
+    (the l1-ball projection of Duchi, Shalev-Shwartz, Singer and Chandra,
+    ICML 2008), and cell c is scaled by max(0, 1 - theta / a_c).
+    """
+    radius = bundle.radius
+    if admissibility_value(bundle) <= radius:
         return bundle
-    return bundle.scaled(bundle.radius / value)
+    cells = bundle.cells
+    a = bundle.grid.dt * _cell_norms(cells)
+    desc = np.sort(a, axis=None)[::-1]
+    thetas = (np.cumsum(desc) - radius) / np.arange(1, desc.size + 1)
+    theta = thetas[np.flatnonzero(desc > thetas)[-1]]
+    with np.errstate(divide="ignore"):
+        scale = np.maximum(1.0 - theta / a, 0.0)
+    return ControlBundle(cells * scale[:, :, None], bundle.grid, radius)
 
 
 @dataclass(frozen=True)
@@ -294,13 +311,14 @@ def _gradient_check(objective, bundle, traj, grad, fd_step, solve_tol) -> dict:
 
 
 def random_admissible_bundle(grid: TimeGrid, k: int, control_modes: int,
-                             rng: np.random.Generator, radius: float = 1.0,
-                             fill: float | None = None) -> ControlBundle:
-    """Uniform-direction sample rescaled to a uniform fraction of the ball."""
+                             rng: np.random.Generator,
+                             radius: float = 1.0) -> ControlBundle:
+    """Cells drawn uniformly from [-1, 1], rescaled so that the
+    admissibility value is a fraction of radius drawn uniformly from [0, 1)."""
     x = rng.uniform(-1.0, 1.0, size=(k, grid.step_count, control_modes))
     bundle = ControlBundle(x, grid, radius)
     value = admissibility_value(bundle)
-    target = (fill if fill is not None else rng.uniform(0.0, 1.0)) * radius
+    target = rng.uniform(0.0, 1.0) * radius
     if value > 0.0:
         bundle = bundle.scaled(target / value)
     return bundle

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, PropertyFailure
+from .errors import ConstructionError, DomainError
 from .fracops import FracOrder, TimeGrid, gamma
 from .spectral import generator_symbol, l_inverse_symbol, measure_bounds, q_weights
 
@@ -323,8 +323,7 @@ class SolutionOperatorCache:
         return s_table[0], t_table[0]
 
 
-def verify_operator_bounds(cache: SolutionOperatorCache, t_samples,
-                           raise_on_failure: bool = True) -> dict:
+def verify_operator_bounds(cache: SolutionOperatorCache, t_samples) -> dict:
     """Check of the boundedness/continuity/envelope claims on the table.
 
     (a) ||S(t)|| <= C1 M0 and ||T(t)|| <= C1 M0 / Gamma(alpha) at every
@@ -333,13 +332,14 @@ def verify_operator_bounds(cache: SolutionOperatorCache, t_samples,
         the q-norm, follows from (a): the q-weights commute with the
         diagonal operators, so both norms of each operator agree;
     (b) multiplier continuity in t against the exact Lipschitz envelope
-        lambda_n |t2^a - t1^a| / (Gamma(1+a) (1+n^2));
+        lambda_n |t2^a - t1^a| / (Gamma(1+a) (1+n^2)); a T row that moves
+        by 1 or more between samples, or is NaN, gives an infinite ratio;
     (d) ||A^q T(t)|| t^(q a) stays below a C1 Mq Gamma(2-q)/Gamma(1+a(1-q))
         with the closed-form Mq = (q/e)^q.
 
     Returns a report with each clause's worst ratio and the cap it must
-    stay within (1, or 1 + 1e-9 where the bound is attained); raises
-    PropertyFailure on the first violated clause unless told not to.
+    stay within (1, or 1 + 1e-9 where the bound is attained); a violated
+    clause reads passed False there, and nothing is raised.
     """
     t_samples = sorted(float(t) for t in t_samples)
     if not t_samples:
@@ -368,9 +368,8 @@ def verify_operator_bounds(cache: SolutionOperatorCache, t_samples,
     envelope = cache._lam * steps / gamma(1.0 + alpha) * cache._linv
     gap = np.abs(np.diff(s_table, axis=0))
     worst_b = np.max(gap / (envelope * 1.05 + 1e-8), initial=0.0)
-    jumps = np.flatnonzero(~np.all(np.abs(np.diff(t_table, axis=0)) < 1.0, axis=1))
-    if jumps.size:
-        raise PropertyFailure("T multiplier jump", clause="b", t=t_samples[jumps[0] + 1])
+    if not np.all(np.abs(np.diff(t_table, axis=0)) < 1.0):
+        worst_b = math.inf
     report["clauses"]["b_continuity"] = _clause(worst_b, 1.0)
 
     # (d) the t^{-q alpha} envelope for ||A^q T(t)||
@@ -385,10 +384,6 @@ def verify_operator_bounds(cache: SolutionOperatorCache, t_samples,
     report["clauses"]["d_envelope"] = _clause(worst_d, slack)
 
     report["passed"] = all(c["passed"] for c in report["clauses"].values())
-    if raise_on_failure and not report["passed"]:
-        bad = [k for k, c in report["clauses"].items() if not c["passed"]]
-        raise PropertyFailure(f"operator bound clauses failed: {bad}",
-                              clause=",".join(bad), report=report)
     return report
 
 

@@ -49,10 +49,6 @@ _PANEL_ORDERS = (20, 16)
 _PANEL_CHUNK = 512
 
 
-def _alpha_of(order) -> float:
-    return order.alpha if isinstance(order, FracOrder) else float(order)
-
-
 def _sinpi(z: float) -> float:
     # sin(pi*z) with exact argument reduction; math.sin(math.pi*z) loses
     # accuracy for large z.
@@ -241,7 +237,7 @@ def _density_cached(alpha: float, theta: float, tol: float) -> float:
     return float(_density_values(alpha, np.array([theta]), tol)[0])
 
 
-def mainardi_density(order, theta, tol: float = 1e-10):
+def mainardi_density(alpha: float, theta, tol: float = 1e-10):
     """Mainardi density zeta_alpha at theta > 0, absolute error <= tol.
 
     theta is a float, answered through a cache of single values, or a 1-D
@@ -250,7 +246,7 @@ def mainardi_density(order, theta, tol: float = 1e-10):
     and callers that support alpha = 1 bypass the theta integration.
     So is alpha within _ALPHA_GAP of 1, where the evaluation loses accuracy.
     """
-    alpha = _alpha_of(order)
+    alpha = float(alpha)
     if not 0.0 < alpha <= 1.0 - _ALPHA_GAP:
         raise DomainError(
             f"mainardi_density requires 0 < alpha <= 1 - {_ALPHA_GAP:g}, got {alpha}")
@@ -270,9 +266,8 @@ def mainardi_density(order, theta, tol: float = 1e-10):
     return _density_values(alpha, thetas, float(tol))
 
 
-def mainardi_moment(order, v: float) -> float:
+def mainardi_moment(alpha: float, v: float) -> float:
     """Closed-form fractional moment: int theta^v zeta_alpha = G(1+v)/G(1+alpha v)."""
-    alpha = _alpha_of(order)
     if not 0.0 <= v <= 1.0:
         raise DomainError(f"moment exponent v must lie in [0, 1], got {v}")
     return gamma(1.0 + v) / gamma(1.0 + alpha * v)
@@ -387,13 +382,13 @@ def _decay_constant(alpha: float) -> float:
     return (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
 
 
-def theta_support_cut(alpha: float, log_tail: float = 34.0) -> float:
-    """Theta beyond which the density mass is negligible (exp(-log_tail) scale)."""
-    return (log_tail / _decay_constant(alpha)) ** (1.0 - alpha)
+def theta_support_cut(alpha: float) -> float:
+    """Theta beyond which the density mass is negligible (exp(-34) scale)."""
+    return (34.0 / _decay_constant(alpha)) ** (1.0 - alpha)
 
 
 @functools.lru_cache(maxsize=256)
-def theta_quadrature(order_alpha, node_count: int = 200) -> QuadratureRule:
+def theta_quadrature(alpha: float, node_count: int = 200) -> QuadratureRule:
     """Composite Gauss-Legendre rule on geometrically graded panels.
 
     (0, inf) is truncated at the superexponential-decay cutoff and split
@@ -402,7 +397,7 @@ def theta_quadrature(order_alpha, node_count: int = 200) -> QuadratureRule:
     fails if the realized normalization defect exceeds 1e-8 or the first
     moment misses its closed form by more than 1e-6.
     """
-    alpha = _alpha_of(order_alpha)
+    alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"theta_quadrature requires 0 < alpha < 1, got {alpha}")
     if node_count < 16:

@@ -161,8 +161,7 @@ def solution_op_checks(order: FracOrder, mode_count: int, node_count: int) -> li
                 s_ml, t_ml = (specfun.mittag_leffler(a, b, z) / (1 + n * n) for b in (1.0, a))
                 worst = max(worst, abs(s_row[n - 1] - s_ml), abs(t_row[n - 1] - t_ml))
         rows.append(_row("multiplier_rule_vs_series", detail, worst, 1e-9))
-        report = solution_ops.verify_operator_bounds(
-            cache, np.linspace(0.0, 1.0, 33), raise_on_failure=False)
+        report = solution_ops.verify_operator_bounds(cache, np.linspace(0.0, 1.0, 33))
         for clause, result in report["clauses"].items():
             rows.append(_row(f"operator_bound_{clause}", detail,
                              result["worst_ratio"], result["cap"]))

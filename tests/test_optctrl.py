@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from sobfrac import optctrl
 from sobfrac.errors import DomainError, RejectedInstanceError
@@ -184,6 +185,43 @@ class TestAdmissibility:
         assert abs(admissibility_value(bundle) - 2.0) <= 1e-12
         projected = project_admissible(bundle)
         assert abs(admissibility_value(projected) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_projection_meets_its_optimality_conditions(self, grid, seed):
+        # KKT: y_c = x_c max(0, 1 - theta / a_c) with a_c = dt ||x_c||, so
+        # every kept cell's a_c shrinks by one common theta > 0, every
+        # dropped one has a_c <= theta, and y lies on the sphere
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, 64, 3)) * rng.uniform(0.5, 4.0, (2, 64, 1))
+        projected = project_admissible(ControlBundle(x, grid, 0.3))
+        y = projected.cells
+        a = grid.dt * np.linalg.norm(x, axis=2)
+        b = grid.dt * np.linalg.norm(y, axis=2)
+        kept = b > 0.0
+        assert kept.any() and not kept.all()
+        theta = a[kept] - b[kept]
+        assert theta.min() > 0.0 and np.ptp(theta) <= 1e-12
+        assert np.all(a[~kept] <= theta.max() + 1e-12)
+        assert np.max(np.abs(y[kept] - x[kept] * (b / a)[kept][:, None])) <= 1e-12
+        assert abs(admissibility_value(projected) - 0.3) <= 1e-12
+
+    def test_projection_matches_a_brute_force_minimisation(self):
+        # min ||y - x||^2 over the ball by SLSQP, on a case where the
+        # projection drops whole cells
+        grid = TimeGrid(1.0, 3)
+        x = np.random.default_rng(1).standard_normal((2, 3, 2))
+        bundle = ControlBundle(x, grid, 0.5)
+        y = project_admissible(bundle).cells
+        start = bundle.scaled(0.5 / admissibility_value(bundle)).cells
+        result = minimize(
+            lambda v: np.sum((v - x.ravel()) ** 2), start.ravel(), method="SLSQP",
+            constraints=[{"type": "ineq", "fun": lambda v: 0.5 - admissibility_value(
+                ControlBundle(v.reshape(x.shape), grid, 0.5))}],
+            options={"ftol": 1e-15, "maxiter": 1000})
+        assert result.success
+        assert np.count_nonzero(np.linalg.norm(y, axis=2) == 0.0) == 2
+        assert np.max(np.abs(result.x.reshape(x.shape) - y)) <= 1e-5
+        assert np.sum((y - x) ** 2) <= result.fun + 1e-8
 
     def test_idempotent(self, grid):
         rng = np.random.default_rng(2)
@@ -388,7 +426,8 @@ class TestOptimizer:
     def test_pure_control_penalty_reaches_zero(self):
         prob = reference_problem(m=32, controls=1)
         rng = np.random.default_rng(3)
-        init = random_admissible_bundle(TimeGrid(1.0, 32), 1, 2, rng, fill=0.5)
+        start = ControlBundle(rng.uniform(-1.0, 1.0, size=(1, 32, 2)), prob.grid)
+        init = start.scaled(0.5 / admissibility_value(start))
         bundle, traj, log = optimize_controls(
             prob, CostSpec(state_weight=0.0), init, budget=120, grad_tol=1e-6)
         assert log.cost_values[-1] <= 1e-6
@@ -408,11 +447,29 @@ class TestOptimizer:
     def test_budget_flag(self):
         prob = reference_problem(m=16)
         rng = np.random.default_rng(9)
-        init = random_admissible_bundle(TimeGrid(1.0, 16), 2, 2, rng, fill=0.8)
+        start = ControlBundle(rng.uniform(-1.0, 1.0, size=(2, 16, 2)), prob.grid)
+        init = start.scaled(0.8 / admissibility_value(start))
         bundle, traj, log = optimize_controls(prob, CostSpec(), init, budget=1,
                                               grad_tol=1e-12)
         assert log.budget_exhausted
         assert not log.converged
+
+    def test_binding_ball_converges(self):
+        # at radius 0.05 the acceptance problem's optimum lies on the sphere
+        prob = reference_problem()
+        init = zero_bundle(prob.grid, 2, 4, radius=0.05)
+        bundle, traj, log = optimize_controls(prob, CostSpec(), init)
+        assert log.converged
+        assert log.stationarity <= 1e-4
+        assert admissibility_value(bundle) <= 0.05 + 1e-10
+        tight = optimize_controls(prob, CostSpec(), init, budget=200, grad_tol=1e-9)[2]
+        assert tight.converged
+        assert abs(log.cost_values[-1] - tight.cost_values[-1]) <= 1e-7
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            cand = random_admissible_bundle(prob.grid, 2, 4, rng, radius=0.05)
+            cand_traj, _ = picard_solve(prob, controls=cand, tol=1e-9)
+            assert log.cost_values[-1] <= cost_J(cand_traj, cand, CostSpec())
 
     def test_initial_bundle_on_another_grid(self):
         # the initial bundle is solved as given, so its cells cannot be

@@ -420,7 +420,7 @@ class TestBoundClauses:
     def test_report_matches_per_field_reference(self, alpha, samples, trials):
         c = SolutionOperatorCache(FracOrder(alpha, q=0.25, p=2.0), 16)
         ts = np.linspace(0.0, 1.0, samples)
-        report = verify_operator_bounds(c, ts, raise_on_failure=False)
+        report = verify_operator_bounds(c, ts)
         want, worst_q_norm = reference_operator_bounds(c, ts)
         assert report == want
         # the q-norm bounds follow from (a): the q-weights commute with S and T
@@ -431,6 +431,38 @@ class TestBoundClauses:
         for clause in report["clauses"].values():
             assert type(clause["worst_ratio"]) is float
             assert type(clause["passed"]) is bool
+
+    @staticmethod
+    def patched(monkeypatch, edit):
+        """multiplier_table with edit(s_table, t_table) applied to its rows."""
+        table = SolutionOperatorCache.multiplier_table
+
+        def edited(self, ts):
+            s_table, t_table = table(self, ts)
+            edit(s_table, t_table)
+            return s_table, t_table
+        monkeypatch.setattr(SolutionOperatorCache, "multiplier_table", edited)
+
+    def test_a_violated_bound_is_reported(self, cache, monkeypatch):
+        def doubled(s_table, t_table):
+            s_table *= 2.0
+            t_table *= 2.0
+        self.patched(monkeypatch, doubled)
+        report = verify_operator_bounds(cache, np.linspace(0.0, 1.0, 33))
+        assert not report["passed"]
+        assert not report["clauses"]["a_bounded"]["passed"]
+        assert report["clauses"]["a_bounded"]["worst_ratio"] >= 1.9
+
+    @pytest.mark.parametrize("value", [1.0, math.nan])
+    def test_a_broken_t_row_fails_continuity(self, cache, monkeypatch, value):
+        # a T row that moves by 1 or more, or is NaN, has no finite ratio
+        def broken(s_table, t_table):
+            t_table[len(t_table) // 2] += value
+        self.patched(monkeypatch, broken)
+        report = verify_operator_bounds(cache, np.linspace(0.0, 1.0, 33))
+        assert not report["passed"]
+        assert report["clauses"]["b_continuity"] == {
+            "worst_ratio": math.inf, "cap": 1.0, "passed": False}
 
     def test_one_table_per_grid(self, cache, monkeypatch):
         calls = []

@@ -304,11 +304,6 @@ class TestMainardiDensity:
         with pytest.raises(DomainError):
             mainardi_density(1.0, 1.0)  # delta limit is rejected here
 
-    def test_accepts_frac_order(self):
-        a = mainardi_density(FracOrder(0.6), 0.7)
-        b = mainardi_density(0.6, 0.7)
-        assert a == b
-
 
 class TestMainardiMoment:
     def test_zeroth_is_one(self):
