@@ -23,7 +23,7 @@ import numpy as np
 from .csvtable import write_table
 from .errors import ConfigError, ConstructionError, DomainError, SobfracError
 from .fracops import FracOrder, TimeGrid
-from .mild_solver import Nonlinearity, ProblemSpec, _SweepWorkspace, picard_solve
+from .mild_solver import MAX_ITER, Nonlinearity, ProblemSpec, _SweepWorkspace, picard_solve
 from .optctrl import (ControlBundle, CostSpec, admissibility_value, hypothesis_check,
                       optimize_controls, zero_bundle)
 # SolutionOperatorCache and FracOrder stay importable here for perfbench's set-up probe
@@ -47,7 +47,7 @@ _KEYS = {
     ("problem", "nonlinearity"): ("zero", None, None),
     ("problem", "controls"): ("0", int, "[0,inf)"),
     ("solver", "tol"): ("1e-8", float, "(0,inf)"),
-    ("solver", "max_iter"): ("80", int, "[1,inf)"),
+    ("solver", "max_iter"): (str(MAX_ITER), int, "[1,inf)"),
     ("solver", "quad_nodes"): (str(_DEFAULT_NODES), int, "[16,inf)"),
     ("cost", "state_weight"): ("1.0", float, "[0,inf)"),
     ("cost", "control_weight"): ("1.0", float, "[0,inf)"),

@@ -39,7 +39,6 @@ from .spectral import (SpectralField, data_smoothing_symbol,
                        projection_matrix, q_weights)
 
 _SQRT_PI = math.sqrt(math.pi)
-_UNFORCED = "the problem declares no forcing (f = 0, no controls)"
 
 # sweep budget of a forward or adjoint fixed-point solve
 MAX_ITER = 80
@@ -231,6 +230,28 @@ def fftconvolve(kernel_spectrum: np.ndarray, signal: np.ndarray,
     return np.fft.irfft(spectrum, n, axis=0, out=out)[:signal.shape[0]]
 
 
+class _Kernel:
+    """The time kernel (t-s)^(alpha-1) T(t-s), integrated exactly per
+    cell: its causal convolution and the transpose.  The spectrum is the
+    grid-static memo's, shared and read-only; the FFT buffers are the
+    kernel's own, and both methods return a view of their output, valid
+    until the next call, so one kernel serves one solve at a time."""
+
+    def __init__(self, spectrum: np.ndarray):
+        self.spectrum = spectrum
+        self.product = np.empty(spectrum.shape, dtype=complex)
+        self.out = np.empty((2 * (spectrum.shape[0] - 1), spectrum.shape[1]))
+
+    def apply(self, forcing: np.ndarray) -> np.ndarray:
+        """Trajectory rows 1..M from forcing rows 0..M-1."""
+        return fftconvolve(self.spectrum, forcing, self.product, self.out)
+
+    def apply_T(self, lam: np.ndarray) -> np.ndarray:
+        """Transpose of apply: forcing rows 0..M-1 from trajectory rows
+        0..M, anti-causal, through the same spectrum."""
+        return fftconvolve(self.spectrum, lam[:0:-1], self.product, self.out)[::-1]
+
+
 # discretisations whose grid-static sweep state one process keeps
 GRID_STATIC_MEMO = 8
 
@@ -251,27 +272,22 @@ def _mode_maps(mode_count: int, q: float) -> tuple:
 def _grid_static(alpha: float, q: float, mode_count: int, grid: TimeGrid,
                  node_count: int | None, forced: bool) -> tuple:
     """The sweep state that reads only the discretisation, read-only:
-    (kappa, s_lm, feedback, kernel_spectrum, D, P, q_scale).
+    (kappa, s_lm, feedback, kernel spectrum).
 
     The key is what the state reads: node_count is the psi-rule size,
     None at alpha = 1, where no rule is built, and forced says whether
-    the kernel is read.  Without it only the S rows are built, and
-    kernel_spectrum is None.  The multiplier table is built here for
-    these modes, so an entry depends on its key alone.
+    the kernel is read.  Without it only the S rows are built, and the
+    spectrum is None.  The multiplier table is built here for these
+    modes, so an entry depends on its key alone.
     """
     cache = SolutionOperatorCache(FracOrder(alpha, q), mode_count, node_count)
-    smoothing, D, P, q_scale = _mode_maps(mode_count, q)
+    s_table, t_table = cache.grid_table(grid, t_rows=forced)
     kappa = grid.nodes() ** (1.0 - alpha) / math.gamma(2.0 - alpha)
-    kernel_spectrum = None
-    if forced:
-        # S rows at every node; the kernel's T rows at the lags d*dt, nodes 1..M
-        s_table, t_table = cache.grid_table(grid)
-        kernel = (power_increments(grid, alpha) / alpha)[:, None] * t_table[1:]
-        kernel_spectrum = np.fft.rfft(kernel, 2 * grid.step_count, axis=0)
-    else:
-        s_table, _ = cache.grid_table(grid, t_rows=False)
-    s_lm = s_table * smoothing[None, :]
-    arrays = (kappa, s_lm, s_lm * kappa[:, None], kernel_spectrum, D, P, q_scale)
+    s_lm = s_table * _mode_maps(mode_count, q)[0][None, :]
+    # the kernel: the T rows at the lags d*dt, nodes 1..M, times the cell weights
+    spectrum = np.fft.rfft((power_increments(grid, alpha) / alpha)[:, None] * t_table[1:],
+                           2 * grid.step_count, axis=0) if forced else None
+    arrays = (kappa, s_lm, s_lm * kappa[:, None], spectrum)
     for arr in arrays:
         if arr is not None:
             arr.setflags(write=False)
@@ -282,21 +298,21 @@ class _SweepWorkspace:
     """The solve context: one problem at one psi-rule size, and its sweeps' arrays.
 
     The grid-static arrays come from _grid_static, built once per
-    discretisation; the nonlocal snaps, the denominators and the data
-    term are built per workspace.  The kernel and the FFT buffers are
-    built exactly when the problem declares a forcing (f != 0 or
-    controls): a linear uncontrolled problem has kernel_spectrum None
-    and neither convolves nor correlates.  D maps coefficients to the first derivative on the collocation grid
+    discretisation, and D, P and the q-weights from _mode_maps; the
+    nonlocal snaps, the denominators and the data term are built per
+    workspace.  The kernel is built exactly when the problem declares a
+    forcing (f != 0 or controls): a linear uncontrolled problem has
+    kernel None and neither convolves nor correlates.  D maps
+    coefficients to the first derivative on the collocation grid
     (n_x x N), P maps collocation values back to coefficients (N x n_x);
     the forward sweep and its adjoint both go through them.
 
     The workspace owns the scratch its sweeps write, allocated once: an
     (M+1) x N block for the h elimination, its transpose, the finiteness
     check and the residual; the collocation values and the forcing (when
-    f != 0); and the FFT's spectrum and output (when forced).  So it
+    f != 0); and the kernel with its FFT buffers (when forced).  So it
     serves one solve at a time and is not shared between threads.  sweep
-    and adjoint_sweep return fresh arrays; correlate returns a view of
-    the FFT output, valid until the next convolution.
+    and adjoint_sweep return fresh arrays.
     """
 
     def __init__(self, spec: ProblemSpec, node_count: int = _DEFAULT_NODES):
@@ -304,10 +320,11 @@ class _SweepWorkspace:
         self.snaps = snap_nonlocal_indices(spec)
         forced = spec.nonlinearity.gain != 0.0 or spec.control_count > 0
         # feedback is the trajectory's response to h
-        (self.kappa, self.s_lm, self.feedback, self.kernel_spectrum,
-         self.D, self.P, self.q_scale) = _grid_static(
+        self.kappa, self.s_lm, self.feedback, spectrum = _grid_static(
             spec.order.alpha, spec.order.q, spec.mode_count, spec.grid,
             node_count if spec.order.alpha < 1.0 else None, forced)
+        _, self.D, self.P, self.q_scale = _mode_maps(spec.mode_count, spec.order.q)
+        self.kernel = _Kernel(spectrum) if forced else None
         # the data term without h
         self.data = self.s_lm * (spec.v0.coeffs[None, :]
                                  + self.kappa[:, None] * spec.u0.coeffs[None, :])
@@ -324,9 +341,6 @@ class _SweepWorkspace:
         if spec.nonlinearity.gain != 0.0:
             self.colloc = np.empty((m, self.D.shape[0]))
             self.forcing = np.empty((m, n_modes))
-        if forced:
-            self.spectrum = np.empty((m + 1, n_modes), dtype=complex)
-            self.convolved = np.empty((2 * m, n_modes))
 
     def nonlocal_sum(self, coeffs: np.ndarray) -> np.ndarray:
         """h = sum c_eta coeffs(t_eta), per mode."""
@@ -334,6 +348,12 @@ class _SweepWorkspace:
         for c, idx, _ in self.snaps:
             h += c * coeffs[idx]
         return h
+
+    def forced_kernel(self) -> _Kernel:
+        """The kernel, or DomainError when the problem declares no forcing."""
+        if self.kernel is None:
+            raise DomainError("the problem declares no forcing (f = 0, no controls)")
+        return self.kernel
 
     def response(self, coeffs: np.ndarray, ctrl_forcing: np.ndarray) -> np.ndarray:
         """The solution map at coeffs without its h term: the data term
@@ -350,10 +370,7 @@ class _SweepWorkspace:
             forcing = np.matmul(colloc, self.P.T, out=self.forcing)
             forcing += ctrl_forcing[:-1]
         if forcing.any():
-            if self.kernel_spectrum is None:
-                raise DomainError(_UNFORCED)
-            out[1:] += fftconvolve(self.kernel_spectrum, forcing, self.spectrum,
-                                   self.convolved)
+            out[1:] += self.forced_kernel().apply(forcing)
         return out
 
     def sweep(self, coeffs: np.ndarray, ctrl_forcing: np.ndarray) -> np.ndarray:
@@ -384,7 +401,7 @@ class _SweepWorkspace:
         added at each nonlocal node with its weight c."""
         out = source.copy()
         if slope is not None:
-            colloc = np.matmul(self.correlate(lam), self.P, out=self.colloc)
+            colloc = np.matmul(self.kernel.apply_T(lam), self.P, out=self.colloc)
             colloc *= slope
             out[:-1] += np.matmul(colloc, self.D, out=self.forcing)
         if self.snaps:
@@ -393,13 +410,6 @@ class _SweepWorkspace:
             for c, idx, _ in self.snaps:
                 out[idx] += c * g
         return self.finite(out)
-
-    def correlate(self, lam: np.ndarray) -> np.ndarray:
-        """Transpose of the sweep's convolution: forcing rows 0..M-1 from
-        trajectory rows 0..M (anti-causal, through the same spectrum); a
-        view of the FFT output."""
-        return fftconvolve(self.kernel_spectrum, lam[:0:-1], self.spectrum,
-                           self.convolved)[::-1]
 
     def initial(self) -> np.ndarray:
         return self.s_lm * self.spec.v0.coeffs[None, :]
@@ -445,7 +455,8 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
     f = 0 is exact after one sweep and stops there, with a recorded step
     of exactly 0; the report's contraction_ratio measures the f-loop
     alone, and nonlocal_denominator_min is the smallest d_n (1.0 without
-    nonlocal terms).  A workspace passed in must be built for spec itself.
+    nonlocal terms).  A workspace passed in must be built for spec itself,
+    and cache is then not passed (DomainError).
 
     Raises RejectedInstanceError with spec.exponent_defect() when the
     exponent hypothesis fails, DomainError for a bundle _control_forcing
@@ -481,21 +492,22 @@ def adjoint_solve(traj: Trajectory, weight: np.ndarray, workspace: _SweepWorkspa
     the forward f-loop.  Raises NonConvergenceError like picard_solve,
     and DomainError for a workspace without a kernel (f = 0, no controls).
     """
+    kernel = workspace.forced_kernel()
     slope = workspace.slope(traj.coeffs)
     lam = _fixed_point(lambda lam: workspace.adjoint_sweep(lam, weight, slope),
                        weight, workspace.residual, SolveReport(), "adjoint iteration",
                        tol, max_iter, constant=slope is None)
-    if workspace.kernel_spectrum is None:
-        raise DomainError(_UNFORCED)
     grad_forcing = np.zeros_like(lam)
-    grad_forcing[:-1] = workspace.correlate(lam)
+    grad_forcing[:-1] = kernel.apply_T(lam)
     return _control_forcing_adjoint(workspace.spec, grad_forcing)
 
 
 def _workspace(spec, cache, workspace) -> _SweepWorkspace:
-    """spec's solve context: workspace if built for spec (else DomainError),
-    or a new one at cache's rule size."""
+    """spec's solve context: workspace if built for spec and no cache is
+    passed beside it (else DomainError), or a new one at cache's rule size."""
     if workspace is not None:
+        if cache is not None:
+            raise DomainError("pass a cache or a workspace, not both")
         if workspace.spec is not spec:
             raise DomainError("the workspace was built for another problem")
         return workspace

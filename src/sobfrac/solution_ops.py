@@ -339,7 +339,8 @@ def verify_operator_bounds(cache: SolutionOperatorCache, t_samples) -> dict:
 
     Returns a report with each clause's worst ratio and the cap it must
     stay within (1, or 1 + 1e-9 where the bound is attained); a violated
-    clause reads passed False there, and nothing is raised.
+    clause reads passed False there, and nothing is raised.  A NaN in the
+    rows that (a) or (d) reads makes its worst ratio NaN, which fails it.
     """
     t_samples = sorted(float(t) for t in t_samples)
     if not t_samples:
@@ -359,7 +360,8 @@ def verify_operator_bounds(cache: SolutionOperatorCache, t_samples) -> dict:
     # (a) boundedness, in the plain norm and so in the q-norm
     s_cap = bounds.C1 * bounds.M0
     t_cap = bounds.C1 * bounds.M0 / gamma(alpha)
-    worst_a = max(np.max(np.abs(s_table)) / s_cap, np.max(np.abs(t_table)) / t_cap)
+    # numpy's maximum propagates a NaN, which then fails the clause
+    worst_a = np.maximum(np.max(np.abs(s_table)) / s_cap, np.max(np.abs(t_table)) / t_cap)
     report["clauses"]["a_bounded"] = _clause(worst_a, slack)
 
     # (b) strong continuity via the Mittag-Leffler Lipschitz envelope,
@@ -376,12 +378,10 @@ def verify_operator_bounds(cache: SolutionOperatorCache, t_samples) -> dict:
     cap_d = (alpha * bounds.C1 * bounds.Mq * gamma(2.0 - q)
              / gamma(1.0 + alpha * (1.0 - q)))
     weights = q_weights(n_modes, q)
-    worst_d = 0.0
     ts = np.geomspace(1e-3, max(t_samples) if max(t_samples) > 0 else 1.0, 40)
-    for t, t_row in zip(ts, cache.multiplier_table(ts)[1]):
-        measured = float(np.max(weights * t_row)) * t ** (q * alpha)
-        worst_d = max(worst_d, measured / cap_d)
-    report["clauses"]["d_envelope"] = _clause(worst_d, slack)
+    ratios_d = [float(np.max(weights * t_row)) * t ** (q * alpha) / cap_d
+                for t, t_row in zip(ts, cache.multiplier_table(ts)[1])]
+    report["clauses"]["d_envelope"] = _clause(np.max(ratios_d), slack)
 
     report["passed"] = all(c["passed"] for c in report["clauses"].values())
     return report

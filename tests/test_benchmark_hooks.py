@@ -132,7 +132,7 @@ def test_sweep_template_builds_no_t_rows_or_spectrum(perfbench, tmp_path, monkey
     status = cli.run(config)
     assert status == 0
     assert asked == [False]
-    assert workspaces and all(ws.kernel_spectrum is None for ws in workspaces)
+    assert workspaces and all(ws.kernel is None for ws in workspaces)
     assert workloads.check_sweep(config, tmp_path, status, 0) == []
 
 

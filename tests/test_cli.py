@@ -242,6 +242,8 @@ class TestParseConfig:
         assert cfg.problem.order.q == 0.25
         assert cfg.problem.order.p == 2.0
         assert cfg.solver_tol == 1e-8
+        # the sweep budget's one home is the solver's
+        assert cfg.solver_max_iter == mild_solver.MAX_ITER
         assert cfg.quad_nodes == 200
         assert cfg.problem.u0.coeffs[0] == 0.5
         assert np.all(cfg.problem.v0.coeffs == 0.0)

@@ -283,6 +283,11 @@ def allocating_fftconvolve(kernel_spectrum, signal):
                         n, axis=0)[:signal.shape[0]]
 
 
+def allocating_correlate(kernel_spectrum, lam):
+    """The kernel's transpose with every step in a fresh array."""
+    return allocating_fftconvolve(kernel_spectrum, lam[:0:-1])[::-1]
+
+
 def allocating_finite(out):
     bad = ~np.all(np.isfinite(out), axis=1)
     if np.any(bad):
@@ -298,8 +303,8 @@ class AllocatingWorkspace(_SweepWorkspace):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.kernel_spectrum = np.fft.rfft(reference_kernel(spec), 2 * spec.step_count,
-                                           axis=0)
+        self.reference_spectrum = np.fft.rfft(reference_kernel(spec), 2 * spec.step_count,
+                                              axis=0)
 
     def response(self, coeffs, ctrl_forcing):
         out = self.data.copy()
@@ -308,7 +313,7 @@ class AllocatingWorkspace(_SweepWorkspace):
         if gain != 0.0:
             forcing = forcing + (gain * np.sin(coeffs[:-1] @ self.D.T)) @ self.P.T
         if np.any(forcing):
-            out[1:] += allocating_fftconvolve(self.kernel_spectrum, forcing)
+            out[1:] += allocating_fftconvolve(self.reference_spectrum, forcing)
         return out
 
     def sweep(self, coeffs, ctrl_forcing):
@@ -324,15 +329,13 @@ class AllocatingWorkspace(_SweepWorkspace):
     def adjoint_sweep(self, lam, source, slope):
         out = source.copy()
         if slope is not None:
-            out[:-1] += ((self.correlate(lam) @ self.P) * slope) @ self.D
+            out[:-1] += ((allocating_correlate(self.reference_spectrum, lam) @ self.P)
+                         * slope) @ self.D
         if self.snaps:
             g = np.sum(self.feedback * out, axis=0) / self.denominator
             for c, idx, _ in self.snaps:
                 out[idx] += c * g
         return allocating_finite(out)
-
-    def correlate(self, lam):
-        return allocating_fftconvolve(self.kernel_spectrum, lam[:0:-1])[::-1]
 
     def residual(self, new, old):
         return float(np.max(np.linalg.norm((new - old) * self.q_scale[None, :], axis=1)))
@@ -409,9 +412,13 @@ class TestScratchBuffers:
                              oracle.adjoint_sweep(lam, coeffs, slope))
             if spec.nonlinearity.gain == 0.0 and spec.control_count == 0:
                 # a problem that declares no forcing has nothing to correlate
-                assert ws.kernel_spectrum is None
+                assert ws.kernel is None
             else:
-                assert_same_bits(ws.correlate(lam), oracle.correlate(lam))
+                forcing = coeffs[:-1]
+                assert_same_bits(ws.kernel.apply(forcing),
+                                 allocating_fftconvolve(oracle.reference_spectrum, forcing))
+                assert_same_bits(ws.kernel.apply_T(lam),
+                                 allocating_correlate(oracle.reference_spectrum, lam))
             assert ws.residual(coeffs, lam).hex() == oracle.residual(coeffs, lam).hex()
 
     def test_results_do_not_alias_scratch(self):
@@ -479,9 +486,7 @@ class TestScratchBuffers:
             with pytest.raises(DomainError,
                                match="^bundle supplies 1 controls, spec declares 0$"):
                 call()
-        ws = _SweepWorkspace(spec)
-        assert ws.kernel_spectrum is None
-        assert not hasattr(ws, "spectrum") and not hasattr(ws, "convolved")
+        assert _SweepWorkspace(spec).kernel is None
         assert_same_bits(apply_P(declared, None, traj, controls).coeffs,
                          allocating_apply_P(declared, traj.coeffs, controls))
 
@@ -511,6 +516,25 @@ class TestScratchBuffers:
                           adjoint_gradient(CostSpec(), controls.cells, traj, ws)))
         for got, want in zip(*grads):
             assert_same_bits(got, want)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("spec, seed", [
+        (readme_spec(), 1),
+        # the optimize template's discretisation, f = 0 with two controls
+        (make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),), control_count=2), 2),
+        (make_spec(alpha=1.0, n=8, m=64, nonlinearity=Nonlinearity(0.1)), 3),
+    ], ids=["readme", "optimize_template", "alpha_one"])
+    def test_transpose_is_the_adjoint(self, spec, seed):
+        # <K f, lam> = <f, K^T lam>: K f fills trajectory rows 1..M, the
+        # rows of lam that K^T reads
+        kernel = _SweepWorkspace(spec).kernel
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((spec.step_count, spec.mode_count))
+        lam = rng.standard_normal((spec.step_count + 1, spec.mode_count))
+        lhs = float(np.sum(kernel.apply(f) * lam[1:]))
+        rhs = float(np.sum(f * kernel.apply_T(lam)))
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
 
 class TestPicardSolve:
@@ -582,7 +606,8 @@ class TestPicardSolve:
 
     @pytest.mark.parametrize("max_iter", (0, -3))
     def test_no_sweep_budget_rejected(self, max_iter, cache16):
-        spec = make_spec(m=32)
+        # declared controls give the adjoint a kernel to transpose
+        spec = make_spec(m=32, control_count=1)
         with pytest.raises(DomainError, match="max_iter"):
             picard_solve(spec, cache=cache16, max_iter=max_iter)
         ws = _SweepWorkspace(spec, cache16.node_count)
@@ -668,6 +693,15 @@ class TestPicardSolve:
         traj, _ = picard_solve(spec, workspace=_SweepWorkspace(spec))
         assert np.array_equal(traj.coeffs, picard_solve(spec)[0].coeffs)
 
+    def test_cache_beside_a_workspace_refused(self):
+        # the workspace fixes the rule size, so a cache passed beside it
+        # would be read for nothing, its alpha unchecked
+        spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),))
+        ws = _SweepWorkspace(spec)
+        for order in (spec.order, FracOrder(0.5, q=0.25)):
+            with pytest.raises(DomainError, match="^pass a cache or a workspace, not both$"):
+                picard_solve(spec, cache=SolutionOperatorCache(order, 8), workspace=ws)
+
 
 def plain_picard(spec, cache, tol):
     """Picard iteration of apply_P, the paper's map with h read from the
@@ -732,19 +766,24 @@ class TestNonlocalElimination:
 class TestGridStaticMemo:
     """The grid-static sweep state is built once per discretisation."""
 
-    STATIC = ("kappa", "s_lm", "feedback", "kernel_spectrum", "D", "P", "q_scale")
+    STATIC = ("kappa", "s_lm", "feedback", "D", "P", "q_scale")
 
     def test_memoized_arrays_are_read_only_and_shared(self):
         linear = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),))
         for spec in (linear, dataclasses.replace(linear, control_count=1)):
             first, second = _SweepWorkspace(spec), _SweepWorkspace(spec)
-            for name in self.STATIC:
-                arr = getattr(first, name)
-                assert getattr(second, name) is arr, name
-                if arr is None:
-                    # a linear uncontrolled problem reads no kernel
-                    assert spec is linear and name == "kernel_spectrum"
-                    continue
+            shared = [(name, getattr(first, name), getattr(second, name))
+                      for name in self.STATIC]
+            if spec is linear:
+                # a linear uncontrolled problem reads no kernel
+                assert first.kernel is None and second.kernel is None
+            else:
+                shared.append(("spectrum", first.kernel.spectrum, second.kernel.spectrum))
+                # the kernel's FFT buffers belong to their workspace
+                assert first.kernel is not second.kernel
+                assert first.kernel.out is not second.kernel.out
+            for name, arr, other in shared:
+                assert other is arr, name
                 with pytest.raises(ValueError, match="read-only"):
                     arr[...] = 0.0
             # the per-solve arrays belong to their workspace

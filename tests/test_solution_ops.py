@@ -226,9 +226,9 @@ class TestGridTable:
         grid_table = SolutionOperatorCache.grid_table
         workspace_init = mild_solver._SweepWorkspace.__init__
 
-        def count_grid(self, grid):
+        def count_grid(self, grid, t_rows=True):
             calls["grid"] += 1
-            return grid_table(self, grid)
+            return grid_table(self, grid, t_rows)
 
         def count_workspace(self, spec, node_count):
             calls["workspace"] += 1
@@ -463,6 +463,17 @@ class TestBoundClauses:
         assert not report["passed"]
         assert report["clauses"]["b_continuity"] == {
             "worst_ratio": math.inf, "cap": 1.0, "passed": False}
+
+    def test_a_nan_t_entry_fails_boundedness_and_envelope(self, cache, monkeypatch):
+        # the NaN is not the first ratio either clause reduces, so a
+        # reduction that drops a later NaN would report both passed
+        def poisoned(s_table, t_table):
+            t_table[16, 4] = math.nan
+        self.patched(monkeypatch, poisoned)
+        report = verify_operator_bounds(cache, np.linspace(0.0, 1.0, 33))
+        for name in ("a_bounded", "d_envelope"):
+            clause = report["clauses"][name]
+            assert math.isnan(clause["worst_ratio"]) and not clause["passed"], name
 
     def test_one_table_per_grid(self, cache, monkeypatch):
         calls = []
