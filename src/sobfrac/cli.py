@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -62,10 +62,13 @@ _KEYS = {
     ("output", "seed"): ("0", int, "[0,inf)"),
 }
 
+# the command-line flags, each of which replaces one key's entry
+_FLAGS = {"--out": ("output", "directory"), "--seed": ("output", "seed")}
 
-@dataclass
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated run description assembled from one config file."""
+    """Validated run description assembled from one config file and its overrides."""
 
     mode: str
     problem: ProblemSpec
@@ -81,7 +84,7 @@ class RunConfig:
     init_kind: str
     out_dir: str
     seed: int
-    echo: dict = field(default_factory=dict)
+    echo: dict
 
 
 def _number(text: str, conv=float):
@@ -157,8 +160,10 @@ def _parse_nonlinearity(text: str, line: int) -> Nonlinearity:
         raise ConfigError(f"bad sin_grad gain in {text!r}", line) from None
 
 
-def parse_config(text: str, mode: str = "solve") -> RunConfig:
-    """Parse and fully validate the sectioned key=value config format."""
+def parse_config(text: str, mode: str = "solve", overrides: dict | None = None) -> RunConfig:
+    """Parse and fully validate the sectioned key=value config format;
+    overrides maps flags of _FLAGS to text (None: no override) that
+    replaces their keys' entries."""
     if mode not in ("verify", "solve", "optimize"):
         raise ConfigError(f"unknown mode {mode!r}")
     entries: dict = {}
@@ -182,8 +187,12 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
         if (section, key) in entries:
             raise ConfigError(f"duplicate key {key!r}", lineno)
         entries[(section, key)] = (value, lineno)
+    for flag, value in (overrides or {}).items():
+        if value is not None:
+            entries[_FLAGS[flag]] = (value.strip(), flag)
 
     # every scalar key converted and checked against its range, at its line
+    # or, for an override, under its flag
     values, line = {}, {}
     for (section, key), (default, conv, admissible) in _KEYS.items():
         if (section, key) not in entries:
@@ -191,17 +200,18 @@ def parse_config(text: str, mode: str = "solve") -> RunConfig:
                 raise ConfigError(f"missing required key {key!r} in section [{section}]")
             # a defaulted key has no line to blame
             entries[(section, key)] = (default, None)
-        given, line[key] = entries[(section, key)]
+        given, where = entries[(section, key)]
+        name, line[key] = (where, None) if isinstance(where, str) else (key, where)
         if conv is None:
             values[key] = given  # a text key, parsed below
             continue
         try:
             value = _number(given, conv)
         except ValueError:
-            raise ConfigError(f"cannot parse {key}={given!r}", line[key]) from None
+            raise ConfigError(f"cannot parse {name}={given!r}", line[key]) from None
         # inf and nan lie outside every range
         if not _within(value, admissible):
-            raise ConfigError(f"{key}={given} out of {admissible}", line[key])
+            raise ConfigError(f"{name}={given} out of {admissible}", line[key])
         values[key] = value
 
     alpha, horizon, modes, steps = (values[k] for k in ("alpha", "horizon", "modes", "steps"))
@@ -427,8 +437,8 @@ def main(argv=None) -> int:
                     "described by a config file.")
     parser.add_argument("mode", choices=("verify", "solve", "optimize"))
     parser.add_argument("--config", required=True, help="path to the config file")
-    parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
+    for flag, (section, key) in _FLAGS.items():
+        parser.add_argument(flag, help=f"replaces [{section}] {key}")
     args = parser.parse_args(argv)
 
     try:
@@ -437,18 +447,11 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        config = parse_config(text, mode=args.mode)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed={args.seed} out of [0,inf)")
+        config = parse_config(text, mode=args.mode, overrides={
+            flag: getattr(args, flag[2:]) for flag in _FLAGS})
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        config.out_dir = args.out
-        config.echo["output.directory"] = args.out
-    if args.seed is not None:
-        config.seed = args.seed
-        config.echo["output.seed"] = str(args.seed)
     status = run(config)
     print(f"sobfrac {args.mode}: {'ok' if status == 0 else 'FAILED'} "
           f"(artifacts in {config.out_dir})")

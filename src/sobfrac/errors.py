@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of the
+array every record holds."""
+
+import numpy as np
 
 
 class SobfracError(Exception):
@@ -7,6 +10,22 @@ class SobfracError(Exception):
 
 class DomainError(SobfracError, ValueError):
     """An argument lies outside the documented domain."""
+
+
+def frozen_array(values, shape: tuple, what: str, finite: bool = True) -> np.ndarray:
+    """A read-only float copy of values, in C order.  shape gives each
+    axis's length, a str entry naming an axis of any length.  Raises
+    DomainError on another shape, and on a non-finite entry unless
+    finite is False."""
+    array = np.array(values, dtype=float, order="C")
+    if array.ndim != len(shape) or any(
+            not isinstance(want, str) and n != want for n, want in zip(array.shape, shape)):
+        raise DomainError(f"{what} must have shape ({', '.join(map(str, shape))}), "
+                          f"got {array.shape}")
+    if finite and not np.isfinite(array).all():
+        raise DomainError(f"{what} must be finite")
+    array.setflags(write=False)
+    return array
 
 
 class GridTooCoarseError(DomainError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridTooCoarseError
+from .errors import DomainError, GridTooCoarseError, frozen_array
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,9 @@ class SampledFn:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.step_count + 1,):
-            raise DomainError(
-                f"values must have length M+1 = {self.grid.step_count + 1}, "
-                f"got shape {vals.shape}")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        # rl_deriv flags its t = 0 node with a signed infinity
+        object.__setattr__(self, "values", frozen_array(
+            self.values, (self.grid.step_count + 1,), "values", finite=False))
 
 
 def _check_alpha(alpha, upper_inclusive):

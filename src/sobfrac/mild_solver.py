@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DomainError, EvaluationError, NonConvergenceError,
-                     RejectedInstanceError)
+                     RejectedInstanceError, frozen_array)
 from .fracops import FracOrder, TimeGrid, power_increments
 from .solution_ops import _DEFAULT_NODES, SolutionOperatorCache
 from .spectral import (SpectralField, data_smoothing_symbol,
@@ -136,15 +136,8 @@ class Trajectory:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 2 or c.shape[0] != self.grid.step_count + 1:
-            raise DomainError(
-                f"coeffs must have shape (M+1, N), got {c.shape}")
-        if not np.isfinite(c).all():
-            raise DomainError("trajectory coefficients must be finite")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", frozen_array(
+            self.coeffs, (self.grid.step_count + 1, "N"), "trajectory coefficients"))
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DomainError, NonConvergenceError, OptimizationError,
-                     RejectedInstanceError)
+                     RejectedInstanceError, frozen_array)
 from .fracops import TimeGrid
 from .mild_solver import (MAX_ITER, ProblemSpec, Trajectory, _SweepWorkspace,
                           _workspace, adjoint_solve, picard_solve)
@@ -39,17 +39,10 @@ class ControlBundle:
     radius: float = 1.0
 
     def __post_init__(self):
-        c = np.array(self.cells, dtype=float)
-        if c.ndim != 3 or c.shape[1] != self.grid.step_count:
-            raise DomainError(
-                f"cells must have shape (k, {self.grid.step_count}, modes), "
-                f"got {c.shape}")
-        if not np.isfinite(c).all():
-            raise DomainError("control cells must be finite")
+        object.__setattr__(self, "cells", frozen_array(
+            self.cells, ("k", self.grid.step_count, "modes"), "control cells"))
         if not self.radius > 0.0:
             raise DomainError(f"radius must be positive, got {self.radius}")
-        c.setflags(write=False)
-        object.__setattr__(self, "cells", c)
 
     @property
     def controls(self) -> tuple:

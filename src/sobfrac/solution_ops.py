@@ -270,25 +270,23 @@ class SolutionOperatorCache:
             np.log(rule.t_weights, out=expo[2])
         np.maximum(expo, floor, out=expo)
         starts = (block * grid.dt) * np.arange(blocks)
-        s_cols = np.stack([np.ones(blocks), starts], axis=1)
-        t_cols = np.stack([starts, np.ones(blocks)], axis=1)
         lags = grid.dt * np.arange(block)
         # first node kept per mode: the nodes fall with k
-        kept = [int(np.count_nonzero(nodes > cut))
-                for cut in (_EXP_FLOOR / grid.dt) / self._rate]
+        kept = np.count_nonzero(nodes > (_EXP_FLOOR / grid.dt) / self._rate[:, None],
+                                axis=1).tolist()
         width = size - min(kept)
         left_buf = np.empty(blocks * width)
         right_buf = np.empty(width * block)
         product = np.empty((blocks, block))
         column = product.reshape(-1)[:rows]
-        t_power = grid.nodes()
-        np.power(t_power, 1.0 - alpha, out=t_power)
-        t_scale = self._linv * self._rate ** (1.0 - alpha)
-        s_table = np.empty((rows, self.mode_count))
-        t_table = np.empty((rows, self.mode_count)) if t_rows else None
-        halves = [(s_table, expo[0:2], s_cols)]
+        s_table, t_table = np.empty((rows, self.mode_count)), None
+        halves = [(s_table, expo[0:2], np.stack([np.ones(blocks), starts], axis=1))]
         if t_rows:
-            halves.append((t_table, expo[1:3], t_cols))
+            t_table = np.empty((rows, self.mode_count))
+            t_power = grid.nodes()
+            np.power(t_power, 1.0 - alpha, out=t_power)
+            t_scale = self._linv * self._rate ** (1.0 - alpha)
+            halves.append((t_table, expo[1:3], np.stack([starts, np.ones(blocks)], axis=1)))
         for n, (rate, k0) in enumerate(zip(self._rate, kept)):
             np.multiply(nodes[k0:], -rate, out=expo[1, k0:])
             right = right_buf[:(size - k0) * block].reshape(size - k0, block)

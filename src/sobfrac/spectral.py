@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, frozen_array
 
 _BASIS_NORM = math.sqrt(2.0 / math.pi)
 
@@ -29,14 +29,9 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size < 1:
-            raise DomainError("coeffs must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(c)):
-            raise DomainError("coeffs must be finite")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", frozen_array(self.coeffs, ("N",), "coeffs"))
+        if self.coeffs.size < 1:
+            raise DomainError("coeffs must be nonempty")
 
     @property
     def mode_count(self) -> int:

@@ -833,12 +833,27 @@ class TestSolveContext:
 
 class TestMainEntry:
     def test_main_solve(self, tmp_path):
+        # the overrides replace the file's entries, a seed the file gives
+        # out of range included, and are stripped and echoed as a file's are
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(MINIMAL)
-        status = main(["solve", "--config", str(cfg_path),
+        cfg_path.write_text(MINIMAL + "[output]\ndirectory = elsewhere\nseed = -5\n")
+        status = main(["solve", "--config", str(cfg_path), "--seed", " 3 ",
                        "--out", str(tmp_path / "out")])
         assert status == 0
-        assert (tmp_path / "out" / "report.json").exists()
+        echo = strict_json(tmp_path / "out" / "report.json")["config"]
+        assert echo["output.seed"] == "3"
+        assert echo["output.directory"] == str(tmp_path / "out")
+        assert not (tmp_path / "elsewhere").exists()
+
+    def test_main_empty_out_means_out(self, tmp_path, monkeypatch, capsys):
+        # as an empty [output] directory does
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(MINIMAL)
+        assert main(["solve", "--config", "run.cfg", "--out", ""]) == 0
+        assert "(artifacts in out)" in capsys.readouterr().out
+        assert strict_json(tmp_path / "out" / "report.json")["config"][
+            "output.directory"] == ""
+        assert not (tmp_path / "report.json").exists()
 
     def test_main_rejects_bad_config(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -30,8 +30,19 @@ class TestGrids:
             TimeGrid(0.0, 100)
         with pytest.raises(DomainError):
             TimeGrid(1.0, 1)
-        with pytest.raises(DomainError):
-            SampledFn(TimeGrid(1.0, 10), np.zeros(5))
+        for bad in (np.zeros(5), np.zeros((11, 1))):
+            with pytest.raises(DomainError, match="shape"):
+                SampledFn(TimeGrid(1.0, 10), bad)
+
+    def test_values_are_read_only_copies_admitting_infinity(self):
+        # rl_deriv flags its t = 0 node with a signed infinity
+        x = np.zeros(11)
+        x[0] = -math.inf
+        f = SampledFn(TimeGrid(1.0, 10), x)
+        x[1] = 1.0
+        assert f.values[0] == -math.inf and f.values[1] == 0.0
+        with pytest.raises(ValueError):
+            f.values[1] = 1.0
 
     def test_nodes(self):
         g = TimeGrid(2.0, 4)

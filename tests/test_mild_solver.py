@@ -42,6 +42,30 @@ def cache16():
     return SolutionOperatorCache(FracOrder(0.8, q=0.25, p=2.0), 16)
 
 
+class TestRecordArrays:
+    """SpectralField and Trajectory hold read-only float copies of a
+    checked shape, with finite entries only."""
+
+    @pytest.mark.parametrize("make, good, wrong", (
+        (SpectralField, np.ones(4), (np.ones((4, 1)), np.ones(0))),
+        (lambda c: Trajectory(TimeGrid(1.0, 4), c), np.ones((5, 3)),
+         (np.ones((4, 3)), np.ones(15))),
+    ), ids=("field", "trajectory"))
+    def test_copy_shape_and_finiteness(self, make, good, wrong):
+        source = good.copy()
+        held = make(source).coeffs
+        source[0] = 2.0
+        assert np.all(held == 1.0) and held.dtype == float
+        with pytest.raises(ValueError):
+            held[0] = 2.0
+        for bad in wrong:
+            with pytest.raises(DomainError, match="shape|nonempty"):
+                make(bad)
+        source[0] = math.nan
+        with pytest.raises(DomainError, match="finite"):
+            make(source)
+
+
 class TestEvalF:
     def test_zero(self):
         spec = make_spec()
