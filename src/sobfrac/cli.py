@@ -28,8 +28,7 @@ from .optctrl import (ControlBundle, CostSpec, admissibility_value, hypothesis_c
                       optimize_controls, zero_bundle)
 # SolutionOperatorCache and FracOrder stay importable here for perfbench's set-up probe
 from .solution_ops import _DEFAULT_NODES, T_WINDOW, SolutionOperatorCache, psi_rule  # noqa: F401
-from .spectral import (SpectralField, collocation_grid, default_collocation_size,
-                       derivative_matrix, measure_bounds)
+from .spectral import SpectralField, collocation_grid, collocation_maps, measure_bounds
 
 # (section, key) -> (default text, type, admissible range); a None default
 # marks a required key, and the text keys, parsed on their own, have no type.
@@ -299,12 +298,8 @@ def _mode_labels(mode_count: int) -> list:
 
 @functools.lru_cache(maxsize=_HEADS_MEMO)
 def _collocation(mode_count: int) -> tuple:
-    """The 4N collocation nodes as CSV labels, '%.17g' each, and the
-    read-only (4N, N) map from mode coefficients to values there."""
-    n_x = default_collocation_size(mode_count)
-    evaluate = derivative_matrix(0, mode_count, n_x)
-    evaluate.setflags(write=False)
-    return tuple(_fmt(x) for x in collocation_grid(n_x).tolist()), evaluate
+    """The 4N collocation nodes as CSV labels, '%.17g' each."""
+    return tuple(_fmt(x) for x in collocation_grid(4 * mode_count).tolist())
 
 
 def run(config: RunConfig) -> int:
@@ -370,11 +365,12 @@ def run(config: RunConfig) -> int:
                                       "final_cost": float(log.cost_values[-1]),
                                       "admissibility_value": admissibility_value(bundle)}
                 status = 0 if log.converged else 1
-            xs, evaluate = _collocation(problem.mode_count)
-            # stacked per-node products keep field_to_grid's rounding; a single
-            # coeffs @ D.T product changes the last digit of many values
-            values = np.matmul(evaluate, traj.coeffs[:, :, None])[:, :, 0]
-            _write_artifact(out / "trajectory.csv", "t,x,u\n", ts, xs, values)
+            # stacked per-node products through the solver's D0 keep field_to_grid's
+            # rounding; one coeffs @ D0.T product changes the last digit of many values
+            values = np.matmul(collocation_maps(problem.mode_count)[0],
+                               traj.coeffs[:, :, None])[:, :, 0]
+            _write_artifact(out / "trajectory.csv", "t,x,u\n", ts,
+                            _collocation(problem.mode_count), values)
             _write_artifact(out / "modes.csv", "t,n,coefficient\n",
                             ts, _mode_labels(problem.mode_count), traj.coeffs)
             report["measured_constants"] = measure_bounds(problem.mode_count,

@@ -16,7 +16,9 @@ def frozen_array(values, shape: tuple, what: str, finite: bool = True) -> np.nda
     """A read-only float copy of values, in C order.  shape gives each
     axis's length, a str entry naming an axis of any length.  Raises
     DomainError on another shape, and on a non-finite entry unless
-    finite is False."""
+    finite is False.  The frozen records that hold one are declared
+    eq=False, so they compare and hash by identity, not by an elementwise
+    == with no single truth value."""
     array = np.array(values, dtype=float, order="C")
     if array.ndim != len(shape) or any(
             not isinstance(want, str) and n != want for n, want in zip(array.shape, shape)):

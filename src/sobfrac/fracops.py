@@ -69,7 +69,7 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.step_count + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFn:
     """Real-valued function sampled at every node of a TimeGrid."""
 

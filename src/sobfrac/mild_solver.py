@@ -34,9 +34,7 @@ from .errors import (DomainError, EvaluationError, NonConvergenceError,
                      RejectedInstanceError, frozen_array)
 from .fracops import FracOrder, TimeGrid, power_increments
 from .solution_ops import _DEFAULT_NODES, SolutionOperatorCache
-from .spectral import (SpectralField, data_smoothing_symbol,
-                       default_collocation_size, derivative_matrix,
-                       projection_matrix, q_weights)
+from .spectral import SpectralField, collocation_maps, data_smoothing_symbol, q_weights
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -50,8 +48,8 @@ class Nonlinearity:
     collocation grid, with slope gain cos(W); gain = 0 is f = 0.
 
     Its hypothesis constants are certified in closed form from three
-    facts about the N-mode discrete sine transform on n_x = 4N interior
-    nodes, K = n_x + 1, with f(u) = P (gain sin(D u)):
+    facts about the N-mode discrete sine transform on the 4N interior
+    nodes, K = 4N + 1, with f(u) = P (gain sin(D u)):
     - P P^T = (pi/K) I, so ||P||_2 = sqrt(pi/K);
     - D^T D = (2/pi) diag(n) ((K/2) I - E) diag(n), with E the all-ones
       block on each parity class of n, which is positive semidefinite;
@@ -67,7 +65,7 @@ class Nonlinearity:
 
     @property
     def a_f(self) -> float:
-        """Growth bound: ||f(u)|| <= sqrt(pi/K) |gain| sqrt(n_x)
+        """Growth bound: ||f(u)|| <= sqrt(pi/K) |gain| sqrt(4N)
         < |gain| sqrt(pi), whatever u."""
         return abs(self.gain) * _SQRT_PI
 
@@ -128,7 +126,7 @@ class ProblemSpec:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-indexed spectral fields on a uniform grid; coeffs is (M+1, N)."""
 
@@ -173,9 +171,8 @@ def eval_f(spec: ProblemSpec, t: float, u_field: SpectralField) -> SpectralField
     n_modes = spec.mode_count
     if nl.gain == 0.0:
         return SpectralField.zero(n_modes)
-    n_x = default_collocation_size(n_modes)
-    gradient = derivative_matrix(1, n_modes, n_x) @ u_field.coeffs
-    return SpectralField(projection_matrix(n_modes, n_x) @ (nl.gain * np.sin(gradient)))
+    _, d1, p = collocation_maps(n_modes)
+    return SpectralField(p @ (nl.gain * np.sin(d1 @ u_field.coeffs)))
 
 
 def _control_forcing(spec: ProblemSpec, controls) -> np.ndarray:
@@ -250,22 +247,10 @@ GRID_STATIC_MEMO = 8
 
 
 @functools.lru_cache(maxsize=GRID_STATIC_MEMO)
-def _mode_maps(mode_count: int, q: float) -> tuple:
-    """The maps that read only the modes, read-only and shared by every
-    discretisation: (smoothing symbol, D, P, q-weights)."""
-    n_x = default_collocation_size(mode_count)
-    arrays = (data_smoothing_symbol(mode_count), derivative_matrix(1, mode_count, n_x),
-              projection_matrix(mode_count, n_x), q_weights(mode_count, q))
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
-@functools.lru_cache(maxsize=GRID_STATIC_MEMO)
 def _grid_static(alpha: float, q: float, mode_count: int, grid: TimeGrid,
                  node_count: int | None, forced: bool) -> tuple:
     """The sweep state that reads only the discretisation, read-only:
-    (kappa, s_lm, feedback, kernel spectrum).
+    (kappa, s_lm, feedback, q-weights, kernel spectrum).
 
     The key is what the state reads: node_count is the psi-rule size,
     None at alpha = 1, where no rule is built, and forced says whether
@@ -276,11 +261,11 @@ def _grid_static(alpha: float, q: float, mode_count: int, grid: TimeGrid,
     cache = SolutionOperatorCache(FracOrder(alpha, q), mode_count, node_count)
     s_table, t_table = cache.grid_table(grid, t_rows=forced)
     kappa = grid.nodes() ** (1.0 - alpha) / math.gamma(2.0 - alpha)
-    s_lm = s_table * _mode_maps(mode_count, q)[0][None, :]
+    s_lm = s_table * data_smoothing_symbol(mode_count)[None, :]
     # the kernel: the T rows at the lags d*dt, nodes 1..M, times the cell weights
     spectrum = np.fft.rfft((power_increments(grid, alpha) / alpha)[:, None] * t_table[1:],
                            2 * grid.step_count, axis=0) if forced else None
-    arrays = (kappa, s_lm, s_lm * kappa[:, None], spectrum)
+    arrays = (kappa, s_lm, s_lm * kappa[:, None], q_weights(mode_count, q), spectrum)
     for arr in arrays:
         if arr is not None:
             arr.setflags(write=False)
@@ -291,13 +276,13 @@ class _SweepWorkspace:
     """The solve context: one problem at one psi-rule size, and its sweeps' arrays.
 
     The grid-static arrays come from _grid_static, built once per
-    discretisation, and D, P and the q-weights from _mode_maps; the
+    discretisation, and D and P from spectral.collocation_maps; the
     nonlocal snaps, the denominators and the data term are built per
     workspace.  The kernel is built exactly when the problem declares a
     forcing (f != 0 or controls): a linear uncontrolled problem has
     kernel None and neither convolves nor correlates.  D maps
     coefficients to the first derivative on the collocation grid
-    (n_x x N), P maps collocation values back to coefficients (N x n_x);
+    (4N x N), P maps collocation values back to coefficients (N x 4N);
     the forward sweep and its adjoint both go through them.
 
     The workspace owns the scratch its sweeps write, allocated once: an
@@ -313,10 +298,10 @@ class _SweepWorkspace:
         self.snaps = snap_nonlocal_indices(spec)
         forced = spec.nonlinearity.gain != 0.0 or spec.control_count > 0
         # feedback is the trajectory's response to h
-        self.kappa, self.s_lm, self.feedback, spectrum = _grid_static(
+        self.kappa, self.s_lm, self.feedback, self.q_scale, spectrum = _grid_static(
             spec.order.alpha, spec.order.q, spec.mode_count, spec.grid,
             node_count if spec.order.alpha < 1.0 else None, forced)
-        _, self.D, self.P, self.q_scale = _mode_maps(spec.mode_count, spec.order.q)
+        _, self.D, self.P = collocation_maps(spec.mode_count)
         self.kernel = _Kernel(spectrum) if forced else None
         # the data term without h
         self.data = self.s_lm * (spec.v0.coeffs[None, :]

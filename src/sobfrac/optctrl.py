@@ -26,7 +26,7 @@ from .mild_solver import (MAX_ITER, ProblemSpec, Trajectory, _SweepWorkspace,
 _ARMIJO_SIGMA = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlBundle:
     """k piecewise-constant-in-time spectral controls plus the ball radius.
 

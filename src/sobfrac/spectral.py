@@ -22,7 +22,7 @@ _BASIS_NORM = math.sqrt(2.0 / math.pi)
 MAX_DERIVATIVE_ORDER = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField:
     """Coefficients (u_n)_{n=1..N} w.r.t. the orthonormal sine basis."""
 
@@ -91,18 +91,14 @@ def collocation_grid(n_x: int) -> np.ndarray:
     return j * math.pi / (n_x + 1)
 
 
-def default_collocation_size(mode_count: int) -> int:
-    return 4 * mode_count
-
-
-def derivative_matrix(i: int, mode_count: int, n_x: int) -> np.ndarray:
-    """(n_x, mode_count) map from sine coefficients to the i-th spatial
-    derivative at the collocation nodes; i = 0 evaluates the field.
+def derivative_matrix(i: int, mode_count: int) -> np.ndarray:
+    """(4N, N) map from the N sine coefficients to the i-th spatial
+    derivative at the 4N collocation nodes; i = 0 evaluates the field.
 
     Spectral differentiation is exact: sine modes map to cosine modes for
     odd i with multiplier n^i and alternating sign per parity.
     """
-    x = collocation_grid(n_x)
+    x = collocation_grid(4 * mode_count)
     n = np.arange(1, mode_count + 1)
     phase = i % 4
     basis = np.sin(np.outer(x, n)) if phase % 2 == 0 else np.cos(np.outer(x, n))
@@ -110,36 +106,46 @@ def derivative_matrix(i: int, mode_count: int, n_x: int) -> np.ndarray:
     return (sign * _BASIS_NORM) * basis * n.astype(float) ** i
 
 
-def projection_matrix(mode_count: int, n_x: int) -> np.ndarray:
-    """(mode_count, n_x) map from collocation values to sine coefficients.
+# mode counts whose collocation maps one process keeps
+COLLOCATION_MEMO = 8
 
-    Uses the exact discrete orthogonality of sin(n x_j) on the interior
-    grid, so fields with at most n_x modes round-trip to rounding error.
-    """
-    if mode_count > n_x:
-        raise DomainError("mode_count exceeds collocation resolution")
-    weights = math.pi / (n_x + 1)
-    return weights * derivative_matrix(0, mode_count, n_x).T
+
+@functools.lru_cache(maxsize=COLLOCATION_MEMO)
+def collocation_maps(mode_count: int) -> tuple:
+    """(D0, D1, P) on the 4N collocation nodes, read-only and shared: D0
+    evaluates the field, D1 its first derivative, and P = (pi/(4N+1)) D0^T
+    maps node values back to coefficients, exact for N modes by the
+    discrete orthogonality of sin(n x_j) on the interior grid."""
+    d0 = derivative_matrix(0, mode_count)
+    maps = (d0, derivative_matrix(1, mode_count), math.pi / (4 * mode_count + 1) * d0.T)
+    for arr in maps:
+        arr.setflags(write=False)
+    return maps
+
+
+def projection_matrix(mode_count: int) -> np.ndarray:
+    """The (N, 4N) map P of collocation_maps."""
+    return collocation_maps(mode_count)[2]
 
 
 def field_to_grid(u: SpectralField) -> np.ndarray:
-    """Evaluate the field at the collocation nodes."""
-    n_x = default_collocation_size(u.mode_count)
-    return derivative_matrix(0, u.mode_count, n_x) @ u.coeffs
+    """Evaluate the field at the 4N collocation nodes."""
+    return collocation_maps(u.mode_count)[0] @ u.coeffs
 
 
 def grid_to_field(values: np.ndarray, mode_count: int) -> SpectralField:
-    """Project collocation values back to N modes (see projection_matrix)."""
+    """Project the values at the 4N collocation nodes back to N modes."""
     values = np.asarray(values, dtype=float)
-    return SpectralField(projection_matrix(mode_count, values.size) @ values)
+    if values.shape != (4 * mode_count,):
+        raise DomainError(f"expected {4 * mode_count} collocation values, got {values.shape}")
+    return SpectralField(projection_matrix(mode_count) @ values)
 
 
 def apply_Bi(i: int, u: SpectralField) -> np.ndarray:
     """i-th spatial derivative of the field on the collocation grid."""
     if not 1 <= i <= MAX_DERIVATIVE_ORDER:
         raise DomainError(f"derivative order {i} outside 1..{MAX_DERIVATIVE_ORDER}")
-    n_x = default_collocation_size(u.mode_count)
-    return derivative_matrix(i, u.mode_count, n_x) @ u.coeffs
+    return derivative_matrix(i, u.mode_count) @ u.coeffs
 
 
 @dataclass(frozen=True)

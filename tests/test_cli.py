@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import sobfrac
-from sobfrac import cli, csvtable, mild_solver, solution_ops, verification
+from sobfrac import cli, csvtable, mild_solver, solution_ops, spectral, verification
 from sobfrac.cli import _fmt, main, parse_config, run
 from sobfrac.csvtable import write_table
 from sobfrac.errors import ConfigError, EvaluationError
@@ -482,12 +482,14 @@ class TestReadmeConfig:
 
     def test_solve_and_optimize_bytes_cold_and_warm(self, tmp_path):
         # the second run of each mode reads the memoized grid state, time
-        # heads and columns; its artifacts are the cold run's, byte for byte
+        # heads, collocation labels and maps and columns; its artifacts are
+        # the cold run's, byte for byte
         block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"),
                           re.S).group(1)
         mild_solver._grid_static.cache_clear()
         cli._time_heads.cache_clear()
         cli._collocation.cache_clear()
+        spectral.collocation_maps.cache_clear()
         csvtable._column.cache_clear()
         for mode in ("solve", "optimize"):
             out = tmp_path / mode
@@ -502,8 +504,7 @@ class TestReadmeConfig:
             assert artifacts[1] == artifacts[0], mode
         assert cli._time_heads.cache_info().misses == 1
         assert cli._collocation.cache_info().misses == 1
-        with pytest.raises(ValueError, match="read-only"):
-            cli._collocation(16)[1][0, 0] = 0.0
+        assert spectral.collocation_maps.cache_info().misses == 1
 
 
 class TestReportShape:

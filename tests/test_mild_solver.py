@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sobfrac import cli
 from sobfrac.errors import (DomainError, EvaluationError, NonConvergenceError,
                             RejectedInstanceError)
-from sobfrac.fracops import TimeGrid, power_increments
+from sobfrac.fracops import SampledFn, TimeGrid, power_increments
 from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
                                  ProblemSpec, SolveReport, Trajectory,
                                  _SweepWorkspace, _control_forcing, _grid_static,
@@ -18,8 +19,8 @@ from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
 from sobfrac.optctrl import ControlBundle, CostSpec, adjoint_gradient
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import FracOrder, gamma, mittag_leffler
-from sobfrac.spectral import (SpectralField, apply_Bi, grid_to_field, norm_q,
-                              projection_matrix)
+from sobfrac.spectral import (SpectralField, apply_Bi, collocation_maps, grid_to_field,
+                              norm_q, projection_matrix)
 from test_specfun import ALPHAS
 
 
@@ -64,6 +65,25 @@ class TestRecordArrays:
         source[0] = math.nan
         with pytest.raises(DomainError, match="finite"):
             make(source)
+
+    def test_records_compare_and_hash_by_identity(self):
+        # an elementwise array comparison would raise "truth value of an
+        # array ... is ambiguous" in ==, and hashing an array a TypeError
+        grid = TimeGrid(1.0, 4)
+        for make in (lambda: SpectralField(np.ones(4)),
+                     lambda: Trajectory(grid, np.ones((5, 3))),
+                     lambda: ControlBundle(np.ones((1, 4, 2)), grid),
+                     lambda: SampledFn(grid, np.ones(5))):
+            record, twin = make(), make()
+            assert record == record and record != twin
+            assert hash(record) == hash(record)
+        # a problem compares by its fields, so one holding the same fields is equal
+        spec = make_spec(n=4, m=8)
+        assert spec == dataclasses.replace(spec) and spec != make_spec(n=4, m=8)
+        assert hash(spec) == hash(dataclasses.replace(spec))
+        text = "[problem]\nalpha = 0.8\nhorizon = 1.0\nmodes = 4\nsteps = 8\nu0 = 1:0.5\n"
+        first, second = cli.parse_config(text), cli.parse_config(text)
+        assert first == first and first != second and first.problem != second.problem
 
 
 class TestEvalF:
@@ -673,7 +693,7 @@ class TestPicardSolve:
         # constant forcing exercises the discretized convolution; its error
         # against the two-parameter Mittag-Leffler closed form halves with dt.
         # With f = 0 the forcing goes straight into one sweep, which is exact.
-        g = projection_matrix(8, 32) @ np.ones(32)
+        g = projection_matrix(8) @ np.ones(32)
         errors = []
         for m in (128, 256):
             # the forcing stands in for a control, which the problem declares
@@ -814,13 +834,28 @@ class TestGridStaticMemo:
             assert first.data is not second.data
             assert first.denominator is not second.denominator
 
-    def test_two_alphas_share_the_mode_maps(self):
-        # D, P and the q-weights read the modes and q alone
+    def test_two_alphas_share_the_mode_maps(self, tmp_path, monkeypatch):
+        # D and P read the modes alone: every workspace takes them from the
+        # one collocation memo, and the CLI's trajectory table evaluates
+        # through that memo's D0
         first, second = (_SweepWorkspace(make_spec(alpha=alpha, n=8, m=64))
                          for alpha in (0.45, 0.65))
-        for name in ("D", "P", "q_scale"):
-            arr = getattr(first, name)
-            assert getattr(second, name) is arr, name
+        d0, d1, p = collocation_maps(8)
+        for name, arr in (("D", d1), ("P", p)):
+            assert getattr(first, name) is arr and getattr(second, name) is arr, name
+        # the left operands of the products a CLI solve makes
+        operands, matmul = [], np.matmul
+
+        def spy(a, *rest, **kw):
+            operands.append(a)
+            return matmul(a, *rest, **kw)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        config = ("[problem]\nalpha = 0.65\nhorizon = 1.0\nmodes = 8\nsteps = 64\n"
+                  "v0 = 1:1.0\nnonlinearity = sin_grad:0.1\n")
+        assert cli.run(cli.parse_config(config, "solve", {"--out": str(tmp_path)})) == 0
+        assert any(a is d0 for a in operands)
+        for arr in (d0, d1, p):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
 

@@ -18,9 +18,8 @@ from sobfrac.optctrl import (ControlBundle, CostSpec, adjoint_gradient,
                              random_admissible_bundle, zero_bundle)
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import FracOrder
-from sobfrac.spectral import (SpectralField, default_collocation_size,
-                              derivative_matrix, norm_q, projection_matrix,
-                              q_weights)
+from sobfrac.spectral import (SpectralField, derivative_matrix, norm_q,
+                              projection_matrix, q_weights)
 
 
 @pytest.fixture(scope="module")
@@ -405,21 +404,19 @@ class TestHypothesisCheck:
         assert sampled["measured_growth"] <= nl["declared_a_f"]
         assert sampled["measured_lipschitz"] <= nl["lipschitz_bound"]
         # the bound from the sweep's own matrices, |gain| ||P||_2 ||D W_q^-1||_2
-        n_x = default_collocation_size(n)
         matrix_bound = gain * (
-            np.linalg.norm(projection_matrix(n, n_x), 2)
-            * np.linalg.norm(derivative_matrix(1, n, n_x) / q_weights(n, q), 2))
+            np.linalg.norm(projection_matrix(n), 2)
+            * np.linalg.norm(derivative_matrix(1, n) / q_weights(n, q), 2))
         assert nl["lipschitz_bound"] >= matrix_bound * (1 - 1e-14)
 
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_projection_norm_closed_form(self, n):
-        # discrete sine orthogonality: P P^T = (pi/K) I, K = n_x + 1
-        n_x = default_collocation_size(n)
-        p = projection_matrix(n, n_x)
-        assert np.allclose(p @ p.T, math.pi / (n_x + 1) * np.eye(n),
-                           rtol=0.0, atol=1e-14)
-        assert np.linalg.norm(p, 2) == pytest.approx(math.sqrt(math.pi / (n_x + 1)),
-                                                     rel=1e-13)
+        # discrete sine orthogonality: P P^T = (pi/K) I, K = 4N + 1
+        k = 4 * n + 1
+        p = projection_matrix(n)
+        assert p.shape == (n, 4 * n)
+        assert np.allclose(p @ p.T, math.pi / k * np.eye(n), rtol=0.0, atol=1e-14)
+        assert np.linalg.norm(p, 2) == pytest.approx(math.sqrt(math.pi / k), rel=1e-13)
 
 
 class TestOptimizer:

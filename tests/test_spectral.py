@@ -75,6 +75,12 @@ class TestCollocation:
         back = grid_to_field(field_to_grid(u), u.mode_count)
         assert np.max(np.abs(back.coeffs - u.coeffs)) <= 1e-8
 
+    @pytest.mark.parametrize("shape", [(15,), (17,), (32,), (16, 1)])
+    def test_grid_to_field_refuses_other_than_4n_values(self, shape):
+        # the collocation grid is fixed at 4N = 16 nodes for 4 modes
+        with pytest.raises(DomainError, match="expected 16 collocation values"):
+            grid_to_field(np.ones(shape), 4)
+
     def test_first_derivative_of_mode_one(self):
         vals = apply_Bi(1, SpectralField(np.eye(4)[0]))
         x = collocation_grid(16)
