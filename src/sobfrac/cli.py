@@ -439,7 +439,7 @@ def main(argv=None) -> int:
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -447,6 +447,14 @@ def main(argv=None) -> int:
             flag: getattr(args, flag[2:]) for flag in _FLAGS})
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # made here too, so that a path that cannot be a directory is refused
+    # like a config; run makes it for callers that skip main
+    try:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {config.out_dir}: {exc.strerror}",
+              file=sys.stderr)
         return 2
     status = run(config)
     print(f"sobfrac {args.mode}: {'ok' if status == 0 else 'FAILED'} "

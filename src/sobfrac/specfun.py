@@ -3,8 +3,7 @@
 Evaluates the Wright-type tail series, the Mainardi probability density
 on (0, inf), its fractional moments, and the Mittag-Leffler function used
 as an independent per-mode oracle, plus a quadrature rule for integrals
-against the density.  FracOrder and gamma live in fracops, which the
-solver path imports without this module; they are re-exported here.
+against the density.
 
 The density has two representations, one per range of theta: the
 Wright tail series converges quickly for small argument, and a
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DomainError, EvaluationError
-from .fracops import FracOrder, gamma  # noqa: F401  (re-exported)
+from .fracops import gamma
 
 _MAX_TERMS = 500
 # The Mittag-Leffler oracle keeps its own, larger budget: for small alpha

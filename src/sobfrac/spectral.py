@@ -142,10 +142,12 @@ def grid_to_field(values: np.ndarray, mode_count: int) -> SpectralField:
 
 
 def apply_Bi(i: int, u: SpectralField) -> np.ndarray:
-    """i-th spatial derivative of the field on the collocation grid."""
+    """i-th spatial derivative of the field on the collocation grid; the
+    first reads the shared D1 of collocation_maps."""
     if not 1 <= i <= MAX_DERIVATIVE_ORDER:
         raise DomainError(f"derivative order {i} outside 1..{MAX_DERIVATIVE_ORDER}")
-    return derivative_matrix(i, u.mode_count) @ u.coeffs
+    matrix = collocation_maps(u.mode_count)[1] if i == 1 else derivative_matrix(i, u.mode_count)
+    return matrix @ u.coeffs
 
 
 @dataclass(frozen=True)

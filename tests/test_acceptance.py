@@ -18,14 +18,15 @@ import numpy as np
 import pytest
 
 from sobfrac.cli import parse_config, run
-from sobfrac.fracops import SampledFn, TimeGrid, caputo_deriv, gl_deriv, rl_deriv
+from sobfrac.fracops import (FracOrder, SampledFn, TimeGrid, caputo_deriv, gl_deriv,
+                             rl_deriv)
 from sobfrac.mild_solver import Nonlinearity, ProblemSpec, picard_solve
 from sobfrac.optctrl import (CostSpec, admissibility_value, cost_J,
                              hypothesis_check, optimize_controls,
                              random_admissible_bundle, zero_bundle)
 from sobfrac.solution_ops import SolutionOperatorCache
-from sobfrac.specfun import (FracOrder, gamma, mainardi_density, mainardi_moment,
-                             mittag_leffler, theta_quadrature)
+from sobfrac.specfun import (gamma, mainardi_density, mainardi_moment, mittag_leffler,
+                             theta_quadrature)
 from sobfrac.spectral import SpectralField, measure_bounds, norm_q
 
 

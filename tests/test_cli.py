@@ -2,6 +2,7 @@
 
 import builtins
 import csv
+import errno
 import io
 import json
 import math
@@ -890,6 +891,34 @@ class TestMainEntry:
     def test_main_missing_file(self):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == 2
 
+    def test_main_refuses_a_config_that_is_not_utf8(self, tmp_path, capsys):
+        # read as an unreadable file is: one error line, exit 2, no output
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(MINIMAL.encode() + b"# \xff\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read config: ")
+        assert captured.err.count("\n") == 1 and "utf-8" in captured.err
+        assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize("out", ("afile/sub", "afile"))
+    def test_main_refuses_an_output_directory_it_cannot_create(self, tmp_path, capsys,
+                                                                out):
+        # a regular file where the directory, or one of its parents, goes
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL)
+        (tmp_path / "afile").write_text("kept\n")
+        out = tmp_path / out
+        assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = os.strerror(errno.ENOTDIR if out.name == "sub" else errno.EEXIST)
+        assert captured.err == f"error: cannot create output directory {out}: {reason}\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "afile", cfg_path]
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
     def test_main_refuses_negative_seed(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(REFERENCE_CFG)
@@ -917,19 +946,20 @@ class TestMainEntry:
         assert fresh_interpreter(probe) == "[]"
 
     def test_package_names_resolve_lazily_to_their_homes(self):
-        # the 55 public names; FracOrder and gamma
-        # moved to fracops and are the same objects through specfun
+        # the 55 public names, each read from the module that defines it
+        # or, for gamma, from specfun, which calls it
         probe = """
 import importlib, sys, sobfrac
 homes = {"errors": "ConfigError ConstructionError DomainError EvaluationError GridTooCoarseError "
                    "NonConvergenceError OptimizationError RejectedInstanceError SobfracError",
-         "fracops": "SampledFn TimeGrid caputo_deriv frac_integral gl_deriv rl_deriv",
+         "fracops": "FracOrder SampledFn TimeGrid caputo_deriv frac_integral gl_deriv "
+                    "rl_deriv",
          "mild_solver": "Nonlinearity ProblemSpec SolveReport Trajectory apply_P eval_f "
                         "picard_solve",
          "optctrl": "ControlBundle CostSpec admissibility_value cost_J hypothesis_check "
                     "optimize_controls project_admissible random_admissible_bundle zero_bundle",
          "solution_ops": "SolutionOperatorCache verify_operator_bounds",
-         "specfun": "FracOrder QuadratureRule gamma mainardi_density mainardi_moment "
+         "specfun": "QuadratureRule gamma mainardi_density mainardi_moment "
                     "mittag_leffler theta_quadrature",
          "spectral": "BoundConstants SpectralField apply_Bi collocation_grid field_to_grid "
                      "grid_to_field measure_bounds norm_q"}
@@ -941,7 +971,6 @@ for home, names in homes.items():
     assert getattr(sobfrac, home) is module
     for name in names.split():
         assert getattr(sobfrac, name) is getattr(module, name), name
-assert sobfrac.specfun.FracOrder is sobfrac.fracops.FracOrder
 assert set(sobfrac.__all__) <= set(dir(sobfrac))
 namespace = {}
 exec("from sobfrac import *", namespace)

@@ -10,7 +10,7 @@ import pytest
 from sobfrac import cli
 from sobfrac.errors import (DomainError, EvaluationError, NonConvergenceError,
                             RejectedInstanceError)
-from sobfrac.fracops import SampledFn, TimeGrid, power_increments
+from sobfrac.fracops import FracOrder, SampledFn, TimeGrid, power_increments
 from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
                                  ProblemSpec, SolveReport, Trajectory,
                                  _SweepWorkspace, _control_forcing, _grid_static,
@@ -18,7 +18,7 @@ from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
                                  adjoint_solve, apply_P, eval_f, picard_solve)
 from sobfrac.optctrl import ControlBundle, CostSpec, adjoint_gradient
 from sobfrac.solution_ops import SolutionOperatorCache
-from sobfrac.specfun import FracOrder, gamma, mittag_leffler
+from sobfrac.specfun import gamma, mittag_leffler
 from sobfrac.spectral import (SpectralField, apply_Bi, collocation_maps, grid_to_field,
                               norm_q, projection_matrix)
 from test_specfun import ALPHAS

@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 
 from sobfrac import optctrl
 from sobfrac.errors import DomainError, RejectedInstanceError
-from sobfrac.fracops import TimeGrid
+from sobfrac.fracops import FracOrder, TimeGrid
 from sobfrac.mild_solver import (Nonlinearity, ProblemSpec, Trajectory,
                                  _SweepWorkspace, eval_f, picard_solve)
 from sobfrac.optctrl import (ControlBundle, CostSpec, adjoint_gradient,
@@ -17,7 +17,6 @@ from sobfrac.optctrl import (ControlBundle, CostSpec, adjoint_gradient,
                              optimize_controls, project_admissible,
                              random_admissible_bundle, zero_bundle)
 from sobfrac.solution_ops import SolutionOperatorCache
-from sobfrac.specfun import FracOrder
 from sobfrac.spectral import (SpectralField, derivative_matrix, norm_q,
                               projection_matrix, q_weights)
 

@@ -9,11 +9,11 @@ import pytest
 from sobfrac import mild_solver, solution_ops
 from sobfrac.cli import parse_config, run
 from sobfrac.errors import ConstructionError, DomainError
-from sobfrac.fracops import TimeGrid
+from sobfrac.fracops import FracOrder, TimeGrid
 from sobfrac.solution_ops import (ALPHA_FLOOR, HALVING_TOL, T_WINDOW,
                                   SolutionOperatorCache, psi_rule,
                                   verify_operator_bounds)
-from sobfrac.specfun import FracOrder, gamma, mittag_leffler
+from sobfrac.specfun import gamma, mittag_leffler
 from sobfrac.verification import theta_rule_table
 from sobfrac.spectral import SpectralField, l_inverse_symbol, measure_bounds, norm_q
 

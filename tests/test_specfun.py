@@ -11,8 +11,9 @@ from scipy.integrate import quad
 from sobfrac import specfun
 from sobfrac.errors import (ConstructionError, DomainError, EvaluationError,
                             SobfracError)
-from sobfrac.specfun import (FracOrder, gamma, mainardi_density, mainardi_moment,
-                             mittag_leffler, theta_quadrature, theta_support_cut,
+from sobfrac.fracops import FracOrder
+from sobfrac.specfun import (gamma, mainardi_density, mainardi_moment, mittag_leffler,
+                             theta_quadrature, theta_support_cut,
                              _density_stable_integral, _density_tail_series)
 
 ALPHAS = (0.3, 0.5, 0.6, 0.8, 0.9)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from sobfrac.errors import DomainError
-from sobfrac.spectral import (SpectralField, apply_Bi, collocation_grid, field_to_grid,
-                              generator_symbol, grid_to_field, l_inverse_symbol,
-                              measure_bounds, norm_q, q_weights)
+from sobfrac.spectral import (SpectralField, apply_Bi, collocation_grid, collocation_maps,
+                              field_to_grid, generator_symbol, grid_to_field,
+                              l_inverse_symbol, measure_bounds, norm_q, q_weights)
 
 BASIS = math.sqrt(2.0 / math.pi)
 
@@ -90,6 +90,17 @@ class TestCollocation:
         vals = apply_Bi(2, SpectralField(np.eye(4)[2]))
         x = collocation_grid(16)
         assert np.max(np.abs(vals + 9.0 * BASIS * np.sin(3 * x))) <= 1e-10
+
+    def test_first_derivative_reads_the_shared_d1(self):
+        u = random_field(n=6, seed=8)
+        first = apply_Bi(1, u)
+        before = collocation_maps.cache_info()
+        again = apply_Bi(1, u)
+        after = collocation_maps.cache_info()
+        # the second call is one memo hit and builds nothing
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        d1 = collocation_maps(6)[1]
+        assert np.array_equal(first, d1 @ u.coeffs) and np.array_equal(again, first)
 
     def test_derivative_of_zero(self):
         assert np.all(apply_Bi(1, SpectralField.zero(4)) == 0.0)

@@ -20,14 +20,19 @@ between their numbers.  The exit status is 0 when every config and file
 is identical, and 1 otherwise.
 
 The config set is data: the README `ini` block under named edits, and
-the perfbench templates, imported read-only.  The bytes depend on the
-host's numpy kernels, so the claim checked is two trees on one host,
-not a recorded digest.
+the perfbench templates, imported read-only.  It is also the one
+declaration of what each run must do: every run names its exit status
+and the report.json facts it must show.  An exit-0 run leaves every
+artifact its mode writes, non-empty; an exit-1 run leaves a non-empty
+report.json; an exit-2 run leaves no output directory.  The bytes
+depend on the host's numpy kernels, so the claim checked is two trees
+on one host, not a recorded digest.
 
---selftest runs the set twice on this tree and requires every file to
-be identical, then requires a copy with one perturbed CSV value, and
-one with a file removed, to be flagged with the right difference.
-Everything is written under temporary directories, which are removed.
+--selftest runs the set twice on this tree, requires every run of the
+first pass to meet its expectation and every file to be identical, then
+requires a copy with one perturbed CSV value, and one with a file
+removed, to be flagged with the right difference.  Everything is
+written under temporary directories, which are removed.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import operator
 import os
 import re
 import shutil
@@ -43,6 +49,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG, OUT = "config.ini", "out"
@@ -51,22 +58,54 @@ THREADS = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THR
                          "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS"), "1")
 RUN_TIMEOUT_S = 600
 
-# README-block runs: (name, mode, edits), each edit (key, value) replacing
-# the value of the block's one `key = ` line and keeping its comment
+# the artifacts each mode writes besides report.json
+ARTIFACTS = {"verify": ("verify.csv",),
+             "solve": ("trajectory.csv", "modes.csv"),
+             "optimize": ("descent.csv", "controls.csv", "trajectory.csv", "modes.csv")}
+
+
+class Run(NamedTuple):
+    """One config of the set and what its run must do: exit with `exit`
+    and show `facts`, each (dotted path into report.json, "==" or "<=",
+    value)."""
+
+    name: str
+    mode: str
+    text: str
+    exit: int = 0
+    facts: tuple = ()
+
+
+# the fact of a run refused by the hypothesis check
+REJECTED = (("error.type", "==", "RejectedInstanceError"),)
+
+# README-block runs: (name, mode, edits, exit, facts), each edit (key, value)
+# replacing the value of the block's one `key = ` line and keeping its comment
 README_RUNS = (
-    ("readme-verify", "verify", ()),
-    ("readme-solve", "solve", ()),
-    ("readme-optimize", "optimize", ()),
-    ("readme-optimize-random", "optimize", (("init", "random"),)),
-    ("readme-optimize-binding", "optimize", (("radius", "0.05"),)),
-    ("linear-solve", "solve", (("nonlinearity", "zero"), ("controls", "0"))),
-    ("semigroup-solve", "solve", (("alpha", "1.0"),)),
-    ("semigroup-optimize", "optimize", (("alpha", "1.0"),)),
-    ("sin-grad-40-solve", "solve", (("nonlinearity", "sin_grad:40"),)),   # exit 1
-    ("low-p-solve", "solve", (("p", "1.1"),)),                             # exit 1
-    ("low-p-optimize", "optimize", (("p", "1.1"),)),                       # exit 1
-    ("nodes300-solve", "solve", (("quad_nodes", "300"),)),
-    ("low-alpha-solve", "solve", (("alpha", "0.01"),)),                    # exit 2
+    ("readme-verify", "verify", (), 0, ()),
+    ("readme-solve", "solve", (), 0, ()),
+    # the adjoint gradient, through the kernel's transpose, against its
+    # finite difference
+    ("readme-optimize", "optimize", (), 0,
+     (("optimize.gradient_check.relative_residual", "<=", 1e-5),)),
+    ("readme-optimize-random", "optimize", (("init", "random"),), 0, ()),
+    # the ball binds, and the descent still converges
+    ("readme-optimize-binding", "optimize", (("radius", "0.05"),), 0,
+     (("optimize.converged", "==", True),)),
+    # solved from the S rows alone
+    ("linear-solve", "solve", (("nonlinearity", "zero"), ("controls", "0")), 0, ()),
+    ("semigroup-solve", "solve", (("alpha", "1.0"),), 0,
+     (("multiplier_rule.kind", "==", "semigroup"),)),
+    ("semigroup-optimize", "optimize", (("alpha", "1.0"),), 0, ()),
+    ("sin-grad-40-solve", "solve", (("nonlinearity", "sin_grad:40"),), 1, ()),
+    # p*alpha*(1-q) = 0.66 fails the controlled-instance hypothesis
+    ("low-p-solve", "solve", (("p", "1.1"),), 1, REJECTED),
+    ("low-p-optimize", "optimize", (("p", "1.1"),), 1, REJECTED),
+    # the report names the rule the config's parse built
+    ("nodes300-solve", "solve", (("quad_nodes", "300"),), 0,
+     (("multiplier_rule.nodes", "==", 300),)),
+    # 200 psi-rule nodes are too few, refused at parse before any output
+    ("low-alpha-solve", "solve", (("alpha", "0.01"),), 2, ()),
 )
 # perfbench runs: the seed-1 operation of the solve and optimize
 # workloads, and the sweep template at two alphas
@@ -103,16 +142,17 @@ def perfbench_workloads():
 
 
 def config_set() -> list:
-    """[(name, mode, config text)] of every run the diff makes."""
+    """[Run] of every run the diff makes; the perfbench runs exit 0."""
     block = readme_block()
-    runs = [(name, mode, edited(block, edits)) for name, mode, edits in README_RUNS]
+    runs = [Run(name, mode, edited(block, edits), code, facts)
+            for name, mode, edits, code, facts in README_RUNS]
     workloads = perfbench_workloads()
     for name, workload in (("perfbench-solve", "solve_nonlinear"),
                            ("perfbench-optimize", "optimize_linear")):
         entry = workloads.WORKLOADS[workload]
-        runs.append((name, entry.mode, next(entry.configs(TEMPLATE_SEED, OUT, 1))))
-    runs += [(f"perfbench-sweep-{alpha}", "solve",
-              workloads.SWEEP_TEMPLATE.format(alpha=alpha, out=OUT))
+        runs.append(Run(name, entry.mode, next(entry.configs(TEMPLATE_SEED, OUT, 1))))
+    runs += [Run(f"perfbench-sweep-{alpha}", "solve",
+                 workloads.SWEEP_TEMPLATE.format(alpha=alpha, out=OUT))
              for alpha in SWEEP_ALPHAS]
     return runs
 
@@ -134,15 +174,52 @@ def run_set(tree: Path, runs: list, into: Path) -> dict:
     into; returns {name: (exit code, stdout, stderr)}."""
     env = tree_env(tree)
     results = {}
-    for name, mode, text in runs:
-        workdir = into / name
+    for run in runs:
+        workdir = into / run.name
         workdir.mkdir(parents=True)
-        (workdir / CONFIG).write_text(text, encoding="utf-8")
+        (workdir / CONFIG).write_text(run.text, encoding="utf-8")
         proc = subprocess.run(
-            [sys.executable, "-m", "sobfrac.cli", mode, "--config", CONFIG, "--out", OUT],
+            [sys.executable, "-m", "sobfrac.cli", run.mode, "--config", CONFIG, "--out", OUT],
             cwd=workdir, env=env, capture_output=True, timeout=RUN_TIMEOUT_S)
-        results[name] = (proc.returncode, proc.stdout, proc.stderr)
+        results[run.name] = (proc.returncode, proc.stdout, proc.stderr)
     return results
+
+
+# a fact's comparison of the value read with the value declared, which
+# must also share its type: a bool is not a number, and 1 is not true
+FACT_TESTS = {"==": operator.eq, "<=": operator.le}
+
+
+def expectation_failures(runs: list, into: Path, results: dict) -> list:
+    """One message, led by the run's name, for each way a run under into
+    breaks its declared outcome (see the module docstring)."""
+    failures = []
+    for run in runs:
+        out = into / run.name / OUT
+        code = results[run.name][0]
+        if code != run.exit:
+            failures.append(f"{run.name}: exited {code}, not {run.exit}")
+        if run.exit == 2:
+            if out.exists():
+                failures.append(f"{run.name}: exit 2 left {OUT}/")
+            continue
+        for artifact in ("report.json", *(ARTIFACTS[run.mode] if run.exit == 0 else ())):
+            if not (out / artifact).is_file() or (out / artifact).stat().st_size == 0:
+                failures.append(f"{run.name}: {artifact} is missing or empty")
+        if not run.facts:
+            continue
+        try:
+            report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            failures.append(f"{run.name}: report.json does not read: {exc}")
+            continue
+        for path, test, want in run.facts:
+            got = report
+            for key in path.split("."):
+                got = got.get(key) if isinstance(got, dict) else None
+            if type(got) is not type(want) or not FACT_TESTS[test](got, want):
+                failures.append(f"{run.name}: {path} is {got!r}, not {test} {want!r}")
+    return failures
 
 
 def compare_bytes(base: bytes, head: bytes) -> dict:
@@ -173,7 +250,7 @@ def compare_runs(runs: list, base: Path, head: Path, base_results: dict,
                  head_results: dict) -> dict:
     """The report of two run directories (see the module docstring)."""
     configs, files, same = {}, 0, 0
-    for name, mode, _ in runs:
+    for name, mode, *_ in runs:
         (b_exit, b_out, b_err), (h_exit, h_out, h_err) = base_results[name], head_results[name]
         b_files, h_files = files_under(base / name), files_under(head / name)
         entries = {}
@@ -247,15 +324,11 @@ def selftest() -> list:
     with tempfile.TemporaryDirectory(prefix="sobfrac-artifacts-") as tmp:
         tmp = Path(tmp)
         first = run_set(ROOT, runs, tmp / "first")
+        failures += expectation_failures(runs, tmp / "first", first)
         second = run_set(ROOT, runs, tmp / "second")
         summary = compare_runs(runs, tmp / "first", tmp / "second", first, second)["summary"]
         if summary["differing_configs"] or summary["identical_files"] != summary["files"]:
             failures.append(f"the tree against itself differs: {summary}")
-        expected = {"sin-grad-40-solve": 1, "low-p-solve": 1, "low-p-optimize": 1,
-                    "low-alpha-solve": 2}
-        for name, (code, _, _) in first.items():
-            if code != expected.get(name, 0):
-                failures.append(f"{name} exited {code}")
         shutil.copytree(tmp / "second", tmp / "changed")
         delta = perturb_one_value(tmp / "changed" / "readme-solve" / OUT / "modes.csv")
         (tmp / "changed" / "linear-solve" / OUT / "modes.csv").unlink()
