@@ -24,8 +24,8 @@ from .csvtable import write_table
 from .errors import ConfigError, ConstructionError, DomainError, SobfracError
 from .fracops import FracOrder, TimeGrid
 from .mild_solver import MAX_ITER, Nonlinearity, ProblemSpec, _SweepWorkspace, picard_solve
-from .optctrl import (ControlBundle, CostSpec, admissibility_value, hypothesis_check,
-                      optimize_controls, zero_bundle)
+from .optctrl import (CostSpec, admissibility_value, hypothesis_check, optimize_controls,
+                      random_admissible_bundle, zero_bundle)
 # SolutionOperatorCache and FracOrder stay importable here for perfbench's set-up probe
 from .solution_ops import _DEFAULT_NODES, T_WINDOW, SolutionOperatorCache, psi_rule  # noqa: F401
 from .spectral import SpectralField, collocation_grid, collocation_maps, measure_bounds
@@ -341,13 +341,9 @@ def run(config: RunConfig) -> int:
                 if config.init_kind == "zero":
                     init = zero_bundle(grid, k, config.control_modes, config.radius)
                 else:
-                    x0 = np.random.default_rng(config.seed).uniform(
-                        -1.0, 1.0, size=(k, grid.step_count, config.control_modes))
-                    init = ControlBundle(x0, grid, config.radius)
-                    # a draw outside the ball is rescaled onto it, keeping its direction
-                    value = admissibility_value(init)
-                    if value > config.radius:
-                        init = init.scaled(config.radius / value)
+                    init = random_admissible_bundle(grid, k, config.control_modes,
+                                                    np.random.default_rng(config.seed),
+                                                    config.radius)
                 bundle, traj, log = optimize_controls(
                     problem, config.cost, init, budget=config.budget,
                     grad_tol=config.grad_tol, fd_step=config.fd_step,
@@ -365,10 +361,7 @@ def run(config: RunConfig) -> int:
                                       "final_cost": float(log.cost_values[-1]),
                                       "admissibility_value": admissibility_value(bundle)}
                 status = 0 if log.converged else 1
-            # stacked per-node products through the solver's D0 keep field_to_grid's
-            # rounding; one coeffs @ D0.T product changes the last digit of many values
-            values = np.matmul(collocation_maps(problem.mode_count)[0],
-                               traj.coeffs[:, :, None])[:, :, 0]
+            values = np.matmul(traj.coeffs, collocation_maps(problem.mode_count)[0].T)
             _write_artifact(out / "trajectory.csv", "t,x,u\n", ts,
                             _collocation(problem.mode_count), values)
             _write_artifact(out / "modes.csv", "t,n,coefficient\n",

@@ -61,21 +61,16 @@ def zero_bundle(grid: TimeGrid, k: int, control_modes: int,
                          grid, radius)
 
 
-def _cell_norms(cells: np.ndarray) -> np.ndarray:
-    """||x_jc|| of every cell, in one reduction over all controls."""
-    return np.sqrt(np.add.reduce(cells * cells, axis=2))
+def _cell_weights(bundle: ControlBundle) -> np.ndarray:
+    """a_jc = dt ||x_jc|| of every cell, in one reduction over all controls."""
+    cells = bundle.cells
+    return bundle.grid.dt * np.sqrt(np.add.reduce(cells * cells, axis=2))
 
 
 def admissibility_value(bundle: ControlBundle) -> float:
-    """sum_j int_0^a ||u_j(s)|| ds, exact for piecewise-constant controls.
-
-    The per-control sums of the cell norms accumulate in control order.
-    """
-    cells, dt = bundle.cells, bundle.grid.dt
-    total = 0.0
-    for norm_sum in _cell_norms(cells).sum(axis=1):
-        total += float(norm_sum * dt)
-    return total
+    """sum_j int_0^a ||u_j(s)|| ds, exact for piecewise-constant controls:
+    the sum of the cell weights."""
+    return float(_cell_weights(bundle).sum())
 
 
 def project_admissible(bundle: ControlBundle) -> ControlBundle:
@@ -88,16 +83,15 @@ def project_admissible(bundle: ControlBundle) -> ControlBundle:
     ICML 2008), and cell c is scaled by max(0, 1 - theta / a_c).
     """
     radius = bundle.radius
-    if admissibility_value(bundle) <= radius:
+    a = _cell_weights(bundle)
+    if a.sum() <= radius:
         return bundle
-    cells = bundle.cells
-    a = bundle.grid.dt * _cell_norms(cells)
     desc = np.sort(a, axis=None)[::-1]
     thetas = (np.cumsum(desc) - radius) / np.arange(1, desc.size + 1)
     theta = thetas[np.flatnonzero(desc > thetas)[-1]]
     with np.errstate(divide="ignore"):
         scale = np.maximum(1.0 - theta / a, 0.0)
-    return ControlBundle(cells * scale[:, :, None], bundle.grid, radius)
+    return ControlBundle(bundle.cells * scale[:, :, None], bundle.grid, radius)
 
 
 @dataclass(frozen=True)
@@ -117,16 +111,16 @@ class CostSpec:
 def cost_J(traj: Trajectory, controls: ControlBundle, spec: CostSpec) -> float:
     """int_0^a [ sw ||u(t)||^2 + cw int_0^t sum_j ||u_j(s)||^2 ds ] dt.
 
-    The inner integrals of the piecewise-constant controls accumulate
-    exactly; the outer integral uses the trapezoid rule.
+    The inner integral of the piecewise-constant controls accumulates
+    exactly, in one reduction over all controls; the outer integral uses
+    the trapezoid rule.
     """
     if controls.grid != traj.grid:
         raise DomainError("cost requires trajectory and controls on one grid")
     dt, u, cells = traj.grid.dt, traj.coeffs, controls.cells
     state = (u * u).sum(axis=1)
     inner = np.zeros(len(u))
-    for running in (cells * cells).sum(axis=2).cumsum(axis=1):
-        inner[1:] += running * dt
+    inner[1:] = (cells * cells).sum(axis=(0, 2)).cumsum() * dt
     y = spec.state_weight * state + spec.control_weight * inner
     # np.trapezoid(y, dx=dt), without its argument handling
     return float((dt * (y[1:] + y[:-1]) / 2.0).sum())

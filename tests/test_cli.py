@@ -23,11 +23,11 @@ from sobfrac.cli import _fmt, main, parse_config, run
 from sobfrac.csvtable import write_table
 from sobfrac.errors import ConfigError, EvaluationError
 from sobfrac.mild_solver import Nonlinearity, SolveReport
-from sobfrac.optctrl import DescentLog
+from sobfrac.optctrl import DescentLog, admissibility_value, random_admissible_bundle
 from sobfrac.specfun import mittag_leffler
 from sobfrac.verification import CheckRow
 from sobfrac.spectral import (BoundConstants, SpectralField, collocation_grid,
-                              field_to_grid)
+                              collocation_maps, field_to_grid)
 
 MINIMAL = """
 [problem]
@@ -113,15 +113,33 @@ def reference_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def gamma_n(n):
+    """gamma_n = n u / (1 - n u), u the unit roundoff: an n-term dot
+    product, summed in any order, lies within gamma_n sum |term| of its
+    exact value (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1)."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1 - n * u)
+
+
 def reference_trajectory_csvs(traj, mode_count):
-    """trajectory.csv and modes.csv, one field_to_grid call per node."""
+    """trajectory.csv and modes.csv, one line per value.  The trajectory
+    values are the one product coeffs @ D0.T; each is an N-term dot
+    product, so it and the same value from one field_to_grid call per
+    node differ by at most 2 gamma_N sum_n |D0_xn c_n|, that sum being
+    computed within a factor 1 - gamma_N of itself."""
     ts = traj.grid.nodes()
     n_x = 4 * mode_count
     xs = collocation_grid(n_x)
+    d0 = collocation_maps(mode_count)[0]
+    values = traj.coeffs @ d0.T
+    per_node = np.array([field_to_grid(SpectralField(c)) for c in traj.coeffs])
+    gamma = gamma_n(mode_count)
+    bound = 2 * gamma / (1 - gamma) * (np.abs(traj.coeffs) @ np.abs(d0).T)
+    assert np.all(np.abs(values - per_node) <= bound)
     rows = []
-    for m, t in enumerate(ts):
-        vals = field_to_grid(SpectralField(traj.coeffs[m]))
-        rows.extend((float(t), float(x), float(v)) for x, v in zip(xs, vals))
+    for t, row in zip(ts, values):
+        rows.extend((float(t), float(x), float(v)) for x, v in zip(xs, row))
     trajectory = reference_csv("t,x,u", rows)
     rows = []
     for m, t in enumerate(ts):
@@ -745,6 +763,25 @@ class TestOptimizeMode:
         assert report["optimize"]["admissibility_value"] <= 1.0 + 1e-10
         assert report["optimize"]["adjoint_solves"] >= 1
         assert report["optimize"]["gradient_check"]["relative_residual"] <= 1e-3
+
+    def test_random_init_is_the_random_admissible_bundle(self, tmp_path, monkeypatch):
+        starts, original = [], cli.optimize_controls
+
+        def spy(problem, cost, init, **kw):
+            starts.append(init)
+            return original(problem, cost, init, **kw)
+
+        monkeypatch.setattr(cli, "optimize_controls", spy)
+        text = (REFERENCE_CFG.replace("budget = 40", "budget = 2")
+                .replace("init = zero", "init = random") + f"directory = {tmp_path}\n")
+        cfg = parse_config(text, mode="optimize")
+        run(cfg)
+        want = random_admissible_bundle(cfg.problem.grid, 2, 4, np.random.default_rng(7), 1.0)
+        (init,) = starts
+        assert init.radius == 1.0
+        assert np.array_equal(init.cells, want.cells)
+        # drawn inside the ball, not rescaled onto its boundary
+        assert 0.0 < admissibility_value(init) < 1.0
 
     def test_quad_nodes_reach_the_optimizer(self, tmp_path, monkeypatch):
         built = []

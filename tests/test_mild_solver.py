@@ -843,18 +843,19 @@ class TestGridStaticMemo:
         d0, d1, p = collocation_maps(8)
         for name, arr in (("D", d1), ("P", p)):
             assert getattr(first, name) is arr and getattr(second, name) is arr, name
-        # the left operands of the products a CLI solve makes
+        # the right operands of the products a CLI solve makes
         operands, matmul = [], np.matmul
 
-        def spy(a, *rest, **kw):
-            operands.append(a)
-            return matmul(a, *rest, **kw)
+        def spy(a, b, *rest, **kw):
+            operands.append(b)
+            return matmul(a, b, *rest, **kw)
 
         monkeypatch.setattr(np, "matmul", spy)
         config = ("[problem]\nalpha = 0.65\nhorizon = 1.0\nmodes = 8\nsteps = 64\n"
                   "v0 = 1:1.0\nnonlinearity = sin_grad:0.1\n")
         assert cli.run(cli.parse_config(config, "solve", {"--out": str(tmp_path)})) == 0
-        assert any(a is d0 for a in operands)
+        # the table's product reads D0 itself, through its transpose
+        assert any(b.base is d0 for b in operands)
         for arr in (d0, d1, p):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0

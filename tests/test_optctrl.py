@@ -204,17 +204,26 @@ class TestAdmissibility:
         assert abs(admissibility_value(projected) - 0.3) <= 1e-12
 
     def test_projection_matches_a_brute_force_minimisation(self):
-        # min ||y - x||^2 over the ball by SLSQP, on a case where the
-        # projection drops whole cells
+        # min ||y - x||^2 over the ball by SLSQP, given both analytic
+        # Jacobians, on a case where the projection drops whole cells
         grid = TimeGrid(1.0, 3)
         x = np.random.default_rng(1).standard_normal((2, 3, 2))
         bundle = ControlBundle(x, grid, 0.5)
         y = project_admissible(bundle).cells
         start = bundle.scaled(0.5 / admissibility_value(bundle)).cells
+
+        def constraint_jacobian(v):
+            # -dt y_c / ||y_c|| per cell, and the subgradient 0 at a dropped cell
+            cells = v.reshape(-1, x.shape[2])
+            norms = np.linalg.norm(cells, axis=1, keepdims=True)
+            return -grid.dt * np.divide(cells, norms, out=np.zeros_like(cells),
+                                        where=norms > 0.0).ravel()
+
         result = minimize(
             lambda v: np.sum((v - x.ravel()) ** 2), start.ravel(), method="SLSQP",
+            jac=lambda v: 2.0 * (v - x.ravel()),
             constraints=[{"type": "ineq", "fun": lambda v: 0.5 - admissibility_value(
-                ControlBundle(v.reshape(x.shape), grid, 0.5))}],
+                ControlBundle(v.reshape(x.shape), grid, 0.5)), "jac": constraint_jacobian}],
             options={"ftol": 1e-15, "maxiter": 1000})
         assert result.success
         assert np.count_nonzero(np.linalg.norm(y, axis=2) == 0.0) == 2
@@ -240,9 +249,19 @@ class TestAdmissibility:
             assert np.array_equal(ctrl.coeffs[-1], bundle.cells[j, -1])
 
 
+def within_summation_error(got, want, roundings):
+    """Whether two evaluations of one sum of nonnegative terms agree: each
+    lies within gamma_n S of the exact sum S when no term's path has more
+    than n roundings (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.1), and S <= want / (1 - gamma_n)."""
+    u = np.finfo(float).eps / 2
+    gamma = roundings * u / (1 - roundings * u)
+    return abs(got - want) <= 2 * gamma / (1 - gamma) * want
+
+
 class TestLeanHelpers:
     """admissibility_value and cost_J against the loops they replaced,
-    bit for bit."""
+    within the summation error of their term counts."""
 
     @staticmethod
     def bundles(seed, count):
@@ -264,19 +283,32 @@ class TestLeanHelpers:
         yield grid, zero_bundle(grid, 3, 8)
 
     def test_admissibility_value_matches_the_loop(self):
+        # both sum the k M cell norms, each times dt: at most modes + 1
+        # roundings in a norm (square, sum over modes, root) and k M after
+        # it (times dt, then the sum; the loop's 1 + M - 1 + k - 1 is no more)
         count = 0
         for _, bundle in self.bundles(seed=5, count=200):
-            assert admissibility_value(bundle) == admissibility_oracle(bundle)
+            k, m, modes = bundle.cells.shape
+            assert within_summation_error(admissibility_value(bundle),
+                                          admissibility_oracle(bundle), modes + 1 + k * m)
             count += 1
         assert count > 200
 
     def test_cost_J_matches_the_trapezoid_rule(self):
+        # roundings on one term's path, in either form: the square 1, the
+        # sums over the N state modes or over the k controls' modes (the
+        # loop's modes - 1 + k is no more than k modes) N + k modes, the
+        # running sum M - 1, dt and the weight 2, state plus control 1,
+        # then the trapezoid's pair sum 1, dt 1 and outer sum M - 1
         rng = np.random.default_rng(6)
         for grid, bundle in self.bundles(seed=7, count=200):
-            traj = Trajectory(grid, rng.standard_normal((grid.step_count + 1, 8)))
+            k, m, modes = bundle.cells.shape
+            traj = Trajectory(grid, rng.standard_normal((m + 1, 8)))
+            roundings = 8 + k * modes + 2 * m + 4
             for spec in (CostSpec(), CostSpec(0.0, 1.0), CostSpec(1.0, 0.0),
                          CostSpec(*rng.uniform(0.1, 3.0, 2))):
-                assert cost_J(traj, bundle, spec) == cost_oracle(traj, bundle, spec)
+                assert within_summation_error(cost_J(traj, bundle, spec),
+                                              cost_oracle(traj, bundle, spec), roundings)
 
     @pytest.mark.parametrize("radius", [1.0, 0.05])
     def test_optimizer_unchanged_under_the_oracles(self, monkeypatch, radius):
@@ -284,9 +316,10 @@ class TestLeanHelpers:
         problem = reference_problem()
         init = zero_bundle(problem.grid, 2, 4, radius)
         runs = []
-        for helpers in ((admissibility_value, cost_J), (admissibility_oracle, cost_oracle)):
-            monkeypatch.setattr(optctrl, "admissibility_value", helpers[0])
-            monkeypatch.setattr(optctrl, "cost_J", helpers[1])
+        # cost_J is the one helper the descent calls: project_admissible
+        # sums its cell weights itself
+        for cost in (cost_J, cost_oracle):
+            monkeypatch.setattr(optctrl, "cost_J", cost)
             runs.append(optimize_controls(problem, CostSpec(), init, budget=200))
         (bundle, traj, log), (bundle_ref, traj_ref, log_ref) = runs
         assert log == log_ref

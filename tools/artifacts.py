@@ -88,7 +88,9 @@ README_RUNS = (
     # finite difference
     ("readme-optimize", "optimize", (), 0,
      (("optimize.gradient_check.relative_residual", "<=", 1e-5),)),
-    ("readme-optimize-random", "optimize", (("init", "random"),), 0, ()),
+    # from a random start inside the ball, the descent converges in it
+    ("readme-optimize-random", "optimize", (("init", "random"),), 0,
+     (("optimize.converged", "==", True), ("optimize.admissibility_value", "<=", 1.0))),
     # the ball binds, and the descent still converges
     ("readme-optimize-binding", "optimize", (("radius", "0.05"),), 0,
      (("optimize.converged", "==", True),)),
