@@ -11,8 +11,8 @@ import importlib as _importlib
 # public name -> the submodule that defines it
 _HOMES = {name: module for module, names in {
     "errors": ("ConfigError", "ConstructionError", "DomainError", "EvaluationError",
-               "GridTooCoarseError", "NonConvergenceError", "OptimizationError",
-               "RejectedInstanceError", "SobfracError"),
+               "NonConvergenceError", "OptimizationError", "RejectedInstanceError",
+               "SobfracError"),
     "fracops": ("FracOrder", "SampledFn", "TimeGrid", "caputo_deriv", "frac_integral",
                 "gamma", "gl_deriv", "rl_deriv"),
     "mild_solver": ("Nonlinearity", "ProblemSpec", "SolveReport", "Trajectory",

@@ -30,29 +30,12 @@ def frozen_array(values, shape: tuple, what: str, finite: bool = True) -> np.nda
     return array
 
 
-class GridTooCoarseError(DomainError):
-    """The sampled-function grid has too few nodes for the requested operator."""
-
-
 class EvaluationError(SobfracError, RuntimeError):
-    """A series or iteration failed to meet its tolerance within budget.
-
-    Carries a partial result so callers can inspect how far the
-    evaluation got before giving up.
-    """
-
-    def __init__(self, message, partial=None, terms_used=None):
-        super().__init__(message)
-        self.partial = partial
-        self.terms_used = terms_used
+    """A series or iteration failed to meet its tolerance within budget."""
 
 
 class ConstructionError(SobfracError):
     """A quadrature rule could not reach its tolerance at the requested size."""
-
-    def __init__(self, message, achieved_defect=None):
-        super().__init__(message)
-        self.achieved_defect = achieved_defect
 
 
 class NonConvergenceError(SobfracError):

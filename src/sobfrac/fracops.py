@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridTooCoarseError, frozen_array
+from .errors import DomainError, frozen_array
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def caputo_deriv(f: SampledFn, alpha: float) -> SampledFn:
     """
     _check_alpha(alpha, upper_inclusive=False)
     if f.grid.step_count < 4:
-        raise GridTooCoarseError("caputo_deriv needs at least 4 steps")
+        raise DomainError("caputo_deriv needs at least 4 steps")
     fp = np.gradient(f.values, f.grid.dt, edge_order=2)
     return frac_integral(SampledFn(f.grid, fp), 1.0 - alpha)
 
@@ -134,7 +134,7 @@ def rl_deriv(f: SampledFn, alpha: float) -> SampledFn:
     """
     _check_alpha(alpha, upper_inclusive=False)
     if f.grid.step_count < 4:
-        raise GridTooCoarseError("rl_deriv needs at least 4 steps")
+        raise DomainError("rl_deriv needs at least 4 steps")
     g = frac_integral(f, 1.0 - alpha)
     out = np.gradient(g.values, f.grid.dt, edge_order=2)
     if f.values[0] != 0.0:

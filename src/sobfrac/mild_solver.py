@@ -247,25 +247,26 @@ GRID_STATIC_MEMO = 8
 
 
 @functools.lru_cache(maxsize=GRID_STATIC_MEMO)
-def _grid_static(alpha: float, q: float, mode_count: int, grid: TimeGrid,
+def _grid_static(alpha: float, mode_count: int, grid: TimeGrid,
                  node_count: int | None, forced: bool) -> tuple:
     """The sweep state that reads only the discretisation, read-only:
-    (kappa, s_lm, feedback, q-weights, kernel spectrum).
+    (kappa, s_lm, feedback, kernel spectrum).
 
-    The key is what the state reads: node_count is the psi-rule size,
+    The key is what the state reads, so not q, which only the
+    workspace's q-weights read: node_count is the psi-rule size,
     None at alpha = 1, where no rule is built, and forced says whether
     the kernel is read.  Without it only the S rows are built, and the
     spectrum is None.  The multiplier table is built here for these
     modes, so an entry depends on its key alone.
     """
-    cache = SolutionOperatorCache(FracOrder(alpha, q), mode_count, node_count)
+    cache = SolutionOperatorCache(FracOrder(alpha), mode_count, node_count)
     s_table, t_table = cache.grid_table(grid, t_rows=forced)
     kappa = grid.nodes() ** (1.0 - alpha) / math.gamma(2.0 - alpha)
     s_lm = s_table * data_smoothing_symbol(mode_count)[None, :]
     # the kernel: the T rows at the lags d*dt, nodes 1..M, times the cell weights
     spectrum = np.fft.rfft((power_increments(grid, alpha) / alpha)[:, None] * t_table[1:],
                            2 * grid.step_count, axis=0) if forced else None
-    arrays = (kappa, s_lm, s_lm * kappa[:, None], q_weights(mode_count, q), spectrum)
+    arrays = (kappa, s_lm, s_lm * kappa[:, None], spectrum)
     for arr in arrays:
         if arr is not None:
             arr.setflags(write=False)
@@ -286,11 +287,11 @@ class _SweepWorkspace:
     the forward sweep and its adjoint both go through them.
 
     The workspace owns the scratch its sweeps write, allocated once: an
-    (M+1) x N block for the h elimination, its transpose, the finiteness
-    check and the residual; the collocation values and the forcing (when
-    f != 0); and the kernel with its FFT buffers (when forced).  So it
-    serves one solve at a time and is not shared between threads.  sweep
-    and adjoint_sweep return fresh arrays.
+    (M+1) x N block for the h elimination, its transpose and the
+    residual; the collocation values and the forcing (when f != 0); and
+    the kernel with its FFT buffers (when forced).  So it serves one
+    solve at a time and is not shared between threads.  sweep and
+    adjoint_sweep return fresh arrays.
     """
 
     def __init__(self, spec: ProblemSpec, node_count: int = _DEFAULT_NODES):
@@ -298,9 +299,10 @@ class _SweepWorkspace:
         self.snaps = snap_nonlocal_indices(spec)
         forced = spec.nonlinearity.gain != 0.0 or spec.control_count > 0
         # feedback is the trajectory's response to h
-        self.kappa, self.s_lm, self.feedback, self.q_scale, spectrum = _grid_static(
-            spec.order.alpha, spec.order.q, spec.mode_count, spec.grid,
+        self.kappa, self.s_lm, self.feedback, spectrum = _grid_static(
+            spec.order.alpha, spec.mode_count, spec.grid,
             node_count if spec.order.alpha < 1.0 else None, forced)
+        self.q_scale = q_weights(spec.mode_count, spec.order.q)
         _, self.D, self.P = collocation_maps(spec.mode_count)
         self.kernel = _Kernel(spectrum) if forced else None
         # the data term without h
@@ -313,9 +315,6 @@ class _SweepWorkspace:
         self.denominator = 1.0 - self.nonlocal_sum(self.feedback)
         m, n_modes = spec.step_count, spec.mode_count
         self.scratch = np.empty((m + 1, n_modes))
-        # the finiteness mask, a bool view of the scratch block's first bytes
-        self.mask = self.scratch.reshape(-1).view(bool)[:self.scratch.size].reshape(
-            self.scratch.shape)
         if spec.nonlinearity.gain != 0.0:
             self.colloc = np.empty((m, self.D.shape[0]))
             self.forcing = np.empty((m, n_modes))
@@ -403,8 +402,8 @@ class _SweepWorkspace:
 
     def finite(self, out: np.ndarray) -> np.ndarray:
         """out, or EvaluationError naming its first node with a nan or an
-        infinity; the mask is written into the scratch block."""
-        ok = np.isfinite(out, out=self.mask)
+        infinity."""
+        ok = np.isfinite(out)
         if not ok.all():
             node = int(np.argmin(ok.all(axis=1)))
             raise EvaluationError(f"non-finite trajectory value at node {node}")

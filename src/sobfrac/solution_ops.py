@@ -79,9 +79,9 @@ class PsiRule:
     t_weights_k = weights_k g_k, except on the left double-exponential
     tail, where it is 0: there tau g_k > e * _EDGE_DECAY for every tau
     served, so tau g_k exp(-tau g_k) < exp(-100).
-    step is the node spacing in the rule's variable, weight_sum_defect
-    is |sum_k weights_k - 1| and halving_defect the discretization
-    estimate that construction checks against HALVING_TOL.
+    step is the node spacing in the rule's variable and halving_defect
+    the discretization estimate that construction checks against
+    HALVING_TOL.
     """
 
     alpha: float
@@ -89,7 +89,6 @@ class PsiRule:
     weights: np.ndarray
     t_weights: np.ndarray
     step: float
-    weight_sum_defect: float
     halving_defect: float
 
     def rows(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +97,6 @@ class PsiRule:
 
     def summary(self) -> dict:
         return {"kind": "psi", "nodes": int(self.nodes.size), "step": self.step,
-                "weight_sum_defect": self.weight_sum_defect,
                 "halving_defect": self.halving_defect,
                 "t_window": list(T_WINDOW)}
 
@@ -173,9 +171,8 @@ def psi_rule(alpha: float, node_count: int = _DEFAULT_NODES) -> PsiRule:
         raise ConstructionError(
             f"psi rule halving defect {halving:.3e} exceeds {HALVING_TOL:g} at "
             f"alpha={alpha}, node_count={node_count}; the {_DEFAULT_NODES}-node "
-            f"rule serves alpha >= {ALPHA_FLOOR}", achieved_defect=halving)
-    return PsiRule(alpha, nodes, weights, t_weights, float(step),
-                   abs(float(np.sum(weights)) - 1.0), halving)
+            f"rule serves alpha >= {ALPHA_FLOOR}")
+    return PsiRule(alpha, nodes, weights, t_weights, float(step), halving)
 
 
 @dataclass

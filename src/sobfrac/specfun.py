@@ -92,8 +92,7 @@ def _density_tail_series(alpha: float, thetas: np.ndarray, tol: float) -> np.nda
             i = int(np.argmin(stopped))
             raise EvaluationError(
                 f"Wright tail series did not converge in {_MAX_TERMS} terms "
-                f"(alpha={alpha}, theta={thetas[i]})",
-                partial=float(np.sum(terms[i])), terms_used=_MAX_TERMS)
+                f"(alpha={alpha}, theta={thetas[i]})")
     last = np.argmax(run, axis=1) + _CONSECUTIVE_SMALL - 1
     s = np.cumsum(terms, axis=1)[np.arange(thetas.size), last]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -103,7 +102,7 @@ def _density_tail_series(alpha: float, thetas: np.ndarray, tol: float) -> np.nda
         i = int(np.argmin(finite))
         raise EvaluationError(
             f"Wright tail series left the double range (alpha={alpha}, "
-            f"theta={thetas[i]})", partial=float(values[i]))
+            f"theta={thetas[i]})")
     return values
 
 
@@ -226,8 +225,7 @@ def _density_values(alpha: float, thetas: np.ndarray, tol: float) -> np.ndarray:
             message = f"stable-integral error estimate {errors[i]:.3e} exceeds tol {tol:g}"
         else:
             message = f"density evaluation returned {values[i]} < -tol"
-        raise EvaluationError(f"{message} (alpha={alpha}, theta={thetas[i]})",
-                              partial=float(values[i]))
+        raise EvaluationError(f"{message} (alpha={alpha}, theta={thetas[i]})")
     return np.where(values < 0.0, 0.0, values)
 
 
@@ -312,7 +310,7 @@ def _ml_cached(alpha: float, beta: float, z: float) -> float:
     if not converged:
         raise EvaluationError(
             f"Mittag-Leffler series budget of {_ML_MAX_TERMS} terms exceeded "
-            f"(alpha={alpha}, beta={beta}, z={z})", terms_used=_ML_MAX_TERMS)
+            f"(alpha={alpha}, beta={beta}, z={z})")
 
     s = math.nan
     if log_mx < 690.0:
@@ -430,12 +428,10 @@ def theta_quadrature(alpha: float, node_count: int = 200) -> QuadratureRule:
     if defect > 1e-8:
         raise ConstructionError(
             f"normalization defect {defect:.3e} exceeds 1e-8 at "
-            f"node_count={node_count} (alpha={alpha})",
-            achieved_defect=defect)
+            f"node_count={node_count} (alpha={alpha})")
     moment_err = abs(rule.integrate(nodes) - mainardi_moment(alpha, 1.0))
     if moment_err > 1e-6:
         raise ConstructionError(
             f"first-moment defect {moment_err:.3e} exceeds 1e-6 at "
-            f"node_count={node_count} (alpha={alpha})",
-            achieved_defect=moment_err)
+            f"node_count={node_count} (alpha={alpha})")
     return rule

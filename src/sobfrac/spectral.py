@@ -123,11 +123,6 @@ def collocation_maps(mode_count: int) -> tuple:
     return maps
 
 
-def projection_matrix(mode_count: int) -> np.ndarray:
-    """The (N, 4N) map P of collocation_maps."""
-    return collocation_maps(mode_count)[2]
-
-
 def field_to_grid(u: SpectralField) -> np.ndarray:
     """Evaluate the field at the 4N collocation nodes."""
     return collocation_maps(u.mode_count)[0] @ u.coeffs
@@ -138,7 +133,7 @@ def grid_to_field(values: np.ndarray, mode_count: int) -> SpectralField:
     values = np.asarray(values, dtype=float)
     if values.shape != (4 * mode_count,):
         raise DomainError(f"expected {4 * mode_count} collocation values, got {values.shape}")
-    return SpectralField(projection_matrix(mode_count) @ values)
+    return SpectralField(collocation_maps(mode_count)[2] @ values)
 
 
 def apply_Bi(i: int, u: SpectralField) -> np.ndarray:
@@ -167,18 +162,15 @@ class BoundConstants:
                 raise DomainError(f"{name} must be positive and finite, got {v}")
 
 
-@functools.lru_cache(maxsize=64)
 def measure_bounds(mode_count: int, q: float = 0.25) -> BoundConstants:
-    """C1, C2, M0 and Mq over the first mode_count modes, in closed form,
-    built once per (mode_count, q) per process: the constants are frozen.
+    """C1, C2, M0 and Mq over the first mode_count modes, in closed form.
 
-    C1 = max_n 1/(1+n^2) = 1/2 and C2 = N^2.  M0 = sup_t ||Q(t)|| is 1:
-    every symbol exp(-lambda_n t) lies in (0, 1] for t >= 0 and equals 1
-    at t = 0.  Mq = (q/e)^q: every mode attains
+    C1 = max_n 1/(1+n^2) = 1/2, the n = 1 term, and C2 = N^2.
+    M0 = sup_t ||Q(t)|| is 1: every symbol exp(-lambda_n t) lies in
+    (0, 1] for t >= 0 and equals 1 at t = 0.  Mq = (q/e)^q: every mode attains
     sup_t t^q lambda_n^q exp(-lambda_n t) = (q/e)^q, at t = q/lambda_n.
     """
     if mode_count < 1:
         raise DomainError(f"mode_count must be >= 1, got {mode_count}")
-    return BoundConstants(C1=float(np.max(l_inverse_symbol(mode_count))),
-                          C2=float(mode_count * mode_count), M0=1.0,
+    return BoundConstants(C1=0.5, C2=float(mode_count * mode_count), M0=1.0,
                           Mq=q ** q * math.exp(-q), q=q)

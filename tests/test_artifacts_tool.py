@@ -1,9 +1,10 @@
-"""The expectation check of tools/artifacts.py, on synthetic run
-directories: no CLI process is started.
+"""The expectation check and the file comparison of tools/artifacts.py,
+on synthetic run directories and files: no CLI process is started.
 
 Each run of the declared set is given the outcome it declares (its exit
 status, an "x" line in every artifact it must leave, and a report.json
-that holds its facts), and then one outcome at a time is broken.
+that holds its facts), and then one outcome at a time is broken.  Two
+report.json files are compared leaf by leaf.
 """
 
 import importlib.util
@@ -119,3 +120,57 @@ def test_each_breach_is_reported_with_its_run(artifacts, declared, tmp_path,
     runs, results = declared
     breach(tmp_path, results)
     assert artifacts.expectation_failures(runs, tmp_path, results) == [message]
+
+
+REPORT = {"mode": "solve", "multiplier_rule": {"kind": "psi", "nodes": 200, "step": 0.25,
+                                              "weight_sum_defect": 1e-16},
+          "solve": {"residual_history": [1.0, 0.5]}}
+
+
+def compared(artifacts, tmp_path, base: dict, head: dict) -> dict:
+    """The entry compare_runs gives two report.json files with these contents."""
+    for side, report in (("base", base), ("head", head)):
+        (tmp_path / side).write_text(json.dumps(report, indent=2), encoding="utf-8")
+    return artifacts.compare_file("out/report.json", (tmp_path / "base").read_bytes(),
+                                  (tmp_path / "head").read_bytes())
+
+
+def moved(base_only=(), head_only=(), changed=(), fields=0, max_abs=0.0, max_rel=0.0):
+    return {"status": "differs", "base_only": list(base_only), "head_only": list(head_only),
+            "changed": list(changed), "fields": fields, "max_abs": max_abs, "max_rel": max_rel}
+
+
+def test_identical_reports(artifacts, tmp_path):
+    assert compared(artifacts, tmp_path, REPORT, REPORT) == {"status": "identical"}
+
+
+def test_a_dropped_key_is_named_by_its_path(artifacts, tmp_path):
+    head = json.loads(json.dumps(REPORT))
+    del head["multiplier_rule"]["weight_sum_defect"]
+    head["solve"]["converged"] = True
+    assert compared(artifacts, tmp_path, REPORT, head) == moved(
+        base_only=["multiplier_rule.weight_sum_defect"], head_only=["solve.converged"])
+
+
+def test_a_changed_number_is_measured(artifacts, tmp_path):
+    head = json.loads(json.dumps(REPORT))
+    head["solve"]["residual_history"][1] = 0.4
+    head["multiplier_rule"]["nodes"] = 250
+    assert compared(artifacts, tmp_path, REPORT, head) == moved(
+        fields=2, max_abs=50.0, max_rel=0.2)
+
+
+def test_a_changed_string_or_type_is_named(artifacts, tmp_path):
+    head = json.loads(json.dumps(REPORT))
+    head["multiplier_rule"]["kind"] = "semigroup"
+    # a bool is not a number: 1 against true is a changed leaf
+    base = {**REPORT, "flag": 1}
+    head["flag"] = True
+    assert compared(artifacts, tmp_path, base, head) == moved(
+        changed=["flag", "multiplier_rule.kind"])
+
+
+def test_an_unparsed_json_falls_back_to_the_text_diff(artifacts):
+    assert artifacts.compare_file("out/report.json", b'{"a": 1', b'{"a": 2') == {
+        "status": "differs", "same_layout": True, "fields": 1, "max_abs": 1.0,
+        "max_rel": 0.5}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sobfrac.errors import DomainError, GridTooCoarseError
+from sobfrac.errors import DomainError
 from sobfrac.fracops import (SampledFn, TimeGrid, caputo_deriv, frac_integral,
                              gl_deriv, power_increments, rl_deriv)
 
@@ -129,7 +129,7 @@ class TestCaputo:
 
     def test_coarse_grid_rejected(self):
         g = TimeGrid(1.0, 3)
-        with pytest.raises(GridTooCoarseError):
+        with pytest.raises(DomainError, match="needs at least 4 steps"):
             caputo_deriv(SampledFn(g, np.ones(4)), 0.5)
 
 

@@ -20,7 +20,7 @@ from sobfrac.optctrl import ControlBundle, CostSpec, adjoint_gradient
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import gamma, mittag_leffler
 from sobfrac.spectral import (SpectralField, apply_Bi, collocation_maps, grid_to_field,
-                              norm_q, projection_matrix)
+                              norm_q)
 from test_specfun import ALPHAS
 
 
@@ -500,8 +500,9 @@ class TestScratchBuffers:
         # still fills its ufunc buffer (the operand or 8,192 elements,
         # whichever is smaller; here both are about one block), so a warm
         # sweep peaks near two row blocks (its result and that buffer), the
-        # adjoint sweep near one (its result) and the residual near one
-        # (that buffer); each allocated one block more per product before
+        # adjoint sweep near one (its result, plus its finiteness mask, an
+        # eighth of one) and the residual near one (that buffer); each
+        # allocated one block more per product before
         # (198,440, 132,648 and 198,256 bytes)
         rows = 513 * 16 * 8
         spec = readme_spec(control_count=2)
@@ -693,7 +694,7 @@ class TestPicardSolve:
         # constant forcing exercises the discretized convolution; its error
         # against the two-parameter Mittag-Leffler closed form halves with dt.
         # With f = 0 the forcing goes straight into one sweep, which is exact.
-        g = projection_matrix(8) @ np.ones(32)
+        g = collocation_maps(8)[2] @ np.ones(32)
         errors = []
         for m in (128, 256):
             # the forcing stands in for a control, which the problem declares
@@ -810,7 +811,7 @@ class TestNonlocalElimination:
 class TestGridStaticMemo:
     """The grid-static sweep state is built once per discretisation."""
 
-    STATIC = ("kappa", "s_lm", "feedback", "D", "P", "q_scale")
+    STATIC = ("kappa", "s_lm", "feedback", "D", "P")
 
     def test_memoized_arrays_are_read_only_and_shared(self):
         linear = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),))
@@ -868,31 +869,42 @@ class TestGridStaticMemo:
                 _, rep = picard_solve(spec, cache=cache)
             assert [idx for _, idx, _ in rep.snapped_nonlocal_times] == [32]
 
-    def test_other_q_or_quad_nodes_share_no_entry(self):
-        # a warm memo holds the base discretisation; a spec that differs in
-        # q alone, or a cache that differs in node_count alone, misses it
-        # and solves exactly as a cold build does
-        base = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),),
-                         nonlinearity=Nonlinearity(0.1))
-        variants = ((dataclasses.replace(base, order=FracOrder(0.8, q=0.6, p=2.0)), 200),
-                    (base, 150))
+    BASE = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),),
+                     nonlinearity=Nonlinearity(0.1))
 
-        def solve(spec, nodes):
-            cache = SolutionOperatorCache(spec.order, spec.mode_count, node_count=nodes)
-            return picard_solve(spec, cache=cache)[0].coeffs
+    @staticmethod
+    def solve(spec, nodes):
+        cache = SolutionOperatorCache(spec.order, spec.mode_count, node_count=nodes)
+        return picard_solve(spec, cache=cache)[0].coeffs
 
-        cold = []
-        for spec, nodes in variants:
-            _grid_static.cache_clear()
-            cold.append(solve(spec, nodes))
+    def warm_solve(self, spec, nodes):
+        """(the solve of spec after the memo was cleared, the same solve
+        after the memo was warmed by BASE at 200 nodes, and the hits and
+        misses the second solve added)."""
         _grid_static.cache_clear()
-        solve(base, 200)
-        for (spec, nodes), want in zip(variants, cold):
-            before = _grid_static.cache_info()
-            got = solve(spec, nodes)
-            after = _grid_static.cache_info()
-            assert (after.hits, after.misses) == (before.hits, before.misses + 1)
-            assert np.array_equal(got, want)
+        cold = self.solve(spec, nodes)
+        _grid_static.cache_clear()
+        self.solve(self.BASE, 200)
+        before = _grid_static.cache_info()
+        warm = self.solve(spec, nodes)
+        after = _grid_static.cache_info()
+        return cold, warm, (after.hits - before.hits, after.misses - before.misses)
+
+    def test_other_q_shares_the_entry(self):
+        # only the residual's q-weights read q, and the workspace builds
+        # them, so a spec that differs in q alone hits the warm entry and
+        # solves exactly as a cold build does
+        spec = dataclasses.replace(self.BASE, order=FracOrder(0.8, q=0.6, p=2.0))
+        cold, warm, added = self.warm_solve(spec, 200)
+        assert added == (1, 0)
+        assert np.array_equal(warm, cold)
+
+    def test_other_quad_nodes_share_no_entry(self):
+        # a cache that differs in node_count alone misses the warm entry
+        # and solves exactly as a cold build does
+        cold, warm, added = self.warm_solve(self.BASE, 150)
+        assert added == (0, 1)
+        assert np.array_equal(warm, cold)
 
     def test_wider_cache_is_bit_identical(self):
         # the table is built for the problem's modes, whatever the cache's;

@@ -17,8 +17,8 @@ from sobfrac.optctrl import (ControlBundle, CostSpec, adjoint_gradient,
                              optimize_controls, project_admissible,
                              random_admissible_bundle, zero_bundle)
 from sobfrac.solution_ops import SolutionOperatorCache
-from sobfrac.spectral import (SpectralField, derivative_matrix, norm_q,
-                              projection_matrix, q_weights)
+from sobfrac.spectral import (SpectralField, collocation_maps, derivative_matrix, norm_q,
+                              q_weights)
 
 
 @pytest.fixture(scope="module")
@@ -437,7 +437,7 @@ class TestHypothesisCheck:
         assert sampled["measured_lipschitz"] <= nl["lipschitz_bound"]
         # the bound from the sweep's own matrices, |gain| ||P||_2 ||D W_q^-1||_2
         matrix_bound = gain * (
-            np.linalg.norm(projection_matrix(n), 2)
+            np.linalg.norm(collocation_maps(n)[2], 2)
             * np.linalg.norm(derivative_matrix(1, n) / q_weights(n, q), 2))
         assert nl["lipschitz_bound"] >= matrix_bound * (1 - 1e-14)
 
@@ -445,7 +445,7 @@ class TestHypothesisCheck:
     def test_projection_norm_closed_form(self, n):
         # discrete sine orthogonality: P P^T = (pi/K) I, K = 4N + 1
         k = 4 * n + 1
-        p = projection_matrix(n)
+        p = collocation_maps(n)[2]
         assert p.shape == (n, 4 * n)
         assert np.allclose(p @ p.T, math.pi / k * np.eye(n), rtol=0.0, atol=1e-14)
         assert np.linalg.norm(p, 2) == pytest.approx(math.sqrt(math.pi / k), rel=1e-13)

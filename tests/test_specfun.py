@@ -1,6 +1,7 @@
 """Special-function tests: density, moments, Mittag-Leffler, quadrature."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -239,11 +240,9 @@ class TestMainardiDensity:
             mainardi_density(alpha, np.array([0.3, 0.55, 0.6]), tol=tol)
         message = str(batched.value)
         assert "theta=0.55)" in message and f"exceeds tol {tol:g}" in message
-        assert batched.value.partial is not None
         with pytest.raises(EvaluationError) as single:
             mainardi_density(alpha, 0.55, tol=tol)
         assert str(single.value) == message
-        assert single.value.partial == batched.value.partial
 
     @pytest.mark.parametrize("bad", (-1.0, 0.0, math.nan))
     def test_array_domain_names_entry(self, bad):
@@ -356,9 +355,8 @@ class TestMittagLeffler:
             mittag_leffler(0.5, 1.0, 0.5)
 
     def test_series_budget_error(self):
-        with pytest.raises(EvaluationError) as err:
+        with pytest.raises(EvaluationError, match="budget of 2500 terms exceeded"):
             mittag_leffler(0.2, 1.0, -80.0)
-        assert err.value.terms_used is not None
 
 
 class TestThetaQuadrature:
@@ -428,5 +426,5 @@ class TestThetaQuadrature:
     def test_unreachable_tolerance_reports_defect(self):
         with pytest.raises(ConstructionError) as err:
             theta_quadrature(0.8, 16)
-        assert err.value.achieved_defect is not None
-        assert err.value.achieved_defect > 1e-8
+        stated = re.search(r"defect (\S+) exceeds", str(err.value))
+        assert stated is not None and float(stated.group(1)) > 1e-8

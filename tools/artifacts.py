@@ -14,10 +14,15 @@ process whose working directory holds only the config and whose
 stdout (a one-line summary goes to stderr), gives for each config the
 two exit codes and whether stdout and stderr are equal, and for each
 file one of: identical; missing (REV wrote it, this tree did not);
-extra (the reverse); or differs, with the max absolute and relative
-difference over the numeric fields when both files have the same text
-between their numbers.  The exit status is 0 when every config and file
-is identical, and 1 otherwise.
+extra (the reverse); or differs.  A differing .json file that parses on
+both sides is compared by its leaves, each named by its dotted key path
+(list items by their index): the paths found only in REV's file, those
+found only in this tree's, the paths of non-numeric leaves that differ,
+and the count and the max absolute and relative difference of the
+numeric leaves that differ.  Any other differing file gets the max
+absolute and relative difference over its numeric fields when both
+files have the same text between their numbers.  The exit status is 0
+when every config and file is identical, and 1 otherwise.
 
 The config set is data: the README `ini` block under named edits, and
 the perfbench templates, imported read-only.  It is also the one
@@ -224,6 +229,18 @@ def expectation_failures(runs: list, into: Path, results: dict) -> list:
     return failures
 
 
+def numeric_moves(pairs) -> dict:
+    """The count of (base, head) number pairs that differ, with their max
+    absolute and relative difference."""
+    fields, max_abs, max_rel = 0, 0.0, 0.0
+    for a, b in pairs:
+        fields += 1
+        max_abs = max(max_abs, abs(a - b))
+        if a != b:
+            max_rel = max(max_rel, abs(a - b) / max(abs(a), abs(b)))
+    return {"fields": fields, "max_abs": max_abs, "max_rel": max_rel}
+
+
 def compare_bytes(base: bytes, head: bytes) -> dict:
     """identical, or differs with the max absolute and relative difference
     over the numbers of two texts that agree between their numbers."""
@@ -231,16 +248,52 @@ def compare_bytes(base: bytes, head: bytes) -> dict:
         return {"status": "identical"}
     if NUMBER.sub(b"#", base) != NUMBER.sub(b"#", head):
         return {"status": "differs", "same_layout": False}
-    fields, max_abs, max_rel = 0, 0.0, 0.0
-    for x, y in zip(NUMBER.findall(base), NUMBER.findall(head)):
-        if x != y:
-            a, b = float(x), float(y)
-            fields += 1
-            max_abs = max(max_abs, abs(a - b))
-            if a != b:
-                max_rel = max(max_rel, abs(a - b) / max(abs(a), abs(b)))
-    return {"status": "differs", "same_layout": True, "fields": fields,
-            "max_abs": max_abs, "max_rel": max_rel}
+    return {"status": "differs", "same_layout": True,
+            **numeric_moves((float(x), float(y))
+                            for x, y in zip(NUMBER.findall(base), NUMBER.findall(head))
+                            if x != y)}
+
+
+def json_leaves(value, path: str = "") -> dict:
+    """{dotted key path: leaf} of a parsed JSON value; an empty object or
+    list is a leaf."""
+    if isinstance(value, dict) and value:
+        items = value.items()
+    elif isinstance(value, list) and value:
+        items = enumerate(value)
+    else:
+        return {path: value}
+    return {leaf: v for key, item in items
+            for leaf, v in json_leaves(item, f"{path}.{key}" if path else str(key)).items()}
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def compare_json(base: bytes, head: bytes) -> dict | None:
+    """differs, leaf by leaf (see the module docstring), for two JSON
+    texts that differ and both parse; None when either does not parse."""
+    try:
+        b, h = json_leaves(json.loads(base)), json_leaves(json.loads(head))
+    except ValueError:
+        return None
+    shared = b.keys() & h.keys()
+    numbers = {p for p in shared if is_number(b[p]) and is_number(h[p])}
+    return {"status": "differs",
+            "base_only": sorted(b.keys() - h.keys()), "head_only": sorted(h.keys() - b.keys()),
+            "changed": sorted(p for p in shared - numbers
+                              if b[p] != h[p] or type(b[p]) is not type(h[p])),
+            **numeric_moves((b[p], h[p]) for p in numbers if b[p] != h[p])}
+
+
+def compare_file(rel: str, base: bytes, head: bytes) -> dict:
+    """The entry of one file that both runs wrote."""
+    if base != head and rel.endswith(".json"):
+        leafwise = compare_json(base, head)
+        if leafwise is not None:
+            return leafwise
+    return compare_bytes(base, head)
 
 
 def files_under(workdir: Path) -> dict:
@@ -262,8 +315,8 @@ def compare_runs(runs: list, base: Path, head: Path, base_results: dict,
             elif rel not in b_files:
                 entries[rel] = {"status": "extra"}
             else:
-                entries[rel] = compare_bytes(b_files[rel].read_bytes(),
-                                             h_files[rel].read_bytes())
+                entries[rel] = compare_file(rel, b_files[rel].read_bytes(),
+                                            h_files[rel].read_bytes())
         identical = sum(e["status"] == "identical" for e in entries.values())
         files += len(entries)
         same += identical
