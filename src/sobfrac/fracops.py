@@ -89,24 +89,19 @@ def _check_alpha(alpha, upper_inclusive):
         raise DomainError(f"order must lie in {rng}, got {alpha}")
 
 
-def power_increments(grid: TimeGrid, alpha: float) -> np.ndarray:
-    """Increments of s^alpha over the cells [(d-1) dt, d dt], d = 1..M: over
-    alpha, the cell integrals of the kernel s^(alpha-1) that the solver
-    reads; over Gamma(alpha+1), the weights of frac_integral."""
-    d = np.arange(1, grid.step_count + 1, dtype=float)
-    return grid.dt ** alpha * (d ** alpha - (d - 1.0) ** alpha)
-
-
 def frac_integral(f: SampledFn, alpha: float) -> SampledFn:
     """Riemann-Liouville fractional integral I^alpha from 0.
 
     The kernel (t-s)^(alpha-1) is integrated exactly over each cell
     against the left-endpoint piecewise-constant interpolant of f, so
-    the weights form a convolution in the node index.
+    the weights, the increments of s^alpha over the cells
+    [(d-1) dt, d dt] over Gamma(alpha+1), form a convolution in the node
+    index.
     """
     _check_alpha(alpha, upper_inclusive=True)
     m = f.grid.step_count
-    w = power_increments(f.grid, alpha) / math.gamma(alpha + 1.0)
+    d = np.arange(1, m + 1, dtype=float)
+    w = f.grid.dt ** alpha * (d ** alpha - (d - 1.0) ** alpha) / math.gamma(alpha + 1.0)
     out = np.zeros(m + 1)
     out[1:] = np.convolve(f.values[:-1], w)[:m]
     return SampledFn(f.grid, out)

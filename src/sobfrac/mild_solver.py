@@ -6,7 +6,9 @@ The paper's solution map P evaluates, on every grid node,
               + int_0^t (t-s)^(a-1) T(t-s) [f(s, W(s)) + int_0^s controls] ds
 
 with the weakly singular kernel integrated exactly per cell against the
-left-endpoint piecewise-constant integrand, and h(u) the weighted sum of
+left-endpoint piecewise-constant integrand: over the lag cell
+[(d-1) dt, d dt] its integral is (S((d-1) dt) - S(d dt)) / lambda_n, so
+the one S table gives both terms.  h(u) is the weighted sum of
 trajectory values at the fixed nonlocal times.  Every operator is
 diagonal per mode, so the trajectory depends on h only through the term
 S(t) [smoothing] t^(1-a)/Gamma(2-a) h, and h solves one scalar equation
@@ -32,9 +34,10 @@ import numpy as np
 
 from .errors import (DomainError, EvaluationError, NonConvergenceError,
                      RejectedInstanceError, frozen_array)
-from .fracops import FracOrder, TimeGrid, power_increments
+from .fracops import FracOrder, TimeGrid
 from .solution_ops import _DEFAULT_NODES, SolutionOperatorCache
-from .spectral import SpectralField, collocation_maps, data_smoothing_symbol, q_weights
+from .spectral import (SpectralField, collocation_maps, data_smoothing_symbol,
+                       generator_symbol, q_weights)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -255,16 +258,18 @@ def _grid_static(alpha: float, mode_count: int, grid: TimeGrid,
     The key is what the state reads, so not q, which only the
     workspace's q-weights read: node_count is the psi-rule size,
     None at alpha = 1, where no rule is built, and forced says whether
-    the kernel is read.  Without it only the S rows are built, and the
-    spectrum is None.  The multiplier table is built here for these
-    modes, so an entry depends on its key alone.
+    the kernel is read.  Without it the spectrum is None.  The kernel
+    comes from the S rows: tau^(a-1) E_{a,a}(-lambda tau^a) is
+    -(1/lambda) d/dtau E_a(-lambda tau^a), so the kernel's integral over
+    the lag cell [(d-1) dt, d dt] is (S_{d-1} - S_d) / lambda_n, at every
+    alpha.  The table is built here for these modes, so an entry depends
+    on its key alone.
     """
     cache = SolutionOperatorCache(FracOrder(alpha), mode_count, node_count)
-    s_table, t_table = cache.grid_table(grid, t_rows=forced)
+    s_table = cache.grid_table(grid)
     kappa = grid.nodes() ** (1.0 - alpha) / math.gamma(2.0 - alpha)
     s_lm = s_table * data_smoothing_symbol(mode_count)[None, :]
-    # the kernel: the T rows at the lags d*dt, nodes 1..M, times the cell weights
-    spectrum = np.fft.rfft((power_increments(grid, alpha) / alpha)[:, None] * t_table[1:],
+    spectrum = np.fft.rfft((s_table[:-1] - s_table[1:]) / generator_symbol(mode_count),
                            2 * grid.step_count, axis=0) if forced else None
     arrays = (kappa, s_lm, s_lm * kappa[:, None], spectrum)
     for arr in arrays:

@@ -180,9 +180,9 @@ class SolutionOperatorCache:
     """Per-(time, mode) multipliers for the two solution operators.
 
     Holds the psi rule (psi_rule(alpha, node_count); None at alpha = 1)
-    and the per-mode symbols; multiplier_table evaluates the rows at any
-    set of times from them, one time at a time, and grid_table at the
-    nodes of a uniform grid, one matrix product per mode.
+    and the per-mode symbols; multiplier_table evaluates the S and T rows
+    at any set of times from them, one time at a time, and grid_table the
+    S rows at the nodes of a uniform grid, one matrix product per mode.
     """
 
     order: FracOrder
@@ -210,7 +210,8 @@ class SolutionOperatorCache:
         if any(t < 0.0 for t in ts):
             raise DomainError(f"t must be nonnegative, got {min(ts)}")
         if self.rule is None:
-            return self._semigroup_table(np.array(ts))
+            s_table = self._semigroup_table(np.array(ts))
+            return s_table, s_table.copy()
         outside = [t for t in ts if t > 0.0 and not T_WINDOW[0] <= t <= T_WINDOW[1]]
         if outside:
             raise DomainError(f"t={outside[0]} lies outside the psi rule's window "
@@ -227,46 +228,39 @@ class SolutionOperatorCache:
         t_table[zero] = self._linv / gamma(self.order.alpha)
         return s_table, t_table
 
-    def grid_table(self, grid: TimeGrid,
-                   t_rows: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """multiplier_table(grid.nodes()), one matrix product per mode;
-        with t_rows False the T half is skipped and None stands for it,
-        the S rows unchanged bit for bit.
+    def grid_table(self, grid: TimeGrid) -> np.ndarray:
+        """The S rows of multiplier_table(grid.nodes()), one matrix product
+        per mode.
 
         On the grid t_m = m dt, and with m = b B + j (B = isqrt(M) + 1)
         exp(-t_m r g_k) = exp(-b B dt r g_k) exp(-j dt r g_k).  So a mode's
-        column is the product of a left factor w_k exp(-b B dt r g_k)
-        (t_weights for T) and a right factor exp(-j dt r g_k), raveled
-        over (b, j).  The weights ride in the left exponent as log w_k, and
-        every factor is built by a matrix product into a reused buffer,
-        because numpy's broadcasting ufuncs allocate a buffer the size of
-        their operand.  Each factor's exponent, -inf for a zero weight
-        included, is raised to -_EXP_FLOOR / 2, so products of factors stay
-        normal.  Nodes with
+        column is the product of a left factor w_k exp(-b B dt r g_k) and a
+        right factor exp(-j dt r g_k), raveled over (b, j).  The weights
+        ride in the left exponent as log w_k, and every factor is built by
+        a matrix product into a reused buffer, because numpy's
+        broadcasting ufuncs allocate a buffer the size of their operand.
+        Each factor's exponent is raised to -_EXP_FLOOR / 2, so products
+        of factors stay normal.  Nodes with
         dt r g_k > _EXP_FLOOR are dropped: their terms are below
         w_k exp(-_EXP_FLOOR) at every t >= dt, where multiplier_table
         floors them.  Agrees with multiplier_table within 3e-15 relative.
         """
         if self.rule is None:
-            return self._semigroup_table(grid.nodes(), t_rows)
+            return self._semigroup_table(grid.nodes())
         if grid.dt < T_WINDOW[0] or grid.horizon > T_WINDOW[1]:
             raise DomainError(f"grid dt={grid.dt}, horizon={grid.horizon} leaves the "
                               f"psi rule's window {T_WINDOW}")
         rule = self.rule
-        alpha = self.order.alpha
         nodes, size = rule.nodes, rule.nodes.size
         rows = grid.step_count + 1
         block = math.isqrt(grid.step_count) + 1
         blocks = -(-rows // block)
         floor = -0.5 * _EXP_FLOOR
-        # exponent rows: log w, -r g (per mode), log t_w; S reads rows 0:2
-        # against columns (1, b B dt) and T rows 1:3 against (b B dt, 1)
-        expo = np.zeros((3, size))
-        with np.errstate(divide="ignore"):
-            np.log(rule.weights, out=expo[0])
-            np.log(rule.t_weights, out=expo[2])
+        # exponent rows log w and -r g (per mode), against columns (1, b B dt)
+        expo = np.zeros((2, size))
+        np.log(rule.weights, out=expo[0])
         np.maximum(expo, floor, out=expo)
-        starts = (block * grid.dt) * np.arange(blocks)
+        cols = np.stack([np.ones(blocks), (block * grid.dt) * np.arange(blocks)], axis=1)
         lags = grid.dt * np.arange(block)
         # first node kept per mode: the nodes fall with k
         kept = np.count_nonzero(nodes > (_EXP_FLOOR / grid.dt) / self._rate[:, None],
@@ -276,14 +270,7 @@ class SolutionOperatorCache:
         right_buf = np.empty(width * block)
         product = np.empty((blocks, block))
         column = product.reshape(-1)[:rows]
-        s_table, t_table = np.empty((rows, self.mode_count)), None
-        halves = [(s_table, expo[0:2], np.stack([np.ones(blocks), starts], axis=1))]
-        if t_rows:
-            t_table = np.empty((rows, self.mode_count))
-            t_power = grid.nodes()
-            np.power(t_power, 1.0 - alpha, out=t_power)
-            t_scale = self._linv * self._rate ** (1.0 - alpha)
-            halves.append((t_table, expo[1:3], np.stack([starts, np.ones(blocks)], axis=1)))
+        s_table = np.empty((rows, self.mode_count))
         for n, (rate, k0) in enumerate(zip(self._rate, kept)):
             np.multiply(nodes[k0:], -rate, out=expo[1, k0:])
             right = right_buf[:(size - k0) * block].reshape(size - k0, block)
@@ -291,26 +278,17 @@ class SolutionOperatorCache:
             np.maximum(right, floor, out=right)
             np.exp(right, out=right)
             left = left_buf[:blocks * (size - k0)].reshape(blocks, size - k0)
-            for table, exp_rows, cols in halves:
-                np.matmul(cols, exp_rows[:, k0:], out=left)
-                np.maximum(left, floor, out=left)
-                np.exp(left, out=left)
-                np.matmul(left, right, out=product)
-                if table is s_table:
-                    np.multiply(column, self._linv[n], out=table[:, n])
-                else:
-                    np.multiply(column, t_power, out=column)
-                    np.multiply(column, t_scale[n], out=table[:, n])
+            np.matmul(cols, expo[:, k0:], out=left)
+            np.maximum(left, floor, out=left)
+            np.exp(left, out=left)
+            np.matmul(left, right, out=product)
+            np.multiply(column, self._linv[n], out=s_table[:, n])
         s_table[0] = self._linv
-        if t_rows:
-            t_table[0] = self._linv / gamma(alpha)
-        return s_table, t_table
+        return s_table
 
-    def _semigroup_table(self, ts: np.ndarray,
-                         t_rows: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    def _semigroup_table(self, ts: np.ndarray) -> np.ndarray:
         # alpha = 1: S(t) = T(t) = L^-1 exp(-lambda t), at any t >= 0
-        decay = np.exp(-self._lam[None, :] * ts[:, None])
-        return self._linv * decay, self._linv * decay if t_rows else None
+        return self._linv * np.exp(-self._lam[None, :] * ts[:, None])
 
     def multiplier_rows(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(s_row, t_row) over all modes at time t."""

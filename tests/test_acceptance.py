@@ -179,9 +179,9 @@ def test_criterion_07_linear_instance_closed_form():
 
 @pytest.mark.xfail(strict=True, reason=(
     "refinement-ratio clause is degenerate: the scheme is nodewise exact on "
-    "the f=0, h=0 instance, so both errors sit at the theta-quadrature floor "
+    "the f=0, h=0 instance, so both errors sit at the multiplier rule's floor "
     "and their ratio is ~1; see test_mild_solver.py::"
-    "TestPicardSolve::test_forced_instance_first_order_refinement for the "
+    "TestPicardSolve::test_linear_source_first_order_refinement for the "
     "meaningful refinement evidence"))
 def test_criterion_07_refinement_ratio_clause():
     err_coarse = _linear_solve_error(512)

@@ -105,16 +105,16 @@ def test_traced_solve_and_gates(perfbench, tmp_path):
 
 def test_sweep_template_builds_no_t_rows_or_spectrum(perfbench, tmp_path, monkeypatch):
     # alpha_sweep's solves have f = 0 and no controls, so their sweeps read
-    # the S rows alone: no T rows, kernel spectrum or convolution is built
+    # the S rows alone: one table, and no kernel spectrum or convolution
     _, workloads = perfbench
     from sobfrac import mild_solver, solution_ops
     asked, workspaces = [], []
     grid_table = solution_ops.SolutionOperatorCache.grid_table
     workspace_init = mild_solver._SweepWorkspace.__init__
 
-    def record_grid(self, grid, t_rows=True):
-        asked.append(t_rows)
-        return grid_table(self, grid, t_rows)
+    def record_grid(self, grid):
+        asked.append(grid)
+        return grid_table(self, grid)
 
     def record_workspace(self, spec, node_count):
         workspaces.append(self)
@@ -131,7 +131,7 @@ def test_sweep_template_builds_no_t_rows_or_spectrum(perfbench, tmp_path, monkey
     config = cli.parse_config(text, mode="solve")
     status = cli.run(config)
     assert status == 0
-    assert asked == [False]
+    assert len(asked) == 1
     assert workspaces and all(ws.kernel is None for ws in workspaces)
     assert workloads.check_sweep(config, tmp_path, status, 0) == []
 

@@ -7,7 +7,7 @@ import pytest
 
 from sobfrac.errors import DomainError
 from sobfrac.fracops import (SampledFn, TimeGrid, caputo_deriv, frac_integral,
-                             gl_deriv, power_increments, rl_deriv)
+                             gl_deriv, rl_deriv)
 
 
 def sampled(grid, fn):
@@ -95,18 +95,17 @@ class TestFracIntegral:
 
 @pytest.mark.parametrize("alpha", (0.1, 0.3, 0.5, 0.8, 0.95, 1.0))
 def test_power_increments_are_the_kernel_cell_integrals(alpha):
+    # frac_integral's weights are the increments of s^alpha over the cells
+    # over Gamma(alpha+1), the exact cell integrals of the kernel: a
+    # constant is its own left-endpoint interpolant, so I^alpha 1 =
+    # t^alpha / Gamma(alpha+1) at every node
     for horizon, m in ((1.0, 4), (1.0, 64), (2.5, 100), (0.3, 512)):
         grid = TimeGrid(horizon, m)
-        w = power_increments(grid, alpha)
-        # alpha times the integral of s^(alpha-1) over each cell, summing to a^alpha
-        assert w.shape == (m,) and np.all(w > 0.0)
-        assert abs(np.sum(w) - horizon ** alpha) <= 1e-13 * horizon ** alpha * m
-        # the two formulas the shared increments replaced, bit for bit
-        dt, d = grid.dt, np.arange(1, m + 1, dtype=float)
-        rl = dt ** alpha * (d ** alpha - (d - 1.0) ** alpha) / math.gamma(alpha + 1.0)
-        kernel = dt ** alpha * (d ** alpha - (d - 1.0) ** alpha) / alpha
-        assert np.array_equal(w / math.gamma(alpha + 1.0), rl)
-        assert np.array_equal(w / alpha, kernel)
+        t = grid.nodes()
+        got = frac_integral(SampledFn(grid, np.ones(m + 1)), alpha).values
+        want = t ** alpha / math.gamma(alpha + 1.0)
+        assert got[0] == 0.0
+        assert np.max(np.abs(got - want)) <= 1e-13 * horizon ** alpha * m
 
 
 class TestCaputo:

@@ -10,7 +10,7 @@ import pytest
 from sobfrac import cli
 from sobfrac.errors import (DomainError, EvaluationError, NonConvergenceError,
                             RejectedInstanceError)
-from sobfrac.fracops import FracOrder, SampledFn, TimeGrid, power_increments
+from sobfrac.fracops import FracOrder, SampledFn, TimeGrid
 from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
                                  ProblemSpec, SolveReport, Trajectory,
                                  _SweepWorkspace, _control_forcing, _grid_static,
@@ -19,8 +19,8 @@ from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
 from sobfrac.optctrl import ControlBundle, CostSpec, adjoint_gradient
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import gamma, mittag_leffler
-from sobfrac.spectral import (SpectralField, apply_Bi, collocation_maps, grid_to_field,
-                              norm_q)
+from sobfrac.spectral import (SpectralField, apply_Bi, collocation_maps, generator_symbol,
+                              grid_to_field, norm_q)
 from test_specfun import ALPHAS
 
 
@@ -282,11 +282,10 @@ class TestControlForcing:
 
 
 def reference_kernel(spec):
-    """The kernel rebuilt from the cell increments and the T rows of one
-    S-and-T table at the default rule size."""
-    alpha = spec.order.alpha
-    _, t_table = SolutionOperatorCache(spec.order, spec.mode_count).grid_table(spec.grid)
-    return (power_increments(spec.grid, alpha) / alpha)[:, None] * t_table[1:]
+    """The kernel rebuilt as the cell differences of the S rows, over
+    lambda_n, from one table at the default rule size."""
+    s_table = SolutionOperatorCache(spec.order, spec.mode_count).grid_table(spec.grid)
+    return (s_table[:-1] - s_table[1:]) / generator_symbol(spec.mode_count)
 
 
 def reference_sweep(spec, ws, coeffs, ctrl_forcing):
@@ -341,9 +340,9 @@ def allocating_finite(out):
 
 class AllocatingWorkspace(_SweepWorkspace):
     """The sweeps as allocating expressions, with no scratch reused and
-    the kernel built from one S-and-T table whatever the problem: the
-    bit-for-bit oracle for the workspace's buffers and its S-only path,
-    which keep every operand and its order."""
+    the kernel built whatever the problem: the bit-for-bit oracle for the
+    workspace's buffers and its unforced path, which keep every operand
+    and its order."""
 
     def __init__(self, spec):
         super().__init__(spec)
@@ -581,6 +580,23 @@ class TestKernel:
         rhs = float(np.sum(f * kernel.apply_T(lam)))
         assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
+    @pytest.mark.parametrize("alpha", (0.3, 0.8, 1.0))
+    def test_kernel_rows_are_mittag_leffler_cell_differences(self, alpha):
+        # the kernel row at lag cell d is the integral of tau^(alpha-1) T(tau)
+        # over [(d-1) dt, d dt], L^-1 (E_a(-lam ((d-1) dt)^a) - E_a(-lam (d dt)^a)) / lam
+        m, n_modes = 64, 8
+        spectrum = _grid_static(alpha, n_modes, TimeGrid(1.0, m),
+                                None if alpha == 1.0 else 200, True)[3]
+        kernel = np.fft.irfft(spectrum, 2 * m, axis=0)[:m]
+        dt = 1.0 / m
+        for d in (1, 2, 17, 64):
+            for n in (1, 3, 8):
+                lam = n * n / (1.0 + n * n)
+                want = (mittag_leffler(alpha, 1.0, -lam * ((d - 1) * dt) ** alpha)
+                        - mittag_leffler(alpha, 1.0, -lam * (d * dt) ** alpha)
+                        ) / (lam * (1 + n * n))
+                assert abs(kernel[d - 1, n - 1] - want) <= 1e-9 * abs(want), (d, n)
+
 
 class TestPicardSolve:
     def test_linear_instance_matches_oracle(self, cache16):
@@ -690,29 +706,43 @@ class TestPicardSolve:
                                control_count=1)
             picard_solve(spec)
 
-    def test_forced_instance_first_order_refinement(self):
-        # constant forcing exercises the discretized convolution; its error
-        # against the two-parameter Mittag-Leffler closed form halves with dt.
-        # With f = 0 the forcing goes straight into one sweep, which is exact.
+    @staticmethod
+    def forced_error(alpha, m, linear):
+        """Sup error of one sweep with the source g (linear False) or g t
+        (True), against its closed form: the mild solution of zero data
+        forced by g t^k is L^-1 g Gamma(k+1) t^(alpha+k) E_{alpha,alpha+k+1}
+        per mode, and Gamma(k+1) = 1 for k = 0, 1."""
         g = collocation_maps(8)[2] @ np.ones(32)
-        errors = []
-        for m in (128, 256):
-            # the forcing stands in for a control, which the problem declares
-            spec = make_spec(n=8, m=m, u0=SpectralField.zero(8),
-                             v0=SpectralField.zero(8), control_count=1)
-            ws = _SweepWorkspace(spec)
-            coeffs = ws.sweep(ws.initial(), np.tile(g, (m + 1, 1)))
-            ts = spec.grid.nodes()
-            worst = 0.0
-            for n in range(1, 9):
-                lam = n * n / (1.0 + n * n)
-                ref = np.array([
-                    g[n - 1] * t ** 0.8
-                    * mittag_leffler(0.8, 1.8, -lam * t ** 0.8) / (1 + n * n)
-                    for t in ts])
-                worst = max(worst, np.max(np.abs(coeffs[:, n - 1] - ref)))
-            errors.append(worst)
-        assert errors[0] / errors[1] >= 1.5
+        # the source stands in for a control, which the problem declares
+        spec = make_spec(alpha=alpha, n=8, m=m, u0=SpectralField.zero(8),
+                         v0=SpectralField.zero(8), control_count=1)
+        ws = _SweepWorkspace(spec)
+        ts = spec.grid.nodes()
+        source = np.outer(ts if linear else np.ones(m + 1), g)
+        coeffs = ws.sweep(ws.initial(), source)
+        k = 1.0 if linear else 0.0
+        worst = 0.0
+        for n in range(1, 9):
+            lam = n * n / (1.0 + n * n)
+            ref = np.array([
+                g[n - 1] * t ** (alpha + k)
+                * mittag_leffler(alpha, alpha + k + 1.0, -lam * t ** alpha) / (1 + n * n)
+                for t in ts])
+            worst = max(worst, np.max(np.abs(coeffs[:, n - 1] - ref)))
+        return worst
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.8, 1.0))
+    def test_constant_forcing_is_exact(self, alpha):
+        # the kernel is integrated exactly per cell, and a constant source is
+        # its own left-endpoint interpolant: one sweep is the closed form
+        assert self.forced_error(alpha, 512, linear=False) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.8, 1.0))
+    def test_linear_source_first_order_refinement(self, alpha):
+        # the left-endpoint interpolant of g t is off by O(dt), and so is the
+        # solution: halving dt halves the error, whatever alpha
+        errors = [self.forced_error(alpha, m, linear=True) for m in (128, 256)]
+        assert errors[0] / errors[1] >= 1.9
 
     def test_cache_alpha_must_match(self):
         # the kernel and kappa read the problem's alpha; a cache at another
@@ -914,8 +944,8 @@ class TestGridStaticMemo:
                          nonlinearity=Nonlinearity(0.1))
         wide = SolutionOperatorCache(spec.order, 16)
         narrow = SolutionOperatorCache(spec.order, 8)
-        for got, want in zip(wide.grid_table(spec.grid), narrow.grid_table(spec.grid)):
-            assert np.array_equal(got[:, :8], want)
+        assert np.array_equal(wide.grid_table(spec.grid)[:, :8],
+                              narrow.grid_table(spec.grid))
         solved = []
         for cache in (wide, narrow):
             _grid_static.cache_clear()

@@ -154,39 +154,43 @@ class TestGridTable:
             for horizon in (1.0, 50.0, 1e4):
                 grid = TimeGrid(horizon, steps)
                 want = SolutionOperatorCache(FracOrder(alpha), 64).multiplier_table(
-                    grid.nodes())
+                    grid.nodes())[0]
                 for modes in (1, 8, 16, 64):
                     got = SolutionOperatorCache(FracOrder(alpha), modes).grid_table(grid)
-                    for g, w in zip(got, want):
-                        assert g.shape == (steps + 1, modes)
-                        assert g.flags.c_contiguous
-                        rel = np.abs(g - w[:, :modes]) / np.abs(w[:, :modes])
-                        assert np.max(rel) <= 1e-14, (steps, horizon, modes)
+                    assert got.shape == (steps + 1, modes)
+                    assert got.flags.c_contiguous
+                    rel = np.abs(got - want[:, :modes]) / np.abs(want[:, :modes])
+                    assert np.max(rel) <= 1e-14, (steps, horizon, modes)
 
     def test_semigroup_bitwise(self):
         c = SolutionOperatorCache(FracOrder(1.0), 16)
         for grid in (TimeGrid(1.0, 512), TimeGrid(1e6, 100), TimeGrid(1e-9, 2)):
-            for g, w in zip(c.grid_table(grid), c.multiplier_table(grid.nodes())):
-                assert np.array_equal(g, w)
+            s_table, t_table = c.multiplier_table(grid.nodes())
+            assert np.array_equal(c.grid_table(grid), s_table)
+            assert np.array_equal(t_table, s_table)
 
     @pytest.mark.parametrize("alpha", (0.3, 0.8))
     def test_row_zero_closed_form(self, alpha):
         c = SolutionOperatorCache(FracOrder(alpha), 16)
-        s_table, t_table = c.grid_table(TimeGrid(1.0, 64))
-        assert np.array_equal(s_table[0], l_inverse_symbol(16))
-        assert np.array_equal(t_table[0], l_inverse_symbol(16) / gamma(alpha))
+        assert np.array_equal(c.grid_table(TimeGrid(1.0, 64))[0], l_inverse_symbol(16))
 
     @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.8, 0.95, 1.0))
     def test_s_rows_alone_match_the_s_and_t_call_bitwise(self, alpha):
-        # a linear uncontrolled solve reads S alone; alpha = 1 is the semigroup
+        # a linear uncontrolled solve reads the S rows alone and a forced one
+        # S and the kernel, which is built from them: both read one table,
+        # bit for bit; alpha = 1 is the semigroup
         for modes, steps in ((8, 64), (8, 128), (16, 512)):
             c = SolutionOperatorCache(FracOrder(alpha), modes)
             grid = TimeGrid(1.0, steps)
-            s_table, t_table = c.grid_table(grid, t_rows=False)
-            assert t_table is None
-            want = c.grid_table(grid)[0]
-            assert s_table.shape == want.shape == (steps + 1, modes)
-            assert s_table.tobytes() == want.tobytes()
+            s_table = c.grid_table(grid)
+            assert s_table.shape == (steps + 1, modes)
+            node_count = c.node_count if alpha < 1.0 else None
+            mild_solver._grid_static.cache_clear()
+            alone = mild_solver._grid_static(alpha, modes, grid, node_count, False)
+            forced = mild_solver._grid_static(alpha, modes, grid, node_count, True)
+            assert alone[3] is None and forced[3] is not None
+            for got, want in zip(alone[:3], forced[:3]):
+                assert got.tobytes() == want.tobytes()
 
     def test_grid_outside_the_window_rejected(self, cache):
         lo, hi = T_WINDOW
@@ -227,9 +231,9 @@ class TestGridTable:
         grid_table = SolutionOperatorCache.grid_table
         workspace_init = mild_solver._SweepWorkspace.__init__
 
-        def count_grid(self, grid, t_rows=True):
+        def count_grid(self, grid):
             calls["grid"] += 1
-            return grid_table(self, grid, t_rows)
+            return grid_table(self, grid)
 
         def count_workspace(self, spec, node_count):
             calls["workspace"] += 1
