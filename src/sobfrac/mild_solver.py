@@ -207,6 +207,14 @@ def _control_forcing_adjoint(spec: ProblemSpec, grad_forcing: np.ndarray) -> np.
     return spec.grid.dt * grad_forcing[:0:-1].cumsum(axis=0)[::-1]
 
 
+def _trajectory_coeffs(spec: ProblemSpec, traj: Trajectory) -> np.ndarray:
+    """The solver's one reader of a trajectory handed in: its coefficients,
+    or DomainError unless it has spec's grid and modes."""
+    if traj.grid != spec.grid or traj.coeffs.shape[1] != spec.mode_count:
+        raise DomainError("trajectory does not match the problem's grid and modes")
+    return traj.coeffs
+
+
 def fftconvolve(kernel_spectrum: np.ndarray, signal: np.ndarray,
                 spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
     """First len(signal) rows of the causal convolution of a kernel with
@@ -251,15 +259,14 @@ GRID_STATIC_MEMO = 8
 
 @functools.lru_cache(maxsize=GRID_STATIC_MEMO)
 def _grid_static(alpha: float, mode_count: int, grid: TimeGrid,
-                 node_count: int | None, forced: bool) -> tuple:
+                 node_count: int | None) -> tuple:
     """The sweep state that reads only the discretisation, read-only:
     (kappa, s_lm, feedback, kernel spectrum).
 
     The key is what the state reads, so not q, which only the
-    workspace's q-weights read: node_count is the psi-rule size,
-    None at alpha = 1, where no rule is built, and forced says whether
-    the kernel is read.  Without it the spectrum is None.  The kernel
-    comes from the S rows: tau^(a-1) E_{a,a}(-lambda tau^a) is
+    workspace's q-weights read: node_count is the psi-rule size, None at
+    alpha = 1, where no rule is built.  The kernel comes from the S rows:
+    tau^(a-1) E_{a,a}(-lambda tau^a) is
     -(1/lambda) d/dtau E_a(-lambda tau^a), so the kernel's integral over
     the lag cell [(d-1) dt, d dt] is (S_{d-1} - S_d) / lambda_n, at every
     alpha.  The table is built here for these modes, so an entry depends
@@ -270,11 +277,10 @@ def _grid_static(alpha: float, mode_count: int, grid: TimeGrid,
     kappa = grid.nodes() ** (1.0 - alpha) / math.gamma(2.0 - alpha)
     s_lm = s_table * data_smoothing_symbol(mode_count)[None, :]
     spectrum = np.fft.rfft((s_table[:-1] - s_table[1:]) / generator_symbol(mode_count),
-                           2 * grid.step_count, axis=0) if forced else None
+                           2 * grid.step_count, axis=0)
     arrays = (kappa, s_lm, s_lm * kappa[:, None], spectrum)
     for arr in arrays:
-        if arr is not None:
-            arr.setflags(write=False)
+        arr.setflags(write=False)
     return arrays
 
 
@@ -284,32 +290,29 @@ class _SweepWorkspace:
     The grid-static arrays come from _grid_static, built once per
     discretisation, and D and P from spectral.collocation_maps; the
     nonlocal snaps, the denominators and the data term are built per
-    workspace.  The kernel is built exactly when the problem declares a
-    forcing (f != 0 or controls): a linear uncontrolled problem has
-    kernel None and neither convolves nor correlates.  D maps
-    coefficients to the first derivative on the collocation grid
-    (4N x N), P maps collocation values back to coefficients (N x 4N);
-    the forward sweep and its adjoint both go through them.
+    workspace.  A sweep convolves exactly when its forcing is nonzero, so
+    a linear uncontrolled solve never does.  D maps coefficients to the
+    first derivative on the collocation grid (4N x N), P maps collocation
+    values back to coefficients (N x 4N); both sweeps go through them.
 
     The workspace owns the scratch its sweeps write, allocated once: an
     (M+1) x N block for the h elimination, its transpose and the
     residual; the collocation values and the forcing (when f != 0); and
-    the kernel with its FFT buffers (when forced).  So it serves one
-    solve at a time and is not shared between threads.  sweep and
-    adjoint_sweep return fresh arrays.
+    the kernel with its FFT buffers.  So it serves one solve at a time and
+    is not shared between threads.  sweep and adjoint_sweep return fresh
+    arrays.
     """
 
     def __init__(self, spec: ProblemSpec, node_count: int = _DEFAULT_NODES):
         self.spec = spec
         self.snaps = snap_nonlocal_indices(spec)
-        forced = spec.nonlinearity.gain != 0.0 or spec.control_count > 0
         # feedback is the trajectory's response to h
         self.kappa, self.s_lm, self.feedback, spectrum = _grid_static(
             spec.order.alpha, spec.mode_count, spec.grid,
-            node_count if spec.order.alpha < 1.0 else None, forced)
+            node_count if spec.order.alpha < 1.0 else None)
         self.q_scale = q_weights(spec.mode_count, spec.order.q)
         _, self.D, self.P = collocation_maps(spec.mode_count)
-        self.kernel = _Kernel(spectrum) if forced else None
+        self.kernel = _Kernel(spectrum)
         # the data term without h
         self.data = self.s_lm * (spec.v0.coeffs[None, :]
                                  + self.kappa[:, None] * spec.u0.coeffs[None, :])
@@ -331,16 +334,10 @@ class _SweepWorkspace:
             h += c * coeffs[idx]
         return h
 
-    def forced_kernel(self) -> _Kernel:
-        """The kernel, or DomainError when the problem declares no forcing."""
-        if self.kernel is None:
-            raise DomainError("the problem declares no forcing (f = 0, no controls)")
-        return self.kernel
-
     def response(self, coeffs: np.ndarray, ctrl_forcing: np.ndarray) -> np.ndarray:
         """The solution map at coeffs without its h term: the data term
         S(t) [smoothing] (v0 + kappa u0) plus the kernel convolution of
-        the forcing, which has to vanish without a kernel (DomainError)."""
+        the forcing, skipped when the forcing is zero."""
         out = self.data.copy()
         # the last node's forcing never enters the convolution
         forcing = ctrl_forcing[:-1]
@@ -352,7 +349,7 @@ class _SweepWorkspace:
             forcing = np.matmul(colloc, self.P.T, out=self.forcing)
             forcing += ctrl_forcing[:-1]
         if forcing.any():
-            out[1:] += self.forced_kernel().apply(forcing)
+            out[1:] += self.kernel.apply(forcing)
         return out
 
     def sweep(self, coeffs: np.ndarray, ctrl_forcing: np.ndarray) -> np.ndarray:
@@ -419,10 +416,10 @@ def apply_P(spec: ProblemSpec, cache: SolutionOperatorCache, u_traj: Trajectory,
             controls=None) -> Trajectory:
     """One application of the paper's solution map to a trajectory
     iterate, with h read from the iterate (the solver's sweep eliminates
-    it instead); it reads controls through _control_forcing, as picard_solve does."""
+    it instead); it reads controls and the iterate as picard_solve does."""
     ctrl_forcing = _control_forcing(spec, controls)
+    coeffs = _trajectory_coeffs(spec, u_traj)
     ws = _workspace(spec, cache, None)
-    coeffs = u_traj.coeffs
     out = ws.response(coeffs, ctrl_forcing)
     out += ws.feedback * ws.nonlocal_sum(coeffs)
     return Trajectory(spec.grid, ws.finite(out))
@@ -442,8 +439,9 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
 
     Raises RejectedInstanceError with spec.exponent_defect() when the
     exponent hypothesis fails, DomainError for a bundle _control_forcing
-    refuses, and NonConvergenceError (with the residual history) when the
-    budget runs out, rather than returning a best-effort trajectory.
+    or _trajectory_coeffs refuses, and NonConvergenceError (with the
+    residual history) when the budget runs out, rather than returning a
+    best-effort trajectory.
     """
     defect = spec.exponent_defect()
     if defect:
@@ -455,7 +453,7 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
     report.nonlocal_denominator_min = float(workspace.denominator.min())
     current = _fixed_point(
         lambda c: workspace.sweep(c, ctrl_forcing),
-        initial.coeffs if initial is not None else workspace.initial(),
+        workspace.initial() if initial is None else _trajectory_coeffs(spec, initial),
         workspace.residual, report, "Picard iteration", tol, max_iter,
         constant=spec.nonlinearity.gain == 0.0)
     return Trajectory(spec.grid, current), report
@@ -472,15 +470,16 @@ def adjoint_solve(traj: Trajectory, weight: np.ndarray, workspace: _SweepWorkspa
     loop, tolerance and sweep budget of picard_solve; like it, the loop
     runs over f only (f = 0 takes one sweep) and contracts at the rate of
     the forward f-loop.  Raises NonConvergenceError like picard_solve,
-    and DomainError for a workspace without a kernel (f = 0, no controls).
+    and DomainError for a trajectory _trajectory_coeffs refuses.  With
+    f = 0 and no controls declared it is the gradient of the problem's
+    twin that declares one control.
     """
-    kernel = workspace.forced_kernel()
-    slope = workspace.slope(traj.coeffs)
+    slope = workspace.slope(_trajectory_coeffs(workspace.spec, traj))
     lam = _fixed_point(lambda lam: workspace.adjoint_sweep(lam, weight, slope),
                        weight, workspace.residual, SolveReport(), "adjoint iteration",
                        tol, max_iter, constant=slope is None)
     grad_forcing = np.zeros_like(lam)
-    grad_forcing[:-1] = kernel.apply_T(lam)
+    grad_forcing[:-1] = workspace.kernel.apply_T(lam)
     return _control_forcing_adjoint(workspace.spec, grad_forcing)
 
 

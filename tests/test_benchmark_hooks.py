@@ -103,28 +103,22 @@ def test_traced_solve_and_gates(perfbench, tmp_path):
     assert workloads.check_solve(config, tmp_path, status, 0) == []
 
 
-def test_sweep_template_builds_no_t_rows_or_spectrum(perfbench, tmp_path, monkeypatch):
-    # alpha_sweep's solves have f = 0 and no controls, so their sweeps read
-    # the S rows alone: one table, and no kernel spectrum or convolution
+def test_sweep_template_reads_one_table_and_never_convolves(perfbench, tmp_path, monkeypatch):
+    # alpha_sweep's solves have f = 0 and no controls, so their forcing is
+    # zero: one table, and no convolution
     _, workloads = perfbench
     from sobfrac import mild_solver, solution_ops
-    asked, workspaces = [], []
+    asked = []
     grid_table = solution_ops.SolutionOperatorCache.grid_table
-    workspace_init = mild_solver._SweepWorkspace.__init__
 
     def record_grid(self, grid):
         asked.append(grid)
         return grid_table(self, grid)
 
-    def record_workspace(self, spec, node_count):
-        workspaces.append(self)
-        workspace_init(self, spec, node_count)
-
     def refuse(*args):
         raise AssertionError("a linear uncontrolled solve convolved")
 
     monkeypatch.setattr(solution_ops.SolutionOperatorCache, "grid_table", record_grid)
-    monkeypatch.setattr(mild_solver._SweepWorkspace, "__init__", record_workspace)
     monkeypatch.setattr(mild_solver, "fftconvolve", refuse)
     mild_solver._grid_static.cache_clear()
     text = workloads.SWEEP_TEMPLATE.format(alpha="0.641", out=tmp_path)
@@ -132,7 +126,6 @@ def test_sweep_template_builds_no_t_rows_or_spectrum(perfbench, tmp_path, monkey
     status = cli.run(config)
     assert status == 0
     assert len(asked) == 1
-    assert workspaces and all(ws.kernel is None for ws in workspaces)
     assert workloads.check_sweep(config, tmp_path, status, 0) == []
 
 

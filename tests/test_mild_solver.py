@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from sobfrac import cli
 from sobfrac.errors import (DomainError, EvaluationError, NonConvergenceError,
@@ -19,8 +20,9 @@ from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
 from sobfrac.optctrl import ControlBundle, CostSpec, adjoint_gradient
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import gamma, mittag_leffler
-from sobfrac.spectral import (SpectralField, apply_Bi, collocation_maps, generator_symbol,
-                              grid_to_field, norm_q)
+from sobfrac.spectral import (SpectralField, apply_Bi, collocation_maps,
+                              data_smoothing_symbol, generator_symbol, grid_to_field,
+                              l_inverse_symbol, norm_q)
 from test_specfun import ALPHAS
 
 
@@ -340,9 +342,8 @@ def allocating_finite(out):
 
 class AllocatingWorkspace(_SweepWorkspace):
     """The sweeps as allocating expressions, with no scratch reused and
-    the kernel built whatever the problem: the bit-for-bit oracle for the
-    workspace's buffers and its unforced path, which keep every operand
-    and its order."""
+    the kernel rebuilt from its own table: the bit-for-bit oracle for the
+    workspace's buffers, which keep every operand and its order."""
 
     def __init__(self, spec):
         super().__init__(spec)
@@ -431,7 +432,7 @@ class TestScratchBuffers:
                   nonlinearity=Nonlinearity(0.1), control_count=2),
         # f = 0 with controls: the convolution optimize_linear runs
         make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),), control_count=2),
-        # f = 0 without controls: the S-only build, with no kernel
+        # f = 0 without controls: the sweep never convolves
         make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),)),
     ], ids=["readme_controls", "readme", "alpha_one", "linear_controls", "linear"])
     def test_matches_allocating_oracle_bitwise(self, spec):
@@ -453,15 +454,11 @@ class TestScratchBuffers:
                 assert_same_bits(slope, oracle.slope(coeffs))
             assert_same_bits(ws.adjoint_sweep(lam, coeffs, slope),
                              oracle.adjoint_sweep(lam, coeffs, slope))
-            if spec.nonlinearity.gain == 0.0 and spec.control_count == 0:
-                # a problem that declares no forcing has nothing to correlate
-                assert ws.kernel is None
-            else:
-                forcing = coeffs[:-1]
-                assert_same_bits(ws.kernel.apply(forcing),
-                                 allocating_fftconvolve(oracle.reference_spectrum, forcing))
-                assert_same_bits(ws.kernel.apply_T(lam),
-                                 allocating_correlate(oracle.reference_spectrum, lam))
+            forcing = coeffs[:-1]
+            assert_same_bits(ws.kernel.apply(forcing),
+                             allocating_fftconvolve(oracle.reference_spectrum, forcing))
+            assert_same_bits(ws.kernel.apply_T(lam),
+                             allocating_correlate(oracle.reference_spectrum, lam))
             assert ws.residual(coeffs, lam).hex() == oracle.residual(coeffs, lam).hex()
 
     def test_results_do_not_alias_scratch(self):
@@ -519,8 +516,7 @@ class TestScratchBuffers:
 
     def test_undeclared_control_bundle_refused(self):
         # a bundle on a spec that declares no controls: the map and the
-        # solve refuse it, and the workspace holds no kernel and no FFT
-        # buffers; the declared problem takes the same bundle
+        # solve refuse it; the declared problem takes the same bundle
         spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),))
         declared = dataclasses.replace(spec, control_count=1)
         controls = random_controls(declared, 8)
@@ -530,7 +526,6 @@ class TestScratchBuffers:
             with pytest.raises(DomainError,
                                match="^bundle supplies 1 controls, spec declares 0$"):
                 call()
-        assert _SweepWorkspace(spec).kernel is None
         assert_same_bits(apply_P(declared, None, traj, controls).coeffs,
                          allocating_apply_P(declared, traj.coeffs, controls))
 
@@ -586,7 +581,7 @@ class TestKernel:
         # over [(d-1) dt, d dt], L^-1 (E_a(-lam ((d-1) dt)^a) - E_a(-lam (d dt)^a)) / lam
         m, n_modes = 64, 8
         spectrum = _grid_static(alpha, n_modes, TimeGrid(1.0, m),
-                                None if alpha == 1.0 else 200, True)[3]
+                                None if alpha == 1.0 else 200)[3]
         kernel = np.fft.irfft(spectrum, 2 * m, axis=0)[:m]
         dt = 1.0 / m
         for d in (1, 2, 17, 64):
@@ -667,8 +662,7 @@ class TestPicardSolve:
 
     @pytest.mark.parametrize("max_iter", (0, -3))
     def test_no_sweep_budget_rejected(self, max_iter, cache16):
-        # declared controls give the adjoint a kernel to transpose
-        spec = make_spec(m=32, control_count=1)
+        spec = make_spec(m=32)
         with pytest.raises(DomainError, match="max_iter"):
             picard_solve(spec, cache=cache16, max_iter=max_iter)
         ws = _SweepWorkspace(spec, cache16.node_count)
@@ -676,28 +670,46 @@ class TestPicardSolve:
         with pytest.raises(DomainError, match="max_iter"):
             adjoint_solve(traj, traj.coeffs, ws, max_iter=max_iter)
 
-    def test_adjoint_of_an_unforced_problem_refused(self):
-        # f = 0 and no controls: the workspace has no kernel, and there is
-        # no control to take a gradient with respect to
+    def test_adjoint_of_an_unforced_problem_is_its_twins(self):
+        # f = 0 and no controls: the gradient is the one of the twin problem
+        # that declares a control, bit for bit
         spec = make_spec(n=8, m=32, nonlocal_terms=((0.3, 0.5),))
-        ws = _SweepWorkspace(spec)
-        traj, _ = picard_solve(spec, workspace=ws)
-        with pytest.raises(DomainError, match="declares no forcing"):
-            adjoint_solve(traj, traj.coeffs, ws)
-        forced = dataclasses.replace(spec, control_count=1)
-        ws = _SweepWorkspace(forced)
-        traj, _ = picard_solve(forced, workspace=ws)
-        assert adjoint_solve(traj, traj.coeffs, ws).shape == (32, 8)
+        grads = []
+        for problem in (spec, dataclasses.replace(spec, control_count=1)):
+            ws = _SweepWorkspace(problem)
+            traj, _ = picard_solve(problem, workspace=ws)
+            grads.append(adjoint_solve(traj, traj.coeffs, ws))
+        assert grads[0].shape == (32, 8)
+        assert_same_bits(*grads)
 
-    def test_unforced_sweep_refuses_a_forcing(self):
-        # the sweep of a workspace without a kernel refuses a nonzero raw
-        # forcing with the adjoint's diagnosis; a zero one is the linear sweep
+    def test_unforced_sweep_takes_a_forcing_as_its_twin_does(self):
+        # a nonzero raw forcing convolves as on the twin problem that
+        # declares a control; a zero one is the linear sweep
         spec = make_spec(n=4, m=8)
         ws = _SweepWorkspace(spec)
-        with pytest.raises(DomainError, match=r"^the problem declares no forcing \("):
-            ws.sweep(ws.initial(), np.ones((9, 4)))
+        twin = _SweepWorkspace(dataclasses.replace(spec, control_count=1))
+        assert_same_bits(ws.sweep(ws.initial(), np.ones((9, 4))),
+                         twin.sweep(twin.initial(), np.ones((9, 4))))
         assert_same_bits(ws.sweep(ws.initial(), np.zeros((9, 4))),
                          picard_solve(spec, workspace=ws)[0].coeffs)
+
+    @pytest.mark.parametrize("entry", ("apply_P", "picard_solve", "adjoint_solve"))
+    def test_trajectory_off_the_problem_refused(self, entry):
+        # every entry point that reads a trajectory refuses one on another
+        # grid, of another horizon at the same shape, or of other modes,
+        # before numpy sees it
+        spec = make_spec(n=4, m=16, nonlocal_terms=((0.3, 0.5),),
+                         nonlinearity=Nonlinearity(0.1))
+        ws = _SweepWorkspace(spec)
+        solved, _ = picard_solve(spec, workspace=ws)
+        call = {"apply_P": lambda traj: apply_P(spec, None, traj),
+                "picard_solve": lambda traj: picard_solve(spec, initial=traj),
+                "adjoint_solve": lambda traj: adjoint_solve(traj, solved.coeffs, ws)}[entry]
+        for grid, modes in ((TimeGrid(1.0, 8), 4), (TimeGrid(2.0, 16), 4), (spec.grid, 3)):
+            with pytest.raises(DomainError, match="^trajectory does not match the "
+                                                  "problem's grid and modes$"):
+                call(Trajectory(grid, np.zeros((grid.step_count + 1, modes))))
+        call(solved)
 
     def test_exponent_precondition(self):
         with pytest.raises(RejectedInstanceError):
@@ -713,9 +725,8 @@ class TestPicardSolve:
         forced by g t^k is L^-1 g Gamma(k+1) t^(alpha+k) E_{alpha,alpha+k+1}
         per mode, and Gamma(k+1) = 1 for k = 0, 1."""
         g = collocation_maps(8)[2] @ np.ones(32)
-        # the source stands in for a control, which the problem declares
         spec = make_spec(alpha=alpha, n=8, m=m, u0=SpectralField.zero(8),
-                         v0=SpectralField.zero(8), control_count=1)
+                         v0=SpectralField.zero(8))
         ws = _SweepWorkspace(spec)
         ts = spec.grid.nodes()
         source = np.outer(ts if linear else np.ones(m + 1), g)
@@ -776,6 +787,103 @@ class TestPicardSolve:
         for order in (spec.order, FracOrder(0.5, q=0.25)):
             with pytest.raises(DomainError, match="^pass a cache or a workspace, not both$"):
                 picard_solve(spec, cache=SolutionOperatorCache(order, 8), workspace=ws)
+
+
+class TestManufacturedSolution:
+    """Exact time errors: the problem with u0 = (0.5, 0.2), v0 = e1, the
+    nonlocal term 0.3@0.5 and the total source s_n(t) = c_n t^beta has a
+    closed-form mild solution u* = A + B h per mode, with
+
+        A = S sm (v0 + kappa u0) + c Gamma(beta+1) t^(alpha+beta)
+                E_{alpha,alpha+beta+1}(-lambda t^alpha) L^-1,
+        B = S sm kappa,  h = sum c A(t_eta) / (1 - sum c B(t_eta)),
+
+    S = L^-1 E_alpha(-lambda t^alpha).  The sweep is fed the forcing
+    g = s - f(u*), with f the discrete collocation f, so u* solves the
+    problem at any gain, through the f-loop and the h elimination; u*
+    lies in the N-mode space, so the error is the time error alone."""
+
+    C = np.array([1.0, -0.5, 0.25, 0.3])
+    U0 = np.array([0.5, 0.2, 0.0, 0.0])
+    V0 = np.eye(4)[0]
+    WEIGHT, T_ETA = 0.3, 0.5
+
+    @classmethod
+    def terms(cls, alpha, beta, ts):
+        """A and B at the times ts, shape (len(ts), 4) each."""
+        lam, l_inv = generator_symbol(4), l_inverse_symbol(4)
+        ts = np.asarray(ts, dtype=float)
+        e_alpha, e_forced = (
+            np.array([[mittag_leffler(alpha, b, -n * t ** alpha) for n in lam] for t in ts])
+            for b in (1.0, alpha + beta + 1.0))
+        kappa = (ts ** (1.0 - alpha) / gamma(2.0 - alpha))[:, None]
+        s_sm = l_inv * e_alpha * data_smoothing_symbol(4)
+        a = (s_sm * (cls.V0 + kappa * cls.U0)
+             + cls.C * gamma(beta + 1.0) * ts[:, None] ** (alpha + beta) * e_forced * l_inv)
+        return a, s_sm * kappa
+
+    @classmethod
+    def exact(cls, alpha, beta, ts):
+        """(u* at the times ts, h)."""
+        a, b = cls.terms(alpha, beta, ts)
+        a_eta, b_eta = (x[0] for x in cls.terms(alpha, beta, [cls.T_ETA]))
+        h = cls.WEIGHT * a_eta / (1.0 - cls.WEIGHT * b_eta)
+        return a + b * h, h
+
+    @classmethod
+    def error(cls, alpha, beta, gain, m):
+        """Max over nodes and modes of the solve's distance to u*; the spec
+        declares no control, and the sweep takes g as its raw forcing."""
+        spec = ProblemSpec(FracOrder(alpha, q=0.25, p=2.0), 1.0, 4, m,
+                           SpectralField(cls.U0), SpectralField(cls.V0),
+                           nonlocal_terms=((cls.WEIGHT, cls.T_ETA),),
+                           nonlinearity=Nonlinearity(gain))
+        ws = _SweepWorkspace(spec)
+        ts = spec.grid.nodes()
+        exact, _ = cls.exact(alpha, beta, ts)
+        _, d1, p = collocation_maps(4)
+        forcing = cls.C * ts[:, None] ** beta - (gain * np.sin(exact @ d1.T)) @ p.T
+        got = _fixed_point(lambda c: ws.sweep(c, forcing), ws.initial(), ws.residual,
+                           SolveReport(), "manufactured solve", 1e-13, MAX_ITER)
+        return float(np.max(np.abs(got - exact)))
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.8))
+    @pytest.mark.parametrize("beta", (0.0, 1.0))
+    def test_closed_form_is_the_mild_formula(self, alpha, beta):
+        # the forced term against quad of int_0^t tau^(alpha-1) T(tau)
+        # s(t - tau) dtau, with T = L^-1 E_{alpha,alpha}(-lambda tau^alpha);
+        # x = tau^alpha makes the integrand smooth: dx / alpha
+        lam, l_inv = generator_symbol(4), l_inverse_symbol(4)
+        ts = (0.25, 0.5, 1.0)
+        a, _ = self.terms(alpha, beta, ts)
+        for i, t in enumerate(ts):
+            for n in range(4):
+                integral, _ = quad(
+                    lambda x: (mittag_leffler(alpha, alpha, -lam[n] * x)
+                               * (t - x ** (1.0 / alpha)) ** beta),
+                    0.0, t ** alpha, epsabs=0.0, epsrel=1e-13)
+                # the rest of A is the data term of the linear solve
+                want = (closed_form_mode(alpha, n + 1, t, self.V0[n], self.U0[n])
+                        + self.C[n] * l_inv[n] * integral / alpha)
+                assert abs(a[i, n] - want) <= 1e-12 * abs(want), (t, n)
+        # h is the nonlocal term of u* itself
+        u_eta, h = self.exact(alpha, beta, [self.T_ETA])
+        assert np.allclose(self.WEIGHT * u_eta[0], h, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("gain", (0.0, 2.0))
+    @pytest.mark.parametrize("alpha", (0.3, 0.8))
+    def test_constant_source_is_exact(self, alpha, gain):
+        # the kernel is integrated exactly per cell, and a constant total
+        # source is its own left-endpoint interpolant
+        assert self.error(alpha, 0.0, gain, 64) <= 1e-13
+
+    @pytest.mark.parametrize("gain", (0.0, 2.0))
+    @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.8))
+    def test_linear_source_is_first_order(self, alpha, gain):
+        # measured 1.002-1.042 from M = 128 to 512
+        errors = [self.error(alpha, 1.0, gain, m) for m in (128, 256, 512)]
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert all(0.95 <= order <= 1.10 for order in orders), orders
 
 
 def plain_picard(spec, cache, tol):
@@ -849,14 +957,10 @@ class TestGridStaticMemo:
             first, second = _SweepWorkspace(spec), _SweepWorkspace(spec)
             shared = [(name, getattr(first, name), getattr(second, name))
                       for name in self.STATIC]
-            if spec is linear:
-                # a linear uncontrolled problem reads no kernel
-                assert first.kernel is None and second.kernel is None
-            else:
-                shared.append(("spectrum", first.kernel.spectrum, second.kernel.spectrum))
-                # the kernel's FFT buffers belong to their workspace
-                assert first.kernel is not second.kernel
-                assert first.kernel.out is not second.kernel.out
+            shared.append(("spectrum", first.kernel.spectrum, second.kernel.spectrum))
+            # the kernel's FFT buffers belong to their workspace
+            assert first.kernel is not second.kernel
+            assert first.kernel.out is not second.kernel.out
             for name, arr, other in shared:
                 assert other is arr, name
                 with pytest.raises(ValueError, match="read-only"):
@@ -890,6 +994,18 @@ class TestGridStaticMemo:
         for arr in (d0, d1, p):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.8, 0.95, 1.0))
+    def test_linear_and_forced_solves_share_one_entry(self, alpha):
+        # every workspace holds the kernel, so a linear uncontrolled solve
+        # and a forced solve of one discretisation read one entry: the
+        # first builds it and the second hits it; alpha = 1 is the semigroup
+        linear = make_spec(alpha=alpha, n=8, m=64, nonlocal_terms=((0.3, 0.5),))
+        _grid_static.cache_clear()
+        for spec in (linear, dataclasses.replace(linear, nonlinearity=Nonlinearity(0.1))):
+            picard_solve(spec)
+        info = _grid_static.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_snapped_time_warns_on_every_solve(self):
         spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5001),))

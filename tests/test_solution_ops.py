@@ -174,24 +174,6 @@ class TestGridTable:
         c = SolutionOperatorCache(FracOrder(alpha), 16)
         assert np.array_equal(c.grid_table(TimeGrid(1.0, 64))[0], l_inverse_symbol(16))
 
-    @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.8, 0.95, 1.0))
-    def test_s_rows_alone_match_the_s_and_t_call_bitwise(self, alpha):
-        # a linear uncontrolled solve reads the S rows alone and a forced one
-        # S and the kernel, which is built from them: both read one table,
-        # bit for bit; alpha = 1 is the semigroup
-        for modes, steps in ((8, 64), (8, 128), (16, 512)):
-            c = SolutionOperatorCache(FracOrder(alpha), modes)
-            grid = TimeGrid(1.0, steps)
-            s_table = c.grid_table(grid)
-            assert s_table.shape == (steps + 1, modes)
-            node_count = c.node_count if alpha < 1.0 else None
-            mild_solver._grid_static.cache_clear()
-            alone = mild_solver._grid_static(alpha, modes, grid, node_count, False)
-            forced = mild_solver._grid_static(alpha, modes, grid, node_count, True)
-            assert alone[3] is None and forced[3] is not None
-            for got, want in zip(alone[:3], forced[:3]):
-                assert got.tobytes() == want.tobytes()
-
     def test_grid_outside_the_window_rejected(self, cache):
         lo, hi = T_WINDOW
         cache.grid_table(TimeGrid(2.0 * lo, 2))
