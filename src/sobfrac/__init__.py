@@ -23,7 +23,7 @@ _HOMES = {name: module for module, names in {
     "solution_ops": ("SolutionOperatorCache", "verify_operator_bounds"),
     "specfun": ("QuadratureRule", "mainardi_density", "mainardi_moment",
                 "mittag_leffler", "theta_quadrature"),
-    "spectral": ("BoundConstants", "SpectralField", "apply_Bi", "collocation_grid",
+    "spectral": ("BoundConstants", "apply_Bi", "collocation_grid",
                  "field_to_grid", "grid_to_field", "measure_bounds", "norm_q"),
 }.items() for name in (module, *names)}
 

@@ -28,7 +28,7 @@ from .optctrl import (CostSpec, admissibility_value, hypothesis_check, optimize_
                       random_admissible_bundle, zero_bundle)
 # SolutionOperatorCache and FracOrder stay importable here for perfbench's set-up probe
 from .solution_ops import _DEFAULT_NODES, T_WINDOW, SolutionOperatorCache, psi_rule  # noqa: F401
-from .spectral import SpectralField, collocation_grid, collocation_maps, measure_bounds
+from .spectral import collocation_grid, collocation_maps, measure_bounds
 
 # (section, key) -> (default text, type, admissible range); a None default
 # marks a required key, and the text keys, parsed on their own, have no type.
@@ -102,14 +102,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _within(value, admissible: str) -> bool:
-    """Whether value lies in a range written as in _KEYS."""
+def _range_test(admissible: str):
+    """The test of whether a value lies in a range written as in _KEYS."""
     if admissible[0] == "{":
-        return value in admissible[1:-1].split(",")
-    lo, _, hi = admissible[1:-1].partition(",")
-    lo, hi = float(lo), float(hi)
-    return ((lo < value if admissible[0] == "(" else lo <= value)
-            and (value < hi if admissible[-1] == ")" else value <= hi))
+        return frozenset(admissible[1:-1].split(",")).__contains__
+    lo, hi = (float(bound) for bound in admissible[1:-1].split(","))
+    lo_open, hi_open = admissible[0] == "(", admissible[-1] == ")"
+    return lambda value: ((lo < value if lo_open else lo <= value)
+                          and (value < hi if hi_open else value <= hi))
+
+
+# _KEYS's sections, and each typed key's range test, parsed once
+_SECTIONS = frozenset(section for section, _ in _KEYS)
+_WITHIN = {entry: _range_test(admissible)
+           for entry, (_, conv, admissible) in _KEYS.items() if conv is not None}
 
 
 def _pairs(text: str, sep: str, form: str, what: str, line: int, conv):
@@ -125,7 +131,7 @@ def _pairs(text: str, sep: str, form: str, what: str, line: int, conv):
         yield pair
 
 
-def _parse_modes_list(text: str, mode_count: int, line: int) -> SpectralField:
+def _parse_modes_list(text: str, mode_count: int, line: int) -> np.ndarray:
     coeffs = np.zeros(mode_count)
     seen = set()
     for n, v in _pairs(text, ":", "mode:coefficient", "mode", line,
@@ -136,7 +142,7 @@ def _parse_modes_list(text: str, mode_count: int, line: int) -> SpectralField:
             raise ConfigError(f"mode {n} given twice", line)
         seen.add(n)
         coeffs[n - 1] = v
-    return SpectralField(coeffs)
+    return coeffs
 
 
 def _parse_nonlocal(text: str, line: int) -> tuple:
@@ -173,7 +179,7 @@ def parse_config(text: str, mode: str = "solve", overrides: dict | None = None) 
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if all(section != known for known, _ in _KEYS):
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in stripped:
@@ -209,7 +215,7 @@ def parse_config(text: str, mode: str = "solve", overrides: dict | None = None) 
         except ValueError:
             raise ConfigError(f"cannot parse {name}={given!r}", line[key]) from None
         # inf and nan lie outside every range
-        if not _within(value, admissible):
+        if not _WITHIN[(section, key)](value):
             raise ConfigError(f"{name}={given} out of {admissible}", line[key])
         values[key] = value
 

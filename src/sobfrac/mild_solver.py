@@ -36,8 +36,7 @@ from .errors import (DomainError, EvaluationError, NonConvergenceError,
                      RejectedInstanceError, frozen_array)
 from .fracops import FracOrder, TimeGrid
 from .solution_ops import _DEFAULT_NODES, SolutionOperatorCache
-from .spectral import (SpectralField, collocation_maps, data_smoothing_symbol,
-                       generator_symbol, q_weights)
+from .spectral import collocation_maps, data_smoothing_symbol, generator_symbol, q_weights
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -79,16 +78,22 @@ class Nonlinearity:
         return abs(self.gain) * mode_count * (1.0 + 1.0 / mode_count ** 2) ** q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Full instance description of the evolution problem."""
+    """Full instance description of the evolution problem.
+
+    u0 and v0 are the initial fields' sine coefficients, each held as a
+    read-only float copy of shape (mode_count,); another length or a
+    non-finite entry raises DomainError.  A problem compares and hashes
+    by identity, as every record holding an array does.
+    """
 
     order: FracOrder
     horizon: float
     mode_count: int
     step_count: int
-    u0: SpectralField
-    v0: SpectralField
+    u0: np.ndarray
+    v0: np.ndarray
     nonlocal_terms: tuple = ()           # (c_eta, t_eta) pairs
     nonlinearity: Nonlinearity = Nonlinearity()
     control_count: int = 0
@@ -97,8 +102,9 @@ class ProblemSpec:
         TimeGrid(self.horizon, self.step_count)  # refuses horizon <= 0, step_count < 2
         if self.mode_count < 1:
             raise DomainError("mode_count must be >= 1")
-        if self.u0.mode_count != self.mode_count or self.v0.mode_count != self.mode_count:
-            raise DomainError("u0/v0 mode counts must match mode_count")
+        for name in ("u0", "v0"):
+            object.__setattr__(self, name, frozen_array(
+                getattr(self, name), (self.mode_count,), name))
         if self.control_count < 0:
             raise DomainError("control_count must be >= 0")
         prev = 0.0
@@ -167,15 +173,16 @@ def snap_nonlocal_indices(spec: ProblemSpec) -> list:
     return out
 
 
-def eval_f(spec: ProblemSpec, t: float, u_field: SpectralField) -> SpectralField:
-    """f's mode coefficients at one field, P (gain sin(D u)) through the
-    collocation grid; f is autonomous, so t is not read."""
+def eval_f(spec: ProblemSpec, t: float, u: np.ndarray) -> np.ndarray:
+    """f's mode coefficients at the field with coefficients u, P (gain
+    sin(D u)) through the collocation grid; f is autonomous, so t is not
+    read."""
     nl = spec.nonlinearity
     n_modes = spec.mode_count
     if nl.gain == 0.0:
-        return SpectralField.zero(n_modes)
+        return np.zeros(n_modes)
     _, d1, p = collocation_maps(n_modes)
-    return SpectralField(p @ (nl.gain * np.sin(d1 @ u_field.coeffs)))
+    return p @ (nl.gain * np.sin(d1 @ u))
 
 
 def _control_forcing(spec: ProblemSpec, controls) -> np.ndarray:
@@ -258,14 +265,13 @@ GRID_STATIC_MEMO = 8
 
 
 @functools.lru_cache(maxsize=GRID_STATIC_MEMO)
-def _grid_static(alpha: float, mode_count: int, grid: TimeGrid,
-                 node_count: int | None) -> tuple:
+def _grid_static(alpha: float, mode_count: int, grid: TimeGrid, node_count: int) -> tuple:
     """The sweep state that reads only the discretisation, read-only:
     (kappa, s_lm, feedback, kernel spectrum).
 
     The key is what the state reads, so not q, which only the
-    workspace's q-weights read: node_count is the psi-rule size, None at
-    alpha = 1, where no rule is built.  The kernel comes from the S rows:
+    workspace's q-weights read; node_count is the psi-rule size, and
+    alpha = 1 builds no rule.  The kernel comes from the S rows:
     tau^(a-1) E_{a,a}(-lambda tau^a) is
     -(1/lambda) d/dtau E_a(-lambda tau^a), so the kernel's integral over
     the lag cell [(d-1) dt, d dt] is (S_{d-1} - S_d) / lambda_n, at every
@@ -308,14 +314,12 @@ class _SweepWorkspace:
         self.snaps = snap_nonlocal_indices(spec)
         # feedback is the trajectory's response to h
         self.kappa, self.s_lm, self.feedback, spectrum = _grid_static(
-            spec.order.alpha, spec.mode_count, spec.grid,
-            node_count if spec.order.alpha < 1.0 else None)
+            spec.order.alpha, spec.mode_count, spec.grid, node_count)
         self.q_scale = q_weights(spec.mode_count, spec.order.q)
         _, self.D, self.P = collocation_maps(spec.mode_count)
         self.kernel = _Kernel(spectrum)
         # the data term without h
-        self.data = self.s_lm * (spec.v0.coeffs[None, :]
-                                 + self.kappa[:, None] * spec.u0.coeffs[None, :])
+        self.data = self.s_lm * (spec.v0[None, :] + self.kappa[:, None] * spec.u0[None, :])
         # d_n = 1 - sum c (s_lm kappa)_n(t_eta).  ProblemSpec keeps c > 0,
         # the data-smoothing symbol is < 0, S >= 0 and kappa >= 0, so
         # d_n = 1 + sum c |s_lm kappa|_n(t_eta) >= 1: the division by it
@@ -391,7 +395,7 @@ class _SweepWorkspace:
         return self.finite(out)
 
     def initial(self) -> np.ndarray:
-        return self.s_lm * self.spec.v0.coeffs[None, :]
+        return self.s_lm * self.spec.v0[None, :]
 
     def residual(self, new: np.ndarray, old: np.ndarray) -> float:
         """Sup over nodes of the q-norm of new - old.  sqrt is monotone and
@@ -470,17 +474,20 @@ def adjoint_solve(traj: Trajectory, weight: np.ndarray, workspace: _SweepWorkspa
     loop, tolerance and sweep budget of picard_solve; like it, the loop
     runs over f only (f = 0 takes one sweep) and contracts at the rate of
     the forward f-loop.  Raises NonConvergenceError like picard_solve,
-    and DomainError for a trajectory _trajectory_coeffs refuses.  With
+    and DomainError for a trajectory _trajectory_coeffs refuses or a
+    weight that is not a finite (M+1, N) array, checked once here.  With
     f = 0 and no controls declared it is the gradient of the problem's
     twin that declares one control.
     """
-    slope = workspace.slope(_trajectory_coeffs(workspace.spec, traj))
+    spec = workspace.spec
+    slope = workspace.slope(_trajectory_coeffs(spec, traj))
+    weight = frozen_array(weight, (spec.step_count + 1, spec.mode_count), "weight")
     lam = _fixed_point(lambda lam: workspace.adjoint_sweep(lam, weight, slope),
                        weight, workspace.residual, SolveReport(), "adjoint iteration",
                        tol, max_iter, constant=slope is None)
     grad_forcing = np.zeros_like(lam)
     grad_forcing[:-1] = workspace.kernel.apply_T(lam)
-    return _control_forcing_adjoint(workspace.spec, grad_forcing)
+    return _control_forcing_adjoint(spec, grad_forcing)
 
 
 def _workspace(spec, cache, workspace) -> _SweepWorkspace:

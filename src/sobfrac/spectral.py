@@ -1,9 +1,11 @@
 """Sine eigenbasis on [0, pi] and the per-mode operator symbols.
 
-All fields live in the orthonormal basis w_n(x) = sqrt(2/pi) sin(nx).
-The operators of the explicit example instance are diagonal in that
-basis and are applied as per-mode multipliers; the fractional power is
-taken of the negated generator, whose spectrum is positive.
+A field is its array of coefficients (u_n)_{n=1..N} in the orthonormal
+basis w_n(x) = sqrt(2/pi) sin(nx); ProblemSpec checks the two a solve
+starts from.  The operators of the explicit example instance are
+diagonal in that basis and are applied as per-mode multipliers; the
+fractional power is taken of the negated generator, whose spectrum is
+positive.
 """
 
 from __future__ import annotations
@@ -14,36 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, frozen_array
+from .errors import DomainError
 
 _BASIS_NORM = math.sqrt(2.0 / math.pi)
 
 # highest spatial derivative order the nonlinearity may read
 MAX_DERIVATIVE_ORDER = 2
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Coefficients (u_n)_{n=1..N} w.r.t. the orthonormal sine basis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", frozen_array(self.coeffs, ("N",), "coeffs"))
-        if self.coeffs.size < 1:
-            raise DomainError("coeffs must be nonempty")
-
-    @property
-    def mode_count(self) -> int:
-        return self.coeffs.size
-
-    def norm(self) -> float:
-        """L2[0, pi] norm via Parseval."""
-        return float(np.linalg.norm(self.coeffs))
-
-    @staticmethod
-    def zero(mode_count: int) -> "SpectralField":
-        return SpectralField(np.zeros(mode_count))
 
 
 def generator_symbol(mode_count: int) -> np.ndarray:
@@ -80,9 +58,9 @@ def q_weights(mode_count: int, q: float) -> np.ndarray:
     return generator_symbol(mode_count) ** q
 
 
-def norm_q(u: SpectralField, q: float) -> float:
-    """Interpolation norm ||u||_q = ||(-A)^q u||."""
-    return float(np.linalg.norm(q_weights(u.mode_count, q) * u.coeffs))
+def norm_q(u: np.ndarray, q: float) -> float:
+    """Interpolation norm ||u||_q = ||(-A)^q u|| of a coefficient array."""
+    return float(np.linalg.norm(q_weights(u.size, q) * u))
 
 
 def collocation_grid(n_x: int) -> np.ndarray:
@@ -123,26 +101,27 @@ def collocation_maps(mode_count: int) -> tuple:
     return maps
 
 
-def field_to_grid(u: SpectralField) -> np.ndarray:
-    """Evaluate the field at the 4N collocation nodes."""
-    return collocation_maps(u.mode_count)[0] @ u.coeffs
+def field_to_grid(u: np.ndarray) -> np.ndarray:
+    """Evaluate the field with coefficients u at the 4N collocation nodes."""
+    return collocation_maps(u.size)[0] @ u
 
 
-def grid_to_field(values: np.ndarray, mode_count: int) -> SpectralField:
-    """Project the values at the 4N collocation nodes back to N modes."""
+def grid_to_field(values: np.ndarray, mode_count: int) -> np.ndarray:
+    """Project the values at the 4N collocation nodes back to N mode
+    coefficients."""
     values = np.asarray(values, dtype=float)
     if values.shape != (4 * mode_count,):
         raise DomainError(f"expected {4 * mode_count} collocation values, got {values.shape}")
-    return SpectralField(collocation_maps(mode_count)[2] @ values)
+    return collocation_maps(mode_count)[2] @ values
 
 
-def apply_Bi(i: int, u: SpectralField) -> np.ndarray:
-    """i-th spatial derivative of the field on the collocation grid; the
-    first reads the shared D1 of collocation_maps."""
+def apply_Bi(i: int, u: np.ndarray) -> np.ndarray:
+    """i-th spatial derivative of the field with coefficients u on the
+    collocation grid; the first reads the shared D1 of collocation_maps."""
     if not 1 <= i <= MAX_DERIVATIVE_ORDER:
         raise DomainError(f"derivative order {i} outside 1..{MAX_DERIVATIVE_ORDER}")
-    matrix = collocation_maps(u.mode_count)[1] if i == 1 else derivative_matrix(i, u.mode_count)
-    return matrix @ u.coeffs
+    matrix = collocation_maps(u.size)[1] if i == 1 else derivative_matrix(i, u.size)
+    return matrix @ u
 
 
 @dataclass(frozen=True)

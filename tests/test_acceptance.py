@@ -27,7 +27,7 @@ from sobfrac.optctrl import (CostSpec, admissibility_value, cost_J,
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import (gamma, mainardi_density, mainardi_moment, mittag_leffler,
                              theta_quadrature)
-from sobfrac.spectral import SpectralField, measure_bounds, norm_q
+from sobfrac.spectral import measure_bounds, norm_q
 
 
 def _report(number, message, t0):
@@ -39,8 +39,8 @@ def reference_order():
 
 
 def reference_problem(n=16, m=512, controls=0, nonlinearity=None):
-    u0 = SpectralField(np.array([0.5, 0.2] + [0.0] * (n - 2)))
-    v0 = SpectralField(np.eye(n)[0])
+    u0 = np.array([0.5, 0.2] + [0.0] * (n - 2))
+    v0 = np.eye(n)[0]
     return ProblemSpec(reference_order(), 1.0, n, m, u0, v0,
                        nonlocal_terms=((0.3, 0.5),),
                        nonlinearity=nonlinearity or Nonlinearity(0.1),
@@ -109,10 +109,10 @@ def test_criterion_05_operator_bounds():
     ts = np.linspace(0.0, 1.0, 20)
     for trial in range(1000):
         t = float(ts[trial % ts.size])
-        u = SpectralField(rng.standard_normal(16))
+        u = rng.standard_normal(16)
         s_row, t_row = cache.multiplier_rows(t)
-        assert np.linalg.norm(s_row * u.coeffs) <= s_cap * u.norm() * (1 + 1e-12)
-        assert np.linalg.norm(t_row * u.coeffs) <= t_cap * u.norm() * (1 + 1e-12)
+        assert np.linalg.norm(s_row * u) <= s_cap * np.linalg.norm(u) * (1 + 1e-12)
+        assert np.linalg.norm(t_row * u) <= t_cap * np.linalg.norm(u) * (1 + 1e-12)
     # the q-weighted envelope stays bounded on [1e-3, 1]
     q = 0.25
     n = np.arange(1, 17)
@@ -161,8 +161,8 @@ def _linear_solve_error(m):
     worst = 0.0
     for n in range(1, 17):
         lam = n * n / (1.0 + n * n)
-        bracket = (spec.v0.coeffs[n - 1]
-                   + ts ** 0.2 / gamma(1.2) * spec.u0.coeffs[n - 1])
+        bracket = (spec.v0[n - 1]
+                   + ts ** 0.2 / gamma(1.2) * spec.u0[n - 1])
         ref = np.array([
             -(1.0 + n * n) / (n * n) * mittag_leffler(0.8, 1.0, -lam * t ** 0.8)
             / (1 + n * n) for t in ts]) * bracket
@@ -203,12 +203,12 @@ def test_criterion_08_nonlinear_solve_and_dependence():
     base, _ = picard_solve(spec, cache=cache, tol=1e-11)
 
     def response(delta):
-        u0 = SpectralField(spec.u0.coeffs + np.eye(16)[0] * delta)
+        u0 = spec.u0 + np.eye(16)[0] * delta
         pert = ProblemSpec(spec.order, 1.0, 16, 512, u0, spec.v0,
                            nonlocal_terms=spec.nonlocal_terms,
                            nonlinearity=spec.nonlinearity)
         out, _ = picard_solve(pert, cache=cache, tol=1e-11)
-        return max(norm_q(SpectralField(out.coeffs[i] - base.coeffs[i]), 0.25)
+        return max(norm_q(out.coeffs[i] - base.coeffs[i], 0.25)
                    for i in range(513))
 
     d1 = response(1e-3)

@@ -26,8 +26,7 @@ from sobfrac.mild_solver import Nonlinearity, SolveReport
 from sobfrac.optctrl import DescentLog, admissibility_value, random_admissible_bundle
 from sobfrac.specfun import mittag_leffler
 from sobfrac.verification import CheckRow
-from sobfrac.spectral import (BoundConstants, SpectralField, collocation_grid,
-                              collocation_maps, field_to_grid)
+from sobfrac.spectral import BoundConstants, collocation_grid, collocation_maps, field_to_grid
 
 MINIMAL = """
 [problem]
@@ -133,7 +132,7 @@ def reference_trajectory_csvs(traj, mode_count):
     xs = collocation_grid(n_x)
     d0 = collocation_maps(mode_count)[0]
     values = traj.coeffs @ d0.T
-    per_node = np.array([field_to_grid(SpectralField(c)) for c in traj.coeffs])
+    per_node = np.array([field_to_grid(c) for c in traj.coeffs])
     gamma = gamma_n(mode_count)
     bound = 2 * gamma / (1 - gamma) * (np.abs(traj.coeffs) @ np.abs(d0).T)
     assert np.all(np.abs(values - per_node) <= bound)
@@ -264,8 +263,8 @@ class TestParseConfig:
         # the sweep budget's one home is the solver's
         assert cfg.solver_max_iter == mild_solver.MAX_ITER
         assert cfg.quad_nodes == 200
-        assert cfg.problem.u0.coeffs[0] == 0.5
-        assert np.all(cfg.problem.v0.coeffs == 0.0)
+        assert cfg.problem.u0[0] == 0.5
+        assert np.all(cfg.problem.v0 == 0.0)
         assert cfg.echo["problem.alpha"] == "0.8"
 
     def test_alpha_out_of_range(self):
@@ -983,7 +982,7 @@ class TestMainEntry:
         assert fresh_interpreter(probe) == "[]"
 
     def test_package_names_resolve_lazily_to_their_homes(self):
-        # the 54 public names, each read from the module that defines it
+        # the 53 public names, each read from the module that defines it
         # or, for gamma, from specfun, which calls it
         probe = """
 import importlib, sys, sobfrac
@@ -998,7 +997,7 @@ homes = {"errors": "ConfigError ConstructionError DomainError EvaluationError "
          "solution_ops": "SolutionOperatorCache verify_operator_bounds",
          "specfun": "QuadratureRule gamma mainardi_density mainardi_moment "
                     "mittag_leffler theta_quadrature",
-         "spectral": "BoundConstants SpectralField apply_Bi collocation_grid field_to_grid "
+         "spectral": "BoundConstants apply_Bi collocation_grid field_to_grid "
                      "grid_to_field measure_bounds norm_q"}
 assert "sobfrac.specfun" not in sys.modules
 expected = sorted([*homes, *(n for names in homes.values() for n in names.split())])
@@ -1014,7 +1013,7 @@ exec("from sobfrac import *", namespace)
 assert all(namespace[name] is getattr(sobfrac, name) for name in sobfrac.__all__)
 print(len(sobfrac.__all__))
 """
-        assert fresh_interpreter(probe) == "54"
+        assert fresh_interpreter(probe) == "53"
         with pytest.raises(AttributeError, match="no_such_name"):
             sobfrac.no_such_name
 

@@ -17,8 +17,7 @@ from sobfrac.optctrl import (ControlBundle, CostSpec, adjoint_gradient,
                              optimize_controls, project_admissible,
                              random_admissible_bundle, zero_bundle)
 from sobfrac.solution_ops import SolutionOperatorCache
-from sobfrac.spectral import (SpectralField, collocation_maps, derivative_matrix, norm_q,
-                              q_weights)
+from sobfrac.spectral import collocation_maps, derivative_matrix, norm_q, q_weights
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +26,8 @@ def grid():
 
 
 def reference_problem(n=8, m=64, controls=2, nonlocal_terms=((0.3, 0.5),), **kw):
-    u0 = SpectralField(np.array([0.5, 0.2] + [0.0] * (n - 2)))
-    v0 = SpectralField(np.eye(n)[0])
+    u0 = np.array([0.5, 0.2] + [0.0] * (n - 2))
+    v0 = np.eye(n)[0]
     return ProblemSpec(FracOrder(0.8, q=0.25, p=2.0), 1.0, n, m, u0, v0,
                        nonlocal_terms=nonlocal_terms, control_count=controls, **kw)
 
@@ -95,14 +94,14 @@ def hypothesis_check_oracle(problem, trials=50, seed=0):
     if problem.nonlinearity.gain != 0.0:
         prev = None
         for _ in range(trials):
-            u = SpectralField(rng.standard_normal(n))
+            u = rng.standard_normal(n)
             fu = eval_f(problem, 0.0, u)
-            growth = max(growth, fu.norm() / (1.0 + norm_q(u, o.q)))
+            growth = max(growth, np.linalg.norm(fu) / (1.0 + norm_q(u, o.q)))
             if prev is not None:
                 fv = eval_f(problem, 0.0, prev)
-                du = norm_q(SpectralField(u.coeffs - prev.coeffs), o.q)
+                du = norm_q(u - prev, o.q)
                 if du > 0:
-                    lipschitz = max(lipschitz, np.linalg.norm(fu.coeffs - fv.coeffs) / du)
+                    lipschitz = max(lipschitz, np.linalg.norm(fu - fv) / du)
             prev = u
     report["nonlinearity"] = {
         "declared_a_f": problem.nonlinearity.a_f,
@@ -112,7 +111,7 @@ def hypothesis_check_oracle(problem, trials=50, seed=0):
     k1 = float(sum(c for c, _ in problem.nonlocal_terms))
     sup_norm = 0.0
     for _ in range(trials):
-        u = SpectralField(rng.standard_normal(n))
+        u = rng.standard_normal(n)
         sup_norm = max(sup_norm, norm_q(u, o.q))
     report["nonlocal"] = {
         "k1": k1,
@@ -366,7 +365,7 @@ class TestHypothesisCheck:
     def test_failing_exponents_reported(self):
         n = 4
         prob = ProblemSpec(FracOrder(0.9, q=0.9, p=1.1), 1.0, n, 8,
-                           SpectralField.zero(n), SpectralField.zero(n),
+                           np.zeros(n), np.zeros(n),
                            control_count=1)
         report = hypothesis_check(prob)
         assert abs(report["alpha_q"]["value"] - 0.81) <= 1e-12
@@ -386,8 +385,8 @@ class TestHypothesisCheck:
         seen = set()
         for order in orders:
             for controls in (0, 1, 2):
-                prob = ProblemSpec(order, 1.0, 4, 8, SpectralField(np.eye(4)[0]),
-                                   SpectralField(np.eye(4)[0]), control_count=controls)
+                prob = ProblemSpec(order, 1.0, 4, 8, np.eye(4)[0],
+                                   np.eye(4)[0], control_count=controls)
                 bundle = zero_bundle(prob.grid, controls, 2) if controls else None
                 try:
                     picard_solve(prob, controls=bundle)
@@ -406,7 +405,7 @@ class TestHypothesisCheck:
 
     def test_nonlinearity_budgets_sampled(self):
         n = 8
-        u0 = SpectralField.zero(n)
+        u0 = np.zeros(n)
         prob = ProblemSpec(FracOrder(0.8, q=0.25, p=2.0), 1.0, n, 16, u0, u0,
                            nonlinearity=Nonlinearity(0.1))
         nl = hypothesis_check(prob)["nonlinearity"]
@@ -428,7 +427,7 @@ class TestHypothesisCheck:
     @pytest.mark.parametrize("n", [1, 2, 16, 64])
     @pytest.mark.parametrize("gain", [0.1, 2.0, 40.0])
     def test_certified_bounds_hold(self, gain, n, q):
-        u0 = SpectralField.zero(n)
+        u0 = np.zeros(n)
         prob = ProblemSpec(FracOrder(0.5, q=q, p=2.0), 1.0, n, 4, u0, u0,
                            nonlinearity=Nonlinearity(gain))
         nl = hypothesis_check(prob)["nonlinearity"]
@@ -542,7 +541,7 @@ class TestOptimizer:
 
     def test_exponent_precondition(self):
         bad = ProblemSpec(FracOrder(0.9, q=0.9, p=1.1), 1.0, 4, 8,
-                          SpectralField.zero(4), SpectralField.zero(4),
+                          np.zeros(4), np.zeros(4),
                           control_count=1)
         with pytest.raises(DomainError):
             optimize_controls(bad, CostSpec(), zero_bundle(TimeGrid(1.0, 8), 1, 2))
