@@ -93,7 +93,8 @@ class PsiRule:
 
     def rows(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(E_a(-tau^a), E_{a,a}(-tau^a)) over an array of tau > 0."""
-        return _rule_rows(self.alpha, self.nodes, self.weights, self.t_weights, tau)
+        return _rule_rows(self.alpha, _exp_block(self.nodes, tau), self.weights,
+                          self.t_weights, tau)
 
     def summary(self) -> dict:
         return {"kind": "psi", "nodes": int(self.nodes.size), "step": self.step,
@@ -101,11 +102,16 @@ class PsiRule:
                 "t_window": list(T_WINDOW)}
 
 
-def _rule_rows(alpha, nodes, weights, t_weights, tau):
-    # one exp block shared by both sums
+def _exp_block(nodes, tau):
+    """exp(-tau g_k), its exponents raised to -_EXP_FLOOR."""
     expo = tau[..., None] * -nodes
     np.maximum(expo, -_EXP_FLOOR, out=expo)
     np.exp(expo, out=expo)
+    return expo
+
+
+def _rule_rows(alpha, expo, weights, t_weights, tau):
+    # one exp block shared by both sums
     return expo @ weights, tau ** (1.0 - alpha) * (expo @ t_weights)
 
 
@@ -162,8 +168,12 @@ def psi_rule(alpha: float, node_count: int = _DEFAULT_NODES) -> PsiRule:
         t_weights = np.where(s < s_left, 0.0, weights * nodes)
 
         probes = np.exp(np.linspace(log_tau_lo, log_tau_hi, _PROBES))
-        full = _rule_rows(alpha, nodes, weights, t_weights, probes)
-        half = _rule_rows(alpha, nodes[::2], 2.0 * weights[::2], 2.0 * t_weights[::2], probes)
+        expo = _exp_block(nodes, probes)
+        full = _rule_rows(alpha, expo, weights, t_weights, probes)
+        # the half rule's block is the full block's even columns, made
+        # contiguous so that its products run as the full block's do
+        half = _rule_rows(alpha, np.ascontiguousarray(expo[:, ::2]), 2.0 * weights[::2],
+                          2.0 * t_weights[::2], probes)
         halving = float(max(np.max(np.abs(f - h)) for f, h in zip(full, half)))
     for arr in (nodes, weights, t_weights):
         arr.setflags(write=False)

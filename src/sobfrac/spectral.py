@@ -20,9 +20,6 @@ from .errors import DomainError
 
 _BASIS_NORM = math.sqrt(2.0 / math.pi)
 
-# highest spatial derivative order the nonlinearity may read
-MAX_DERIVATIVE_ORDER = 2
-
 
 def generator_symbol(mode_count: int) -> np.ndarray:
     """Per-mode symbol lambda_n = n^2/(1+n^2) of -A, the negated generator.
@@ -69,33 +66,23 @@ def collocation_grid(n_x: int) -> np.ndarray:
     return j * math.pi / (n_x + 1)
 
 
-def derivative_matrix(i: int, mode_count: int) -> np.ndarray:
-    """(4N, N) map from the N sine coefficients to the i-th spatial
-    derivative at the 4N collocation nodes; i = 0 evaluates the field.
-
-    Spectral differentiation is exact: sine modes map to cosine modes for
-    odd i with multiplier n^i and alternating sign per parity.
-    """
-    x = collocation_grid(4 * mode_count)
-    n = np.arange(1, mode_count + 1)
-    phase = i % 4
-    basis = np.sin(np.outer(x, n)) if phase % 2 == 0 else np.cos(np.outer(x, n))
-    sign = -1.0 if phase >= 2 else 1.0
-    return (sign * _BASIS_NORM) * basis * n.astype(float) ** i
-
-
 # mode counts whose collocation maps one process keeps
 COLLOCATION_MEMO = 8
 
 
 @functools.lru_cache(maxsize=COLLOCATION_MEMO)
 def collocation_maps(mode_count: int) -> tuple:
-    """(D0, D1, P) on the 4N collocation nodes, read-only and shared: D0
-    evaluates the field, D1 its first derivative, and P = (pi/(4N+1)) D0^T
-    maps node values back to coefficients, exact for N modes by the
-    discrete orthogonality of sin(n x_j) on the interior grid."""
-    d0 = derivative_matrix(0, mode_count)
-    maps = (d0, derivative_matrix(1, mode_count), math.pi / (4 * mode_count + 1) * d0.T)
+    """(D0, D1, P) on the 4N collocation nodes x, read-only and shared:
+    D0 = sqrt(2/pi) sin(x n^T) evaluates the field, D1 = sqrt(2/pi)
+    cos(x n^T) n its first derivative (spectral differentiation is exact),
+    and P = (pi/(4N+1)) D0^T maps node values back to coefficients, exact
+    for N modes by the discrete orthogonality of sin(n x_j) on the
+    interior grid."""
+    n = np.arange(1, mode_count + 1)
+    xn = np.outer(collocation_grid(4 * mode_count), n)
+    d0 = _BASIS_NORM * np.sin(xn)
+    d1 = _BASIS_NORM * np.cos(xn) * n
+    maps = (d0, d1, math.pi / (4 * mode_count + 1) * d0.T)
     for arr in maps:
         arr.setflags(write=False)
     return maps
@@ -116,12 +103,12 @@ def grid_to_field(values: np.ndarray, mode_count: int) -> np.ndarray:
 
 
 def apply_Bi(i: int, u: np.ndarray) -> np.ndarray:
-    """i-th spatial derivative of the field with coefficients u on the
-    collocation grid; the first reads the shared D1 of collocation_maps."""
-    if not 1 <= i <= MAX_DERIVATIVE_ORDER:
-        raise DomainError(f"derivative order {i} outside 1..{MAX_DERIVATIVE_ORDER}")
-    matrix = collocation_maps(u.size)[1] if i == 1 else derivative_matrix(i, u.size)
-    return matrix @ u
+    """First spatial derivative (i = 1) of the field with coefficients u on
+    the collocation grid, from the shared D1 of collocation_maps; the
+    nonlinearity reads no other order, so every other i is refused."""
+    if i != 1:
+        raise DomainError(f"derivative order {i} is not 1, the one order the nonlinearity reads")
+    return collocation_maps(u.size)[1] @ u
 
 
 @dataclass(frozen=True)

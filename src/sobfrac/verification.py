@@ -116,13 +116,12 @@ def fracops_checks() -> list:
     return rows
 
 
-def theta_rule_table(order: FracOrder, mode_count: int, ts,
-                     node_count: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """(s_table, t_table) from the theta rule: the subordination integrals
-    s = L^-1 int zeta_a(th) exp(-lambda t^a th) dth and
+def theta_rule_table(order: FracOrder, mode_count: int, ts) -> tuple[np.ndarray, np.ndarray]:
+    """(s_table, t_table) from the 200-node theta rule: the subordination
+    integrals s = L^-1 int zeta_a(th) exp(-lambda t^a th) dth and
     t = a L^-1 int th zeta_a(th) exp(-lambda t^a th) dth."""
     alpha = order.alpha
-    rule = specfun.theta_quadrature(alpha, node_count)
+    rule = specfun.theta_quadrature(alpha, 200)
     wz = rule.weights * rule.density_values
     lam = spectral.generator_symbol(mode_count)
     linv = spectral.l_inverse_symbol(mode_count)

@@ -276,6 +276,25 @@ class TestPsiRule:
             assert np.all(np.isfinite(rule.nodes)) and np.all(rule.weights > 0.0)
         assert abs(float(np.sum(psi_rule(0.8, 200).weights)) - 1.0) <= 1e-15
 
+    def test_halving_defect_is_the_two_block_gap(self):
+        # the build takes the half rule's sums from the full rule's exponent
+        # block; a separate block for the every-other-node half gives the
+        # same defect, bit for bit
+        for alpha in np.linspace(0.03, 0.99, 83):
+            alpha = float(alpha)
+            rule = psi_rule(alpha)
+            probes = np.exp(np.linspace(math.log(T_WINDOW[0]) - math.log(2.0) / alpha,
+                                        math.log(T_WINDOW[1]), solution_ops._PROBES))
+
+            def sums(nodes, weights, t_weights):
+                expo = np.exp(np.maximum(np.outer(probes, -nodes), -solution_ops._EXP_FLOOR))
+                return expo @ weights, probes ** (1.0 - alpha) * (expo @ t_weights)
+
+            full = sums(rule.nodes, rule.weights, rule.t_weights)
+            half = sums(rule.nodes[::2], 2.0 * rule.weights[::2], 2.0 * rule.t_weights[::2])
+            want = float(max(np.max(np.abs(f - h)) for f, h in zip(full, half)))
+            assert rule.halving_defect == want, alpha
+
     @pytest.mark.parametrize("alpha", (0.01, 0.02))
     def test_refuses_below_the_floor(self, alpha):
         with pytest.raises(ConstructionError) as err:

@@ -86,11 +86,6 @@ class TestCollocation:
         x = collocation_grid(16)
         assert np.max(np.abs(vals - BASIS * np.cos(x))) <= 1e-10
 
-    def test_second_derivative_eigenrelation(self):
-        vals = apply_Bi(2, np.eye(4)[2])
-        x = collocation_grid(16)
-        assert np.max(np.abs(vals + 9.0 * BASIS * np.sin(3 * x))) <= 1e-10
-
     def test_first_derivative_reads_the_shared_d1(self):
         u = random_field(n=6, seed=8)
         first = apply_Bi(1, u)
@@ -105,9 +100,22 @@ class TestCollocation:
     def test_derivative_of_zero(self):
         assert np.all(apply_Bi(1, np.zeros(4)) == 0.0)
 
+    def test_maps_are_the_sine_basis_formulas(self):
+        # bit for bit: D0 = sqrt(2/pi) sin(x n^T), D1 = sqrt(2/pi) cos(x n^T) n
+        # with n as floats, and P = (pi/(4N+1)) D0^T
+        for n_modes in range(1, 65):
+            d0, d1, p = collocation_maps(n_modes)
+            n = np.arange(1, n_modes + 1).astype(float)
+            xn = np.outer(collocation_grid(4 * n_modes), n)
+            assert np.array_equal(d0, BASIS * np.sin(xn)), n_modes
+            assert np.array_equal(d1, BASIS * np.cos(xn) * n), n_modes
+            assert np.array_equal(p, math.pi / (4 * n_modes + 1) * d0.T), n_modes
+
     def test_order_above_r_max(self):
-        with pytest.raises(DomainError):
-            apply_Bi(3, np.eye(4)[0])
+        # the nonlinearity reads the first derivative only
+        for order in (0, 2, 3):
+            with pytest.raises(DomainError, match=f"derivative order {order} is not 1"):
+                apply_Bi(order, np.eye(4)[0])
 
 
 def sampled_mq(mode_count, t_samples, q):
