@@ -20,7 +20,7 @@ _HOMES = {name: module for module, names in {
     "optctrl": ("ControlBundle", "CostSpec", "admissibility_value", "cost_J",
                 "hypothesis_check", "optimize_controls", "project_admissible",
                 "random_admissible_bundle", "zero_bundle"),
-    "solution_ops": ("SolutionOperatorCache", "verify_operator_bounds"),
+    "solution_ops": ("SolutionOperatorCache",),
     "specfun": ("QuadratureRule", "mainardi_density", "mainardi_moment",
                 "mittag_leffler", "theta_quadrature"),
     "spectral": ("BoundConstants", "apply_Bi", "collocation_grid",

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .fracops import FracOrder, TimeGrid, gamma
-from .spectral import generator_symbol, l_inverse_symbol, measure_bounds, q_weights
+from .spectral import generator_symbol, l_inverse_symbol
 
 _DEFAULT_NODES = 200
 
@@ -305,70 +305,3 @@ class SolutionOperatorCache:
         s_table, t_table = self.multiplier_table([t])
         return s_table[0], t_table[0]
 
-
-def verify_operator_bounds(cache: SolutionOperatorCache, t_samples) -> dict:
-    """Check of the boundedness/continuity/envelope claims on the table.
-
-    (a) ||S(t)|| <= C1 M0 and ||T(t)|| <= C1 M0 / Gamma(alpha) at every
-        sampled t, exactly: each operator is diagonal, so its norm is its
-        largest |multiplier|.  The paper's clause (e), the same bounds in
-        the q-norm, follows from (a): the q-weights commute with the
-        diagonal operators, so both norms of each operator agree;
-    (b) multiplier continuity in t against the exact Lipschitz envelope
-        lambda_n |t2^a - t1^a| / (Gamma(1+a) (1+n^2)); a T row that moves
-        by 1 or more between samples, or is NaN, gives an infinite ratio;
-    (d) ||A^q T(t)|| t^(q a) stays below a C1 Mq Gamma(2-q)/Gamma(1+a(1-q))
-        with the closed-form Mq = (q/e)^q.
-
-    Returns a report with each clause's worst ratio and the cap it must
-    stay within (1, or 1 + 1e-9 where the bound is attained); a violated
-    clause reads passed False there, and nothing is raised.  A NaN in the
-    rows that (a) or (d) reads makes its worst ratio NaN, which fails it.
-    """
-    t_samples = sorted(float(t) for t in t_samples)
-    if not t_samples:
-        raise DomainError("t_samples must be nonempty")
-    alpha = cache.order.alpha
-    q = cache.order.q
-    n_modes = cache.mode_count
-    bounds = measure_bounds(n_modes, q=q)
-    slack = 1.0 + 1e-9
-
-    report = {"C1": bounds.C1, "M0": bounds.M0, "Mq": bounds.Mq, "q": q,
-              "clauses": {}}
-
-    # S and T rows at every sampled time, shared by clauses (a) and (b)
-    s_table, t_table = cache.multiplier_table(t_samples)
-
-    # (a) boundedness, in the plain norm and so in the q-norm
-    s_cap = bounds.C1 * bounds.M0
-    t_cap = bounds.C1 * bounds.M0 / gamma(alpha)
-    # numpy's maximum propagates a NaN, which then fails the clause
-    worst_a = np.maximum(np.max(np.abs(s_table)) / s_cap, np.max(np.abs(t_table)) / t_cap)
-    report["clauses"]["a_bounded"] = _clause(worst_a, slack)
-
-    # (b) strong continuity via the Mittag-Leffler Lipschitz envelope,
-    # between consecutive sampled times
-    steps = np.abs(np.diff(np.array(t_samples) ** alpha))[:, None]
-    envelope = cache._lam * steps / gamma(1.0 + alpha) * cache._linv
-    gap = np.abs(np.diff(s_table, axis=0))
-    worst_b = np.max(gap / (envelope * 1.05 + 1e-8), initial=0.0)
-    if not np.all(np.abs(np.diff(t_table, axis=0)) < 1.0):
-        worst_b = math.inf
-    report["clauses"]["b_continuity"] = _clause(worst_b, 1.0)
-
-    # (d) the t^{-q alpha} envelope for ||A^q T(t)||
-    cap_d = (alpha * bounds.C1 * bounds.Mq * gamma(2.0 - q)
-             / gamma(1.0 + alpha * (1.0 - q)))
-    weights = q_weights(n_modes, q)
-    ts = np.geomspace(1e-3, max(t_samples) if max(t_samples) > 0 else 1.0, 40)
-    ratios_d = [float(np.max(weights * t_row)) * t ** (q * alpha) / cap_d
-                for t, t_row in zip(ts, cache.multiplier_table(ts)[1])]
-    report["clauses"]["d_envelope"] = _clause(np.max(ratios_d), slack)
-
-    report["passed"] = all(c["passed"] for c in report["clauses"].values())
-    return report
-
-
-def _clause(worst, cap) -> dict:
-    return {"worst_ratio": float(worst), "cap": float(cap), "passed": bool(worst <= cap)}

@@ -46,6 +46,9 @@ _PANEL_ORDERS = (20, 16)
 # temporaries at about _PANEL_CHUNK * max(_PANEL_ORDERS) points, whatever
 # the theta count.
 _PANEL_CHUNK = 512
+# theta_quadrature: 20 graded panels of the 10-node Gauss-Legendre rule
+_THETA_PANELS = 20
+_THETA_PANEL_ORDER = 10
 
 
 def _sinpi(z: float) -> float:
@@ -385,38 +388,25 @@ def theta_support_cut(alpha: float) -> float:
 
 
 @functools.lru_cache(maxsize=256)
-def theta_quadrature(alpha: float, node_count: int = 200) -> QuadratureRule:
+def theta_quadrature(alpha: float) -> QuadratureRule:
     """Composite Gauss-Legendre rule on geometrically graded panels.
 
     (0, inf) is truncated at the superexponential-decay cutoff and split
-    into panels clustered toward 0 (breakpoints ~ (i/K)^4) so that the
-    weakly singular test integrands theta^v stay accurate.  Construction
-    fails if the realized normalization defect exceeds 1e-8 or the first
-    moment misses its closed form by more than 1e-6.
+    into _THETA_PANELS panels clustered toward 0 (breakpoints ~ (i/K)^4),
+    each with the _THETA_PANEL_ORDER-node rule (200 nodes in all), so
+    that the weakly singular test integrands theta^v stay accurate.
+    Construction fails if the realized normalization defect exceeds 1e-8
+    or the first moment misses its closed form by more than 1e-6.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"theta_quadrature requires 0 < alpha < 1, got {alpha}")
-    if node_count < 16:
-        raise DomainError(f"node_count must be at least 16, got {node_count}")
 
-    theta_max = theta_support_cut(alpha)
-    n_panels = max(2, node_count // 10)
-    base = node_count // n_panels
-    extra = node_count % n_panels
-    orders = [base + (1 if i < extra else 0) for i in range(n_panels)]
-    cuts = theta_max * (np.arange(n_panels + 1) / n_panels) ** 4
-
-    nodes = []
-    weights = []
-    for i, g in enumerate(orders):
-        x, w = _gauss_legendre(g)
-        lo, hi = cuts[i], cuts[i + 1]
-        half = 0.5 * (hi - lo)
-        nodes.append(half * (x + 1.0) + lo)
-        weights.append(half * w)
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
+    cuts = theta_support_cut(alpha) * (np.arange(_THETA_PANELS + 1) / _THETA_PANELS) ** 4
+    x, w = _gauss_legendre(_THETA_PANEL_ORDER)
+    lo, half = cuts[:-1, None], 0.5 * (cuts[1:] - cuts[:-1])[:, None]
+    nodes = (half * (x + 1.0) + lo).ravel()
+    weights = (half * w).ravel()
     dens = mainardi_density(alpha, nodes, tol=1e-12)
 
     rule = QuadratureRule(nodes=nodes, weights=weights, alpha=alpha,
@@ -427,11 +417,9 @@ def theta_quadrature(alpha: float, node_count: int = 200) -> QuadratureRule:
     defect = rule.normalization_defect()
     if defect > 1e-8:
         raise ConstructionError(
-            f"normalization defect {defect:.3e} exceeds 1e-8 at "
-            f"node_count={node_count} (alpha={alpha})")
+            f"normalization defect {defect:.3e} exceeds 1e-8 (alpha={alpha})")
     moment_err = abs(rule.integrate(nodes) - mainardi_moment(alpha, 1.0))
     if moment_err > 1e-6:
         raise ConstructionError(
-            f"first-moment defect {moment_err:.3e} exceeds 1e-6 at "
-            f"node_count={node_count} (alpha={alpha})")
+            f"first-moment defect {moment_err:.3e} exceeds 1e-6 (alpha={alpha})")
     return rule

@@ -51,7 +51,7 @@ def test_criterion_01_density_normalization():
     t0 = time.perf_counter()
     worst = 0.0
     for alpha in (0.3, 0.5, 0.6, 0.8, 0.9):
-        rule = theta_quadrature(alpha, 200)
+        rule = theta_quadrature(alpha)
         worst = max(worst, rule.normalization_defect())
         assert rule.normalization_defect() <= 1e-8
     _report(1, f"density normalization defect <= 1e-8 (worst {worst:.2e})", t0)
@@ -61,7 +61,7 @@ def test_criterion_02_moment_identity():
     t0 = time.perf_counter()
     worst = 0.0
     for alpha in (0.4, 0.8):
-        rule = theta_quadrature(alpha, 200)
+        rule = theta_quadrature(alpha)
         for v in (0.0, 0.25, 0.5, 0.75, 1.0):
             err = abs(rule.integrate(rule.nodes ** v) - mainardi_moment(alpha, v))
             worst = max(worst, err)

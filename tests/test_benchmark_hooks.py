@@ -138,7 +138,7 @@ def test_traced_cold_build_is_one_density_call(perfbench):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        tracer.wrap(tracing.ROOT, lambda: specfun.theta_quadrature(alpha, 200))()
+        tracer.wrap(tracing.ROOT, lambda: specfun.theta_quadrature(alpha))()
     finally:
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracer)

@@ -221,12 +221,12 @@ class TestMainardiDensity:
     def test_error_estimate_small_at_rule_nodes(self, alpha):
         # every density value the theta rules use, with room below their
         # tol = 1e-12
-        nodes = theta_quadrature(alpha, 200).nodes
+        nodes = theta_quadrature(alpha).nodes
         assert np.max(_density_stable_integral(alpha, nodes[nodes > 0.5])[1]) <= 1e-13
 
     @pytest.mark.parametrize("alpha", np.round(np.arange(0.30, 0.935, 0.01), 2))
     def test_batched_matches_scalar_oracle_at_rule_nodes(self, alpha):
-        nodes = theta_quadrature(alpha, 200).nodes
+        nodes = theta_quadrature(alpha).nodes
         tail, body = nodes[nodes <= 0.5], nodes[nodes > 0.5]
         want = np.array([scalar_density_oracle(alpha, t, 1e-12) for t in nodes])
         values, estimates = _density_stable_integral(alpha, body)
@@ -338,7 +338,7 @@ class TestMittagLeffler:
 
     def test_against_density_quadrature(self):
         # independent route: Laplace transform of the density
-        rule = theta_quadrature(0.5, 200)
+        rule = theta_quadrature(0.5)
         oracle = rule.integrate(np.exp(-rule.nodes))
         assert abs(mittag_leffler(0.5, 1.0, -1.0) - oracle) < 1e-8
 
@@ -362,11 +362,11 @@ class TestMittagLeffler:
 class TestThetaQuadrature:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_normalization(self, alpha):
-        rule = theta_quadrature(alpha, 200)
+        rule = theta_quadrature(alpha)
         assert rule.normalization_defect() <= 1e-8
 
     def test_node_layout(self):
-        rule = theta_quadrature(0.8, 200)
+        rule = theta_quadrature(0.8)
         assert np.all(rule.nodes > 0.0)
         assert np.all(np.diff(rule.nodes) > 0.0)
         assert np.all(rule.weights > 0.0)
@@ -375,29 +375,25 @@ class TestThetaQuadrature:
     @pytest.mark.parametrize("alpha", (0.4, 0.8))
     @pytest.mark.parametrize("v", (0.0, 0.25, 0.5, 0.75, 1.0))
     def test_moment_identity(self, alpha, v):
-        rule = theta_quadrature(alpha, 200)
+        rule = theta_quadrature(alpha)
         got = rule.integrate(rule.nodes ** v)
         assert abs(got - mainardi_moment(alpha, v)) <= 1e-6
 
     def test_first_moment_half_order(self):
-        rule = theta_quadrature(0.5, 200)
+        rule = theta_quadrature(0.5)
         assert abs(rule.integrate(rule.nodes) - 1.0 / gamma(1.5)) <= 1e-6
 
     @pytest.mark.parametrize("alpha", (0.5, 0.8))
     def test_laplace_identity(self, alpha):
-        rule = theta_quadrature(alpha, 200)
+        rule = theta_quadrature(alpha)
         for x in np.linspace(0.0, 5.0, 11):
             got = rule.integrate(np.exp(-x * rule.nodes))
             assert abs(got - mittag_leffler(alpha, 1.0, -x)) <= 1e-6
 
-    def test_below_minimum_node_count(self):
-        with pytest.raises(DomainError):
-            theta_quadrature(0.8, 8)
-
     @pytest.mark.parametrize("alpha", NEAR_ONE)
     def test_near_one_returns_rule_or_typed_error(self, alpha):
         try:
-            rule = theta_quadrature(alpha, 200)
+            rule = theta_quadrature(alpha)
         except SobfracError:
             return
         assert rule.normalization_defect() <= 1e-8
@@ -414,7 +410,7 @@ class TestThetaQuadrature:
                     m.setattr(specfun, "mainardi_density", scalar_checked_density)
                 for alpha in alphas:
                     try:
-                        theta_quadrature.__wrapped__(float(alpha), 200)
+                        theta_quadrature.__wrapped__(float(alpha))
                     except SobfracError:
                         refused[batched].append(alpha)
                     except OverflowError:
@@ -424,7 +420,8 @@ class TestThetaQuadrature:
         assert 0.5 not in refused[True] and 0.95 in refused[True]
 
     def test_unreachable_tolerance_reports_defect(self):
+        # the fixed rule misses the 1e-8 normalization gate near alpha = 0.94
         with pytest.raises(ConstructionError) as err:
-            theta_quadrature(0.8, 16)
+            theta_quadrature(0.94)
         stated = re.search(r"defect (\S+) exceeds", str(err.value))
         assert stated is not None and float(stated.group(1)) > 1e-8

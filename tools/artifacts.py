@@ -101,6 +101,9 @@ README_RUNS = (
      (("optimize.converged", "==", True),)),
     # solved from the S rows alone
     ("linear-solve", "solve", (("nonlinearity", "zero"), ("controls", "0")), 0, ()),
+    # the operator-bound and multiplier rows of the configured order on
+    # the semigroup branch
+    ("semigroup-verify", "verify", (("alpha", "1.0"),), 0, ()),
     ("semigroup-solve", "solve", (("alpha", "1.0"),), 0,
      (("multiplier_rule.kind", "==", "semigroup"),)),
     ("semigroup-optimize", "optimize", (("alpha", "1.0"),), 0, ()),
@@ -374,8 +377,8 @@ def selftest() -> list:
     """Failure messages (empty when the diff behaves)."""
     failures = []
     runs = config_set()
-    if len(runs) != 17:
-        failures.append(f"the config set has {len(runs)} configs, not 17")
+    if len(runs) != 18:
+        failures.append(f"the config set has {len(runs)} configs, not 18")
     with tempfile.TemporaryDirectory(prefix="sobfrac-artifacts-") as tmp:
         tmp = Path(tmp)
         first = run_set(ROOT, runs, tmp / "first")
