@@ -288,6 +288,13 @@ def _time_heads(grid: TimeGrid) -> tuple:
     return tuple(_fmt(t) for t in grid.nodes().tolist())
 
 
+@functools.lru_cache(maxsize=_HEADS_MEMO)
+def _control_heads(control_count: int, grid: TimeGrid) -> tuple:
+    """controls.csv's row heads "j,t": every node time of the grid under
+    each control j in turn."""
+    return tuple(f"{j},{t}" for j in range(1, control_count + 1) for t in _time_heads(grid))
+
+
 def _write_artifact(path: Path, text: str, *table) -> None:
     """Write `text`, then the `csvtable.write_table` lines of `table`
     (heads, labels, values) if given, as UTF-8 bytes with "\\n" line ends
@@ -357,11 +364,11 @@ def run(config: RunConfig) -> int:
                     max_iter=config.solver_max_iter)
                 _write_artifact(out / "descent.csv", "iteration,J\n" + "".join(
                     f"{i},{_fmt(j)}\n" for i, j in enumerate(log.cost_values)))
-                # control j's node rows under heads "j,t"; the final node repeats the last cell
-                nodes = np.pad(bundle.cells, ((0, 0), (0, 1), (0, 0)), mode="edge")
+                # control j's node rows; the final node repeats the last cell
+                cells = bundle.cells
+                nodes = np.concatenate((cells, cells[:, -1:]), axis=1)
                 _write_artifact(out / "controls.csv", "control,t,n,coefficient\n",
-                                [f"{j},{t}" for j in range(1, k + 1) for t in ts],
-                                _mode_labels(config.control_modes),
+                                _control_heads(k, grid), _mode_labels(config.control_modes),
                                 nodes.reshape(-1, config.control_modes))
                 report["optimize"] = {**vars(log),
                                       "final_cost": float(log.cost_values[-1]),

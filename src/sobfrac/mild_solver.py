@@ -187,12 +187,11 @@ def eval_f(spec: ProblemSpec, t: float, u: np.ndarray) -> np.ndarray:
 
 def _control_forcing(spec: ProblemSpec, controls) -> np.ndarray:
     """Exact integral from 0 to each node of the summed piecewise-constant
-    controls: node m collects the cells l < m.  The solver's one reader of
-    a bundle: DomainError unless it has spec's control count, grid and at
-    most its modes."""
-    out = np.zeros((spec.step_count + 1, spec.mode_count))
+    controls (zero for None), through _cell_forcing.  The solver's one
+    reader of a bundle: DomainError unless it has spec's control count,
+    grid and at most its modes."""
     if controls is None:
-        return out
+        return np.zeros((spec.step_count + 1, spec.mode_count))
     cells, grid = controls.cells, spec.grid
     k, _, nc = cells.shape
     if k != spec.control_count:
@@ -203,15 +202,22 @@ def _control_forcing(spec: ProblemSpec, controls) -> np.ndarray:
     if nc > spec.mode_count:
         raise DomainError(
             f"control has {nc} modes, the problem {spec.mode_count}")
-    out[1:, :nc] = (grid.dt * cells.sum(axis=0)).cumsum(axis=0)
+    return _cell_forcing(cells, grid.dt, spec.mode_count)
+
+
+def _cell_forcing(cells: np.ndarray, dt: float, mode_count: int) -> np.ndarray:
+    """_control_forcing of checked cells (k, M, at most mode_count modes)
+    on a grid of step dt: node m collects the cells l < m."""
+    out = np.zeros((cells.shape[1] + 1, mode_count))
+    out[1:, :cells.shape[2]] = (dt * cells.sum(axis=0)).cumsum(axis=0)
     return out
 
 
-def _control_forcing_adjoint(spec: ProblemSpec, grad_forcing: np.ndarray) -> np.ndarray:
-    """Transpose of _control_forcing: gradient with respect to the summed
-    control cells, shape (M, N), given the gradient with respect to its
-    output; cell l collects the rows m > l."""
-    return spec.grid.dt * grad_forcing[:0:-1].cumsum(axis=0)[::-1]
+def _control_forcing_adjoint(dt: float, grad_forcing: np.ndarray) -> np.ndarray:
+    """Transpose of _cell_forcing on a grid of step dt: gradient with
+    respect to the summed control cells, shape (M, N), given the gradient
+    with respect to its output; cell l collects the rows m > l."""
+    return dt * grad_forcing[:0:-1].cumsum(axis=0)[::-1]
 
 
 def _trajectory_coeffs(spec: ProblemSpec, traj: Trajectory) -> np.ndarray:
@@ -311,6 +317,7 @@ class _SweepWorkspace:
 
     def __init__(self, spec: ProblemSpec, node_count: int = _DEFAULT_NODES):
         self.spec = spec
+        self.dt = spec.grid.dt
         self.snaps = snap_nonlocal_indices(spec)
         # feedback is the trajectory's response to h
         self.kappa, self.s_lm, self.feedback, spectrum = _grid_static(
@@ -452,15 +459,27 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
         raise RejectedInstanceError(defect)
     ctrl_forcing = _control_forcing(spec, controls)
     workspace = _workspace(spec, cache, workspace)
-    report = SolveReport()
-    report.snapped_nonlocal_times = list(workspace.snaps)
-    report.nonlocal_denominator_min = float(workspace.denominator.min())
-    current = _fixed_point(
-        lambda c: workspace.sweep(c, ctrl_forcing),
+    current, history = _forward(
+        workspace, ctrl_forcing,
         workspace.initial() if initial is None else _trajectory_coeffs(spec, initial),
-        workspace.residual, report, "Picard iteration", tol, max_iter,
-        constant=spec.nonlinearity.gain == 0.0)
+        tol, max_iter)
+    # the last step over the one before it, 0.0 after one sweep or an exact step
+    ratio = history[-1] / history[-2] if len(history) >= 2 and history[-2] > 0.0 else 0.0
+    report = SolveReport(iterations=len(history), residual_history=history, converged=True,
+                         contraction_ratio=ratio,
+                         snapped_nonlocal_times=list(workspace.snaps),
+                         nonlocal_denominator_min=float(workspace.denominator.min()))
     return Trajectory(spec.grid, current), report
+
+
+def _forward(workspace: _SweepWorkspace, ctrl_forcing: np.ndarray, start: np.ndarray,
+             tol: float, max_iter: int) -> tuple[np.ndarray, list]:
+    """picard_solve on arrays: the fixed point of the workspace problem's
+    sweep under ctrl_forcing from the coefficients start, and the
+    residual history."""
+    return _fixed_point(lambda c: workspace.sweep(c, ctrl_forcing), start,
+                        workspace.residual, "Picard iteration", tol, max_iter,
+                        constant=workspace.spec.nonlinearity.gain == 0.0)
 
 
 def adjoint_solve(traj: Trajectory, weight: np.ndarray, workspace: _SweepWorkspace,
@@ -480,14 +499,22 @@ def adjoint_solve(traj: Trajectory, weight: np.ndarray, workspace: _SweepWorkspa
     twin that declares one control.
     """
     spec = workspace.spec
-    slope = workspace.slope(_trajectory_coeffs(spec, traj))
+    coeffs = _trajectory_coeffs(spec, traj)
     weight = frozen_array(weight, (spec.step_count + 1, spec.mode_count), "weight")
-    lam = _fixed_point(lambda lam: workspace.adjoint_sweep(lam, weight, slope),
-                       weight, workspace.residual, SolveReport(), "adjoint iteration",
-                       tol, max_iter, constant=slope is None)
+    return _adjoint(workspace, coeffs, weight, tol, max_iter)
+
+
+def _adjoint(workspace: _SweepWorkspace, coeffs: np.ndarray, weight: np.ndarray,
+             tol: float, max_iter: int) -> np.ndarray:
+    """adjoint_solve on arrays: the solved coefficients and a finite
+    (M+1, N) weight."""
+    slope = workspace.slope(coeffs)
+    lam, _ = _fixed_point(lambda lam: workspace.adjoint_sweep(lam, weight, slope),
+                          weight, workspace.residual, "adjoint iteration",
+                          tol, max_iter, constant=slope is None)
     grad_forcing = np.zeros_like(lam)
     grad_forcing[:-1] = workspace.kernel.apply_T(lam)
-    return _control_forcing_adjoint(spec, grad_forcing)
+    return _control_forcing_adjoint(workspace.dt, grad_forcing)
 
 
 def _workspace(spec, cache, workspace) -> _SweepWorkspace:
@@ -505,33 +532,22 @@ def _workspace(spec, cache, workspace) -> _SweepWorkspace:
     return _SweepWorkspace(spec, _DEFAULT_NODES if cache is None else cache.node_count)
 
 
-def _fixed_point(sweep, current, distance, report, what, tol, max_iter,
-                 constant=False):
-    """Iterate sweep until the step's distance is <= tol; fills report.
-    A constant sweep (one that ignores its input, as with f = 0) is at its
-    fixed point after one call: the next step would be exactly 0, so that
-    step is recorded without running it."""
+def _fixed_point(sweep, current, distance, what, tol, max_iter, constant=False):
+    """Iterate sweep until the step's distance is <= tol; returns the
+    fixed point and the residual history, or raises NonConvergenceError
+    with that history.  A constant sweep (one that ignores its input, as
+    with f = 0) is at its fixed point after one call: the next step would
+    be exactly 0, so that step is recorded without running it."""
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    for it in range(1, max_iter + 1):
+    history = []
+    for _ in range(max_iter):
         new = sweep(current)
         residual = 0.0 if constant else distance(new, current)
-        report.residual_history.append(residual)
-        report.iterations = it
+        history.append(residual)
         current = new
         if residual <= tol:
-            report.converged = True
-            break
-
-    if not report.converged:
-        raise NonConvergenceError(
-            f"{what} did not reach tol={tol} in {max_iter} sweeps "
-            f"(last residual {report.residual_history[-1]:.3e})",
-            residual_history=report.residual_history)
-
-    hist = report.residual_history
-    if len(hist) >= 2 and hist[-2] > 0.0:
-        report.contraction_ratio = hist[-1] / hist[-2]
-    else:
-        report.contraction_ratio = 0.0
-    return current
+            return current, history
+    raise NonConvergenceError(
+        f"{what} did not reach tol={tol} in {max_iter} sweeps "
+        f"(last residual {history[-1]:.3e})", residual_history=history)

@@ -19,8 +19,9 @@ import numpy as np
 from .errors import (DomainError, NonConvergenceError, OptimizationError,
                      RejectedInstanceError, frozen_array)
 from .fracops import TimeGrid
-from .mild_solver import (MAX_ITER, ProblemSpec, Trajectory, _SweepWorkspace,
-                          _workspace, adjoint_solve, picard_solve)
+from .mild_solver import (MAX_ITER, ProblemSpec, Trajectory, _adjoint, _cell_forcing,
+                          _control_forcing, _forward, _SweepWorkspace,
+                          _trajectory_coeffs, _workspace)
 
 # sufficient-decrease constant of the Armijo test
 _ARMIJO_SIGMA = 1e-4
@@ -61,37 +62,42 @@ def zero_bundle(grid: TimeGrid, k: int, control_modes: int,
                          grid, radius)
 
 
-def _cell_weights(bundle: ControlBundle) -> np.ndarray:
+def _cell_weights(cells: np.ndarray, dt: float) -> np.ndarray:
     """a_jc = dt ||x_jc|| of every cell, in one reduction over all controls."""
-    cells = bundle.cells
-    return bundle.grid.dt * np.sqrt(np.add.reduce(cells * cells, axis=2))
+    return dt * np.sqrt(np.add.reduce(cells * cells, axis=2))
 
 
 def admissibility_value(bundle: ControlBundle) -> float:
     """sum_j int_0^a ||u_j(s)|| ds, exact for piecewise-constant controls:
     the sum of the cell weights."""
-    return float(_cell_weights(bundle).sum())
+    return float(_cell_weights(bundle.cells, bundle.grid.dt).sum())
 
 
 def project_admissible(bundle: ControlBundle) -> ControlBundle:
-    """The Euclidean projection onto {y : sum_j sum_c dt ||y_jc|| <= radius};
-    an admissible bundle is returned itself.
+    """The Euclidean projection onto {y : sum_j sum_c dt ||y_jc|| <= radius},
+    through _project; an admissible bundle is returned itself."""
+    cells = _project(bundle.cells, bundle.grid.dt, bundle.radius)
+    return bundle if cells is bundle.cells else ControlBundle(cells, bundle.grid,
+                                                              bundle.radius)
+
+
+def _project(cells: np.ndarray, dt: float, radius: float) -> np.ndarray:
+    """project_admissible on arrays: cells itself when admissible.
 
     With a_c = dt ||x_c|| per cell, every a_c is soft-thresholded by one
     theta >= 0 with sum_c max(0, a_c - theta) = radius, found from a sort
     (the l1-ball projection of Duchi, Shalev-Shwartz, Singer and Chandra,
     ICML 2008), and cell c is scaled by max(0, 1 - theta / a_c).
     """
-    radius = bundle.radius
-    a = _cell_weights(bundle)
+    a = _cell_weights(cells, dt)
     if a.sum() <= radius:
-        return bundle
+        return cells
     desc = np.sort(a, axis=None)[::-1]
     thetas = (np.cumsum(desc) - radius) / np.arange(1, desc.size + 1)
     theta = thetas[np.flatnonzero(desc > thetas)[-1]]
     with np.errstate(divide="ignore"):
         scale = np.maximum(1.0 - theta / a, 0.0)
-    return ControlBundle(bundle.cells * scale[:, :, None], bundle.grid, radius)
+    return cells * scale[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -109,15 +115,20 @@ class CostSpec:
 
 
 def cost_J(traj: Trajectory, controls: ControlBundle, spec: CostSpec) -> float:
-    """int_0^a [ sw ||u(t)||^2 + cw int_0^t sum_j ||u_j(s)||^2 ds ] dt.
+    """int_0^a [ sw ||u(t)||^2 + cw int_0^t sum_j ||u_j(s)||^2 ds ] dt,
+    through _cost; DomainError unless traj and controls share a grid."""
+    if controls.grid != traj.grid:
+        raise DomainError("cost requires trajectory and controls on one grid")
+    return _cost(traj.coeffs, controls.cells, traj.grid.dt, spec)
+
+
+def _cost(u: np.ndarray, cells: np.ndarray, dt: float, spec: CostSpec) -> float:
+    """cost_J on arrays: coefficients u (M+1, N) and cells (k, M, modes).
 
     The inner integral of the piecewise-constant controls accumulates
     exactly, in one reduction over all controls; the outer integral uses
     the trapezoid rule.
     """
-    if controls.grid != traj.grid:
-        raise DomainError("cost requires trajectory and controls on one grid")
-    dt, u, cells = traj.grid.dt, traj.coeffs, controls.cells
     state = (u * u).sum(axis=1)
     inner = np.zeros(len(u))
     inner[1:] = (cells * cells).sum(axis=(0, 2)).cumsum() * dt
@@ -130,21 +141,37 @@ def adjoint_gradient(cost: CostSpec, x: np.ndarray, traj: Trajectory,
                      workspace: _SweepWorkspace, solve_tol: float = 1e-9,
                      max_iter: int = MAX_ITER) -> np.ndarray:
     """Exact gradient of x -> J(u*(x), x) over cell values x of shape
-    (k, M, modes), given the workspace problem's solved state traj = u*(x).
+    (k, M, modes), given the workspace problem's solved state traj = u*(x),
+    through _adjoint_gradient.
 
     One adjoint solve gives the state term; every control sees the same
     state term because the controls enter only through their sum.  The
     control term is explicit: cell l is counted by the outer trapezoid at
     the M - 1 - l interior nodes after it and half the final node.
     """
-    dt, m = traj.grid.dt, traj.grid.step_count
+    coeffs = _trajectory_coeffs(workspace.spec, traj)
+    return _adjoint_gradient(_gradient_rows(cost, traj.grid), x, coeffs, workspace,
+                             solve_tol, max_iter)
+
+
+def _gradient_rows(cost: CostSpec, grid: TimeGrid) -> tuple:
+    """The weights adjoint_gradient scales by: 2 sw times the outer
+    trapezoid's node weights, (M+1, 1), and 2 cw dt^2 times each cell's
+    count of later nodes, (M, 1)."""
+    dt, m = grid.dt, grid.step_count
     trapezoid = np.full(m + 1, dt)
     trapezoid[0] = trapezoid[-1] = 0.5 * dt
-    weight = 2.0 * cost.state_weight * trapezoid[:, None] * traj.coeffs
-    grad_total = adjoint_solve(traj, weight, workspace, tol=solve_tol, max_iter=max_iter)
-    state = grad_total[:, :x.shape[2]]
     later = (m - 0.5 - np.arange(m))[:, None]
-    return state[None] + 2.0 * cost.control_weight * dt * dt * later * x
+    return (2.0 * cost.state_weight * trapezoid[:, None],
+            2.0 * cost.control_weight * dt * dt * later)
+
+
+def _adjoint_gradient(rows: tuple, x: np.ndarray, coeffs: np.ndarray,
+                      workspace: _SweepWorkspace, tol: float, max_iter: int) -> np.ndarray:
+    """adjoint_gradient on arrays, with its _gradient_rows."""
+    state_rows, control_rows = rows
+    grad_total = _adjoint(workspace, coeffs, state_rows * coeffs, tol, max_iter)
+    return grad_total[None, :, :x.shape[2]] + control_rows * x
 
 
 @dataclass
@@ -183,29 +210,38 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
     max_iter sweeps.  Returns (bundle, trajectory, DescentLog), the log's
     budget_exhausted marking a best-so-far return.  A failed exponent
     hypothesis raises picard_solve's RejectedInstanceError before any solve.
+
+    The problem, the workspace and init are checked once, as picard_solve
+    checks them; the descent then runs on the cells and the trajectory
+    coefficients, through the array cores of picard_solve, cost_J,
+    adjoint_gradient and project_admissible, and builds its two records
+    at return.  A trial point that is not finite raises the DomainError
+    of a bundle holding it.
     """
     defect = problem.exponent_defect()
     if defect:
         raise RejectedInstanceError(defect)
     workspace = _workspace(problem, None, workspace)
-    grid, radius = problem.grid, init.radius
+    _control_forcing(problem, init)  # refuses init as picard_solve would
+    grid, radius = init.grid, init.radius
+    dt, mode_count = grid.dt, problem.mode_count
+    rows = _gradient_rows(cost, grid)
     log = DescentLog()
 
-    def objective(bundle, warm=None, tol=solve_tol):
+    def objective(arr, warm=None, tol=solve_tol):
         try:
-            traj, _ = picard_solve(problem, controls=bundle, tol=tol,
-                                   max_iter=max_iter, initial=warm,
-                                   workspace=workspace)
+            coeffs, _ = _forward(workspace, _cell_forcing(arr, dt, mode_count),
+                                 workspace.initial() if warm is None else warm,
+                                 tol, max_iter)
         except NonConvergenceError as exc:
             raise OptimizationError(
                 f"inner solve diverged for a candidate bundle: {exc}") from exc
         log.inner_solves += 1
-        return cost_J(traj, bundle, cost), traj
+        return _cost(coeffs, arr, dt, cost), coeffs
 
-    def gradient(arr, traj):
+    def gradient(arr, coeffs):
         try:
-            grad = adjoint_gradient(cost, arr, traj, workspace,
-                                    solve_tol=solve_tol, max_iter=max_iter)
+            grad = _adjoint_gradient(rows, arr, coeffs, workspace, solve_tol, max_iter)
         except NonConvergenceError as exc:
             raise OptimizationError(
                 f"adjoint solve diverged for a candidate bundle: {exc}") from exc
@@ -213,20 +249,19 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
         return grad
 
     def project(arr):
-        return project_admissible(ControlBundle(arr, grid, radius))
+        return _project(_finite_cells(arr), dt, radius)
 
-    # the current point, as its one validated bundle and its cells
-    current = project_admissible(init)
-    x = current.cells
-    j_cur, traj_cur = objective(current)
+    # the current point: its cells, which are init's own while init is admissible
+    x = _project(init.cells, dt, radius)
+    j_cur, u_cur = objective(x)
     log.cost_values.append(j_cur)
     prev_x = prev_grad = checked = None
     step = 1.0
 
     for _ in range(budget):
-        grad = gradient(x, traj_cur)
-        checked = current, traj_cur, grad
-        mapped = x - project(x - grad).cells
+        grad = gradient(x, u_cur)
+        checked = x, u_cur, grad
+        mapped = x - project(x - grad)
         stationarity = float(np.linalg.norm(mapped))
         log.gradient_norms.append(stationarity)
         log.stationarity = stationarity
@@ -244,8 +279,8 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
         accepted = False
         while gamma > 1e-14:
             candidate = project(x - gamma * grad)
-            jn, traj_n = objective(candidate, warm=traj_cur)
-            decrease = _ARMIJO_SIGMA / gamma * float(((x - candidate.cells) ** 2).sum())
+            jn, u_n = objective(candidate, warm=u_cur)
+            decrease = _ARMIJO_SIGMA / gamma * float(((x - candidate) ** 2).sum())
             if jn <= j_cur - decrease:
                 accepted = True
                 break
@@ -254,8 +289,7 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
             # no admissible descent step left at this gradient resolution
             break
         prev_x, prev_grad = x, grad
-        current, j_cur, traj_cur = candidate, jn, traj_n
-        x = current.cells
+        x, j_cur, u_cur = candidate, jn, u_n
         log.cost_values.append(j_cur)
 
     else:
@@ -263,7 +297,15 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
 
     if checked is not None:
         log.gradient_check = _gradient_check(objective, *checked, fd_step, solve_tol)
-    return current, traj_cur, log
+    bundle = init if x is init.cells else ControlBundle(x, grid, radius)
+    return bundle, Trajectory(grid, u_cur), log
+
+
+def _finite_cells(arr: np.ndarray) -> np.ndarray:
+    """arr, or the DomainError of a ControlBundle holding a non-finite cell."""
+    if not np.isfinite(arr).all():
+        raise DomainError("control cells must be finite")
+    return arr
 
 
 # Forward-solve tolerance of the gradient check.  Near a stationary point
@@ -273,21 +315,19 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
 _CHECK_TOL = 1e-12
 
 
-def _gradient_check(objective, bundle, traj, grad, fd_step, solve_tol) -> dict:
+def _gradient_check(objective, x, warm, grad, fd_step, solve_tol) -> dict:
     """Central difference of J along the normalised gradient against the
-    adjoint directional derivative |grad|.  NaN where undefined: at
-    grad = 0, or when a check solve does not converge."""
+    adjoint directional derivative |grad|, at cells x with the solved
+    coefficients warm.  NaN where undefined: at grad = 0, or when a check
+    solve does not converge."""
     adjoint = float(np.linalg.norm(grad))
     finite_difference = residual = math.nan
     if adjoint > 0.0:
         direction = grad / adjoint
         tol = min(solve_tol, _CHECK_TOL)
-        x, grid, radius = bundle.cells, bundle.grid, bundle.radius
         try:
-            j_plus, _ = objective(ControlBundle(x + fd_step * direction, grid, radius),
-                                  warm=traj, tol=tol)
-            j_minus, _ = objective(ControlBundle(x - fd_step * direction, grid, radius),
-                                   warm=traj, tol=tol)
+            j_plus, _ = objective(_finite_cells(x + fd_step * direction), warm=warm, tol=tol)
+            j_minus, _ = objective(_finite_cells(x - fd_step * direction), warm=warm, tol=tol)
         except OptimizationError:
             pass
         else:

@@ -14,7 +14,7 @@ from sobfrac.errors import (DomainError, EvaluationError, NonConvergenceError,
                             RejectedInstanceError)
 from sobfrac.fracops import FracOrder, SampledFn, TimeGrid
 from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
-                                 ProblemSpec, SolveReport, Trajectory,
+                                 ProblemSpec, Trajectory,
                                  _SweepWorkspace, _control_forcing, _grid_static,
                                  _control_forcing_adjoint, _fixed_point,
                                  adjoint_solve, apply_P, eval_f, picard_solve)
@@ -276,7 +276,7 @@ class TestControlForcing:
         x = rng.standard_normal((k, m, 3))
         y = rng.standard_normal((m + 1, 8))
         lhs = float(np.sum(_control_forcing(spec, ControlBundle(x, spec.grid)) * y))
-        grad = _control_forcing_adjoint(spec, y)
+        grad = _control_forcing_adjoint(spec.grid.dt, y)
         assert grad.shape == (m, 8)
         rhs = float(np.sum(x * grad[None, :, :3]))
         assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
@@ -895,8 +895,8 @@ class TestManufacturedSolution:
         exact, _ = cls.exact(alpha, beta, ts)
         _, d1, p = collocation_maps(4)
         forcing = cls.C * ts[:, None] ** beta - (gain * np.sin(exact @ d1.T)) @ p.T
-        got = _fixed_point(lambda c: ws.sweep(c, forcing), ws.initial(), ws.residual,
-                           SolveReport(), "manufactured solve", 1e-13, MAX_ITER)
+        got, _ = _fixed_point(lambda c: ws.sweep(c, forcing), ws.initial(), ws.residual,
+                              "manufactured solve", 1e-13, MAX_ITER)
         return float(np.max(np.abs(got - exact)))
 
     @pytest.mark.parametrize("alpha", (0.3, 0.8))
@@ -944,7 +944,7 @@ def plain_picard(spec, cache, tol):
     ws = _SweepWorkspace(spec, cache.node_count)
     return _fixed_point(
         lambda c: apply_P(spec, cache, Trajectory(spec.grid, c)).coeffs,
-        ws.initial(), ws.residual, SolveReport(), "plain Picard", tol, MAX_ITER)
+        ws.initial(), ws.residual, "plain Picard", tol, MAX_ITER)[0]
 
 
 def p_residual(spec, cache, traj):

@@ -1,17 +1,22 @@
 """Admissible set, cost functional, and projected-gradient optimizer."""
 
 import dataclasses
+import importlib.util
 import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from sobfrac import optctrl
-from sobfrac.errors import DomainError, RejectedInstanceError
+from sobfrac import cli, optctrl
+from sobfrac.errors import (DomainError, NonConvergenceError, OptimizationError,
+                            RejectedInstanceError, SobfracError)
 from sobfrac.fracops import FracOrder, TimeGrid
-from sobfrac.mild_solver import (Nonlinearity, ProblemSpec, Trajectory,
-                                 _SweepWorkspace, eval_f, picard_solve)
+from sobfrac.mild_solver import (MAX_ITER, Nonlinearity, ProblemSpec, Trajectory,
+                                 _SweepWorkspace, _workspace, eval_f, picard_solve)
 from sobfrac.optctrl import (ControlBundle, CostSpec, adjoint_gradient,
                              admissibility_value, cost_J, hypothesis_check,
                              optimize_controls, project_admissible,
@@ -66,10 +71,14 @@ def cost_oracle(traj, controls, spec):
     """cost_J as it was: a cumulative sum per control, then np.trapezoid."""
     if controls.grid != traj.grid:
         raise DomainError("cost requires trajectory and controls on one grid")
-    dt = traj.grid.dt
-    state = np.sum(traj.coeffs ** 2, axis=1)
-    inner = np.zeros(traj.grid.step_count + 1)
-    for c in controls.cells:
+    return cost_oracle_arrays(traj.coeffs, controls.cells, traj.grid.dt, spec)
+
+
+def cost_oracle_arrays(u, cells, dt, spec):
+    """cost_oracle on the arrays optctrl._cost takes."""
+    state = np.sum(u ** 2, axis=1)
+    inner = np.zeros(len(u))
+    for c in cells:
         inner[1:] += np.cumsum(np.sum(c ** 2, axis=1)) * dt
     integrand = spec.state_weight * state + spec.control_weight * inner
     return float(np.trapezoid(integrand, dx=dt))
@@ -314,13 +323,21 @@ class TestLeanHelpers:
         # the acceptance problem from zero, and with the ball binding
         problem = reference_problem()
         init = zero_bundle(problem.grid, 2, 4, radius)
-        runs = []
-        # cost_J is the one helper the descent calls: project_admissible
-        # sums its cell weights itself
-        for cost in (cost_J, cost_oracle):
-            monkeypatch.setattr(optctrl, "cost_J", cost)
+        runs, calls = [], []
+
+        def counted(cost):
+            def call(*args):
+                calls.append(cost)
+                return cost(*args)
+            return call
+
+        # _cost is the one cost helper the descent calls, once per inner
+        # solve: _project sums its cell weights itself
+        for cost in (optctrl._cost, cost_oracle_arrays):
+            monkeypatch.setattr(optctrl, "_cost", counted(cost))
             runs.append(optimize_controls(problem, CostSpec(), init, budget=200))
         (bundle, traj, log), (bundle_ref, traj_ref, log_ref) = runs
+        assert calls.count(cost_oracle_arrays) == log_ref.inner_solves
         assert log == log_ref
         assert len(log.cost_values) > 2
         assert np.array_equal(bundle.cells, bundle_ref.cells)
@@ -610,3 +627,260 @@ class TestRandomBundles:
         for _ in range(50):
             bundle = random_admissible_bundle(grid, 2, 3, rng)
             assert admissibility_value(bundle) <= bundle.radius + 1e-10
+
+
+def reference_optimize(problem, cost, init, budget=60, grad_tol=1e-4, fd_step=1e-4,
+                       solve_tol=1e-9, workspace=None, max_iter=MAX_ITER):
+    """optimize_controls as it was, the slow reference of the array
+    descent: every trial point a checked ControlBundle, every solve a
+    picard_solve with its report and Trajectory, and every cost and
+    gradient through cost_J and adjoint_gradient."""
+    defect = problem.exponent_defect()
+    if defect:
+        raise RejectedInstanceError(defect)
+    workspace = _workspace(problem, None, workspace)
+    grid, radius = problem.grid, init.radius
+    log = optctrl.DescentLog()
+
+    def objective(bundle, warm=None, tol=solve_tol):
+        try:
+            traj, _ = picard_solve(problem, controls=bundle, tol=tol, max_iter=max_iter,
+                                   initial=warm, workspace=workspace)
+        except NonConvergenceError as exc:
+            raise OptimizationError(
+                f"inner solve diverged for a candidate bundle: {exc}") from exc
+        log.inner_solves += 1
+        return cost_J(traj, bundle, cost), traj
+
+    def gradient(arr, traj):
+        try:
+            grad = adjoint_gradient(cost, arr, traj, workspace, solve_tol=solve_tol,
+                                    max_iter=max_iter)
+        except NonConvergenceError as exc:
+            raise OptimizationError(
+                f"adjoint solve diverged for a candidate bundle: {exc}") from exc
+        log.adjoint_solves += 1
+        return grad
+
+    def project(arr):
+        return project_admissible(ControlBundle(arr, grid, radius))
+
+    current = project_admissible(init)
+    x = current.cells
+    j_cur, traj_cur = objective(current)
+    log.cost_values.append(j_cur)
+    prev_x = prev_grad = checked = None
+    step = 1.0
+    for _ in range(budget):
+        grad = gradient(x, traj_cur)
+        checked = current, traj_cur, grad
+        stationarity = float(np.linalg.norm(x - project(x - grad).cells))
+        log.gradient_norms.append(stationarity)
+        log.stationarity = stationarity
+        if stationarity <= grad_tol:
+            log.converged = True
+            break
+        if prev_grad is not None:
+            s = (x - prev_x).reshape(-1)
+            y = (grad - prev_grad).reshape(-1)
+            sy = float(s @ y)
+            if sy > 0.0:
+                step = float(s @ s) / sy
+        gamma = min(max(step, 1e-8), 1e8)
+        accepted = False
+        while gamma > 1e-14:
+            candidate = project(x - gamma * grad)
+            jn, traj_n = objective(candidate, warm=traj_cur)
+            decrease = optctrl._ARMIJO_SIGMA / gamma * float(((x - candidate.cells) ** 2).sum())
+            if jn <= j_cur - decrease:
+                accepted = True
+                break
+            gamma *= 0.5
+        if not accepted:
+            break
+        prev_x, prev_grad = x, grad
+        current, j_cur, traj_cur = candidate, jn, traj_n
+        x = current.cells
+        log.cost_values.append(j_cur)
+    else:
+        log.budget_exhausted = True
+
+    if checked is not None:
+        bundle, traj, grad = checked
+        adjoint = float(np.linalg.norm(grad))
+        finite_difference = residual = math.nan
+        if adjoint > 0.0:
+            direction = grad / adjoint
+            tol = min(solve_tol, optctrl._CHECK_TOL)
+            try:
+                j_plus, _ = objective(ControlBundle(x + fd_step * direction, grid, radius),
+                                      warm=traj, tol=tol)
+                j_minus, _ = objective(ControlBundle(x - fd_step * direction, grid, radius),
+                                       warm=traj, tol=tol)
+            except OptimizationError:
+                pass
+            else:
+                finite_difference = (j_plus - j_minus) / (2.0 * fd_step)
+                residual = abs(finite_difference - adjoint) / adjoint
+        log.gradient_check = {"fd_step": fd_step, "adjoint": adjoint,
+                              "finite_difference": finite_difference,
+                              "relative_residual": residual}
+    return current, traj_cur, log
+
+
+def readme_block(**edits):
+    """The README config block, each key=value edit replacing its one line."""
+    text = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    for key, value in edits.items():
+        text, count = re.subn(rf"(?m)^{key} = \S+", f"{key} = {value}", text)
+        assert count == 1, key
+    return text
+
+
+def perfbench_optimize_config(seed=1):
+    """The perfbench optimize_linear workload's config at seed, from
+    perfbench/workloads.py imported without writing bytecode there."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads_for_optctrl",
+                                                  PERFBENCH / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    written, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = written
+        del sys.modules[spec.name]
+    return next(module.WORKLOADS["optimize_linear"].configs(seed, "out", 1))
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# the descent's configs: f = 0 at the acceptance size, the README problem
+# at M = 128, whose adjoint runs through the slope of sin_grad:0.1, and
+# that problem with the ball binding, from a random start and at alpha = 1
+DESCENT_CASES = {
+    "perfbench-optimize": perfbench_optimize_config,
+    "readme-m128": lambda: readme_block(steps=128),
+    "readme-m128-radius-0.05": lambda: readme_block(steps=128, radius=0.05),
+    "readme-m128-random": lambda: readme_block(steps=128, init="random"),
+    "readme-m128-alpha-1": lambda: readme_block(steps=128, alpha="1.0"),
+}
+
+
+def descent_arguments(text):
+    """optimize_controls's arguments as `sobfrac optimize` builds them from
+    a config text, with a fresh workspace per call."""
+    config = cli.parse_config(text, "optimize")
+    problem = config.problem
+    k = problem.control_count
+    if config.init_kind == "zero":
+        init = zero_bundle(problem.grid, k, config.control_modes, config.radius)
+    else:
+        init = random_admissible_bundle(problem.grid, k, config.control_modes,
+                                        np.random.default_rng(config.seed), config.radius)
+    kwargs = dict(budget=config.budget, grad_tol=config.grad_tol, fd_step=config.fd_step,
+                  solve_tol=config.solver_tol, max_iter=config.solver_max_iter)
+    return problem, config.cost, init, kwargs, lambda: _SweepWorkspace(problem,
+                                                                       config.quad_nodes)
+
+
+class TestArrayDescent:
+    """optimize_controls, run on arrays, against reference_optimize."""
+
+    @pytest.mark.parametrize("case", sorted(DESCENT_CASES))
+    def test_matches_the_record_loop(self, case):
+        problem, cost, init, kwargs, workspace = descent_arguments(DESCENT_CASES[case]())
+        bundle, traj, log = optimize_controls(problem, cost, init, workspace=workspace(),
+                                              **kwargs)
+        bundle_ref, traj_ref, log_ref = reference_optimize(problem, cost, init,
+                                                           workspace=workspace(), **kwargs)
+        assert np.array_equal(bundle.cells, bundle_ref.cells)
+        assert np.array_equal(traj.coeffs, traj_ref.coeffs)
+        assert log == log_ref
+        assert bundle.grid == traj.grid == problem.grid and bundle.radius == init.radius
+        assert len(log.cost_values) > 2
+        assert math.isfinite(log.gradient_check["relative_residual"])
+        if case.endswith("radius-0.05"):
+            assert admissibility_value(bundle) == pytest.approx(0.05, rel=1e-12)
+
+    def test_an_admissible_start_that_never_moves_is_returned_itself(self):
+        # one gradient at an optimum already: the bundle returned is init
+        prob = reference_problem(m=16, controls=1)
+        init = zero_bundle(prob.grid, 1, 2)
+        got = optimize_controls(prob, CostSpec(), init, grad_tol=1e9)
+        want = reference_optimize(prob, CostSpec(), init, grad_tol=1e9)
+        assert got[0] is init and want[0] is init
+        assert got[2] == want[2] and got[2].converged
+
+    @staticmethod
+    def refusals(monkeypatch, problem, init, cost=CostSpec(), **kwargs):
+        """The exception type and message of the descent on (problem, init)
+        and the forward sweeps it ran before raising, the same for both
+        loops."""
+        sweeps = []
+        sweep = _SweepWorkspace.sweep
+        monkeypatch.setattr(_SweepWorkspace, "sweep",
+                            lambda self, *a: sweeps.append(1) or sweep(self, *a))
+        out = []
+        for descent in (optimize_controls, reference_optimize):
+            before = len(sweeps)
+            with pytest.raises(SobfracError) as err:
+                descent(problem, cost, init, **kwargs)
+            out.append((type(err.value), str(err.value), len(sweeps) - before))
+        assert out[0] == out[1]
+        return out[0]
+
+    def test_a_non_finite_trial_point(self, monkeypatch):
+        # both descents reach the gradient through _adjoint_gradient
+        real = optctrl._adjoint_gradient
+        monkeypatch.setattr(optctrl, "_adjoint_gradient",
+                            lambda *args: np.full_like(real(*args), np.inf))
+        prob = reference_problem(m=16, controls=1)
+        kind, message, _ = self.refusals(monkeypatch, prob, zero_bundle(prob.grid, 1, 2))
+        assert (kind, message) == (DomainError, "control cells must be finite")
+
+    def test_inner_solve_divergence(self, monkeypatch):
+        prob = reference_problem(m=32, nonlinearity=Nonlinearity(40.0))
+        kind, message, sweeps = self.refusals(monkeypatch, prob, zero_bundle(prob.grid, 2, 2))
+        assert sweeps == 80
+        assert kind is OptimizationError
+        assert message.startswith("inner solve diverged for a candidate bundle: "
+                                  "Picard iteration did not reach tol=1e-09 in 80 sweeps")
+
+    def test_adjoint_solve_divergence(self, monkeypatch):
+        # a large state weight scales the adjoint's source, so at 20 sweeps
+        # the forward solves converge and the first adjoint solve does not
+        prob = reference_problem(m=32, nonlinearity=Nonlinearity(5.0))
+        kind, message, _ = self.refusals(monkeypatch, prob, zero_bundle(prob.grid, 2, 2),
+                                         cost=CostSpec(1e6, 1.0), max_iter=20)
+        assert kind is OptimizationError
+        assert message.startswith("adjoint solve diverged for a candidate bundle: "
+                                  "adjoint iteration did not reach tol=1e-09 in 20 sweeps")
+
+    def test_exponent_defect_before_any_solve(self, monkeypatch):
+        bad = dataclasses.replace(reference_problem(m=16, controls=1),
+                                  order=FracOrder(0.8, q=0.25, p=1.1))
+        assert self.refusals(monkeypatch, bad, zero_bundle(bad.grid, 1, 2)) == (
+            RejectedInstanceError,
+            "p*alpha*(1-q) = 0.6600000000000001 must exceed 1 for controlled instances", 0)
+
+    def test_workspace_of_another_problem(self, monkeypatch):
+        prob = reference_problem(m=16, controls=1)
+        got = self.refusals(monkeypatch, prob, zero_bundle(prob.grid, 1, 2),
+                            workspace=_SweepWorkspace(dataclasses.replace(prob)))
+        assert got == (DomainError, "the workspace was built for another problem", 0)
+
+    @pytest.mark.parametrize("init, message", [
+        (lambda grid: zero_bundle(TimeGrid(2.0, 16), 1, 2),
+         "control grid does not match the problem grid"),
+        (lambda grid: zero_bundle(grid, 2, 2), "bundle supplies 2 controls, spec declares 1"),
+        (lambda grid: zero_bundle(grid, 1, 9), "control has 9 modes, the problem 8"),
+    ])
+    def test_init_refused_before_any_solve(self, monkeypatch, init, message):
+        prob = reference_problem(m=16, controls=1)
+        assert self.refusals(monkeypatch, prob, init(prob.grid)) == (DomainError, message, 0)
+
+    def test_sweep_budget_below_one(self, monkeypatch):
+        prob = reference_problem(m=16, controls=1)
+        assert self.refusals(monkeypatch, prob, zero_bundle(prob.grid, 1, 2), max_iter=0) == (
+            DomainError, "max_iter must be >= 1, got 0", 0)
