@@ -18,8 +18,8 @@ _HOMES = {name: module for module, names in {
     "mild_solver": ("Nonlinearity", "ProblemSpec", "SolveReport", "Trajectory",
                     "apply_P", "eval_f", "picard_solve"),
     "optctrl": ("ControlBundle", "CostSpec", "admissibility_value", "cost_J",
-                "hypothesis_check", "optimize_controls", "project_admissible",
-                "random_admissible_bundle", "zero_bundle"),
+                "hypothesis_check", "optimize_controls", "random_admissible_bundle",
+                "zero_bundle"),
     "solution_ops": ("SolutionOperatorCache",),
     "specfun": ("QuadratureRule", "mainardi_density", "mainardi_moment",
                 "mittag_leffler", "theta_quadrature"),

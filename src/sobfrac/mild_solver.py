@@ -111,6 +111,8 @@ class ProblemSpec:
         for c, t_eta in self.nonlocal_terms:
             if not c > 0.0:
                 raise DomainError(f"nonlocal weight must be positive, got {c}")
+            if not math.isfinite(c):
+                raise DomainError(f"nonlocal weight must be finite, got {c}")
             if not prev < t_eta < self.horizon:
                 raise DomainError(
                     f"nonlocal times must be increasing in (0, horizon), got {t_eta}")
@@ -482,32 +484,21 @@ def _forward(workspace: _SweepWorkspace, ctrl_forcing: np.ndarray, start: np.nda
                         constant=workspace.spec.nonlinearity.gain == 0.0)
 
 
-def adjoint_solve(traj: Trajectory, weight: np.ndarray, workspace: _SweepWorkspace,
-                  tol: float = 1e-8, max_iter: int = MAX_ITER) -> np.ndarray:
-    """Gradient of <weight, u> at the workspace problem's solution traj
-    with respect to the summed control cells (the per-cell sum of the
-    bundle's cells, zero-padded to N modes); shape (M, N).
+def _adjoint(workspace: _SweepWorkspace, coeffs: np.ndarray, weight: np.ndarray,
+             tol: float, max_iter: int) -> np.ndarray:
+    """Gradient of <weight, u>, for a finite (M+1, N) weight, at the
+    workspace problem's solved coefficients coeffs (M+1, N) with respect
+    to the summed control cells (the per-cell sum of the bundle's cells,
+    zero-padded to N modes); shape (M, N).
 
     The adjoint state solves lam = E^T (weight + J^T lam), where J is the
     linearised response and E the h elimination, with the fixed-point
-    loop, tolerance and sweep budget of picard_solve; like it, the loop
-    runs over f only (f = 0 takes one sweep) and contracts at the rate of
-    the forward f-loop.  Raises NonConvergenceError like picard_solve,
-    and DomainError for a trajectory _trajectory_coeffs refuses or a
-    weight that is not a finite (M+1, N) array, checked once here.  With
+    loop of picard_solve to tol in at most max_iter sweeps; like it, the
+    loop runs over f only (f = 0 takes one sweep), contracts at the rate
+    of the forward f-loop and raises NonConvergenceError.  With
     f = 0 and no controls declared it is the gradient of the problem's
     twin that declares one control.
     """
-    spec = workspace.spec
-    coeffs = _trajectory_coeffs(spec, traj)
-    weight = frozen_array(weight, (spec.step_count + 1, spec.mode_count), "weight")
-    return _adjoint(workspace, coeffs, weight, tol, max_iter)
-
-
-def _adjoint(workspace: _SweepWorkspace, coeffs: np.ndarray, weight: np.ndarray,
-             tol: float, max_iter: int) -> np.ndarray:
-    """adjoint_solve on arrays: the solved coefficients and a finite
-    (M+1, N) weight."""
     slope = workspace.slope(coeffs)
     lam, _ = _fixed_point(lambda lam: workspace.adjoint_sweep(lam, weight, slope),
                           weight, workspace.residual, "adjoint iteration",

@@ -20,8 +20,7 @@ from .errors import (DomainError, NonConvergenceError, OptimizationError,
                      RejectedInstanceError, frozen_array)
 from .fracops import TimeGrid
 from .mild_solver import (MAX_ITER, ProblemSpec, Trajectory, _adjoint, _cell_forcing,
-                          _control_forcing, _forward, _SweepWorkspace,
-                          _trajectory_coeffs, _workspace)
+                          _control_forcing, _forward, _SweepWorkspace, _workspace)
 
 # sufficient-decrease constant of the Armijo test
 _ARMIJO_SIGMA = 1e-4
@@ -73,16 +72,9 @@ def admissibility_value(bundle: ControlBundle) -> float:
     return float(_cell_weights(bundle.cells, bundle.grid.dt).sum())
 
 
-def project_admissible(bundle: ControlBundle) -> ControlBundle:
-    """The Euclidean projection onto {y : sum_j sum_c dt ||y_jc|| <= radius},
-    through _project; an admissible bundle is returned itself."""
-    cells = _project(bundle.cells, bundle.grid.dt, bundle.radius)
-    return bundle if cells is bundle.cells else ControlBundle(cells, bundle.grid,
-                                                              bundle.radius)
-
-
 def _project(cells: np.ndarray, dt: float, radius: float) -> np.ndarray:
-    """project_admissible on arrays: cells itself when admissible.
+    """The Euclidean projection of cells (k, M, modes) onto the ball
+    {y : sum_j sum_c dt ||y_jc|| <= radius}: cells itself when admissible.
 
     With a_c = dt ||x_c|| per cell, every a_c is soft-thresholded by one
     theta >= 0 with sum_c max(0, a_c - theta) = radius, found from a sort
@@ -108,6 +100,8 @@ class CostSpec:
     control_weight: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.state_weight) and math.isfinite(self.control_weight)):
+            raise DomainError("cost weights must be finite")
         if self.state_weight < 0.0 or self.control_weight < 0.0:
             raise DomainError("cost weights must be nonnegative")
         if self.state_weight == 0.0 and self.control_weight == 0.0:
@@ -137,25 +131,8 @@ def _cost(u: np.ndarray, cells: np.ndarray, dt: float, spec: CostSpec) -> float:
     return float((dt * (y[1:] + y[:-1]) / 2.0).sum())
 
 
-def adjoint_gradient(cost: CostSpec, x: np.ndarray, traj: Trajectory,
-                     workspace: _SweepWorkspace, solve_tol: float = 1e-9,
-                     max_iter: int = MAX_ITER) -> np.ndarray:
-    """Exact gradient of x -> J(u*(x), x) over cell values x of shape
-    (k, M, modes), given the workspace problem's solved state traj = u*(x),
-    through _adjoint_gradient.
-
-    One adjoint solve gives the state term; every control sees the same
-    state term because the controls enter only through their sum.  The
-    control term is explicit: cell l is counted by the outer trapezoid at
-    the M - 1 - l interior nodes after it and half the final node.
-    """
-    coeffs = _trajectory_coeffs(workspace.spec, traj)
-    return _adjoint_gradient(_gradient_rows(cost, traj.grid), x, coeffs, workspace,
-                             solve_tol, max_iter)
-
-
 def _gradient_rows(cost: CostSpec, grid: TimeGrid) -> tuple:
-    """The weights adjoint_gradient scales by: 2 sw times the outer
+    """The weights _adjoint_gradient scales by: 2 sw times the outer
     trapezoid's node weights, (M+1, 1), and 2 cw dt^2 times each cell's
     count of later nodes, (M, 1)."""
     dt, m = grid.dt, grid.step_count
@@ -168,7 +145,15 @@ def _gradient_rows(cost: CostSpec, grid: TimeGrid) -> tuple:
 
 def _adjoint_gradient(rows: tuple, x: np.ndarray, coeffs: np.ndarray,
                       workspace: _SweepWorkspace, tol: float, max_iter: int) -> np.ndarray:
-    """adjoint_gradient on arrays, with its _gradient_rows."""
+    """Exact gradient of x -> J(u*(x), x) over cell values x of shape
+    (k, M, modes), given the workspace problem's solved coefficients
+    coeffs = u*(x) and cost's _gradient_rows.
+
+    One adjoint solve gives the state term; every control sees the same
+    state term because the controls enter only through their sum.  The
+    control term is explicit: cell l is counted by the outer trapezoid at
+    the M - 1 - l interior nodes after it and half the final node.
+    """
     state_rows, control_rows = rows
     grad_total = _adjoint(workspace, coeffs, state_rows * coeffs, tol, max_iter)
     return grad_total[None, :, :x.shape[2]] + control_rows * x
@@ -200,7 +185,7 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
                       max_iter: int = MAX_ITER):
     """Projected-gradient descent on the control coefficients.
 
-    Gradients come from adjoint_gradient (one adjoint solve each).  Each
+    Gradients come from _adjoint_gradient (one adjoint solve each).  Each
     iteration takes a Barzilai-Borwein trial step, halves it under the
     Armijo test, and projects back onto the admissible ball, so accepted
     cost values never increase.  After the descent, one central
@@ -213,9 +198,9 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
 
     The problem, the workspace and init are checked once, as picard_solve
     checks them; the descent then runs on the cells and the trajectory
-    coefficients, through the array cores of picard_solve, cost_J,
-    adjoint_gradient and project_admissible, and builds its two records
-    at return.  A trial point that is not finite raises the DomainError
+    coefficients, through the array cores of picard_solve and cost_J, the
+    gradient _adjoint_gradient and the projection _project, and builds
+    its two records at return.  A trial point that is not finite raises the DomainError
     of a bundle holding it.
     """
     defect = problem.exponent_defect()

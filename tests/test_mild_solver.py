@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -15,10 +16,10 @@ from sobfrac.errors import (DomainError, EvaluationError, NonConvergenceError,
 from sobfrac.fracops import FracOrder, SampledFn, TimeGrid
 from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
                                  ProblemSpec, Trajectory,
-                                 _SweepWorkspace, _control_forcing, _grid_static,
+                                 _SweepWorkspace, _adjoint, _control_forcing, _grid_static,
                                  _control_forcing_adjoint, _fixed_point,
-                                 adjoint_solve, apply_P, eval_f, picard_solve)
-from sobfrac.optctrl import ControlBundle, CostSpec, adjoint_gradient
+                                 apply_P, eval_f, picard_solve)
+from sobfrac.optctrl import ControlBundle, CostSpec, _adjoint_gradient, _gradient_rows
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import gamma, mittag_leffler
 from sobfrac.spectral import (apply_Bi, collocation_maps, data_smoothing_symbol,
@@ -550,7 +551,8 @@ class TestScratchBuffers:
         for ws in (_SweepWorkspace(spec), AllocatingWorkspace(spec)):
             traj, _ = picard_solve(spec, controls=controls, workspace=ws)
             grads.append((traj.coeffs,
-                          adjoint_gradient(CostSpec(), controls.cells, traj, ws)))
+                          _adjoint_gradient(_gradient_rows(CostSpec(), spec.grid),
+                                            controls.cells, traj.coeffs, ws, 1e-9, MAX_ITER)))
         for got, want in zip(*grads):
             assert_same_bits(got, want)
 
@@ -703,7 +705,7 @@ class TestPicardSolve:
         ws = _SweepWorkspace(spec, cache16.node_count)
         traj, _ = picard_solve(spec, workspace=ws)
         with pytest.raises(DomainError, match="max_iter"):
-            adjoint_solve(traj, traj.coeffs, ws, max_iter=max_iter)
+            _adjoint(ws, traj.coeffs, traj.coeffs, 1e-8, max_iter)
 
     def test_adjoint_of_an_unforced_problem_is_its_twins(self):
         # f = 0 and no controls: the gradient is the one of the twin problem
@@ -713,7 +715,7 @@ class TestPicardSolve:
         for problem in (spec, dataclasses.replace(spec, control_count=1)):
             ws = _SweepWorkspace(problem)
             traj, _ = picard_solve(problem, workspace=ws)
-            grads.append(adjoint_solve(traj, traj.coeffs, ws))
+            grads.append(_adjoint(ws, traj.coeffs, traj.coeffs, 1e-8, MAX_ITER))
         assert grads[0].shape == (32, 8)
         assert_same_bits(*grads)
 
@@ -728,41 +730,21 @@ class TestPicardSolve:
         assert_same_bits(ws.sweep(ws.initial(), np.zeros((9, 4))),
                          picard_solve(spec, workspace=ws)[0].coeffs)
 
-    @pytest.mark.parametrize("entry", ("apply_P", "picard_solve", "adjoint_solve"))
+    @pytest.mark.parametrize("entry", ("apply_P", "picard_solve"))
     def test_trajectory_off_the_problem_refused(self, entry):
         # every entry point that reads a trajectory refuses one on another
         # grid, of another horizon at the same shape, or of other modes,
         # before numpy sees it
         spec = make_spec(n=4, m=16, nonlocal_terms=((0.3, 0.5),),
                          nonlinearity=Nonlinearity(0.1))
-        ws = _SweepWorkspace(spec)
-        solved, _ = picard_solve(spec, workspace=ws)
+        solved, _ = picard_solve(spec)
         call = {"apply_P": lambda traj: apply_P(spec, None, traj),
-                "picard_solve": lambda traj: picard_solve(spec, initial=traj),
-                "adjoint_solve": lambda traj: adjoint_solve(traj, solved.coeffs, ws)}[entry]
+                "picard_solve": lambda traj: picard_solve(spec, initial=traj)}[entry]
         for grid, modes in ((TimeGrid(1.0, 8), 4), (TimeGrid(2.0, 16), 4), (spec.grid, 3)):
             with pytest.raises(DomainError, match="^trajectory does not match the "
                                                   "problem's grid and modes$"):
                 call(Trajectory(grid, np.zeros((grid.step_count + 1, modes))))
         call(solved)
-
-    @pytest.mark.parametrize("case", ("rows", "modes", "nan"))
-    def test_weight_off_the_problem_refused(self, case):
-        # adjoint_solve checks its weight once, at entry, and names it,
-        # rather than numpy failing in the loop or a NaN being blamed on
-        # the trajectory
-        spec = make_spec(n=4, m=16, nonlocal_terms=((0.3, 0.5),),
-                         nonlinearity=Nonlinearity(0.1))
-        ws = _SweepWorkspace(spec)
-        solved, _ = picard_solve(spec, workspace=ws)
-        weight, message = {
-            "rows": (solved.coeffs[:9], r"have shape \(17, 4\), got \(9, 4\)"),
-            "modes": (solved.coeffs[:, :3], r"have shape \(17, 4\), got \(17, 3\)"),
-            "nan": (np.where(np.arange(17)[:, None] == 0, math.nan, solved.coeffs),
-                    "be finite"),
-        }[case]
-        with pytest.raises(DomainError, match=f"^weight must {message}$"):
-            adjoint_solve(solved, weight, ws)
 
     def test_exponent_precondition(self):
         with pytest.raises(RejectedInstanceError):
@@ -1172,6 +1154,17 @@ class TestProblemSpecValidation:
             make_spec(nonlocal_terms=((-0.3, 0.5),))
         with pytest.raises(DomainError):
             make_spec(nonlocal_terms=((0.3, 1.5),))
+
+    def test_nonlocal_weight_finite(self):
+        # an infinite weight is refused when built, not blamed on the
+        # trajectory at the first solve; a weight that is not positive
+        # keeps its own message
+        with pytest.raises(DomainError, match="^nonlocal weight must be finite, got inf$"):
+            make_spec(nonlocal_terms=((math.inf, 0.5),))
+        for c in (0.0, -1.0, -math.inf, math.nan):
+            with pytest.raises(DomainError,
+                               match=f"^nonlocal weight must be positive, got {re.escape(str(c))}$"):
+                make_spec(nonlocal_terms=((c, 0.5),))
 
     @pytest.mark.parametrize("horizon, steps", [(-1.0, 1), (-1.0, 8), (0.0, 8), (math.nan, 8),
                                                 (math.inf, 8), (1.0, 1), (1.0, 0)])

@@ -11,16 +11,15 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from sobfrac import cli, optctrl
+from sobfrac import cli, mild_solver, optctrl
 from sobfrac.errors import (DomainError, NonConvergenceError, OptimizationError,
                             RejectedInstanceError, SobfracError)
 from sobfrac.fracops import FracOrder, TimeGrid
 from sobfrac.mild_solver import (MAX_ITER, Nonlinearity, ProblemSpec, Trajectory,
-                                 _SweepWorkspace, _workspace, eval_f, picard_solve)
-from sobfrac.optctrl import (ControlBundle, CostSpec, adjoint_gradient,
-                             admissibility_value, cost_J, hypothesis_check,
-                             optimize_controls, project_admissible,
-                             random_admissible_bundle, zero_bundle)
+                                 _adjoint, _SweepWorkspace, _workspace, eval_f, picard_solve)
+from sobfrac.optctrl import (ControlBundle, CostSpec, _adjoint_gradient, _gradient_rows,
+                             _project, admissibility_value, cost_J, hypothesis_check,
+                             optimize_controls, random_admissible_bundle, zero_bundle)
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.spectral import collocation_maps, norm_q, q_weights
 
@@ -176,20 +175,25 @@ class TestCost:
         with pytest.raises(DomainError):
             CostSpec(-1.0, 1.0)
 
+    def test_weights_must_be_finite(self):
+        # refused when built, not blamed on the trajectory at the first adjoint
+        for weights in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(DomainError, match="^cost weights must be finite$"):
+                CostSpec(*weights)
+
 
 class TestAdmissibility:
     def test_admissible_returned_unchanged(self, grid):
         x = np.zeros((1, 64, 4))
         x[0, :, 0] = 0.5
-        bundle = ControlBundle(x, grid)
-        assert project_admissible(bundle) is bundle
+        assert _project(x, grid.dt, 1.0) is x
 
     def test_violating_bundle_rescaled(self, grid):
         x = np.zeros((1, 64, 4))
         x[0, :, 0] = 2.0
         bundle = ControlBundle(x, grid)
         assert abs(admissibility_value(bundle) - 2.0) <= 1e-12
-        projected = project_admissible(bundle)
+        projected = ControlBundle(_project(x, grid.dt, 1.0), grid)
         assert abs(admissibility_value(projected) - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(5))
@@ -199,7 +203,7 @@ class TestAdmissibility:
         # dropped one has a_c <= theta, and y lies on the sphere
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((2, 64, 3)) * rng.uniform(0.5, 4.0, (2, 64, 1))
-        projected = project_admissible(ControlBundle(x, grid, 0.3))
+        projected = ControlBundle(_project(x, grid.dt, 0.3), grid, 0.3)
         y = projected.cells
         a = grid.dt * np.linalg.norm(x, axis=2)
         b = grid.dt * np.linalg.norm(y, axis=2)
@@ -217,7 +221,7 @@ class TestAdmissibility:
         grid = TimeGrid(1.0, 3)
         x = np.random.default_rng(1).standard_normal((2, 3, 2))
         bundle = ControlBundle(x, grid, 0.5)
-        y = project_admissible(bundle).cells
+        y = _project(x, grid.dt, 0.5)
         start = bundle.scaled(0.5 / admissibility_value(bundle)).cells
 
         def constraint_jacobian(v):
@@ -240,10 +244,9 @@ class TestAdmissibility:
 
     def test_idempotent(self, grid):
         rng = np.random.default_rng(2)
-        bundle = ControlBundle(rng.standard_normal((2, 64, 3)), grid)
-        once = project_admissible(bundle)
-        twice = project_admissible(once)
-        assert np.max(np.abs(once.cells - twice.cells)) <= 1e-12
+        once = _project(rng.standard_normal((2, 64, 3)), grid.dt, 1.0)
+        twice = _project(once, grid.dt, 1.0)
+        assert np.max(np.abs(once - twice)) <= 1e-12
 
     def test_node_view(self, grid):
         rng = np.random.default_rng(3)
@@ -285,9 +288,9 @@ class TestLeanHelpers:
             cells[rng.random(shape[:2]) < 0.2] = 0.0
             bundle = ControlBundle(cells, grid, float(rng.uniform(0.1, 2.0)))
             yield grid, bundle
-            projected = project_admissible(bundle)
-            if projected is not bundle:
-                yield grid, projected
+            projected = _project(bundle.cells, grid.dt, bundle.radius)
+            if projected is not bundle.cells:
+                yield grid, ControlBundle(projected, grid, bundle.radius)
         yield grid, zero_bundle(grid, 3, 8)
 
     def test_admissibility_value_matches_the_loop(self):
@@ -604,8 +607,8 @@ class TestAdjointGradient:
                                               np.random.default_rng(11))
         x = bundle.cells
         traj, _ = picard_solve(problem, cache=cache, controls=bundle, tol=1e-12)
-        got = adjoint_gradient(CostSpec(), x, traj, _SweepWorkspace(problem),
-                               solve_tol=1e-12)
+        got = _adjoint_gradient(_gradient_rows(CostSpec(), grid), x, traj.coeffs,
+                                _SweepWorkspace(problem), 1e-12, MAX_ITER)
         want = fd_gradient(problem, CostSpec(), x, cache)
         assert np.linalg.norm(want) > 0.0
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
@@ -633,13 +636,19 @@ def reference_optimize(problem, cost, init, budget=60, grad_tol=1e-4, fd_step=1e
                        solve_tol=1e-9, workspace=None, max_iter=MAX_ITER):
     """optimize_controls as it was, the slow reference of the array
     descent: every trial point a checked ControlBundle, every solve a
-    picard_solve with its report and Trajectory, and every cost and
-    gradient through cost_J and adjoint_gradient."""
+    picard_solve with its report and Trajectory, and every cost through
+    cost_J.  The gradient rows are its own, in the descent's operation
+    order, so a reordering of _gradient_rows' factors shows on a grid
+    whose step is not dyadic."""
     defect = problem.exponent_defect()
     if defect:
         raise RejectedInstanceError(defect)
     workspace = _workspace(problem, None, workspace)
     grid, radius = problem.grid, init.radius
+    dt, m = grid.dt, grid.step_count
+    trapezoid = np.full(m + 1, dt)
+    trapezoid[0] = trapezoid[-1] = 0.5 * dt
+    later = (m - 0.5 - np.arange(m))[:, None]
     log = optctrl.DescentLog()
 
     def objective(bundle, warm=None, tol=solve_tol):
@@ -653,19 +662,20 @@ def reference_optimize(problem, cost, init, budget=60, grad_tol=1e-4, fd_step=1e
         return cost_J(traj, bundle, cost), traj
 
     def gradient(arr, traj):
+        weight = 2.0 * cost.state_weight * trapezoid[:, None] * traj.coeffs
         try:
-            grad = adjoint_gradient(cost, arr, traj, workspace, solve_tol=solve_tol,
-                                    max_iter=max_iter)
+            state = _adjoint(workspace, traj.coeffs, weight, solve_tol, max_iter)
         except NonConvergenceError as exc:
             raise OptimizationError(
                 f"adjoint solve diverged for a candidate bundle: {exc}") from exc
         log.adjoint_solves += 1
-        return grad
+        return state[None, :, :arr.shape[2]] + 2.0 * cost.control_weight * dt * dt * later * arr
 
-    def project(arr):
-        return project_admissible(ControlBundle(arr, grid, radius))
+    def project(bundle):
+        cells = _project(bundle.cells, dt, radius)
+        return bundle if cells is bundle.cells else ControlBundle(cells, grid, radius)
 
-    current = project_admissible(init)
+    current = project(init)
     x = current.cells
     j_cur, traj_cur = objective(current)
     log.cost_values.append(j_cur)
@@ -674,7 +684,8 @@ def reference_optimize(problem, cost, init, budget=60, grad_tol=1e-4, fd_step=1e
     for _ in range(budget):
         grad = gradient(x, traj_cur)
         checked = current, traj_cur, grad
-        stationarity = float(np.linalg.norm(x - project(x - grad).cells))
+        stationarity = float(np.linalg.norm(
+            x - project(ControlBundle(x - grad, grid, radius)).cells))
         log.gradient_norms.append(stationarity)
         log.stationarity = stationarity
         if stationarity <= grad_tol:
@@ -689,7 +700,7 @@ def reference_optimize(problem, cost, init, budget=60, grad_tol=1e-4, fd_step=1e
         gamma = min(max(step, 1e-8), 1e8)
         accepted = False
         while gamma > 1e-14:
-            candidate = project(x - gamma * grad)
+            candidate = project(ControlBundle(x - gamma * grad, grid, radius))
             jn, traj_n = objective(candidate, warm=traj_cur)
             decrease = optctrl._ARMIJO_SIGMA / gamma * float(((x - candidate.cells) ** 2).sum())
             if jn <= j_cur - decrease:
@@ -757,13 +768,16 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # the descent's configs: f = 0 at the acceptance size, the README problem
 # at M = 128, whose adjoint runs through the slope of sin_grad:0.1, and
-# that problem with the ball binding, from a random start and at alpha = 1
+# that problem with the ball binding, from a random start and at alpha = 1;
+# and at M = 96 with control_weight 0.3, where dt is not dyadic and cw not
+# a power of two, so the order of the control term's factors shows
 DESCENT_CASES = {
     "perfbench-optimize": perfbench_optimize_config,
     "readme-m128": lambda: readme_block(steps=128),
     "readme-m128-radius-0.05": lambda: readme_block(steps=128, radius=0.05),
     "readme-m128-random": lambda: readme_block(steps=128, init="random"),
     "readme-m128-alpha-1": lambda: readme_block(steps=128, alpha="1.0"),
+    "readme-m96-cw-0.3": lambda: readme_block(steps=96, control_weight=0.3),
 }
 
 
@@ -831,9 +845,10 @@ class TestArrayDescent:
         return out[0]
 
     def test_a_non_finite_trial_point(self, monkeypatch):
-        # both descents reach the gradient through _adjoint_gradient
-        real = optctrl._adjoint_gradient
-        monkeypatch.setattr(optctrl, "_adjoint_gradient",
+        # both descents reach the adjoint's state term through
+        # mild_solver._control_forcing_adjoint
+        real = mild_solver._control_forcing_adjoint
+        monkeypatch.setattr(mild_solver, "_control_forcing_adjoint",
                             lambda *args: np.full_like(real(*args), np.inf))
         prob = reference_problem(m=16, controls=1)
         kind, message, _ = self.refusals(monkeypatch, prob, zero_bundle(prob.grid, 1, 2))
