@@ -440,10 +440,9 @@ def apply_P(spec: ProblemSpec, cache: SolutionOperatorCache, u_traj: Trajectory,
 
 def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
                  controls=None, tol: float = 1e-8, max_iter: int = MAX_ITER,
-                 initial: Trajectory | None = None,
                  workspace: "_SweepWorkspace | None" = None) -> tuple[Trajectory, SolveReport]:
-    """Iterate the sweep (the solution map with h eliminated) to a fixed
-    point in the sup q-norm.  Only f feeds back, so an instance with
+    """Iterate the sweep (the solution map with h eliminated) from the data
+    term to a fixed point in the sup q-norm.  Only f feeds back, so an instance with
     f = 0 is exact after one sweep and stops there, with a recorded step
     of exactly 0; the report's contraction_ratio measures the f-loop
     alone, and nonlocal_denominator_min is the smallest d_n (1.0 without
@@ -452,7 +451,7 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
 
     Raises RejectedInstanceError with spec.exponent_defect() when the
     exponent hypothesis fails, DomainError for a bundle _control_forcing
-    or _trajectory_coeffs refuses, and NonConvergenceError (with the
+    refuses or a tol that is NaN or negative, and NonConvergenceError (with the
     residual history) when the budget runs out, rather than returning a
     best-effort trajectory.
     """
@@ -461,10 +460,7 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
         raise RejectedInstanceError(defect)
     ctrl_forcing = _control_forcing(spec, controls)
     workspace = _workspace(spec, cache, workspace)
-    current, history = _forward(
-        workspace, ctrl_forcing,
-        workspace.initial() if initial is None else _trajectory_coeffs(spec, initial),
-        tol, max_iter)
+    current, history = _forward(workspace, ctrl_forcing, tol, max_iter)
     # the last step over the one before it, 0.0 after one sweep or an exact step
     ratio = history[-1] / history[-2] if len(history) >= 2 and history[-2] > 0.0 else 0.0
     report = SolveReport(iterations=len(history), residual_history=history, converged=True,
@@ -474,12 +470,12 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
     return Trajectory(spec.grid, current), report
 
 
-def _forward(workspace: _SweepWorkspace, ctrl_forcing: np.ndarray, start: np.ndarray,
+def _forward(workspace: _SweepWorkspace, ctrl_forcing: np.ndarray,
              tol: float, max_iter: int) -> tuple[np.ndarray, list]:
     """picard_solve on arrays: the fixed point of the workspace problem's
-    sweep under ctrl_forcing from the coefficients start, and the
-    residual history."""
-    return _fixed_point(lambda c: workspace.sweep(c, ctrl_forcing), start,
+    sweep under ctrl_forcing from the data term workspace.initial(), and
+    the residual history."""
+    return _fixed_point(lambda c: workspace.sweep(c, ctrl_forcing), workspace.initial(),
                         workspace.residual, "Picard iteration", tol, max_iter,
                         constant=workspace.spec.nonlinearity.gain == 0.0)
 
@@ -528,9 +524,12 @@ def _fixed_point(sweep, current, distance, what, tol, max_iter, constant=False):
     fixed point and the residual history, or raises NonConvergenceError
     with that history.  A constant sweep (one that ignores its input, as
     with f = 0) is at its fixed point after one call: the next step would
-    be exactly 0, so that step is recorded without running it."""
+    be exactly 0, so that step is recorded without running it.  A tol
+    that is NaN or negative, or max_iter < 1, is refused before any sweep."""
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol >= 0.0:
+        raise DomainError(f"tol must be >= 0, got {tol}")
     history = []
     for _ in range(max_iter):
         new = sweep(current)

@@ -192,9 +192,13 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
     difference of step fd_step along the last gradient (two solves)
     checks it.  Every forward and adjoint solve runs in workspace (one
     built for problem, else DomainError; None builds one) and stops after
-    max_iter sweeps.  Returns (bundle, trajectory, DescentLog), the log's
-    budget_exhausted marking a best-so-far return.  A failed exponent
-    hypothesis raises picard_solve's RejectedInstanceError before any solve.
+    max_iter sweeps, and every forward solve starts from the data term, so
+    each cost is a function of the cells alone.  Returns (bundle,
+    trajectory, DescentLog), the log's budget_exhausted marking a
+    best-so-far return.  Before any solve, budget < 1, a NaN or negative
+    grad_tol, or an fd_step that is not positive and finite raises
+    DomainError, and a failed exponent hypothesis raises picard_solve's
+    RejectedInstanceError.
 
     The problem, the workspace and init are checked once, as picard_solve
     checks them; the descent then runs on the cells and the trajectory
@@ -203,6 +207,12 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
     its two records at return.  A trial point that is not finite raises the DomainError
     of a bundle holding it.
     """
+    if budget < 1:
+        raise DomainError(f"budget must be >= 1, got {budget}")
+    if not grad_tol >= 0.0:
+        raise DomainError(f"grad_tol must be >= 0, got {grad_tol}")
+    if not (math.isfinite(fd_step) and fd_step > 0.0):
+        raise DomainError(f"fd_step must be positive and finite, got {fd_step}")
     defect = problem.exponent_defect()
     if defect:
         raise RejectedInstanceError(defect)
@@ -213,11 +223,9 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
     rows = _gradient_rows(cost, grid)
     log = DescentLog()
 
-    def objective(arr, warm=None, tol=solve_tol):
+    def objective(arr, tol=solve_tol):
         try:
-            coeffs, _ = _forward(workspace, _cell_forcing(arr, dt, mode_count),
-                                 workspace.initial() if warm is None else warm,
-                                 tol, max_iter)
+            coeffs, _ = _forward(workspace, _cell_forcing(arr, dt, mode_count), tol, max_iter)
         except NonConvergenceError as exc:
             raise OptimizationError(
                 f"inner solve diverged for a candidate bundle: {exc}") from exc
@@ -245,7 +253,7 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
 
     for _ in range(budget):
         grad = gradient(x, u_cur)
-        checked = x, u_cur, grad
+        checked = x, grad
         mapped = x - project(x - grad)
         stationarity = float(np.linalg.norm(mapped))
         log.gradient_norms.append(stationarity)
@@ -264,7 +272,7 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
         accepted = False
         while gamma > 1e-14:
             candidate = project(x - gamma * grad)
-            jn, u_n = objective(candidate, warm=u_cur)
+            jn, u_n = objective(candidate)
             decrease = _ARMIJO_SIGMA / gamma * float(((x - candidate) ** 2).sum())
             if jn <= j_cur - decrease:
                 accepted = True
@@ -300,19 +308,18 @@ def _finite_cells(arr: np.ndarray) -> np.ndarray:
 _CHECK_TOL = 1e-12
 
 
-def _gradient_check(objective, x, warm, grad, fd_step, solve_tol) -> dict:
+def _gradient_check(objective, x, grad, fd_step, solve_tol) -> dict:
     """Central difference of J along the normalised gradient against the
-    adjoint directional derivative |grad|, at cells x with the solved
-    coefficients warm.  NaN where undefined: at grad = 0, or when a check
-    solve does not converge."""
+    adjoint directional derivative |grad|, at cells x.  NaN where
+    undefined: at grad = 0, or when a check solve does not converge."""
     adjoint = float(np.linalg.norm(grad))
     finite_difference = residual = math.nan
     if adjoint > 0.0:
         direction = grad / adjoint
         tol = min(solve_tol, _CHECK_TOL)
         try:
-            j_plus, _ = objective(_finite_cells(x + fd_step * direction), warm=warm, tol=tol)
-            j_minus, _ = objective(_finite_cells(x - fd_step * direction), warm=warm, tol=tol)
+            j_plus, _ = objective(_finite_cells(x + fd_step * direction), tol=tol)
+            j_minus, _ = objective(_finite_cells(x - fd_step * direction), tol=tol)
         except OptimizationError:
             pass
         else:

@@ -19,7 +19,8 @@ from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
                                  _SweepWorkspace, _adjoint, _control_forcing, _grid_static,
                                  _control_forcing_adjoint, _fixed_point,
                                  apply_P, eval_f, picard_solve)
-from sobfrac.optctrl import ControlBundle, CostSpec, _adjoint_gradient, _gradient_rows
+from sobfrac.optctrl import (ControlBundle, CostSpec, _adjoint_gradient, _gradient_rows,
+                             optimize_controls, zero_bundle)
 from sobfrac.solution_ops import SolutionOperatorCache
 from sobfrac.specfun import gamma, mittag_leffler
 from sobfrac.spectral import (apply_Bi, collocation_maps, data_smoothing_symbol,
@@ -679,12 +680,16 @@ class TestPicardSolve:
         assert abs(k1 / (d2 / (delta / 2.0)) - 1.0) <= 0.1
 
     def test_uniqueness_under_different_starts(self, cache16):
+        # the solve starts from the data term; the sweep's fixed-point loop
+        # from zero reaches the same fixed point
         spec = make_spec(nonlocal_terms=((0.3, 0.5),),
                          nonlinearity=Nonlinearity(0.1))
-        t1, _ = picard_solve(spec, cache=cache16, tol=1e-10)
-        zero = Trajectory(spec.grid, np.zeros((spec.step_count + 1, 16)))
-        t2, _ = picard_solve(spec, cache=cache16, tol=1e-10, initial=zero)
-        diff = max(norm_q(t1.coeffs[m] - t2.coeffs[m], 0.25)
+        ws = _SweepWorkspace(spec, cache16.node_count)
+        t1, _ = picard_solve(spec, tol=1e-10, workspace=ws)
+        forcing = np.zeros((spec.step_count + 1, 16))
+        t2, _ = _fixed_point(lambda c: ws.sweep(c, forcing), np.zeros_like(forcing),
+                             ws.residual, "zero start", 1e-10, MAX_ITER)
+        diff = max(norm_q(t1.coeffs[m] - t2[m], 0.25)
                    for m in range(spec.step_count + 1))
         assert diff <= 2e-10
 
@@ -697,15 +702,29 @@ class TestPicardSolve:
             picard_solve(spec, cache=cache16, tol=1e-8, max_iter=25)
         assert len(err.value.residual_history) == 25
 
-    @pytest.mark.parametrize("max_iter", (0, -3))
-    def test_no_sweep_budget_rejected(self, max_iter, cache16):
-        spec = make_spec(m=32)
-        with pytest.raises(DomainError, match="max_iter"):
-            picard_solve(spec, cache=cache16, max_iter=max_iter)
+    @pytest.mark.parametrize("bad, message", (
+        ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        ({"max_iter": -3}, "max_iter must be >= 1, got -3"),
+        ({"tol": math.nan}, "tol must be >= 0, got nan"),
+        ({"tol": -1.0}, "tol must be >= 0, got -1.0"),
+    ), ids=("0", "-3", "tol-nan", "tol-negative"))
+    def test_no_sweep_budget_rejected(self, bad, message, cache16, monkeypatch):
+        # refused before any sweep, by the one loop of the forward solve,
+        # the adjoint and the optimizer
+        spec = make_spec(m=32, nonlinearity=Nonlinearity(0.1), control_count=1)
         ws = _SweepWorkspace(spec, cache16.node_count)
         traj, _ = picard_solve(spec, workspace=ws)
-        with pytest.raises(DomainError, match="max_iter"):
-            _adjoint(ws, traj.coeffs, traj.coeffs, 1e-8, max_iter)
+        args = {"tol": 1e-8, "max_iter": MAX_ITER} | bad
+        exact = f"^{re.escape(message)}$"
+        monkeypatch.setattr(_SweepWorkspace, "sweep", None)
+        monkeypatch.setattr(_SweepWorkspace, "adjoint_sweep", None)
+        with pytest.raises(DomainError, match=exact):
+            picard_solve(spec, cache=cache16, **args)
+        with pytest.raises(DomainError, match=exact):
+            _adjoint(ws, traj.coeffs, traj.coeffs, args["tol"], args["max_iter"])
+        with pytest.raises(DomainError, match=exact):
+            optimize_controls(spec, CostSpec(), zero_bundle(spec.grid, 1, 2), workspace=ws,
+                              solve_tol=args["tol"], max_iter=args["max_iter"])
 
     def test_adjoint_of_an_unforced_problem_is_its_twins(self):
         # f = 0 and no controls: the gradient is the one of the twin problem
@@ -730,21 +749,18 @@ class TestPicardSolve:
         assert_same_bits(ws.sweep(ws.initial(), np.zeros((9, 4))),
                          picard_solve(spec, workspace=ws)[0].coeffs)
 
-    @pytest.mark.parametrize("entry", ("apply_P", "picard_solve"))
-    def test_trajectory_off_the_problem_refused(self, entry):
-        # every entry point that reads a trajectory refuses one on another
-        # grid, of another horizon at the same shape, or of other modes,
-        # before numpy sees it
+    def test_trajectory_off_the_problem_refused(self):
+        # apply_P, the one entry point that reads a trajectory, refuses one
+        # on another grid, of another horizon at the same shape, or of
+        # other modes, before numpy sees it
         spec = make_spec(n=4, m=16, nonlocal_terms=((0.3, 0.5),),
                          nonlinearity=Nonlinearity(0.1))
         solved, _ = picard_solve(spec)
-        call = {"apply_P": lambda traj: apply_P(spec, None, traj),
-                "picard_solve": lambda traj: picard_solve(spec, initial=traj)}[entry]
         for grid, modes in ((TimeGrid(1.0, 8), 4), (TimeGrid(2.0, 16), 4), (spec.grid, 3)):
             with pytest.raises(DomainError, match="^trajectory does not match the "
                                                   "problem's grid and modes$"):
-                call(Trajectory(grid, np.zeros((grid.step_count + 1, modes))))
-        call(solved)
+                apply_P(spec, None, Trajectory(grid, np.zeros((grid.step_count + 1, modes))))
+        apply_P(spec, None, solved)
 
     def test_exponent_precondition(self):
         with pytest.raises(RejectedInstanceError):

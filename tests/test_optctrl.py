@@ -651,10 +651,10 @@ def reference_optimize(problem, cost, init, budget=60, grad_tol=1e-4, fd_step=1e
     later = (m - 0.5 - np.arange(m))[:, None]
     log = optctrl.DescentLog()
 
-    def objective(bundle, warm=None, tol=solve_tol):
+    def objective(bundle, tol=solve_tol):
         try:
             traj, _ = picard_solve(problem, controls=bundle, tol=tol, max_iter=max_iter,
-                                   initial=warm, workspace=workspace)
+                                   workspace=workspace)
         except NonConvergenceError as exc:
             raise OptimizationError(
                 f"inner solve diverged for a candidate bundle: {exc}") from exc
@@ -683,7 +683,7 @@ def reference_optimize(problem, cost, init, budget=60, grad_tol=1e-4, fd_step=1e
     step = 1.0
     for _ in range(budget):
         grad = gradient(x, traj_cur)
-        checked = current, traj_cur, grad
+        checked = current, grad
         stationarity = float(np.linalg.norm(
             x - project(ControlBundle(x - grad, grid, radius)).cells))
         log.gradient_norms.append(stationarity)
@@ -701,7 +701,7 @@ def reference_optimize(problem, cost, init, budget=60, grad_tol=1e-4, fd_step=1e
         accepted = False
         while gamma > 1e-14:
             candidate = project(ControlBundle(x - gamma * grad, grid, radius))
-            jn, traj_n = objective(candidate, warm=traj_cur)
+            jn, traj_n = objective(candidate)
             decrease = optctrl._ARMIJO_SIGMA / gamma * float(((x - candidate.cells) ** 2).sum())
             if jn <= j_cur - decrease:
                 accepted = True
@@ -717,17 +717,17 @@ def reference_optimize(problem, cost, init, budget=60, grad_tol=1e-4, fd_step=1e
         log.budget_exhausted = True
 
     if checked is not None:
-        bundle, traj, grad = checked
+        bundle, grad = checked
         adjoint = float(np.linalg.norm(grad))
         finite_difference = residual = math.nan
         if adjoint > 0.0:
             direction = grad / adjoint
             tol = min(solve_tol, optctrl._CHECK_TOL)
             try:
-                j_plus, _ = objective(ControlBundle(x + fd_step * direction, grid, radius),
-                                      warm=traj, tol=tol)
-                j_minus, _ = objective(ControlBundle(x - fd_step * direction, grid, radius),
-                                       warm=traj, tol=tol)
+                j_plus, _ = objective(
+                    ControlBundle(bundle.cells + fd_step * direction, grid, radius), tol=tol)
+                j_minus, _ = objective(
+                    ControlBundle(bundle.cells - fd_step * direction, grid, radius), tol=tol)
             except OptimizationError:
                 pass
             else:
@@ -770,7 +770,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # at M = 128, whose adjoint runs through the slope of sin_grad:0.1, and
 # that problem with the ball binding, from a random start and at alpha = 1;
 # and at M = 96 with control_weight 0.3, where dt is not dyadic and cw not
-# a power of two, so the order of the control term's factors shows
+# a power of two, so the order of the control term's factors shows; and
+# one that runs out of budget, so the gradient check is at the point
+# before the last step
 DESCENT_CASES = {
     "perfbench-optimize": perfbench_optimize_config,
     "readme-m128": lambda: readme_block(steps=128),
@@ -778,6 +780,7 @@ DESCENT_CASES = {
     "readme-m128-random": lambda: readme_block(steps=128, init="random"),
     "readme-m128-alpha-1": lambda: readme_block(steps=128, alpha="1.0"),
     "readme-m96-cw-0.3": lambda: readme_block(steps=96, control_weight=0.3),
+    "readme-m128-budget-3": lambda: readme_block(steps=128, budget=3),
 }
 
 
@@ -816,6 +819,45 @@ class TestArrayDescent:
         assert math.isfinite(log.gradient_check["relative_residual"])
         if case.endswith("radius-0.05"):
             assert admissibility_value(bundle) == pytest.approx(0.05, rel=1e-12)
+
+    def test_each_cost_is_a_function_of_the_cells(self):
+        # every forward solve starts from the data term, so the last cost
+        # recorded is the one a fresh solve of the returned bundle gives
+        problem, cost, init, kwargs, workspace = descent_arguments(readme_block(steps=128))
+        ws = workspace()
+        bundle, traj, log = optimize_controls(problem, cost, init, workspace=ws, **kwargs)
+        solved, _ = picard_solve(problem, controls=bundle, tol=kwargs["solve_tol"],
+                                 max_iter=kwargs["max_iter"], workspace=ws)
+        assert np.array_equal(solved.coeffs, traj.coeffs)
+        assert log.cost_values[-1] == cost_J(solved, bundle, cost)
+
+    # at most 1.5 times the 72 and 101 gradients these runs take
+    @pytest.mark.parametrize("steps, gradients", [(128, 108), (512, 152)])
+    def test_tight_stationarity_is_reached(self, steps, gradients):
+        text = readme_block(steps=steps, tol="1e-11", grad_tol="1e-9", budget=500)
+        problem, cost, init, kwargs, workspace = descent_arguments(text)
+        _, _, log = optimize_controls(problem, cost, init, workspace=workspace(), **kwargs)
+        assert log.converged and log.stationarity <= 1e-9
+        assert len(log.gradient_norms) <= gradients
+
+    @pytest.mark.parametrize("setting, value, rule", [
+        ("fd_step", 0.0, "must be positive and finite"),
+        ("fd_step", -1e-4, "must be positive and finite"),
+        ("fd_step", math.nan, "must be positive and finite"),
+        ("fd_step", math.inf, "must be positive and finite"),
+        ("grad_tol", math.nan, "must be >= 0"),
+        ("grad_tol", -1e-4, "must be >= 0"),
+        ("budget", 0, "must be >= 1"),
+        ("budget", -2, "must be >= 1"),
+    ])
+    def test_descent_settings_refused_before_any_solve(self, monkeypatch, setting, value,
+                                                       rule):
+        prob = reference_problem(m=16, controls=1)
+        # a sweep would raise TypeError
+        monkeypatch.setattr(_SweepWorkspace, "sweep", None)
+        with pytest.raises(DomainError, match=f"^{re.escape(f'{setting} {rule}, got {value}')}$"):
+            optimize_controls(prob, CostSpec(), zero_bundle(prob.grid, 1, 2),
+                              **{setting: value})
 
     def test_an_admissible_start_that_never_moves_is_returned_itself(self):
         # one gradient at an optimum already: the bundle returned is init

@@ -99,6 +99,11 @@ README_RUNS = (
     # the ball binds, and the descent still converges
     ("readme-optimize-binding", "optimize", (("radius", "0.05"),), 0,
      (("optimize.converged", "==", True),)),
+    # every trial solve starts from the data term, so a tight stationarity
+    # test is met
+    ("readme-optimize-tight", "optimize",
+     (("tol", "1e-11"), ("grad_tol", "1e-9"), ("budget", "500")), 0,
+     (("optimize.converged", "==", True),)),
     # solved from the S rows alone
     ("linear-solve", "solve", (("nonlinearity", "zero"), ("controls", "0")), 0, ()),
     # the operator-bound and multiplier rows of the configured order on
@@ -380,8 +385,8 @@ def selftest() -> list:
     """Failure messages (empty when the diff behaves)."""
     failures = []
     runs = config_set()
-    if len(runs) != 19:
-        failures.append(f"the config set has {len(runs)} configs, not 19")
+    if len(runs) != 20:
+        failures.append(f"the config set has {len(runs)} configs, not 20")
     with tempfile.TemporaryDirectory(prefix="sobfrac-artifacts-") as tmp:
         tmp = Path(tmp)
         first = run_set(ROOT, runs, tmp / "first")
