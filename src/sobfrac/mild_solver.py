@@ -9,7 +9,8 @@ with the weakly singular kernel integrated exactly per cell against the
 left-endpoint piecewise-constant integrand: over the lag cell
 [(d-1) dt, d dt] its integral is (S((d-1) dt) - S(d dt)) / lambda_n, so
 the one S table gives both terms.  h(u) is the weighted sum of
-trajectory values at the fixed nonlocal times.  Every operator is
+trajectory values at the fixed nonlocal times, which
+nonlocal_node_weights places on the grid once.  Every operator is
 diagonal per mode, so the trajectory depends on h only through the term
 S(t) [smoothing] t^(1-a)/Gamma(2-a) h, and h solves one scalar equation
 per mode.  The solver's sweep eliminates it in closed form: it builds
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,24 +155,26 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
     converged: bool = False
     contraction_ratio: float = math.nan
-    snapped_nonlocal_times: list = field(default_factory=list)
+    nonlocal_node_weights: list = field(default_factory=list)   # [node, weight] pairs
     nonlocal_denominator_min: float = 1.0
 
 
-def snap_nonlocal_indices(spec: ProblemSpec) -> list:
-    """Grid indices of the nonlocal times, snapped to the nearest node."""
-    dt = spec.grid.dt
-    out = []
+def nonlocal_node_weights(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of h(u) = sum weights u(nodes), in term order: c
+    on the node within 1e-12 horizon of t_eta, else linear interpolation,
+    c (1 - theta) on node i and c theta on node i + 1, theta = t_eta/dt - i
+    (t_eta < horizon keeps i + 1 on the grid)."""
+    dt, placed = spec.grid.dt, []
     for c, t_eta in spec.nonlocal_terms:
-        idx = int(round(t_eta / dt))
-        snapped = idx * dt
-        off = abs(snapped - t_eta)
-        if off > 1e-12 * spec.horizon:
-            warnings.warn(
-                f"nonlocal time {t_eta} snapped to grid node {snapped}",
-                stacklevel=2)
-        out.append((c, idx, off))
-    return out
+        i = round(t_eta / dt)
+        if abs(i * dt - t_eta) <= 1e-12 * spec.horizon:
+            placed.append((i, c))
+        else:
+            i = math.floor(t_eta / dt)
+            theta = t_eta / dt - i
+            placed += [(i, c * (1.0 - theta)), (i + 1, c * theta)]
+    return (np.array([i for i, _ in placed], dtype=np.intp),
+            np.array([w for _, w in placed], dtype=float))
 
 
 def eval_f(spec: ProblemSpec, t: float, u: np.ndarray) -> np.ndarray:
@@ -303,8 +305,8 @@ class _SweepWorkspace:
 
     The grid-static arrays come from _grid_static, built once per
     discretisation, and D and P from spectral.collocation_maps; the
-    nonlocal snaps, the denominators and the data term are built per
-    workspace.  A sweep convolves exactly when its forcing is nonzero, so
+    nonlocal node weights, the denominators and the data term are built
+    per workspace.  A sweep convolves exactly when its forcing is nonzero, so
     a linear uncontrolled solve never does.  D maps coefficients to the
     first derivative on the collocation grid (4N x N), P maps collocation
     values back to coefficients (N x 4N); both sweeps go through them.
@@ -320,7 +322,7 @@ class _SweepWorkspace:
     def __init__(self, spec: ProblemSpec, node_count: int = _DEFAULT_NODES):
         self.spec = spec
         self.dt = spec.grid.dt
-        self.snaps = snap_nonlocal_indices(spec)
+        self.nodes, self.weights = nonlocal_node_weights(spec)
         # feedback is the trajectory's response to h
         self.kappa, self.s_lm, self.feedback, spectrum = _grid_static(
             spec.order.alpha, spec.mode_count, spec.grid, node_count)
@@ -329,9 +331,9 @@ class _SweepWorkspace:
         self.kernel = _Kernel(spectrum)
         # the data term without h
         self.data = self.s_lm * (spec.v0[None, :] + self.kappa[:, None] * spec.u0[None, :])
-        # d_n = 1 - sum c (s_lm kappa)_n(t_eta).  ProblemSpec keeps c > 0,
-        # the data-smoothing symbol is < 0, S >= 0 and kappa >= 0, so
-        # d_n = 1 + sum c |s_lm kappa|_n(t_eta) >= 1: the division by it
+        # d_n = 1 - sum w (s_lm kappa)_n(node).  The weights are > 0, the
+        # data-smoothing symbol is < 0, S >= 0 and kappa >= 0, so
+        # d_n = 1 + sum w |s_lm kappa|_n(node) >= 1: the division by it
         # needs no guard.
         self.denominator = 1.0 - self.nonlocal_sum(self.feedback)
         m, n_modes = spec.step_count, spec.mode_count
@@ -341,11 +343,8 @@ class _SweepWorkspace:
             self.forcing = np.empty((m, n_modes))
 
     def nonlocal_sum(self, coeffs: np.ndarray) -> np.ndarray:
-        """h = sum c_eta coeffs(t_eta), per mode."""
-        h = np.zeros(coeffs.shape[1])
-        for c, idx, _ in self.snaps:
-            h += c * coeffs[idx]
-        return h
+        """h = sum w coeffs(node), per mode, added from zeros in term order."""
+        return np.add.reduce(self.weights[:, None] * coeffs[self.nodes], axis=0, initial=0.0)
 
     def response(self, coeffs: np.ndarray, ctrl_forcing: np.ndarray) -> np.ndarray:
         """The solution map at coeffs without its h term: the data term
@@ -370,7 +369,7 @@ class _SweepWorkspace:
         plus s_lm kappa h, where h = sum c r(t_eta) / d solves
         h = sum c (r + s_lm kappa h)(t_eta) mode by mode."""
         out = self.response(coeffs, ctrl_forcing)
-        if self.snaps:
+        if self.nodes.size:
             h = self.nonlocal_sum(out)
             h /= self.denominator
             out += np.multiply(self.feedback, h, out=self.scratch)
@@ -390,17 +389,16 @@ class _SweepWorkspace:
                       slope: np.ndarray | None) -> np.ndarray:
         """source plus the transposed linearised response applied to lam,
         then the h elimination transposed: g = sum_t s_lm kappa out / d,
-        added at each nonlocal node with its weight c."""
+        added at each nonlocal node with its weight, in term order."""
         out = source.copy()
         if slope is not None:
             colloc = np.matmul(self.kernel.apply_T(lam), self.P, out=self.colloc)
             colloc *= slope
             out[:-1] += np.matmul(colloc, self.D, out=self.forcing)
-        if self.snaps:
+        if self.nodes.size:
             g = np.sum(np.multiply(self.feedback, out, out=self.scratch), axis=0)
             g /= self.denominator
-            for c, idx, _ in self.snaps:
-                out[idx] += c * g
+            np.add.at(out, self.nodes, np.multiply.outer(self.weights, g))
         return self.finite(out)
 
     def initial(self) -> np.ndarray:
@@ -465,7 +463,8 @@ def picard_solve(spec: ProblemSpec, cache: SolutionOperatorCache | None = None,
     ratio = history[-1] / history[-2] if len(history) >= 2 and history[-2] > 0.0 else 0.0
     report = SolveReport(iterations=len(history), residual_history=history, converged=True,
                          contraction_ratio=ratio,
-                         snapped_nonlocal_times=list(workspace.snaps),
+                         nonlocal_node_weights=list(map(list, zip(
+                             workspace.nodes.tolist(), workspace.weights.tolist()))),
                          nonlocal_denominator_min=float(workspace.denominator.min()))
     return Trajectory(spec.grid, current), report
 

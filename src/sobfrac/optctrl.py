@@ -164,15 +164,18 @@ class DescentLog:
     """Per-accepted-iteration record of the projected-gradient run.
 
     inner_solves counts forward solves, adjoint_solves the gradients.
-    gradient_check compares the final adjoint gradient's directional
-    derivative with a central difference of step fd_step along it.
+    stop_reason says why the descent stopped: "converged" (stationarity
+    <= grad_tol), "budget" (budget iterations taken) or "no descent
+    step" (no Armijo trial step decreased J).  gradient_check compares
+    the final adjoint gradient's directional derivative with a central
+    difference of step fd_step along it.
     """
 
     cost_values: list = field(default_factory=list)
     gradient_norms: list = field(default_factory=list)
     stationarity: float = math.nan
     converged: bool = False
-    budget_exhausted: bool = False
+    stop_reason: str = ""
     inner_solves: int = 0
     adjoint_solves: int = 0
     gradient_check: dict = field(default_factory=dict)
@@ -194,11 +197,11 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
     built for problem, else DomainError; None builds one) and stops after
     max_iter sweeps, and every forward solve starts from the data term, so
     each cost is a function of the cells alone.  Returns (bundle,
-    trajectory, DescentLog), the log's budget_exhausted marking a
-    best-so-far return.  Before any solve, budget < 1, a NaN or negative
-    grad_tol, or an fd_step that is not positive and finite raises
-    DomainError, and a failed exponent hypothesis raises picard_solve's
-    RejectedInstanceError.
+    trajectory, DescentLog), the log's stop_reason saying why it stopped;
+    unless it is "converged", the return is the best point so far.
+    Before any solve, budget < 1, a NaN or negative grad_tol, or an
+    fd_step that is not positive and finite raises DomainError, and a
+    failed exponent hypothesis raises picard_solve's RejectedInstanceError.
 
     The problem, the workspace and init are checked once, as picard_solve
     checks them; the descent then runs on the cells and the trajectory
@@ -259,7 +262,7 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
         log.gradient_norms.append(stationarity)
         log.stationarity = stationarity
         if stationarity <= grad_tol:
-            log.converged = True
+            log.converged, log.stop_reason = True, "converged"
             break
 
         if prev_grad is not None:
@@ -280,13 +283,14 @@ def optimize_controls(problem: ProblemSpec, cost: CostSpec, init: ControlBundle,
             gamma *= 0.5
         if not accepted:
             # no admissible descent step left at this gradient resolution
+            log.stop_reason = "no descent step"
             break
         prev_x, prev_grad = x, grad
         x, j_cur, u_cur = candidate, jn, u_n
         log.cost_values.append(j_cur)
 
     else:
-        log.budget_exhausted = True
+        log.stop_reason = "budget"
 
     if checked is not None:
         log.gradient_check = _gradient_check(objective, *checked, fd_step, solve_tol)

@@ -762,6 +762,16 @@ class TestOptimizeMode:
         assert report["optimize"]["admissibility_value"] <= 1.0 + 1e-10
         assert report["optimize"]["adjoint_solves"] >= 1
         assert report["optimize"]["gradient_check"]["relative_residual"] <= 1e-3
+        assert report["optimize"]["stop_reason"] == "converged"
+
+    def test_an_exhausted_budget_exits_1_and_says_so(self, tmp_path):
+        text = (REFERENCE_CFG.replace("budget = 40", "budget = 2")
+                + f"directory = {tmp_path}\n")
+        assert run(parse_config(text, mode="optimize")) == 1
+        report = strict_json(tmp_path / "report.json")
+        assert "error" not in report
+        assert report["optimize"]["converged"] is False
+        assert report["optimize"]["stop_reason"] == "budget"
 
     def test_random_init_is_the_random_admissible_bundle(self, tmp_path, monkeypatch):
         starts, original = [], cli.optimize_controls

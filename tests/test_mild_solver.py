@@ -18,7 +18,7 @@ from sobfrac.mild_solver import (GRID_STATIC_MEMO, MAX_ITER, Nonlinearity,
                                  ProblemSpec, Trajectory,
                                  _SweepWorkspace, _adjoint, _control_forcing, _grid_static,
                                  _control_forcing_adjoint, _fixed_point,
-                                 apply_P, eval_f, picard_solve)
+                                 apply_P, eval_f, nonlocal_node_weights, picard_solve)
 from sobfrac.optctrl import (ControlBundle, CostSpec, _adjoint_gradient, _gradient_rows,
                              optimize_controls, zero_bundle)
 from sobfrac.solution_ops import SolutionOperatorCache
@@ -174,11 +174,17 @@ class TestNonlocalBracket:
         bracket = sweep_bracket(spec, cache16, traj)
         assert abs(bracket[300, 1] - t ** (1 - alpha) / gamma(2 - alpha)) <= 1e-10
 
-    def test_off_grid_time_warns(self, cache16):
-        spec = make_spec(m=7, nonlocal_terms=((0.5, 0.33),))
-        traj = Trajectory(spec.grid, np.zeros((spec.step_count + 1, 16)))
-        with pytest.warns(UserWarning):
-            apply_P(spec, cache16, traj)
+    def test_off_grid_time_reads_both_neighbours(self, cache16):
+        # 0.33 = 2.31 dt: h reads nodes 2 and 3 by linear interpolation,
+        # which is exact on a trajectory linear in t
+        spec = make_spec(m=7, u0=np.zeros(16), v0=np.zeros(16),
+                         nonlocal_terms=((0.5, 0.33),))
+        coeffs = np.zeros((8, 16))
+        coeffs[:, 1] = spec.grid.nodes()
+        bracket = sweep_bracket(spec, cache16, Trajectory(spec.grid, coeffs))
+        t = 5 * spec.grid.dt
+        want = t ** (1 - 0.8) / gamma(2 - 0.8) * 0.5 * 0.33
+        assert abs(bracket[5, 1] - want) <= 1e-12
 
 
 class TestApplyP:
@@ -295,7 +301,7 @@ def reference_sweep(spec, ws, coeffs, ctrl_forcing):
     """The sweep with per-node eval_f and a direct causal convolution: the
     slow reference for the batched collocation transforms and the FFT."""
     kernel = reference_kernel(spec)
-    h = sum(c * coeffs[idx] for c, idx, _ in ws.snaps)
+    h = sum(w * coeffs[node] for node, w in zip(ws.nodes, ws.weights))
     out = ws.s_lm * (spec.v0 + ws.kappa[:, None] * (spec.u0 + h))
     forcing = ctrl_forcing + np.array(
         [eval_f(spec, t, row) for t, row in zip(spec.grid.nodes(), coeffs)])
@@ -341,9 +347,11 @@ def allocating_finite(out):
 
 
 class AllocatingWorkspace(_SweepWorkspace):
-    """The sweeps as allocating expressions, with no scratch reused and
-    the kernel rebuilt from its own table: the bit-for-bit oracle for the
-    workspace's buffers, which keep every operand and its order."""
+    """The sweeps as allocating expressions, with no scratch reused, the
+    kernel rebuilt from its own table and the nonlocal weights read one
+    term at a time: the bit-for-bit oracle for the workspace's buffers
+    and its indexed reads and adds, which keep every operand and its
+    order."""
 
     def __init__(self, spec):
         super().__init__(spec)
@@ -360,9 +368,15 @@ class AllocatingWorkspace(_SweepWorkspace):
             out[1:] += allocating_fftconvolve(self.reference_spectrum, forcing)
         return out
 
+    def nonlocal_sum(self, coeffs):
+        h = np.zeros(coeffs.shape[1])
+        for node, w in zip(self.nodes, self.weights):
+            h += w * coeffs[node]
+        return h
+
     def sweep(self, coeffs, ctrl_forcing):
         out = self.response(coeffs, ctrl_forcing)
-        if self.snaps:
+        if self.nodes.size:
             out += self.feedback * (self.nonlocal_sum(out) / self.denominator)
         return allocating_finite(out)
 
@@ -375,10 +389,10 @@ class AllocatingWorkspace(_SweepWorkspace):
         if slope is not None:
             out[:-1] += ((allocating_correlate(self.reference_spectrum, lam) @ self.P)
                          * slope) @ self.D
-        if self.snaps:
+        if self.nodes.size:
             g = np.sum(self.feedback * out, axis=0) / self.denominator
-            for c, idx, _ in self.snaps:
-                out[idx] += c * g
+            for node, w in zip(self.nodes, self.weights):
+                out[node] += w * g
         return allocating_finite(out)
 
     def residual(self, new, old):
@@ -434,7 +448,11 @@ class TestScratchBuffers:
         make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),), control_count=2),
         # f = 0 without controls: the sweep never convolves
         make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),)),
-    ], ids=["readme_controls", "readme", "alpha_one", "linear_controls", "linear"])
+        # off-grid times, two of them sharing nodes 25 and 26
+        make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.4), (0.2, 0.401), (0.5, 0.75)),
+                  nonlinearity=Nonlinearity(0.1), control_count=2),
+    ], ids=["readme_controls", "readme", "alpha_one", "linear_controls", "linear",
+            "off_grid"])
     def test_matches_allocating_oracle_bitwise(self, spec):
         controls = random_controls(spec, 1) if spec.control_count else None
         ctrl_forcing = _control_forcing(spec, controls)
@@ -983,8 +1001,9 @@ class TestNonlocalElimination:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_denominator_at_least_one(self, alpha):
+        # 0.77 = 49.28 dt is off the grid and weighs two nodes
         spec = make_spec(alpha=alpha, n=8, m=64,
-                         nonlocal_terms=((0.3, 0.25), (50.0, 0.5), (3.0, 0.75)))
+                         nonlocal_terms=((0.3, 0.25), (50.0, 0.5), (3.0, 0.75), (0.2, 0.77)))
         ws = _SweepWorkspace(spec)
         assert np.all(ws.denominator >= 1.0)
         assert np.min(ws.denominator) > 1.0
@@ -994,6 +1013,77 @@ class TestNonlocalElimination:
     def test_denominator_without_nonlocal_terms(self, cache16):
         _, rep = picard_solve(make_spec(), cache=cache16)
         assert rep.nonlocal_denominator_min == 1.0
+
+
+class TestNonlocalPlacement:
+    """nonlocal_node_weights places each term once, and the sweep, its
+    transpose, apply_P and the report read the same nodes and weights."""
+
+    # three off-grid times; 0.4 and 0.401 share nodes 25 and 26 at m = 64
+    OFF_GRID = ((0.3, 0.4), (0.2, 0.401), (3.0, 0.77))
+
+    def test_on_and_off_grid_terms(self):
+        # 0.5 is node 32 at m = 64, up to 1e-12 horizon; 0.5001 = 32.0064 dt
+        spec = make_spec(n=8, m=64, nonlocal_terms=(
+            (0.3, 0.5 - 1e-13), (0.2, 0.5001), (0.1, 0.75)))
+        nodes, weights = nonlocal_node_weights(spec)
+        theta = 0.5001 * 64 - 32
+        assert nodes.tolist() == [32, 32, 33, 48]
+        assert weights.tolist() == [0.3, 0.2 * (1.0 - theta), 0.2 * theta, 0.1]
+        cache = SolutionOperatorCache(spec.order, 8)
+        for _ in range(2):
+            _, rep = picard_solve(spec, cache=cache)
+            assert rep.nonlocal_node_weights == [[32, 0.3], [32, 0.2 * (1.0 - theta)],
+                                                 [33, 0.2 * theta], [48, 0.1]]
+
+    def test_off_grid_error_falls_at_first_order(self):
+        # the README solve without controls at 0.3@0.4, against M = 20480,
+        # where 0.4 is a node; snapping 0.4 to the nearest node gave
+        # 2.72e-5, 2.64e-5 and 6.20e-6
+        def solve(m):
+            spec = make_spec(m=m, nonlocal_terms=((0.3, 0.4),),
+                             nonlinearity=Nonlinearity(0.1))
+            return picard_solve(spec, tol=1e-13)[0].coeffs
+
+        fine = solve(20480)
+        errors = [float(np.max(np.abs(solve(m) - fine[::20480 // m])))
+                  for m in (512, 1024, 2048)]
+        assert errors[0] <= 6e-6 and errors[1] <= 3e-6 and errors[2] <= 1.5e-6
+        assert all(0.4 <= b / a <= 0.6 for a, b in zip(errors, errors[1:]))
+
+    def test_terms_sharing_a_node_both_count(self):
+        # two terms on one node weigh it as one term of their summed weight
+        rng = np.random.default_rng(12)
+        coeffs = rng.standard_normal((65, 8))
+        shared = _SweepWorkspace(make_spec(
+            n=8, m=64, nonlocal_terms=((0.3, 0.5), (0.2, 0.5 + 1e-13))))
+        single = _SweepWorkspace(make_spec(n=8, m=64, nonlocal_terms=((0.5, 0.5),)))
+        assert shared.nodes.tolist() == [32, 32]
+        assert np.allclose(shared.nonlocal_sum(coeffs), single.nonlocal_sum(coeffs),
+                           rtol=1e-15, atol=1e-15)
+        out = shared.adjoint_sweep(coeffs, coeffs, None)
+        assert np.allclose(out, single.adjoint_sweep(coeffs, coeffs, None),
+                           rtol=1e-14, atol=1e-14)
+        # and two interpolated terms on the same two nodes
+        ws = _SweepWorkspace(make_spec(n=8, m=64, nonlocal_terms=self.OFF_GRID[:2]))
+        assert ws.nodes.tolist() == [25, 26, 25, 26]
+        want = sum(c * ((26 - 64 * t) * coeffs[25] + (64 * t - 25) * coeffs[26])
+                   for c, t in self.OFF_GRID[:2])
+        assert np.allclose(ws.nonlocal_sum(coeffs), want, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("m", [7, 64])
+    def test_transposed_elimination_is_the_transpose(self, m):
+        # <E K F, lam> = <F, K^T E^T lam>: with zero data and f = 0 the
+        # sweep is the elimination E of the convolved forcing, and
+        # adjoint_sweep without a slope is E^T
+        spec = make_spec(n=8, m=m, u0=np.zeros(8), v0=np.zeros(8),
+                         nonlocal_terms=self.OFF_GRID)
+        ws = _SweepWorkspace(spec)
+        rng = np.random.default_rng(m)
+        forcing, lam = rng.standard_normal((2, m + 1, 8))
+        lhs = float(np.sum(ws.sweep(lam, forcing) * lam))
+        rhs = float(np.sum(forcing[:-1] * ws.kernel.apply_T(ws.adjoint_sweep(lam, lam, None))))
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
 
 class TestGridStaticMemo:
@@ -1056,14 +1146,6 @@ class TestGridStaticMemo:
             picard_solve(spec)
         info = _grid_static.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-
-    def test_snapped_time_warns_on_every_solve(self):
-        spec = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5001),))
-        cache = SolutionOperatorCache(spec.order, 8)
-        for _ in range(3):
-            with pytest.warns(UserWarning, match="snapped"):
-                _, rep = picard_solve(spec, cache=cache)
-            assert [idx for _, idx, _ in rep.snapped_nonlocal_times] == [32]
 
     BASE = make_spec(n=8, m=64, nonlocal_terms=((0.3, 0.5),),
                      nonlinearity=Nonlinearity(0.1))

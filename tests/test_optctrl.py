@@ -488,9 +488,21 @@ class TestOptimizer:
                                               budget=60, grad_tol=1e-4)
         vals = log.cost_values
         assert all(b <= a + 1e-14 for a, b in zip(vals, vals[1:]))
-        assert log.converged
+        assert log.converged and log.stop_reason == "converged"
         assert log.stationarity <= 1e-4
         assert admissibility_value(bundle) <= bundle.radius + 1e-10
+
+    def test_stop_reason_no_descent_step(self, monkeypatch):
+        # J is convex, so along the ascent direction only trial steps too
+        # short to move J past rounding pass the Armijo test, and the
+        # descent runs out of them well inside its budget
+        real = optctrl._adjoint_gradient
+        monkeypatch.setattr(optctrl, "_adjoint_gradient", lambda *a: -real(*a))
+        prob = reference_problem(m=16)
+        _, _, log = optimize_controls(prob, CostSpec(), zero_bundle(prob.grid, 2, 4))
+        assert log.stop_reason == "no descent step" and not log.converged
+        assert len(log.gradient_norms) < 60
+        assert log.cost_values[-1] >= log.cost_values[0] * (1.0 - 1e-12)
 
     def test_budget_flag(self):
         prob = reference_problem(m=16)
@@ -499,7 +511,7 @@ class TestOptimizer:
         init = start.scaled(0.8 / admissibility_value(start))
         bundle, traj, log = optimize_controls(prob, CostSpec(), init, budget=1,
                                               grad_tol=1e-12)
-        assert log.budget_exhausted
+        assert log.stop_reason == "budget"
         assert not log.converged
 
     def test_binding_ball_converges(self):
@@ -689,7 +701,7 @@ def reference_optimize(problem, cost, init, budget=60, grad_tol=1e-4, fd_step=1e
         log.gradient_norms.append(stationarity)
         log.stationarity = stationarity
         if stationarity <= grad_tol:
-            log.converged = True
+            log.converged, log.stop_reason = True, "converged"
             break
         if prev_grad is not None:
             s = (x - prev_x).reshape(-1)
@@ -708,13 +720,14 @@ def reference_optimize(problem, cost, init, budget=60, grad_tol=1e-4, fd_step=1e
                 break
             gamma *= 0.5
         if not accepted:
+            log.stop_reason = "no descent step"
             break
         prev_x, prev_grad = x, grad
         current, j_cur, traj_cur = candidate, jn, traj_n
         x = current.cells
         log.cost_values.append(j_cur)
     else:
-        log.budget_exhausted = True
+        log.stop_reason = "budget"
 
     if checked is not None:
         bundle, grad = checked
@@ -766,13 +779,18 @@ def perfbench_optimize_config(seed=1):
 README = Path(__file__).resolve().parent.parent / "README.md"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
+# the README block's nonlocal term moved off the grid: 0.4 = 51.2 dt at
+# M = 128 (`nonlocal` is a keyword, so the edit is a dict)
+OFF_GRID = {"nonlocal": "0.3@0.4"}
+
 # the descent's configs: f = 0 at the acceptance size, the README problem
 # at M = 128, whose adjoint runs through the slope of sin_grad:0.1, and
 # that problem with the ball binding, from a random start and at alpha = 1;
 # and at M = 96 with control_weight 0.3, where dt is not dyadic and cw not
 # a power of two, so the order of the control term's factors shows; and
 # one that runs out of budget, so the gradient check is at the point
-# before the last step
+# before the last step; and the README problem with its nonlocal time off
+# the grid, where h reads two nodes
 DESCENT_CASES = {
     "perfbench-optimize": perfbench_optimize_config,
     "readme-m128": lambda: readme_block(steps=128),
@@ -781,6 +799,7 @@ DESCENT_CASES = {
     "readme-m128-alpha-1": lambda: readme_block(steps=128, alpha="1.0"),
     "readme-m96-cw-0.3": lambda: readme_block(steps=96, control_weight=0.3),
     "readme-m128-budget-3": lambda: readme_block(steps=128, budget=3),
+    "readme-m128-offgrid": lambda: readme_block(steps=128, **OFF_GRID),
 }
 
 
@@ -830,6 +849,15 @@ class TestArrayDescent:
                                  max_iter=kwargs["max_iter"], workspace=ws)
         assert np.array_equal(solved.coeffs, traj.coeffs)
         assert log.cost_values[-1] == cost_J(solved, bundle, cost)
+
+    def test_off_grid_nonlocal_gradient_checks(self):
+        # the adjoint through the two-node transposed elimination against
+        # its central difference
+        problem, cost, init, kwargs, workspace = descent_arguments(
+            readme_block(steps=128, **OFF_GRID))
+        _, _, log = optimize_controls(problem, cost, init, workspace=workspace(), **kwargs)
+        assert log.converged
+        assert log.gradient_check["relative_residual"] <= 1e-5
 
     # at most 1.5 times the 72 and 101 gradients these runs take
     @pytest.mark.parametrize("steps, gradients", [(128, 108), (512, 152)])

@@ -124,6 +124,13 @@ README_RUNS = (
      (("multiplier_rule.nodes", "==", 300),)),
     # 200 psi-rule nodes are too few, refused at parse before any output
     ("low-alpha-solve", "solve", (("alpha", "0.01"),), 2, ()),
+    # a nonlocal time between nodes (0.4 = 204.8 dt), read from its two
+    # neighbours: the solve converges, and the adjoint through the two-node
+    # elimination passes the gradient check
+    ("offgrid-nonlocal-solve", "solve", (("nonlocal", "0.3@0.4"),), 0,
+     (("solve.converged", "==", True),)),
+    ("offgrid-nonlocal-optimize", "optimize", (("nonlocal", "0.3@0.4"),), 0,
+     (("optimize.gradient_check.relative_residual", "<=", 1e-5),)),
 )
 # perfbench runs: the seed-1 operation of the solve and optimize
 # workloads, and the sweep template at two alphas
@@ -385,8 +392,8 @@ def selftest() -> list:
     """Failure messages (empty when the diff behaves)."""
     failures = []
     runs = config_set()
-    if len(runs) != 20:
-        failures.append(f"the config set has {len(runs)} configs, not 20")
+    if len(runs) != 22:
+        failures.append(f"the config set has {len(runs)} configs, not 22")
     with tempfile.TemporaryDirectory(prefix="sobfrac-artifacts-") as tmp:
         tmp = Path(tmp)
         first = run_set(ROOT, runs, tmp / "first")
